@@ -5,6 +5,14 @@ straight from explicit SVD/eigendecompositions.  Supremum quantities
 (hypo-norms, joint radii) are estimated with sphere_optimize; each gets
 a monotone ascent step derived from the dual element of the norm being
 maximized, so a single iteration costs one small factorization.
+
+The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
+M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
+invariant under lam -> e^{i theta} lam, so they equal
+sup_lam ||Re M(lam)||_p over the ungauged sphere.  One dual-ascent step
+serves p in [1, inf]; the joint numerical radius of the coefficient
+route is its p = inf case.  The winner is reported gauge-fixed, with
+theta the phase that the gauge removed.
 """
 
 from __future__ import annotations
@@ -211,30 +219,106 @@ def _radius_witness(a: np.ndarray, n_grid: int = 720, theta_tol: float = 1e-10):
     return float(val), float(theta % _TWO_PI), q[:, -1]
 
 
-def _refine_support_fixed_point(lam0, support_full, step_tol=1e-11, max_iters=30):
-    """Polish a coefficient point by iterating an exact support step.
+# ---------------------------------------------------------------------------
+# real-part supremum: sup_lam ||Re M(lam)||_p on the ungauged sphere
+# ---------------------------------------------------------------------------
 
-    support_full(lam) returns (value, a) with value the exact objective
-    and a the support direction; the coarse-grid ascents used inside the
-    optimizers leave an argmax bias that this removes.
+def _batch_herm_schatten(evals: np.ndarray, p: float) -> np.ndarray:
+    mags = np.abs(evals)
+    top = np.max(mags, axis=-1)
+    safe = np.where(top > 0.0, top, 1.0)
+    vals = safe * np.sum((mags / safe[..., None]) ** p, axis=-1) ** (1.0 / p)
+    return np.where(top > 0.0, vals, 0.0)
+
+
+def _real_part_sup(
+    t: OperatorTuple, p: float, config: OptimizerConfig | None, warm_starts=()
+) -> SupremumEstimate:
+    """sup over the ungauged unit sphere of ||Re M(lam)||_p, p in [1, inf].
+
+    Each ascent step is minorize-maximize on the Hermitian dual element
+    W of H = Re M(lam): ||W||_q = 1 and tr(W H) = ||H||_p, so with
+    a_k = tr(W T_k) the step lam' = conj(a)/|a| gives
+    ||Re M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||H||_p.
+    The objective changes under lam -> e^{i theta} lam, so rows are not
+    gauged while they ascend; the returned argmax is the gauge-fixed
+    winner and theta the phase removed, so that
+    value == ||Re(e^{i theta} M(argmax))||_p exactly.
     """
-    lam = np.asarray(lam0, dtype=np.complex128).copy()
-    best_val, best_lam = -np.inf, lam
-    for _ in range(max_iters):
-        val, a = support_full(lam)
-        if val > best_val:
-            best_val, best_lam = float(val), lam
-        na = np.linalg.norm(a)
-        if na <= 0.0:
-            break
-        nxt = gauge_fix(np.conj(a) / na)
-        if np.linalg.norm(nxt - lam) < step_tol:
-            val, _ = support_full(nxt)
-            if val > best_val:
-                best_val, best_lam = float(val), nxt
-            break
-        lam = nxt
-    return best_val, best_lam
+    cfg = replace(config or OptimizerConfig(), final_polish=False)
+    mats = _stack(t)
+
+    def herm(rows):
+        m = _combine(mats, rows)
+        return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
+
+    def batch_objective(rows):
+        return _batch_herm_schatten(np.linalg.eigvalsh(herm(rows)), p)
+
+    def objective(lam):
+        return float(batch_objective(lam[None, :])[0])
+
+    def mm_step(rows):
+        h, q = np.linalg.eigh(herm(rows))
+        vals = _batch_herm_schatten(h, p)
+        mags = np.abs(h)
+        if p == np.inf:
+            # W = sign(h_top) x x* for the eigenvalue of largest modulus
+            wt = np.zeros_like(h)
+            idx = (np.arange(len(h)), np.argmax(mags, axis=1))
+            wt[idx] = np.sign(h[idx])
+        else:
+            # W = Q diag(sign(h) |h|^(p-1)) Q* / ||H||_p^(p-1), scaled for stability
+            top = np.max(mags, axis=1)
+            tsafe = np.where(top > 0.0, top, 1.0)
+            vsafe = np.where(vals > 0.0, vals, 1.0)
+            wt = (
+                np.sign(h)
+                * (mags / tsafe[:, None]) ** (p - 1.0)
+                * ((tsafe / vsafe) ** (p - 1.0))[:, None]
+            )
+        dual = np.einsum("sij,sj,skj->sik", q, wt, np.conj(q))
+        a = np.einsum("sij,kji->sk", dual, mats)
+        size = np.linalg.norm(a, axis=1)
+        nxt = rows.copy()
+        ok = size > 0.0
+        nxt[ok] = np.conj(a[ok]) / size[ok][:, None]
+        return vals, nxt
+
+    def ascend(rows):
+        # SQUAREM (Varadhan and Roland, 2008).  The bare MM step crawls
+        # along the phase orbit when the objective is nearly
+        # phase-invariant (nilpotent-like tuples), so extrapolate along
+        # two MM steps and take one more MM step from there.  alpha = -1
+        # gives back the second step; |alpha| <= 1/|r| bounds the jump.
+        # The extrapolated branch is kept only where it is no worse than
+        # x1, so the map stays monotone.
+        vals, x1 = mm_step(rows)
+        v1, x2 = mm_step(x1)
+        r = x1 - rows
+        v = x2 - x1 - r
+        nr = np.linalg.norm(r, axis=1)
+        alpha = -nr / np.maximum(np.linalg.norm(v, axis=1), 1e-300)
+        alpha = np.minimum(np.maximum(alpha, -1.0 / np.maximum(nr, 1e-300)), -1.0)
+        xe = rows - 2.0 * alpha[:, None] * r + (alpha**2)[:, None] * v
+        ne = np.linalg.norm(xe, axis=1)
+        xe /= np.where(ne > 0.0, ne, 1.0)[:, None]
+        ve, x3 = mm_step(xe)
+        return vals, np.where(((ve >= v1) & (ne > 0.0))[:, None], x3, x2)
+
+    est = sphere_optimize(
+        objective,
+        t.d,
+        cfg,
+        ascend=ascend,
+        batch_objective=batch_objective,
+        phase_invariant=False,
+        warm_starts=warm_starts,
+    )
+    winner = est.argmax.coeffs
+    lam = gauge_fix(winner)
+    theta = float(np.angle(np.vdot(lam, winner))) % _TWO_PI
+    return replace(est, argmax=BallPoint(lam), theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -277,48 +361,13 @@ def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig):
     return est, gauge_fix(lam)
 
 
-def _radius_coeff_route(
-    t: OperatorTuple, config: OptimizerConfig, n_grid_inner: int = 90
-):
-    """Route (b): sup over the coefficient ball of omega(sum lam_k T_k)."""
-    mats = _stack(t)
+def _radius_coeff_route(t: OperatorTuple, config: OptimizerConfig):
+    """Route (b): sup over the coefficient sphere of omega(sum lam_k T_k).
 
-    def objective(lam):
-        return numerical_radius(combination(t, lam))
-
-    def polish_objective(lam):
-        m = combination(t, lam)
-        thetas = np.linspace(0.0, _TWO_PI, n_grid_inner, endpoint=False)
-        return float(np.max(np.linalg.eigvalsh(_herm_rotations(m, thetas))[:, -1]))
-
-    def ascend(rows):
-        m = _combine(mats, rows)
-        thetas = np.linspace(0.0, _TWO_PI, n_grid_inner, endpoint=False)
-        phases = np.exp(1j * thetas)
-        h = m[:, None, :, :] * phases[None, :, None, None]
-        h = (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
-        s, nt = h.shape[0], h.shape[1]
-        w, q = np.linalg.eigh(h.reshape(s * nt, t.n, t.n))
-        tops = w[:, -1].reshape(s, nt)
-        best = np.argmax(tops, axis=1)
-        vals = tops[np.arange(s), best]
-        x = q.reshape(s, nt, t.n, t.n)[np.arange(s), best][:, :, -1]
-        c = np.einsum("si,kij,sj->sk", np.conj(x), mats, x)
-        a = np.exp(1j * thetas[best])[:, None] * c
-        return vals, power_step(rows, a)
-
-    def support_full(lam):
-        val, theta, x = _radius_witness(combination(t, lam))
-        c = np.einsum("i,kij,j->k", np.conj(x), mats, x)
-        return val, np.exp(1j * theta) * c
-
-    est = sphere_optimize(
-        objective, t.d, config, ascend=ascend, polish_objective=polish_objective
-    )
-    val, lam = _refine_support_fixed_point(est.argmax.coeffs, support_full)
-    if val >= est.value:
-        est = replace(est, value=val, argmax=BallPoint(lam))
-    return est
+    omega(M) = sup_theta ||Re(e^{i theta} M)||_op, so this is the p = inf
+    case of the real-part ascent.
+    """
+    return _real_part_sup(t, np.inf, config)
 
 
 def joint_numerical_radius(
@@ -370,119 +419,19 @@ def joint_numerical_radius(
 # Schatten p-numerical radius: sup over (lam, theta) of ||Re(e^{i theta} M)||_p
 # ---------------------------------------------------------------------------
 
-def _batch_herm_schatten(evals: np.ndarray, p: float) -> np.ndarray:
-    mags = np.abs(evals)
-    top = np.max(mags, axis=-1)
-    safe = np.where(top > 0.0, top, 1.0)
-    vals = safe * np.sum((mags / safe[..., None]) ** p, axis=-1) ** (1.0 / p)
-    return np.where(top > 0.0, vals, 0.0)
-
-
-def _theta_swept_p_norm(m: np.ndarray, p: float, n_grid: int, theta_tol: float):
-    """(sup_theta ||Re(e^{i theta} M)||_p, argmax theta) by grid + golden."""
-    thetas = np.linspace(0.0, _TWO_PI, n_grid, endpoint=False)
-    h = _herm_rotations(m, thetas)
-    vals = _batch_herm_schatten(np.linalg.eigvalsh(h), p)
-    i = int(np.argmax(vals))
-    span = _TWO_PI / n_grid
-
-    def g(theta):
-        hh = _herm_rotations(m, np.array([theta]))[0]
-        return float(_batch_herm_schatten(np.linalg.eigvalsh(hh)[None, :], p)[0])
-
-    theta, val = _golden_max(g, thetas[i] - span, thetas[i] + span, theta_tol)
-    if vals[i] > val:
-        theta, val = float(thetas[i]), float(vals[i])
-    return float(val), float(theta % _TWO_PI)
-
-
 def schatten_numerical_radius(
     t: OperatorTuple,
     p: float,
     config: OptimizerConfig | None = None,
-    n_grid_theta: int = 360,
-    n_grid_inner: int = 60,
     warm_starts=(),
 ) -> SupremumEstimate:
-    """omega_{s,p}(T): outer coefficient-sphere ascent, inner theta sweep.
+    """omega_{s,p}(T) = sup_(lam, theta) ||Re(e^{i theta} sum lam_k T_k)||_p.
 
-    Ascent iterations use a coarse inner grid; every reported value comes
-    from the full n_grid_theta sweep with golden-section refinement.
+    Computed as sup_lam ||Re M(lam)||_p over the ungauged coefficient
+    sphere by one dual ascent (no theta sweep).  argmax is gauge-fixed
+    and theta is the phase the gauge removed from the winner, so value
+    is the exact evaluation ||Re(e^{i theta} M(argmax))||_p.
     """
     if p < 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
-    mats = _stack(t)
-
-    def objective(lam):
-        return _theta_swept_p_norm(combination(t, lam), p, n_grid_theta, 1e-9)[0]
-
-    def polish_objective(lam):
-        m = combination(t, lam)
-        thetas = np.linspace(0.0, _TWO_PI, n_grid_inner, endpoint=False)
-        evals = np.linalg.eigvalsh(_herm_rotations(m, thetas))
-        return float(np.max(_batch_herm_schatten(evals, p)))
-
-    def ascend(rows):
-        m = _combine(mats, rows)
-        thetas = np.linspace(0.0, _TWO_PI, n_grid_inner, endpoint=False)
-        phases = np.exp(1j * thetas)
-        h = m[:, None, :, :] * phases[None, :, None, None]
-        h = (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
-        s, nt = h.shape[0], h.shape[1]
-        w, q = np.linalg.eigh(h.reshape(s * nt, t.n, t.n))
-        vals_all = _batch_herm_schatten(w, p).reshape(s, nt)
-        best = np.argmax(vals_all, axis=1)
-        vals = vals_all[np.arange(s), best]
-        wb = w.reshape(s, nt, -1)[np.arange(s), best]
-        qb = q.reshape(s, nt, t.n, t.n)[np.arange(s), best]
-        # Hermitian dual element W = Q diag(sign(h) |h|^(p-1)) Q* / ||H||_p^(p-1)
-        mags = np.abs(wb)
-        top = np.max(mags, axis=1)
-        tsafe = np.where(top > 0.0, top, 1.0)
-        vsafe = np.where(vals > 0.0, vals, 1.0)
-        wt = (
-            np.sign(wb)
-            * (mags / tsafe[:, None]) ** (p - 1.0)
-            * ((tsafe / vsafe) ** (p - 1.0))[:, None]
-        )
-        wt[vals <= 0.0] = 0.0
-        dual = np.einsum("sij,sj,skj->sik", qb, wt, np.conj(qb))
-        a = np.exp(1j * thetas[best])[:, None] * np.einsum(
-            "sij,kji->sk", dual, mats
-        )
-        return vals, power_step(rows, a)
-
-    def support_full(lam):
-        m = combination(t, lam)
-        val, theta = _theta_swept_p_norm(m, p, n_grid_theta, 1e-10)
-        h = _herm_rotations(m, np.array([theta]))[0]
-        evals, q = np.linalg.eigh(h)
-        mags = np.abs(evals)
-        top = float(np.max(mags))
-        if top <= 0.0 or val <= 0.0:
-            return val, np.zeros(t.d, dtype=np.complex128)
-        wt = np.sign(evals) * (mags / top) ** (p - 1.0) * (top / val) ** (p - 1.0)
-        dual = (q * wt) @ np.conj(q.T)
-        a = np.exp(1j * theta) * np.einsum("ij,kji->k", dual, mats)
-        return val, a
-
-    est = sphere_optimize(
-        objective,
-        t.d,
-        config,
-        ascend=ascend,
-        polish_objective=polish_objective,
-        warm_starts=warm_starts,
-    )
-    val, lam = _refine_support_fixed_point(est.argmax.coeffs, support_full)
-    if val < est.value:
-        val, lam = est.value, est.argmax.coeffs
-    vfinal, theta = _theta_swept_p_norm(combination(t, lam), p, n_grid_theta, 1e-10)
-    return SupremumEstimate(
-        value=vfinal,
-        argmax=BallPoint(lam),
-        starts=est.starts,
-        converged=est.converged,
-        spread=est.spread,
-        theta=theta,
-    )
+    return _real_part_sup(t, p, config, warm_starts)

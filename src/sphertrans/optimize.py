@@ -1,12 +1,11 @@
 """Multistart supremum estimation on the complex unit sphere.
 
 Every hypo-norm and joint-radius quantity in this package is a supremum
-of a continuous, absolutely homogeneous, phase-invariant objective over
-the closed Euclidean unit ball of C^d; by homogeneity the supremum is
-attained on the sphere.  sphere_optimize performs deterministic
-multistart local ascent there and reports a certified LOWER bound: the
-returned value is always an exact evaluation of the objective at the
-returned point.
+of a continuous, absolutely homogeneous objective over the closed
+Euclidean unit ball of C^d; by homogeneity the supremum is attained on
+the sphere.  sphere_optimize performs deterministic multistart local
+ascent there and reports a certified LOWER bound: the returned value is
+always an exact evaluation of the objective at the returned point.
 
 Objectives come in two flavours:
 
@@ -17,7 +16,11 @@ Objectives come in two flavours:
   parameterization is used.
 
 The phase gauge makes the first nonzero coefficient real nonnegative,
-removing the e^{i phi} redundancy.
+removing the e^{i phi} redundancy of a phase-invariant objective (the
+hypo-norms).  An objective such as ||Re M(lam)||_p that changes under
+lam -> e^{i phi} lam is not gauged: its rows start from the best of
+four phases, ascend on the full sphere, and the winner is reported as
+reached; callers gauge it and report the removed phase themselves.
 """
 
 from __future__ import annotations
@@ -121,9 +124,9 @@ def _axis_starts(d: int) -> np.ndarray:
     return np.vstack([eye, 1j * eye])
 
 
-def _sphere_points(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
-    pts = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-    return gauge_fix(_normalize_rows(pts))
+def _sphere_points(rng: np.random.Generator, count: int, d: int, gauge=True) -> np.ndarray:
+    pts = _normalize_rows(rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d)))
+    return gauge_fix(pts) if gauge else pts
 
 
 def _evaluate_chunked(objective, batch_objective, points: np.ndarray) -> np.ndarray:
@@ -189,25 +192,34 @@ def sphere_optimize(
     *,
     ascend=None,
     batch_objective=None,
-    polish_objective=None,
+    phase_invariant=True,
     warm_starts=(),
 ) -> SupremumEstimate:
-    """Estimate sup over the unit sphere of C^d of a phase-invariant objective.
+    """Estimate sup over the unit sphere of C^d of an objective.
 
     objective maps a (d,) complex unit vector to a float.  ascend, when
     given, maps a (S, d) batch of unit rows to (values, next rows) with
     values the exact objective at the input rows and the next rows not
     worse (the driver still tracks the best evaluation seen, so a merely
     stationary map stays sound).  batch_objective maps (S, d) to (S,)
-    and is used to screen config.grid_points random points.
-    polish_objective, when given, is a cheaper surrogate used only to
-    steer the final pattern polish; the reported value always comes from
-    the true objective.
+    and is used to screen config.grid_points random points and, for an
+    objective that is not phase-invariant, the start phases.
 
-    For d = 1 the gauge collapses the sphere to the single point 1.
+    phase_invariant says objective(e^{i phi} lam) == objective(lam).
+    Then starts and the winner are gauge-fixed, and for d = 1 the gauge
+    collapses the sphere to the single point 1.  Otherwise the objective
+    must also satisfy objective(-lam) == objective(lam); ascend is
+    required and the pattern polish is not allowed, because the pattern
+    search works on the gauge-fixed parameterization.  Each start is
+    first moved to the best of its phases e^{i pi j/4}, j = 0..3, all
+    screened in one batch, and the winner is returned ungauged.
     """
     cfg = config or OptimizerConfig()
-    if d == 1:
+    if not phase_invariant and (ascend is None or cfg.final_polish):
+        raise ValueError(
+            "an objective that is not phase-invariant needs ascend and final_polish=False"
+        )
+    if d == 1 and phase_invariant:
         lam = np.ones(1, dtype=np.complex128)
         val = float(objective(lam))
         return SupremumEstimate(
@@ -220,14 +232,19 @@ def sphere_optimize(
         warm = np.vstack([np.asarray(w, dtype=np.complex128).reshape(1, -1) for w in warm_starts])
         blocks.append(gauge_fix(_normalize_rows(warm)))
     if cfg.n_random_starts > 0:
-        blocks.append(_sphere_points(rng, cfg.n_random_starts, d))
+        blocks.append(_sphere_points(rng, cfg.n_random_starts, d, phase_invariant))
     if cfg.grid_points > 0:
-        pts = _sphere_points(rng, cfg.grid_points, d)
+        pts = _sphere_points(rng, cfg.grid_points, d, phase_invariant)
         vals = _evaluate_chunked(objective, batch_objective, pts)
         top = np.argsort(vals)[::-1][:16]
         blocks.append(pts[top])
     starts = np.vstack(blocks)
     n_starts = len(starts)
+    if not phase_invariant:
+        # objective(-lam) == objective(lam), so phases in [0, pi) suffice
+        phased = starts[:, None, :] * np.exp(1j * np.pi * np.arange(4) / 4)[:, None]
+        vals = _evaluate_chunked(objective, batch_objective, phased.reshape(-1, d))
+        starts = phased[np.arange(n_starts), np.argmax(vals.reshape(n_starts, 4), axis=1)]
 
     if ascend is not None:
         best_vals, best_pts, converged = _run_ascent(ascend, starts, cfg)
@@ -241,17 +258,18 @@ def sphere_optimize(
             )
 
     winner = int(np.argmax(best_vals))
-    win_pt = gauge_fix(best_pts[winner])
-    win_norm = np.linalg.norm(win_pt)
-    if win_norm > _ZERO_TOL:
-        win_pt = win_pt / win_norm
+    win_pt = best_pts[winner]
+    if phase_invariant:
+        win_pt = gauge_fix(win_pt)
+        win_norm = np.linalg.norm(win_pt)
+        if win_norm > _ZERO_TOL:
+            win_pt = win_pt / win_norm
+        if cfg.final_polish:
+            _, win_pt, _ = pattern_ascent(objective, win_pt, 1e-4, 1e-8, budget=600)
     win_conv = bool(converged[winner])
-    if cfg.final_polish:
-        steer = polish_objective if polish_objective is not None else objective
-        _, win_pt, _ = pattern_ascent(steer, win_pt, 1e-4, 1e-8, budget=600)
     value = float(objective(win_pt))
-    if value < best_vals[winner]:
-        # polish steered by a surrogate may not help; keep the better point
+    if phase_invariant and value < best_vals[winner]:
+        # rounding in the gauge rotation can leave the polish below the ascent
         win_pt = gauge_fix(best_pts[winner] / max(np.linalg.norm(best_pts[winner]), _ZERO_TOL))
         value = float(objective(win_pt))
     conv_vals = best_vals[converged] if converged.any() else best_vals

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,3 +298,108 @@ class TestSchattenNumericalRadius:
                 w = norms.schatten_numerical_radius(t, 2.0, CFG).value
                 assert h / np.sqrt(2.0) <= w + 1e-6
                 assert s / np.sqrt(2.0 * t.d) <= w + 1e-6
+
+
+INF = float("inf")
+
+
+def _phase_screen_fixture():
+    """A tuple on which the radius ascent needs its start phase screen:
+    without it the p = 1 estimate stops near 3.0156798, short of
+    3.0336850390469956."""
+    rng = np.random.default_rng([42, 10])
+    rng.integers(1, 4)
+    rng.integers(2, 6)
+    return random_tuple(3, 3, rng, "ginibre")
+
+
+def _table_tuple(spec):
+    return _phase_screen_fixture() if spec == "fixture" else random_tuple(*spec)
+
+
+# Values of the theta-swept estimators these replaced, at 8 random starts.
+SCHATTEN_RADIUS_TABLE = [
+    ("fixture", 1.0, 3.0336850390469956),
+    ("fixture", 3.0, 1.9174336706676214),
+    ("fixture", INF, 1.8930764399709896),
+    ((1, 4, 3, "ginibre"), 1.5, 2.0458593712136923),
+    ((1, 6, 1, "contraction"), 1.5, 1.382582469940046),
+    ((1, 4, 6, "ginibre"), 1.0, 2.694469946366741),
+    ((2, 2, 1, "ginibre"), 1.0, 1.3366548738485295),
+    ((2, 2, 1, "ginibre"), INF, 0.9592943948715401),
+    ((2, 3, 5, "ginibre"), 1.5, 1.787033848515551),
+    ((2, 3, 5, "ginibre"), 3.0, 1.3712674158759084),
+    ((2, 3, 5, "ginibre"), INF, 1.2548910104896676),
+    ((3, 4, 7, "ginibre"), 2.0, 1.6448553063301585),
+    ((3, 4, 7, "ginibre"), 3.0, 1.53001227252589),
+    ((3, 5, 11, "nilpotent"), 1.0, 4.860420682761353),
+    ((3, 5, 11, "nilpotent"), 3.0, 2.148203536125942),
+    ((4, 3, 13, "contraction"), 1.5, 1.0456432860203113),
+    ((4, 3, 13, "contraction"), 3.0, 0.7836929162946703),
+    ((2, 4, 17, "nilpotent"), 2.0, 1.6475810484302549),
+    ((2, 5, 1, "nilpotent"), 1.5, 2.518276258951502),
+    ((4, 3, 8, "nilpotent"), 3.0, 1.6975616749234308),
+]
+ROUTE_B_TABLE = [
+    ("fixture", 1.8931004858214193),
+    ((1, 3, 2, "ginibre"), 1.3458775086494832),
+    ((2, 2, 1, "ginibre"), 0.95929439487154),
+    ((2, 3, 5, "ginibre"), 1.2548910200238386),
+    ((3, 4, 7, "ginibre"), 1.5053218595706903),
+    ((3, 5, 11, "nilpotent"), 1.918811179532027),
+    ((4, 3, 13, "contraction"), 0.7401383798264336),
+    ((2, 5, 11, "nilpotent"), 1.5788510499279105),
+]
+
+
+def _re_norm_at(t, lam, theta, p):
+    """||Re(e^{i theta} sum lam_k T_k)||_p, computed from scratch."""
+    m = np.exp(1j * theta) * norms.combination(t, lam)
+    return linalg.schatten_norm(linalg.real_part(m), p)
+
+
+class TestRadiusAscent:
+    @pytest.mark.parametrize("spec,p,before", SCHATTEN_RADIUS_TABLE)
+    def test_schatten_radius_not_below_theta_sweep(self, spec, p, before):
+        est = norms.schatten_numerical_radius(_table_tuple(spec), p, CFG)
+        assert est.value >= before - 1e-9 * (1.0 + before)
+
+    @pytest.mark.parametrize("spec,before", ROUTE_B_TABLE)
+    def test_route_b_not_below_theta_sweep(self, spec, before):
+        est = norms.joint_numerical_radius(_table_tuple(spec), CFG, route="b")
+        assert est.value >= before - 1e-9 * (1.0 + before)
+
+    @pytest.mark.parametrize("spec", [
+        "fixture", (1, 4, 3, "ginibre"), (2, 3, 5, "ginibre"), (3, 5, 11, "nilpotent"),
+    ])
+    def test_value_is_exact_at_argmax_and_theta(self, spec):
+        t = _table_tuple(spec)
+        estimates = [(norms.schatten_numerical_radius(t, p, CFG), p) for p in (1.0, 3.0, INF)]
+        estimates.append((norms.joint_numerical_radius(t, CFG, route="b"), INF))
+        for est, p in estimates:
+            lam = est.argmax.coeffs
+            lead = lam[np.argmax(np.abs(lam) > 1e-12)]
+            assert lead.imag == pytest.approx(0.0, abs=1e-12) and lead.real > 0
+            assert 0.0 <= est.theta < 2.0 * np.pi
+            assert _re_norm_at(t, lam, est.theta, p) == pytest.approx(est.value, rel=1e-12)
+
+    def test_p_inf_matches_joint_radius_route_b(self):
+        # the theta-swept p = inf radius gave 1.2548910104896676 here, 9.5e-9
+        # short of route b's 1.2548910200238386
+        for spec in ((2, 3, 5, "ginibre"), "fixture", (3, 5, 11, "nilpotent")):
+            t = _table_tuple(spec)
+            w = norms.schatten_numerical_radius(t, INF, CFG).value
+            b = norms.joint_numerical_radius(t, CFG, route="b").value
+            assert w == pytest.approx(b, abs=1e-10)
+
+    def test_escalation_has_no_cost_cliff(self):
+        t = random_tuple(3, 5, 11)
+        for run in (
+            lambda cfg: norms.schatten_numerical_radius(t, 3.0, cfg),
+            lambda cfg: norms.joint_numerical_radius(t, cfg, route="b"),
+        ):
+            base = run(CFG).value
+            start = time.perf_counter()
+            escalated = run(CFG.escalated()).value
+            assert time.perf_counter() - start < 30.0
+            assert escalated >= base - 1e-12 * (1.0 + base)

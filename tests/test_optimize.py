@@ -83,6 +83,18 @@ class TestSphereOptimize:
         lead = est.argmax.coeffs[np.argmax(np.abs(est.argmax.coeffs) > 1e-12)]
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
 
+    def test_phase_dependent_objective_needs_ascent_and_no_polish(self):
+        # the pattern search works on the gauge-fixed parameterization
+        def obj(lam):
+            return abs(lam[0].real)
+
+        with pytest.raises(ValueError):
+            sphere_optimize(obj, 2, OptimizerConfig(final_polish=False),
+                            phase_invariant=False)
+        with pytest.raises(ValueError):
+            sphere_optimize(obj, 2, ascend=lambda rows: (np.ones(len(rows)), rows),
+                            phase_invariant=False)
+
     def test_warm_start_is_used(self):
         t = random_tuple(2, 4, 8)
         full = hypo_norm(t)
