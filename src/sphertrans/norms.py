@@ -2,9 +2,12 @@
 
 Closed-form quantities (spherical, Euclidean and Schatten norms) come
 straight from explicit SVD/eigendecompositions.  Supremum quantities
-(hypo-norms, joint radii) are estimated with sphere_optimize; each gets
-a monotone ascent step derived from the dual element of the norm being
-maximized, so a single iteration costs one small factorization.
+(hypo-norms, joint radii) are estimated with sphere_optimize; each
+passes a bare minorize-maximize step derived from the dual element of
+the norm being maximized, costing one small batched factorization, and
+sphere_optimize accelerates it with SQUAREM.  The operator hypo-norm is
+the p = inf case of the Schatten hypo-p-norm, with the dual element
+taken on the top singular pair only.
 
 The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
 M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
@@ -62,7 +65,8 @@ def _stack(t: OperatorTuple) -> np.ndarray:
 
 def _combine(mats: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
     """sum_k lam[s, k] T_k for each row s."""
-    return np.einsum("sk,kij->sij", lam_rows, mats)
+    d, n, _ = mats.shape
+    return (lam_rows @ mats.reshape(d, n * n)).reshape(-1, n, n)
 
 
 def combination(t: OperatorTuple, lam: np.ndarray) -> np.ndarray:
@@ -71,29 +75,63 @@ def combination(t: OperatorTuple, lam: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# hypo-norm: sup ||sum lam_k T_k||_op
+# Schatten hypo-p-norm: sup ||sum lam_k T_k||_p, p in [1, inf]
 # ---------------------------------------------------------------------------
 
-def hypo_norm(
-    t: OperatorTuple,
-    config: OptimizerConfig | None = None,
-    warm_starts=(),
-) -> SupremumEstimate:
-    """sup over the coefficient ball of the operator norm of sum lam_k T_k."""
-    mats = _stack(t)
+def _batch_schatten(mags: np.ndarray, p: float) -> np.ndarray:
+    """Schatten p-norms of rows of nonnegative spectra, scaled for stability."""
+    top = np.max(mags, axis=-1)
+    if p == np.inf:
+        return top
+    safe = np.where(top > 0.0, top, 1.0)
+    vals = safe * np.sum((mags / safe[..., None]) ** p, axis=-1) ** (1.0 / p)
+    return np.where(top > 0.0, vals, 0.0)
 
-    def objective(lam):
-        return float(np.linalg.svd(combination(t, lam), compute_uv=False)[0])
+
+def _dual_weights(mags: np.ndarray, vals: np.ndarray, p: float) -> np.ndarray:
+    """Spectral weights of the dual element of the Schatten p-norm.
+
+    (mags / ||mags||_p)^(p-1), scaled for stability.  At p = inf only one
+    largest entry gets weight 1: all-ones weights on tied entries would
+    give the dual element norm above 1 and break the minorization.  Rows
+    of norm zero get zero weights.
+    """
+    if p == np.inf:
+        w = np.zeros_like(mags)
+        w[np.arange(len(mags)), np.argmax(mags, axis=1)] = 1.0
+    else:
+        top = np.max(mags, axis=1)
+        tsafe = np.where(top > 0.0, top, 1.0)
+        vsafe = np.where(vals > 0.0, vals, 1.0)
+        w = (mags / tsafe[:, None]) ** (p - 1.0) * ((tsafe / vsafe) ** (p - 1.0))[:, None]
+    w[vals <= 0.0] = 0.0
+    return w
+
+
+def _hypo_p_norm(
+    t: OperatorTuple, p: float, config: OptimizerConfig | None, warm_starts
+) -> SupremumEstimate:
+    """sup over the coefficient sphere of ||M(lam)||_p, p in [1, inf].
+
+    Minorize-maximize on the dual element W = U diag(w) V* of M = U S V*:
+    with a_k = tr(W* T_k) the step lam' = conj(a)/|a| gives
+    ||M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||M(lam)||_p.
+    """
+    mats = _stack(t)
+    flat = mats.reshape(t.d, -1)
 
     def batch_objective(rows):
-        return np.linalg.svd(_combine(mats, rows), compute_uv=False)[:, 0]
+        return _batch_schatten(np.linalg.svd(_combine(mats, rows), compute_uv=False), p)
+
+    def objective(lam):
+        return float(batch_objective(lam[None, :])[0])
 
     def ascend(rows):
         u, s, vh = np.linalg.svd(_combine(mats, rows))
-        u1 = np.conj(u[:, :, 0])
-        v1 = np.conj(vh[:, 0, :])
-        a = np.einsum("si,kij,sj->sk", u1, mats, v1)
-        return s[:, 0], power_step(rows, a)
+        vals = _batch_schatten(s, p)
+        dual = (u * _dual_weights(s, vals, p)[:, None, :]) @ vh
+        a = np.conj(dual).reshape(len(rows), -1) @ flat.T
+        return vals, power_step(rows, a)
 
     return sphere_optimize(
         objective,
@@ -105,15 +143,13 @@ def hypo_norm(
     )
 
 
-# ---------------------------------------------------------------------------
-# Schatten hypo-p-norm: sup ||sum lam_k T_k||_p
-# ---------------------------------------------------------------------------
-
-def _batch_schatten(s: np.ndarray, p: float) -> np.ndarray:
-    top = s[:, 0]
-    safe = np.where(top > 0.0, top, 1.0)
-    vals = safe * np.sum((s / safe[:, None]) ** p, axis=1) ** (1.0 / p)
-    return np.where(top > 0.0, vals, 0.0)
+def hypo_norm(
+    t: OperatorTuple,
+    config: OptimizerConfig | None = None,
+    warm_starts=(),
+) -> SupremumEstimate:
+    """sup over the coefficient ball of the operator norm of sum lam_k T_k."""
+    return _hypo_p_norm(t, np.inf, config, warm_starts)
 
 
 def schatten_hypo_norm(
@@ -125,36 +161,7 @@ def schatten_hypo_norm(
     """sup over the coefficient ball of the Schatten p-norm of sum lam_k T_k."""
     if p < 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
-    mats = _stack(t)
-
-    def objective(lam):
-        return linalg.schatten_norm(combination(t, lam), p)
-
-    def batch_objective(rows):
-        return _batch_schatten(
-            np.linalg.svd(_combine(mats, rows), compute_uv=False), p
-        )
-
-    def ascend(rows):
-        u, s, vh = np.linalg.svd(_combine(mats, rows))
-        vals = _batch_schatten(s, p)
-        top = np.where(s[:, 0] > 0.0, s[:, 0], 1.0)
-        vsafe = np.where(vals > 0.0, vals, 1.0)
-        # dual-element weights (s_i / ||M||_p)^(p-1), scaled for stability
-        w = (s / top[:, None]) ** (p - 1.0) * (top / vsafe)[:, None] ** (p - 1.0)
-        w[vals <= 0.0] = 0.0
-        b = np.einsum("sli,klm,sim->ski", np.conj(u), mats, np.conj(vh))
-        a = np.einsum("si,ski->sk", w, b)
-        return vals, power_step(rows, a)
-
-    return sphere_optimize(
-        objective,
-        t.d,
-        config,
-        ascend=ascend,
-        batch_objective=batch_objective,
-        warm_starts=warm_starts,
-    )
+    return _hypo_p_norm(t, p, config, warm_starts)
 
 
 def schatten_hypo_norm_gram(t: OperatorTuple) -> float:
@@ -223,14 +230,6 @@ def _radius_witness(a: np.ndarray, n_grid: int = 720, theta_tol: float = 1e-10):
 # real-part supremum: sup_lam ||Re M(lam)||_p on the ungauged sphere
 # ---------------------------------------------------------------------------
 
-def _batch_herm_schatten(evals: np.ndarray, p: float) -> np.ndarray:
-    mags = np.abs(evals)
-    top = np.max(mags, axis=-1)
-    safe = np.where(top > 0.0, top, 1.0)
-    vals = safe * np.sum((mags / safe[..., None]) ** p, axis=-1) ** (1.0 / p)
-    return np.where(top > 0.0, vals, 0.0)
-
-
 def _real_part_sup(
     t: OperatorTuple, p: float, config: OptimizerConfig | None, warm_starts=()
 ) -> SupremumEstimate:
@@ -245,7 +244,6 @@ def _real_part_sup(
     winner and theta the phase removed, so that
     value == ||Re(e^{i theta} M(argmax))||_p exactly.
     """
-    cfg = replace(config or OptimizerConfig(), final_polish=False)
     mats = _stack(t)
 
     def herm(rows):
@@ -253,63 +251,25 @@ def _real_part_sup(
         return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
 
     def batch_objective(rows):
-        return _batch_herm_schatten(np.linalg.eigvalsh(herm(rows)), p)
+        return _batch_schatten(np.abs(np.linalg.eigvalsh(herm(rows))), p)
 
     def objective(lam):
         return float(batch_objective(lam[None, :])[0])
 
-    def mm_step(rows):
+    def ascend(rows):
         h, q = np.linalg.eigh(herm(rows))
-        vals = _batch_herm_schatten(h, p)
         mags = np.abs(h)
-        if p == np.inf:
-            # W = sign(h_top) x x* for the eigenvalue of largest modulus
-            wt = np.zeros_like(h)
-            idx = (np.arange(len(h)), np.argmax(mags, axis=1))
-            wt[idx] = np.sign(h[idx])
-        else:
-            # W = Q diag(sign(h) |h|^(p-1)) Q* / ||H||_p^(p-1), scaled for stability
-            top = np.max(mags, axis=1)
-            tsafe = np.where(top > 0.0, top, 1.0)
-            vsafe = np.where(vals > 0.0, vals, 1.0)
-            wt = (
-                np.sign(h)
-                * (mags / tsafe[:, None]) ** (p - 1.0)
-                * ((tsafe / vsafe) ** (p - 1.0))[:, None]
-            )
+        vals = _batch_schatten(mags, p)
+        # W = Q diag(sign(h) w) Q*
+        wt = np.sign(h) * _dual_weights(mags, vals, p)
         dual = np.einsum("sij,sj,skj->sik", q, wt, np.conj(q))
         a = np.einsum("sij,kji->sk", dual, mats)
-        size = np.linalg.norm(a, axis=1)
-        nxt = rows.copy()
-        ok = size > 0.0
-        nxt[ok] = np.conj(a[ok]) / size[ok][:, None]
-        return vals, nxt
-
-    def ascend(rows):
-        # SQUAREM (Varadhan and Roland, 2008).  The bare MM step crawls
-        # along the phase orbit when the objective is nearly
-        # phase-invariant (nilpotent-like tuples), so extrapolate along
-        # two MM steps and take one more MM step from there.  alpha = -1
-        # gives back the second step; |alpha| <= 1/|r| bounds the jump.
-        # The extrapolated branch is kept only where it is no worse than
-        # x1, so the map stays monotone.
-        vals, x1 = mm_step(rows)
-        v1, x2 = mm_step(x1)
-        r = x1 - rows
-        v = x2 - x1 - r
-        nr = np.linalg.norm(r, axis=1)
-        alpha = -nr / np.maximum(np.linalg.norm(v, axis=1), 1e-300)
-        alpha = np.minimum(np.maximum(alpha, -1.0 / np.maximum(nr, 1e-300)), -1.0)
-        xe = rows - 2.0 * alpha[:, None] * r + (alpha**2)[:, None] * v
-        ne = np.linalg.norm(xe, axis=1)
-        xe /= np.where(ne > 0.0, ne, 1.0)[:, None]
-        ve, x3 = mm_step(xe)
-        return vals, np.where(((ve >= v1) & (ne > 0.0))[:, None], x3, x2)
+        return vals, power_step(rows, a)
 
     est = sphere_optimize(
         objective,
         t.d,
-        cfg,
+        config,
         ascend=ascend,
         batch_objective=batch_objective,
         phase_invariant=False,
@@ -349,7 +309,7 @@ def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig):
         m = _combine(mats, lam)
         h = (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
         _, q = np.linalg.eigh(h)
-        nxt = gauge_fix(q[:, :, -1])
+        nxt = q[:, :, -1]
         nxt[vals <= 0.0] = xs[vals <= 0.0]
         return vals, nxt
 

@@ -7,20 +7,20 @@ the sphere.  sphere_optimize performs deterministic multistart local
 ascent there and reports a certified LOWER bound: the returned value is
 always an exact evaluation of the objective at the returned point.
 
-Objectives come in two flavours:
+Callers pass a bare minorize-maximize step (a batched map that does not
+lower the objective, e.g. the power-type step derived from a norm's dual
+element).  The driver accelerates it with SQUAREM and iterates to a step
+tolerance; there is no derivative-free search and no polish.
 
-* with an ``ascend`` map (a batched monotone improvement step, e.g. the
-  power-type step derived from a norm's dual element), the driver
-  iterates it to a step tolerance;
-* without one, a coordinate pattern search on the gauge-fixed real
-  parameterization is used.
-
-The phase gauge makes the first nonzero coefficient real nonnegative,
-removing the e^{i phi} redundancy of a phase-invariant objective (the
-hypo-norms).  An objective such as ||Re M(lam)||_p that changes under
-lam -> e^{i phi} lam is not gauged: its rows start from the best of
-four phases, ascend on the full sphere, and the winner is reported as
-reached; callers gauge it and report the removed phase themselves.
+Rows ascend without the phase gauge.  For a phase-invariant objective
+(the hypo-norms) the driver rotates each next row to the phase of its
+current row, so that extrapolation and the step distance see no
+e^{i phi} drift, and gauge-fixes only the winner: its first nonzero
+coefficient is made real nonnegative.  An objective such as
+||Re M(lam)||_p that changes under lam -> e^{i phi} lam is not gauged:
+its rows start from the best of four phases, ascend on the full sphere,
+and the winner is reported as reached; callers gauge it and report the
+removed phase themselves.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class OptimizerConfig:
     max_iters: int = 120
     seed: int = 42
     grid_points: int = 0        # random screening points prepended as starts
-    final_polish: bool = True   # pattern-polish the winning start
 
     def escalated(self) -> "OptimizerConfig":
         """Heavier rerun used before declaring an inequality violation."""
@@ -115,11 +114,11 @@ def power_step(current: np.ndarray, directions: np.ndarray) -> np.ndarray:
     out = current.copy()
     ok = norms > _ZERO_TOL
     out[ok] = np.conj(directions[ok]) / norms[ok][:, None]
-    return gauge_fix(out)
+    return out
 
 
 def _axis_starts(d: int) -> np.ndarray:
-    """The 2d coordinate starts e_k and i*e_k of the real parameterization."""
+    """The 2d coordinate starts e_k and i*e_k."""
     eye = np.eye(d, dtype=np.complex128)
     return np.vstack([eye, 1j * eye])
 
@@ -138,53 +137,6 @@ def _evaluate_chunked(objective, batch_objective, points: np.ndarray) -> np.ndar
     return np.array([objective(p) for p in points], dtype=float)
 
 
-def _to_real(lam: np.ndarray) -> np.ndarray:
-    return np.concatenate([lam.real, lam.imag])
-
-
-def _to_complex(u: np.ndarray) -> np.ndarray:
-    d = len(u) // 2
-    return u[:d] + 1j * u[d:]
-
-
-def pattern_ascent(objective, lam: np.ndarray, step0: float, step_tol: float,
-                   budget: int = 4000):
-    """Coordinate pattern search on the gauge-fixed real sphere.
-
-    Returns (value, point, converged); converged means the step size was
-    driven below step_tol within the evaluation budget.
-    """
-    lam = gauge_fix(np.asarray(lam, dtype=np.complex128))
-    norm = np.linalg.norm(lam)
-    if norm <= _ZERO_TOL:
-        lam = np.zeros_like(lam)
-        lam[0] = 1.0
-    else:
-        lam = lam / norm
-    best_val = float(objective(lam))
-    u = _to_real(lam)
-    h = step0
-    while h >= step_tol and budget > 0:
-        improved = False
-        for j in range(len(u)):
-            for sgn in (1.0, -1.0):
-                cand = u.copy()
-                cand[j] += sgn * h
-                cn = np.linalg.norm(cand)
-                if cn <= _ZERO_TOL:
-                    continue
-                cand_lam = gauge_fix(_to_complex(cand / cn))
-                val = float(objective(cand_lam))
-                budget -= 1
-                if val > best_val + 1e-15:
-                    best_val = val
-                    u = _to_real(cand_lam)
-                    improved = True
-        if not improved:
-            h *= 0.5
-    return best_val, _to_complex(u), h < step_tol
-
-
 def sphere_optimize(
     objective,
     d: int,
@@ -197,34 +149,33 @@ def sphere_optimize(
 ) -> SupremumEstimate:
     """Estimate sup over the unit sphere of C^d of an objective.
 
-    objective maps a (d,) complex unit vector to a float.  ascend, when
-    given, maps a (S, d) batch of unit rows to (values, next rows) with
-    values the exact objective at the input rows and the next rows not
-    worse (the driver still tracks the best evaluation seen, so a merely
-    stationary map stays sound).  batch_objective maps (S, d) to (S,)
-    and is used to screen config.grid_points random points and, for an
-    objective that is not phase-invariant, the start phases.
+    objective maps a (d,) complex unit vector to a float.  ascend maps an
+    (S, d) batch of unit rows to (values, next rows), with values the
+    exact objective at the input rows and the next rows not worse.  It is
+    required unless the gauge leaves a single point (d = 1 and
+    phase_invariant).  The driver accelerates it with SQUAREM and keeps
+    the best evaluation seen, so a merely stationary map stays sound.
+    batch_objective maps (S, d) to (S,) and is used to screen
+    config.grid_points random points and, for an objective that is not
+    phase-invariant, the start phases.
 
     phase_invariant says objective(e^{i phi} lam) == objective(lam).
-    Then starts and the winner are gauge-fixed, and for d = 1 the gauge
+    Then each next row is rotated to the phase of its current row, the
+    starts and the winner are gauge-fixed, and for d = 1 the gauge
     collapses the sphere to the single point 1.  Otherwise the objective
-    must also satisfy objective(-lam) == objective(lam); ascend is
-    required and the pattern polish is not allowed, because the pattern
-    search works on the gauge-fixed parameterization.  Each start is
+    must also satisfy objective(-lam) == objective(lam): each start is
     first moved to the best of its phases e^{i pi j/4}, j = 0..3, all
     screened in one batch, and the winner is returned ungauged.
     """
     cfg = config or OptimizerConfig()
-    if not phase_invariant and (ascend is None or cfg.final_polish):
-        raise ValueError(
-            "an objective that is not phase-invariant needs ascend and final_polish=False"
-        )
     if d == 1 and phase_invariant:
         lam = np.ones(1, dtype=np.complex128)
         val = float(objective(lam))
         return SupremumEstimate(
             value=val, argmax=BallPoint(lam), starts=1, converged=True, spread=0.0
         )
+    if ascend is None:
+        raise ValueError("sphere_optimize needs an ascent map for d > 1")
 
     rng = np.random.default_rng(cfg.seed)
     blocks = [_axis_starts(d)]
@@ -246,50 +197,71 @@ def sphere_optimize(
         vals = _evaluate_chunked(objective, batch_objective, phased.reshape(-1, d))
         starts = phased[np.arange(n_starts), np.argmax(vals.reshape(n_starts, 4), axis=1)]
 
-    if ascend is not None:
-        best_vals, best_pts, converged = _run_ascent(ascend, starts, cfg)
-    else:
-        best_vals = np.empty(n_starts)
-        best_pts = starts.copy()
-        converged = np.zeros(n_starts, dtype=bool)
-        for i, lam in enumerate(starts):
-            best_vals[i], best_pts[i], converged[i] = pattern_ascent(
-                objective, lam, 0.5, cfg.step_tol
-            )
+    best_vals, best_pts, converged = _run_ascent(ascend, starts, cfg, phase_invariant)
 
     winner = int(np.argmax(best_vals))
-    win_pt = best_pts[winner]
-    if phase_invariant:
-        win_pt = gauge_fix(win_pt)
-        win_norm = np.linalg.norm(win_pt)
-        if win_norm > _ZERO_TOL:
-            win_pt = win_pt / win_norm
-        if cfg.final_polish:
-            _, win_pt, _ = pattern_ascent(objective, win_pt, 1e-4, 1e-8, budget=600)
-    win_conv = bool(converged[winner])
-    value = float(objective(win_pt))
-    if phase_invariant and value < best_vals[winner]:
-        # rounding in the gauge rotation can leave the polish below the ascent
-        win_pt = gauge_fix(best_pts[winner] / max(np.linalg.norm(best_pts[winner]), _ZERO_TOL))
-        value = float(objective(win_pt))
+    win_pt = gauge_fix(best_pts[winner]) if phase_invariant else best_pts[winner]
     conv_vals = best_vals[converged] if converged.any() else best_vals
-    spread = float(np.max(conv_vals) - np.min(conv_vals)) if len(conv_vals) else 0.0
     return SupremumEstimate(
-        value=value,
+        value=float(objective(win_pt)),
         argmax=BallPoint(win_pt),
         starts=n_starts,
-        converged=win_conv,
-        spread=spread,
+        converged=bool(converged[winner]),
+        spread=float(np.max(conv_vals) - np.min(conv_vals)),
     )
+
+
+def _align_phase(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Rotate each row by the phase that makes <ref, row> real nonnegative."""
+    c = np.einsum("si,si->s", ref, np.conj(rows))
+    mag = np.abs(c)
+    small = mag <= _ZERO_TOL
+    c[small], mag[small] = 1.0, 1.0
+    return rows * (c / mag)[:, None]
+
+
+def _squarem(step, rows: np.ndarray, phase_invariant: bool):
+    """One SQUAREM iteration (Varadhan and Roland, 2008) of an MM step.
+
+    The bare step crawls where the objective is nearly flat along some
+    direction (nilpotent-like tuples), so extrapolate along two steps and
+    take one more step from there.  alpha = -1 gives back the
+    second step; |alpha| <= 1/|r| bounds the jump.  The extrapolated
+    branch is kept only where it is no worse than the first step, so the
+    map stays monotone.  Returns the values at rows and the next rows.
+    """
+    def mm(x):
+        vals, nxt = step(x)
+        if phase_invariant:
+            nxt = _align_phase(nxt, x)
+        return np.asarray(vals, dtype=float), nxt
+
+    vals, x1 = mm(rows)
+    v1, x2 = mm(x1)
+    r = x1 - rows
+    v = x2 - x1 - r
+    nr = np.linalg.norm(r, axis=1)
+    alpha = -nr / np.maximum(np.linalg.norm(v, axis=1), 1e-300)
+    alpha = np.minimum(np.maximum(alpha, -1.0 / np.maximum(nr, 1e-300)), -1.0)
+    xe = rows - 2.0 * alpha[:, None] * r + (alpha**2)[:, None] * v
+    ne = np.linalg.norm(xe, axis=1)
+    xe /= np.where(ne > 0.0, ne, 1.0)[:, None]
+    ve, x3 = mm(xe)
+    nxt = np.where(((ve >= v1) & (ne > 0.0))[:, None], x3, x2)
+    if phase_invariant:
+        nxt = _align_phase(nxt, rows)
+    return vals, nxt
 
 
 _STALL_LIMIT = 6
 
 
-def _run_ascent(ascend, starts: np.ndarray, cfg: OptimizerConfig):
-    """Iterate a monotone batch step; rows retire on small steps or when
-    their value plateaus for _STALL_LIMIT consecutive iterations (the step
-    direction can dither at nonsmooth points while the value has converged).
+def _run_ascent(step, starts: np.ndarray, cfg: OptimizerConfig, phase_invariant: bool):
+    """Iterate the SQUAREM-accelerated step; rows retire on small steps or
+    when their value plateaus for _STALL_LIMIT consecutive iterations (the
+    step direction can dither at nonsmooth points while the value has
+    converged).  For a phase-invariant objective the next rows are phase
+    aligned, so the step length is the phase-invariant distance.
     """
     current = starts.copy()
     n = len(current)
@@ -299,8 +271,7 @@ def _run_ascent(ascend, starts: np.ndarray, cfg: OptimizerConfig):
     stall = np.zeros(n, dtype=int)
     active = np.arange(n)
     for _ in range(cfg.max_iters):
-        vals, nxt = ascend(current[active])
-        vals = np.asarray(vals, dtype=float)
+        vals, nxt = _squarem(step, current[active], phase_invariant)
         improved = vals > best_vals[active] + 1e-13 * (1.0 + np.abs(vals))
         stall[active] = np.where(improved, 0, stall[active] + 1)
         better = vals > best_vals[active]
@@ -316,7 +287,7 @@ def _run_ascent(ascend, starts: np.ndarray, cfg: OptimizerConfig):
         if active.size == 0:
             break
     if active.size:
-        vals, _ = ascend(current[active])
+        vals, _ = step(current[active])
         vals = np.asarray(vals, dtype=float)
         better = vals > best_vals[active]
         idx = active[better]

@@ -79,13 +79,6 @@ def tuple_scale(c: complex, a: OperatorTuple) -> OperatorTuple:
     return OperatorTuple(matrices=tuple(c * x for x in a))
 
 
-def tuple_max_dist(a: OperatorTuple, b: OperatorTuple) -> float:
-    """max_i ||A_i - B_i||_op, the coordinatewise operator-norm distance."""
-    if a.d != b.d or a.n != b.n:
-        raise DimensionMismatchError("tuples must share d and n")
-    return max(linalg.operator_norm(x - y) for x, y in zip(a, b))
-
-
 def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
     return OperatorTuple(matrices=tuple(linalg.adjoint(m) for m in t))
 

@@ -403,3 +403,75 @@ class TestRadiusAscent:
             escalated = run(CFG.escalated()).value
             assert time.perf_counter() - start < 30.0
             assert escalated >= base - 1e-12 * (1.0 + base)
+
+
+# Values of the pattern-polished estimators the SQUAREM ascent replaced, at
+# 8 random starts: (tuple, hypo_norm, schatten_hypo_norm at p = 1, 1.5, 3,
+# route-a joint radius).  Route a stopped unconverged at its iteration cap
+# on (4, 3, 8), (4, 3, 1086), (4, 6, 3) and (2, 3, 31), all nilpotent.
+ASCENT_TABLE = [
+    ((1, 4, 3, "ginibre"),
+     1.906031386957401, 3.378959011400518, 2.507751553042143, 2.0264155739175145, 1.6597275156914182),
+    ((1, 5, 2, "nilpotent"),
+     2.0126075650642408, 4.0901275234816765, 2.8951371690351118, 2.1824098387414805, 1.283096112078747),
+    ((2, 2, 1, "ginibre"),
+     0.9893242703281824, 1.6202304775812246, 1.298535752358439, 1.0623877359909188, 0.9592943948715398),
+    ((2, 2, 4, "nilpotent"),
+     0.9961632885059022, 0.9961632885059023, 0.9961632885059023, 0.9961632885059023, 0.49808164425295154),
+    ((2, 3, 5, "ginibre"),
+     1.4585210330782619, 2.6450102816364436, 1.9628236917848152, 1.5683033514278448, 1.2548910200238383),
+    ((2, 4, 17, "nilpotent"),
+     2.178199538042297, 3.1685231115832737, 2.526674560159156, 2.2146229175420897, 1.3648471805279934),
+    ((2, 5, 1, "nilpotent"),
+     2.5549248514672547, 4.613360665769688, 3.301211733320742, 2.6589591183963246, 1.6175387734949027),
+    ((2, 6, 9, "contraction"),
+     0.8847364111136703, 2.2479124546032385, 1.3892878331527128, 0.9660368452303751, 0.6944087180074464),
+    ((3, 3, 2, "contraction"),
+     0.8923741853717596, 1.615860188255836, 1.1698217125767234, 0.9084363462243636, 0.7957089482837278),
+    ((3, 4, 7, "ginibre"),
+     1.6613155907514776, 3.380369050268761, 2.3102911180252153, 1.7672883289743957, 1.50532185957069),
+    ((3, 5, 11, "nilpotent"),
+     3.049225352415874, 5.813484353472253, 4.053112316949125, 3.1722541869309064, 1.9188111795320235),
+    ((3, 5, 23, "ginibre"),
+     2.1771016138745196, 5.237351308531771, 3.344363015775709, 2.3777786631382485, 1.8038630723084876),
+    ((3, 6, 4, "nilpotent"),
+     3.968236129830454, 9.45729320486605, 6.015101827216693, 4.168563629262067, 2.4860858918530098),
+    ((4, 3, 13, "contraction"),
+     0.7702863154922847, 1.5305951688408173, 1.112311975659996, 0.856937605695299, 0.7401383798264329),
+    ((4, 3, 8, "nilpotent"),
+     2.6563685237478367, 3.3540217369499796, 2.833796440444081, 2.658653556841558, 1.4849847238242762),
+    ((4, 3, 1086, "nilpotent"),
+     2.740057682161671, 3.3750286839207764, 2.828465617249748, 2.7404103677218727, 1.5337916145084227),
+    ((4, 4, 6, "ginibre"),
+     2.2250565270512257, 5.026657942892912, 3.2677362187063315, 2.3116682299997144, 1.825389917336301),
+    ((4, 6, 3, "nilpotent"),
+     4.6331066941796895, 10.297292923157313, 6.793049872619581, 4.956071148894905, 2.9036043851748357),
+    ((2, 3, 31, "nilpotent"),
+     1.7464843995826151, 2.3600039577323915, 1.9462406115344129, 1.7544311696932664, 1.0417230096621868),
+    ((3, 2, 19, "nilpotent"),
+     1.2615290300629238, 1.2615290300629243, 1.2615290300629238, 1.2615290300629238, 0.6307645150314622),
+]
+
+
+class TestAscentEngine:
+    @pytest.mark.parametrize("spec,op,p1,p15,p3,route_a", ASCENT_TABLE)
+    def test_not_below_pattern_polish(self, spec, op, p1, p15, p3, route_a):
+        t = random_tuple(*spec)
+        new = [
+            norms.hypo_norm(t, CFG).value,
+            *(norms.schatten_hypo_norm(t, p, CFG).value for p in (1.0, 1.5, 3.0)),
+            norms.joint_numerical_radius(t, CFG, route="a").value,
+        ]
+        for value, before in zip(new, (op, p1, p15, p3, route_a)):
+            assert value >= before - 1e-9 * (1.0 + before)
+
+    def test_route_a_converges_on_nilpotent_tuple(self):
+        # the old route a stopped at the cap here with 1.533791614508
+        t = random_tuple(4, 3, np.random.default_rng(1086), "nilpotent")
+        est = norms.joint_numerical_radius(t, CFG, route="a")
+        assert est.converged
+        assert est.value >= 1.533791614508
+
+    def test_hypo_norm_is_schatten_p_inf(self):
+        t = random_tuple(3, 4, 7)
+        assert norms.hypo_norm(t, CFG).value == norms.schatten_hypo_norm(t, INF, CFG).value

@@ -9,6 +9,7 @@ from sphertrans.optimize import (
     OptimizerConfig,
     gauge_fix,
     grid_supremum,
+    power_step,
     sphere_optimize,
 )
 
@@ -39,7 +40,8 @@ class TestGauge:
 
 class TestSphereOptimize:
     def test_constant_objective(self):
-        est = sphere_optimize(lambda lam: 3.25, 3, OptimizerConfig(n_random_starts=4))
+        est = sphere_optimize(lambda lam: 3.25, 3, OptimizerConfig(n_random_starts=4),
+                              ascend=lambda rows: (np.full(len(rows), 3.25), rows))
         assert est.value == 3.25
         assert est.converged
         assert est.spread == pytest.approx(0.0)
@@ -58,11 +60,37 @@ class TestSphereOptimize:
 
     def test_known_quadratic_maximum(self):
         # sup of |2 lam_1 + lam_2| over the ball is sqrt(5), a rank-one case
+        c = np.array([2.0, 1.0])
+
         def obj(lam):
             return abs(2.0 * lam[0] + lam[1])
 
-        est = sphere_optimize(obj, 2, OptimizerConfig(n_random_starts=8))
+        def ascend(rows):
+            z = rows @ c
+            return np.abs(z), power_step(rows, np.conj(z)[:, None] * c)
+
+        est = sphere_optimize(obj, 2, OptimizerConfig(n_random_starts=8), ascend=ascend)
         assert est.value == pytest.approx(np.sqrt(5.0), abs=1e-7)
+
+    def test_step_length_ignores_the_phase_of_the_next_row(self):
+        # the step reaches the maximizer at once but returns it with an
+        # arbitrary phase, like an eigenvector; rows must still retire on
+        # the step tolerance within a few iterations, not on the stall rule
+        c = np.array([2.0, 1.0])
+        rng = np.random.default_rng(3)
+
+        def obj(lam):
+            return abs(lam @ c)
+
+        def ascend(rows):
+            z = rows @ c
+            phases = np.exp(2j * np.pi * rng.random(len(rows)))[:, None]
+            return np.abs(z), phases * power_step(rows, np.conj(z)[:, None] * c)
+
+        est = sphere_optimize(obj, 2, OptimizerConfig(n_random_starts=8, max_iters=4),
+                              ascend=ascend)
+        assert est.converged
+        assert est.value == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
     def test_value_is_objective_at_argmax(self):
         t = random_tuple(3, 4, 21)
@@ -84,23 +112,18 @@ class TestSphereOptimize:
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_phase_dependent_objective_needs_ascent_and_no_polish(self):
-        # the pattern search works on the gauge-fixed parameterization
         def obj(lam):
             return abs(lam[0].real)
 
         with pytest.raises(ValueError):
-            sphere_optimize(obj, 2, OptimizerConfig(final_polish=False),
-                            phase_invariant=False)
-        with pytest.raises(ValueError):
-            sphere_optimize(obj, 2, ascend=lambda rows: (np.ones(len(rows)), rows),
-                            phase_invariant=False)
+            sphere_optimize(obj, 2, OptimizerConfig(), phase_invariant=False)
 
     def test_warm_start_is_used(self):
         t = random_tuple(2, 4, 8)
         full = hypo_norm(t)
         warm = hypo_norm(
             t,
-            OptimizerConfig(n_random_starts=0, final_polish=False),
+            OptimizerConfig(n_random_starts=0),
             warm_starts=[full.argmax.coeffs],
         )
         assert warm.value >= full.value - 1e-10

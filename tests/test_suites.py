@@ -137,7 +137,7 @@ class TestCheckHelpers:
         from sphertrans.optimize import OptimizerConfig
 
         t = random_tuple(3, 4, 77)
-        weak_cfg = OptimizerConfig(n_random_starts=1, final_polish=False, seed=13)
+        weak_cfg = OptimizerConfig(n_random_starts=1, seed=13)
         weak = hypo_norm(t, weak_cfg).value
         strong = hypo_norm(t, weak_cfg.escalated()).value
         reference = hypo_norm(t).value
