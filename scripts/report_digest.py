@@ -1,0 +1,45 @@
+#!/usr/bin/env python3
+"""Print one sha256 per verification suite of its report JSON.
+
+Usage:
+    python scripts/report_digest.py [--suite s3 --suite zero ...] [--trials 300] [--seed 42]
+
+The digest covers the report exactly as write_report stores it, with
+wall_time set to 0, so two checkouts that print the same digest for a
+(suite, trials, seed) produce byte-identical reports.  Without --suite
+every suite is digested (sharpness always runs one trial).  The library
+is imported from the src/ directory next to this script, so running the
+script of another checkout digests that checkout.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sphertrans.reports import report_to_json  # noqa: E402
+from sphertrans.suites import SUITE_NAMES, SuiteConfig, run_suite  # noqa: E402
+
+
+def report_digest(suite: str, trials: int, seed: int) -> str:
+    report = run_suite(suite, SuiteConfig(trials=trials, seed=seed))
+    report.wall_time = 0.0
+    return hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--suite", action="append", choices=SUITE_NAMES,
+                        help="suite to digest; repeat for several (default: all)")
+    parser.add_argument("--trials", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=42)
+    args = parser.parse_args()
+    for suite in args.suite or SUITE_NAMES:
+        print(f"{suite} {report_digest(suite, args.trials, args.seed)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -98,6 +98,16 @@ def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t: float) -> np.
     return (vectors * powered) @ adjoint(vectors)
 
 
+def _clipped_power(p: np.ndarray, r: float) -> np.ndarray:
+    """P^r with the roundoff clipping that psd_power documents."""
+    eig = hermitian_eig(p)
+    vals = eig.values
+    clip = PSD_CLIP_RTOL * (vals[-1] if vals[-1] > 0 else 0.0)
+    if vals[0] < -clip - np.finfo(float).eps:
+        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{clip:.3e}")
+    return psd_power_from_eig(np.clip(vals, 0.0, None), eig.vectors, r)
+
+
 def psd_power(p: np.ndarray, t: float) -> np.ndarray:
     """P^t for PSD P and t in [0, 1], via eigendecomposition.
 
@@ -106,12 +116,7 @@ def psd_power(p: np.ndarray, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidParameterError(f"power exponent t={t} outside [0, 1]")
-    eig = hermitian_eig(p)
-    vals = eig.values
-    clip = PSD_CLIP_RTOL * (vals[-1] if vals[-1] > 0 else 0.0)
-    if vals[0] < -clip - np.finfo(float).eps:
-        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{clip:.3e}")
-    return psd_power_from_eig(np.clip(vals, 0.0, None), eig.vectors, t)
+    return _clipped_power(p, t)
 
 
 def psd_power_any(p: np.ndarray, r: float) -> np.ndarray:
@@ -122,12 +127,7 @@ def psd_power_any(p: np.ndarray, r: float) -> np.ndarray:
     """
     if r < 0.0:
         raise InvalidParameterError(f"power exponent r={r} must be >= 0")
-    eig = hermitian_eig(p)
-    vals = eig.values
-    clip = PSD_CLIP_RTOL * (vals[-1] if vals[-1] > 0 else 0.0)
-    if vals[0] < -clip - np.finfo(float).eps:
-        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{clip:.3e}")
-    return psd_power_from_eig(np.clip(vals, 0.0, None), eig.vectors, r)
+    return _clipped_power(p, r)
 
 
 def svd(a: np.ndarray):

@@ -59,10 +59,6 @@ def schatten_spherical_norm(t: OperatorTuple, p: float) -> float:
     )
 
 
-def _stack(t: OperatorTuple) -> np.ndarray:
-    return np.stack(t.matrices)
-
-
 def _combine(mats: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
     """sum_k lam[s, k] T_k for each row s."""
     d, n, _ = mats.shape
@@ -71,7 +67,7 @@ def _combine(mats: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
 
 def combination(t: OperatorTuple, lam: np.ndarray) -> np.ndarray:
     """The single matrix sum_k lam_k T_k."""
-    return np.einsum("k,kij->ij", np.asarray(lam, dtype=np.complex128), _stack(t))
+    return np.einsum("k,kij->ij", np.asarray(lam, dtype=np.complex128), t.array)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +113,7 @@ def _hypo_p_norm(
     with a_k = tr(W* T_k) the step lam' = conj(a)/|a| gives
     ||M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||M(lam)||_p.
     """
-    mats = _stack(t)
+    mats = t.array
     flat = mats.reshape(t.d, -1)
 
     def batch_objective(rows):
@@ -168,7 +164,7 @@ def schatten_hypo_norm_gram(t: OperatorTuple) -> float:
     """Closed form for p = 2: sqrt of the top eigenvalue of the d x d Gram
     matrix G[j, k] = tr(T_k T_j*).  Independent of the optimizer route.
     """
-    mats = _stack(t)
+    mats = t.array
     g = np.einsum("kab,jab->jk", mats, np.conj(mats))
     g = (g + np.conj(g.T)) / 2.0
     return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
@@ -244,7 +240,7 @@ def _real_part_sup(
     winner and theta the phase removed, so that
     value == ||Re(e^{i theta} M(argmax))||_p exactly.
     """
-    mats = _stack(t)
+    mats = t.array
 
     def herm(rows):
         m = _combine(mats, rows)
@@ -291,7 +287,7 @@ def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig):
     The ascent alternates the optimal coefficient vector for fixed x with
     the top eigenvector of Re(sum lam_k T_k) for fixed coefficients.
     """
-    mats = _stack(t)
+    mats = t.array
 
     def coeffs_for(x):
         c = np.einsum("si,kij,sj->sk", np.conj(x), mats, x)

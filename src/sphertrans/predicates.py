@@ -98,12 +98,8 @@ def is_hyponormal_single(a, tol: float | None = None) -> PredicateResult:
 
 def commutator_block_matrix(t: OperatorTuple) -> np.ndarray:
     """The d x d block matrix with block (i, j) = [T_j*, T_i]."""
-    n, d = t.n, t.d
-    out = np.zeros((d * n, d * n), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            tj = linalg.adjoint(t[j])
-            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = tj @ t[i] - t[i] @ tj
+    ti, tj_adj = t.array[:, None], np.conj(t.array.transpose(0, 2, 1))[None]
+    out = (tj_adj @ ti - ti @ tj_adj).transpose(0, 2, 1, 3).reshape(t.d * t.n, -1)
     return (out + linalg.adjoint(out)) / 2.0
 
 

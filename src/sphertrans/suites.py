@@ -44,7 +44,6 @@ from .transforms import (
     generalized_aluthge_from_polar,
     heinz_from_polar,
     lambda_mean_from_polar,
-    mean_from_polar,
 )
 from .tuples import OperatorTuple, spherical_polar, tuple_power
 
@@ -253,7 +252,7 @@ def _s2_trial(cfg: SuiteConfig, trial: int, artifacts=None):
     polar = spherical_polar(t_tuple)
     t_alu = generalized_aluthge_from_polar(polar, 0.5)
     t_heinz = heinz_from_polar(polar, t)
-    t_mean = mean_from_polar(t_tuple, polar)
+    t_mean = lambda_mean_from_polar(t_tuple, polar, 0.5)
     t_dug = duggal_from_polar(polar)
     r0 = min(t, 1.0 - t)
 
@@ -413,7 +412,7 @@ def _s3_trial(cfg: SuiteConfig, trial: int, artifacts=None):
     polar = spherical_polar(t_tuple)
     t_alu = generalized_aluthge_from_polar(polar, 0.5)
     t_heinz = heinz_from_polar(polar, t)
-    t_mean = mean_from_polar(t_tuple, polar)
+    t_mean = lambda_mean_from_polar(t_tuple, polar, 0.5)
     t_dug = duggal_from_polar(polar)
     r0 = min(t, 1.0 - t)
     droot = d ** (1.0 / p)
@@ -427,17 +426,20 @@ def _s3_trial(cfg: SuiteConfig, trial: int, artifacts=None):
     s2_dug = schatten_spherical_norm(t_dug, 2.0)
     fp = {**base, "t": t, "p": p}
 
-    for lam in _LAMBDA_GRID:
-        t_lam = lambda_mean_from_polar(t_tuple, polar, lam)
+    # the lambda means of the whole grid, stacked, in one batched SVD
+    lams = np.array(_LAMBDA_GRID)[:, None, None, None]
+    lam_grid = lams * t_tuple.array + (1.0 - lams) * t_dug.array
+    lam_svals = np.linalg.svd(lam_grid.reshape(-1, d * n, n), compute_uv=False)
+    for lam, svals in zip(_LAMBDA_GRID, lam_svals):
         fpl = {**base, "lambda": lam, "p": p}
         _check_le(
             recs, "sp.lambda_mean.scaled_convex",
-            schatten_spherical_norm(t_lam, p),
+            linalg.schatten_from_singulars(svals, p),
             (lam + (1.0 - lam) * droot) * s_t, fpl, cfg.tol,
         )
         _check_le(
             recs, "s2norm.lambda_mean.min_bound",
-            schatten_spherical_norm(t_lam, 2.0),
+            linalg.schatten_from_singulars(svals, 2.0),
             (lam + (1.0 - lam) * np.sqrt(min(n, d))) * s2_t, fpl, cfg.tol,
         )
     _check_le(recs, "s2norm.duggal.dim_bound", s2_dug, np.sqrt(n) * s2_t, fp, cfg.tol)
@@ -559,7 +561,7 @@ def _equality_trial(cfg: SuiteConfig, trial: int, artifacts=None):
     _check_eq(
         recs, "eq.heinz_mean.normal_forward",
         schatten_spherical_norm(heinz_from_polar(polar, t), p),
-        schatten_spherical_norm(mean_from_polar(normal, polar), p),
+        schatten_spherical_norm(lambda_mean_from_polar(normal, polar, 0.5), p),
         base, eq_tol,
     )
 
@@ -578,7 +580,7 @@ def _equality_trial(cfg: SuiteConfig, trial: int, artifacts=None):
     if artifacts is not None:
         artifacts["commuting_tuple"] = commuting
     polar_c = spherical_polar(commuting)
-    gap = schatten_spherical_norm(mean_from_polar(commuting, polar_c), p) - \
+    gap = schatten_spherical_norm(lambda_mean_from_polar(commuting, polar_c, 0.5), p) - \
         schatten_spherical_norm(heinz_from_polar(polar_c, t), p)
     if is_normal_tuple(commuting):
         # the strict-gap claim only concerns non-normal samples
@@ -694,7 +696,7 @@ def _zero_trial(cfg: SuiteConfig, trial: int, artifacts=None):
     _check_gt(recs, "zero.generic.nonvanishing", min(sq, alu, hz), 1e-8, fpg)
     _check_gt(
         recs, "zero.mean.nonzero",
-        spherical_norm(mean_from_polar(gen, polar_g)), 1e-8, fpg,
+        spherical_norm(lambda_mean_from_polar(gen, polar_g, 0.5)), 1e-8, fpg,
     )
     return recs
 

@@ -6,23 +6,19 @@ All transforms are built from the canonical decomposition T_i = V_i P:
     generalized aluthge: P^t V_i P^(1-t)        (t in [0, 1], P^0 = I)
     aluthge:             the t = 1/2 case
     heinz:               ((gen. aluthge at t) + (gen. aluthge at 1-t)) / 2
-    mean:                (T + duggal(T)) / 2
     lambda mean:         lam * T + (1 - lam) * duggal(T)
+    mean:                the lam = 1/2 case
 
+Each transform is one numpy expression on the (d, n, n) stack of the V_i
+(or of the T_i), with P and its powers broadcast over the coordinates.
 The public functions recompute the polar decomposition internally; the
-*_from_polar variants reuse a precomputed SphericalPolar for hot loops.
+*_from_polar variants reuse a precomputed SphericalPolar.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidParameterError
-from .tuples import (
-    OperatorTuple,
-    SphericalPolar,
-    spherical_polar,
-    tuple_add,
-    tuple_scale,
-)
+from .tuples import OperatorTuple, SphericalPolar, spherical_polar
 
 
 def _check_unit_interval(name: str, x: float) -> None:
@@ -31,21 +27,29 @@ def _check_unit_interval(name: str, x: float) -> None:
 
 
 def duggal_from_polar(polar: SphericalPolar) -> OperatorTuple:
-    return OperatorTuple(matrices=tuple(polar.p @ v for v in polar.v))
+    return OperatorTuple(matrices=polar.p @ polar.v)
 
 
 def generalized_aluthge_from_polar(polar: SphericalPolar, t: float) -> OperatorTuple:
     _check_unit_interval("t", t)
-    left = polar.p_power(t)
-    right = polar.p_power(1.0 - t)
-    return OperatorTuple(matrices=tuple(left @ v @ right for v in polar.v))
+    return OperatorTuple(matrices=polar.p_power(t) @ polar.v @ polar.p_power(1.0 - t))
 
 
 def heinz_from_polar(polar: SphericalPolar, t: float) -> OperatorTuple:
     _check_unit_interval("t", t)
-    a = generalized_aluthge_from_polar(polar, t)
-    b = generalized_aluthge_from_polar(polar, 1.0 - t)
-    return tuple_scale(0.5, tuple_add(a, b))
+    s = 1.0 - t
+    p_t, p_s = polar.p_power(t), polar.p_power(s)
+    # the Aluthge transform at s ends in P^(1-s), and 1 - (1 - t) can miss
+    # t by one ulp; the power is recomputed only then
+    p_back = p_t if 1.0 - s == t else polar.p_power(1.0 - s)
+    return OperatorTuple(matrices=0.5 * (p_t @ polar.v @ p_s + p_s @ polar.v @ p_back))
+
+
+def lambda_mean_from_polar(
+    t: OperatorTuple, polar: SphericalPolar, lam: float
+) -> OperatorTuple:
+    _check_unit_interval("lambda", lam)
+    return OperatorTuple(matrices=lam * t.array + (1.0 - lam) * (polar.p @ polar.v))
 
 
 def duggal(t: OperatorTuple) -> OperatorTuple:
@@ -68,25 +72,11 @@ def heinz(t: OperatorTuple, s: float) -> OperatorTuple:
     return heinz_from_polar(spherical_polar(t), s)
 
 
-def mean_transform(t: OperatorTuple) -> OperatorTuple:
-    """(T + duggal(T)) / 2."""
-    return tuple_scale(0.5, tuple_add(t, duggal(t)))
-
-
 def lambda_mean(t: OperatorTuple, lam: float) -> OperatorTuple:
     """Convex combination lam * T + (1 - lam) * duggal(T)."""
-    _check_unit_interval("lambda", lam)
-    return tuple_add(tuple_scale(lam, t), tuple_scale(1.0 - lam, duggal(t)))
+    return lambda_mean_from_polar(t, spherical_polar(t), lam)
 
 
-def mean_from_polar(t: OperatorTuple, polar: SphericalPolar) -> OperatorTuple:
-    return tuple_scale(0.5, tuple_add(t, duggal_from_polar(polar)))
-
-
-def lambda_mean_from_polar(
-    t: OperatorTuple, polar: SphericalPolar, lam: float
-) -> OperatorTuple:
-    _check_unit_interval("lambda", lam)
-    return tuple_add(
-        tuple_scale(lam, t), tuple_scale(1.0 - lam, duggal_from_polar(polar))
-    )
+def mean_transform(t: OperatorTuple) -> OperatorTuple:
+    """(T + duggal(T)) / 2."""
+    return lambda_mean(t, 0.5)

@@ -4,6 +4,10 @@ A d-tuple T = (T_1, ..., T_d) of n x n complex matrices is viewed as the
 column operator stacking the T_i.  Its defect operator is
 P = sqrt(T_1* T_1 + ... + T_d* T_d), and T_i = V_i P with V the spherical
 partial isometry obtained from the spectral pseudoinverse of P.
+
+An OperatorTuple owns one read-only (d, n, n) complex128 array, validated
+once when the tuple is built; its coordinates are views into that array,
+and the tuple algebra and the transforms act on the whole array at once.
 """
 
 from __future__ import annotations
@@ -24,31 +28,48 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coordinate_stack(matrices) -> np.ndarray:
+    """The coordinates as one fresh read-only (d, n, n) complex128 array."""
+    try:
+        arr = _frozen(matrices)
+    except ValueError:
+        shapes = {np.shape(m) for m in matrices}
+        if len(shapes) > 1 and all(len(s) == 2 for s in shapes):
+            raise DimensionMismatchError(
+                f"all coordinates must share one shape, got {sorted(shapes)}"
+            ) from None
+        raise
+    if arr.ndim != 3 or 0 in arr.shape:
+        raise ValueError(f"expected one or more non-empty 2-D matrices, got {arr.shape}")
+    if arr.shape[1] != arr.shape[2]:
+        raise DimensionMismatchError(f"coordinates must be square, got {arr.shape[1:]}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorTuple:
-    """Immutable d-tuple of square matrices on a common n-dimensional space."""
+    """Immutable d-tuple of square matrices on a common n-dimensional space.
+
+    `array` is the read-only (d, n, n) coordinate stack; `matrices` holds its views.
+    """
 
     matrices: tuple
+    array: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = tuple(_frozen(linalg.as_matrix(m)) for m in self.matrices)
-        if not mats:
-            raise ValueError("a tuple needs at least one coordinate")
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"all coordinates must be {n}x{n}, got {m.shape}"
-                )
-        object.__setattr__(self, "matrices", mats)
+        arr = _coordinate_stack(self.matrices)
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "matrices", tuple(arr))
 
     @property
     def d(self) -> int:
-        return len(self.matrices)
+        return self.array.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.array.shape[1]
 
     def __iter__(self):
         return iter(self.matrices)
@@ -58,7 +79,7 @@ class OperatorTuple:
 
     def stacked(self) -> np.ndarray:
         """The dn x n column matrix with the coordinates stacked vertically."""
-        return np.vstack(self.matrices)
+        return self.array.reshape(-1, self.n)
 
 
 def tuple_from(*mats) -> OperatorTuple:
@@ -66,30 +87,29 @@ def tuple_from(*mats) -> OperatorTuple:
 
 
 def zero_tuple(d: int, n: int) -> OperatorTuple:
-    return OperatorTuple(matrices=tuple(np.zeros((n, n)) for _ in range(d)))
+    return OperatorTuple(matrices=np.zeros((d, n, n)))
 
 
 def tuple_add(a: OperatorTuple, b: OperatorTuple) -> OperatorTuple:
     if a.d != b.d or a.n != b.n:
         raise DimensionMismatchError("tuples must share d and n")
-    return OperatorTuple(matrices=tuple(x + y for x, y in zip(a, b)))
+    return OperatorTuple(matrices=a.array + b.array)
 
 
 def tuple_scale(c: complex, a: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple(matrices=tuple(c * x for x in a))
+    return OperatorTuple(matrices=c * a.array)
 
 
 def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple(matrices=tuple(linalg.adjoint(m) for m in t))
+    return OperatorTuple(matrices=np.conj(t.array.transpose(0, 2, 1)))
 
 
 def tuple_product(t: OperatorTuple, s: OperatorTuple) -> OperatorTuple:
     """(T_1 S_1, ..., T_1 S_n, ..., T_m S_1, ..., T_m S_n), i outer, j inner."""
     if t.n != s.n:
-        raise DimensionMismatchError(
-            f"tuples act on different spaces: {t.n} vs {s.n}"
-        )
-    return OperatorTuple(matrices=tuple(a @ b for a in t for b in s))
+        raise DimensionMismatchError(f"tuples act on different spaces: {t.n} vs {s.n}")
+    products = t.array[:, None] @ s.array[None]       # [i, j] = T_i S_j
+    return OperatorTuple(matrices=products.reshape(-1, t.n, t.n))
 
 
 def tuple_power(t: OperatorTuple, k: int) -> OperatorTuple:
@@ -124,7 +144,7 @@ class SphericalPolar:
     orthogonal projection onto range(P).
     """
 
-    v: tuple                 # d matrices V_i
+    v: np.ndarray            # read-only (d, n, n) stack of the V_i
     p: np.ndarray            # PSD defect operator
     rank: int
     rank_tol: float
@@ -149,9 +169,6 @@ class SphericalPolar:
         q = self.eigvecs[:, keep]
         return q @ linalg.adjoint(q)
 
-    def v_tuple(self) -> OperatorTuple:
-        return OperatorTuple(matrices=self.v)
-
 
 def spherical_polar(t: OperatorTuple, rank_rtol: float = RANK_RTOL) -> SphericalPolar:
     """Compute T = V P with V_i = T_i P^+ (spectral pseudoinverse).
@@ -174,7 +191,7 @@ def spherical_polar(t: OperatorTuple, rank_rtol: float = RANK_RTOL) -> Spherical
     inv = np.zeros_like(pvals)
     inv[keep] = 1.0 / pvals[keep]
     pinv = (q * inv) @ linalg.adjoint(q)
-    v = tuple(_frozen(m @ pinv) for m in t)
+    v = _frozen(t.array @ pinv)
     return SphericalPolar(
         v=v,
         p=_frozen(p),
@@ -196,19 +213,18 @@ class BlockEmbedding:
     p_block: np.ndarray
 
 
-def _first_column_block(mats, n: int, d: int) -> np.ndarray:
+def _first_column_block(stack: np.ndarray) -> np.ndarray:
+    d, n, _ = stack.shape
     out = np.zeros((d * n, d * n), dtype=np.complex128)
-    for i, m in enumerate(mats):
-        out[i * n:(i + 1) * n, :n] = m
+    out[:, :n] = stack.reshape(d * n, n)
+    out.setflags(write=False)
     return out
 
 
 def block_embedding(t: OperatorTuple) -> BlockEmbedding:
     polar = spherical_polar(t)
-    n, d = t.n, t.d
-    p_block = np.kron(np.eye(d), polar.p)
     return BlockEmbedding(
-        t_block=_frozen(_first_column_block(t.matrices, n, d)),
-        v_block=_frozen(_first_column_block(polar.v, n, d)),
-        p_block=_frozen(p_block),
+        t_block=_first_column_block(t.array),
+        v_block=_first_column_block(polar.v),
+        p_block=_frozen(np.kron(np.eye(t.d), polar.p)),
     )

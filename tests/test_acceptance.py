@@ -288,6 +288,7 @@ class TestCriterion9StructuralIdentities:
                 ) / scale
 
             dug = transforms.duggal_from_polar(polar)
+            mean = [(m + g) / 2.0 for m, g in zip(tup, dug)]
             worst["endpoints"] = max(
                 worst["endpoints"],
                 dist(transforms.generalized_aluthge_from_polar(polar, 0.0), tup),
@@ -296,20 +297,14 @@ class TestCriterion9StructuralIdentities:
                     transforms.heinz_from_polar(polar, 0.5),
                     transforms.generalized_aluthge_from_polar(polar, 0.5),
                 ),
-                dist(
-                    transforms.heinz_from_polar(polar, 0.0),
-                    transforms.mean_from_polar(tup, polar),
-                ),
+                dist(transforms.heinz_from_polar(polar, 0.0), mean),
                 dist(
                     transforms.lambda_mean_from_polar(tup, polar, 0.0), dug
                 ),
                 dist(
                     transforms.lambda_mean_from_polar(tup, polar, 1.0), tup
                 ),
-                dist(
-                    transforms.lambda_mean_from_polar(tup, polar, 0.5),
-                    transforms.mean_from_polar(tup, polar),
-                ),
+                dist(transforms.lambda_mean_from_polar(tup, polar, 0.5), mean),
                 linalg.operator_norm(polar.p_power(0.0) - np.eye(n)),
             )
         ok = max(worst.values()) <= 1e-9

@@ -75,6 +75,17 @@ class TestTuplePredicates:
         assert low == pytest.approx((-1.0 - np.sqrt(5.0)) / 2.0, abs=1e-12)
         assert not res.flag
 
+    @pytest.mark.parametrize("d,n", [(1, 2), (3, 4), (4, 3)])
+    def test_block_matrix_matches_block_loop(self, d, n):
+        t = random_tuple(d, n, 13)
+        blocks = np.zeros((d * n, d * n), dtype=complex)
+        for i, ti in enumerate(t):
+            for j, tj in enumerate(t):
+                tj_adj = np.conj(tj.T)
+                blocks[i * n:(i + 1) * n, j * n:(j + 1) * n] = tj_adj @ ti - ti @ tj_adj
+        expected = (blocks + np.conj(blocks.T)) / 2.0
+        assert np.array_equal(predicates.commutator_block_matrix(t), expected)
+
     def test_normal_tuple_is_jointly_hyponormal(self):
         t = random_normal_tuple(3, 4, 7)
         assert predicates.is_jointly_hyponormal(t).flag

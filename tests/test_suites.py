@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sphertrans.norms import schatten_spherical_norm
 from sphertrans.reports import report_to_json, tightness_stats
 from sphertrans.suites import (
     INEQUALITIES,
@@ -11,9 +12,12 @@ from sphertrans.suites import (
     SuiteConfig,
     _check_eq,
     _check_le,
+    _s3_trial,
     fuzz_inequality,
     run_suite,
 )
+from sphertrans.transforms import lambda_mean_from_polar
+from sphertrans.tuples import spherical_polar
 
 
 def _strip_wall_time(text: str) -> str:
@@ -101,6 +105,28 @@ class TestSuiteRuns:
         rep = run_suite("s3", SuiteConfig(trials=6, workers=1, ensemble="ginibre"))
         for rec in rep.records:
             assert rec.fingerprint.get("ensemble", "ginibre") == "ginibre"
+
+
+class TestS3LambdaGrid:
+    @pytest.mark.parametrize("trial", range(6))
+    def test_batched_grid_equals_per_lambda_norms(self, trial):
+        """Each lambda-mean norm read from the batched SVD of the grid is the
+        Schatten norm of that lambda mean, bit for bit."""
+        artifacts: dict = {}
+        recs = _s3_trial(SuiteConfig(trials=6, seed=4242), trial, artifacts)
+        tup = artifacts["tuple"]
+        polar = spherical_polar(tup)
+        grid_ids = {"sp.lambda_mean.scaled_convex": None,
+                    "s2norm.lambda_mean.min_bound": 2.0}
+        checked = 0
+        for rec in recs:
+            if rec.inequality_id in grid_ids:
+                fp = rec.fingerprint
+                p = grid_ids[rec.inequality_id] or fp["p"]
+                lam_mean = lambda_mean_from_polar(tup, polar, fp["lambda"])
+                assert rec.lhs == schatten_spherical_norm(lam_mean, p), (fp, p)
+                checked += 1
+        assert checked == 22
 
 
 class TestCheckHelpers:

@@ -8,7 +8,7 @@ from sphertrans.ensembles import random_normal_tuple, random_tuple
 from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import spherical_norm
 from sphertrans.predicates import is_spherically_quasinormal
-from sphertrans.tuples import tuple_from, tuple_power, zero_tuple
+from sphertrans.tuples import spherical_polar, tuple_from, tuple_power, zero_tuple
 
 from conftest import cmat
 
@@ -157,3 +157,45 @@ class TestZeroEquivalence:
     def test_mean_of_zero_is_zero(self):
         z = zero_tuple(2, 3)
         assert tuples_close(transforms.mean_transform(z), z)
+
+
+def same_coordinates(tup, mats) -> bool:
+    """tup has exactly the coordinates mats, bit for bit."""
+    mats = list(mats)
+    return tup.d == len(mats) and all(np.array_equal(x, y) for x, y in zip(tup, mats))
+
+
+class TestMatchesCoordinateLoop:
+    """The batched transforms reproduce a loop over the coordinates bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_transforms(self, seed):
+        rng = np.random.default_rng([7, seed])
+        ensemble = ("ginibre", "nilpotent", "contraction")[seed % 3]
+        tup = random_tuple(int(rng.integers(1, 5)), int(rng.integers(2, 7)), rng, ensemble)
+        polar = spherical_polar(tup)
+        dug = [polar.p @ v for v in polar.v]
+
+        def aluthge_loop(s):
+            left, right = polar.p_power(s), polar.p_power(1.0 - s)
+            return [left @ v @ right for v in polar.v]
+
+        assert same_coordinates(transforms.duggal_from_polar(polar), dug)
+        # 0.3 is a t with 1 - (1 - t) != t in floating point
+        for t in (0.0, 0.3, 0.5, 1.0, float(rng.uniform(0.15, 0.85))):
+            assert same_coordinates(
+                transforms.generalized_aluthge_from_polar(polar, t), aluthge_loop(t)
+            )
+            assert same_coordinates(
+                transforms.heinz_from_polar(polar, t),
+                [0.5 * (a + b) for a, b in zip(aluthge_loop(t), aluthge_loop(1.0 - t))],
+            )
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            assert same_coordinates(
+                transforms.lambda_mean_from_polar(tup, polar, lam),
+                [lam * m + (1.0 - lam) * g for m, g in zip(tup, dug)],
+            )
+        # the mean is the lambda = 1/2 case: 0.5 T + 0.5 D == 0.5 (T + D)
+        assert same_coordinates(
+            transforms.mean_transform(tup), [0.5 * (m + g) for m, g in zip(tup, dug)]
+        )

@@ -13,9 +13,11 @@ from sphertrans.tuples import (
     block_embedding,
     defect_operator,
     spherical_polar,
+    tuple_add,
     tuple_from,
     tuple_power,
     tuple_product,
+    tuple_scale,
     zero_tuple,
 )
 
@@ -189,3 +191,87 @@ class TestTupleAlgebra:
     def test_product_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             tuple_product(tuple_from(np.eye(2)), tuple_from(np.eye(3)))
+
+
+def same_coordinates(t: OperatorTuple, mats) -> bool:
+    """t has exactly the coordinates mats, bit for bit."""
+    mats = list(mats)
+    return t.d == len(mats) and all(np.array_equal(x, y) for x, y in zip(t, mats))
+
+
+class TestArrayBackedTuple:
+    def test_rejects_invalid_input(self):
+        with pytest.raises(ValueError):
+            OperatorTuple(matrices=())
+        with pytest.raises(ValueError):
+            tuple_from(np.ones(3))                      # not 2-D
+        with pytest.raises(ValueError):
+            tuple_from(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError):
+            tuple_from(np.zeros((0, 0)))                # empty matrix
+        with pytest.raises(ValueError):
+            tuple_from(np.eye(2), cmat([[np.nan, 0], [0, 1]]))
+        with pytest.raises(ValueError):
+            OperatorTuple(matrices=np.full((2, 3, 3), np.inf))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionMismatchError):
+            tuple_from(np.eye(2), np.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            tuple_from(np.ones((2, 3)), np.ones((2, 3)))   # not square
+        with pytest.raises(DimensionMismatchError):
+            OperatorTuple(matrices=np.ones((2, 2, 3)))
+
+    def test_array_and_views_are_read_only(self):
+        t = random_tuple(3, 4, 0)
+        assert t.array.shape == (3, 4, 4)
+        assert t.array.dtype == np.complex128
+        with pytest.raises(ValueError):
+            t.array[0, 0, 0] = 1.0
+        for m in t.matrices:
+            assert not m.flags.writeable
+            assert np.shares_memory(m, t.array)
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+    def test_owns_a_copy_of_its_input(self):
+        source = np.ones((2, 3, 3))
+        t = OperatorTuple(matrices=source)
+        source[0, 0, 0] = 5.0
+        assert t[0][0, 0] == 1.0
+        assert source.flags.writeable
+
+    def test_stacked_is_a_view_of_the_vstack(self):
+        t = random_tuple(3, 4, 1, "nilpotent")
+        assert np.array_equal(t.stacked(), np.vstack(t.matrices))
+        assert np.shares_memory(t.stacked(), t.array)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_algebra_matches_coordinate_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        d, e = (int(k) for k in rng.integers(1, 5, size=2))
+        n = int(rng.integers(2, 7))
+        a = random_tuple(d, n, rng)
+        b = random_tuple(d, n, rng, "nilpotent")
+        c = random_tuple(e, n, rng, "contraction")
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        assert same_coordinates(tuple_add(a, b), [x + y for x, y in zip(a, b)])
+        assert same_coordinates(tuple_scale(z, a), [z * x for x in a])
+        assert same_coordinates(tuple_scale(0.5, a), [0.5 * x for x in a])
+        assert same_coordinates(adjoint_tuple(a), [np.conj(x.T) for x in a])
+        assert same_coordinates(tuple_product(a, c), [x @ y for x in a for y in c])
+        assert same_coordinates(
+            tuple_power(c, 3), [x @ (y @ w) for x in c for y in c for w in c]
+        )
+
+    @pytest.mark.parametrize("ensemble", ["ginibre", "nilpotent", "contraction"])
+    def test_polar_v_matches_coordinate_loop(self, ensemble):
+        t = random_tuple(3, 4, 2, ensemble)
+        polar = spherical_polar(t)
+        keep = polar.eigvals > polar.rank_tol
+        inv = np.zeros_like(polar.eigvals)
+        inv[keep] = 1.0 / polar.eigvals[keep]
+        pinv = (polar.eigvecs * inv) @ np.conj(polar.eigvecs.T)
+        assert polar.v.shape == (3, 4, 4)
+        assert not polar.v.flags.writeable
+        assert all(np.array_equal(v, m @ pinv) for v, m in zip(polar.v, t))
