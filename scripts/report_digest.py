@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Print one sha256 per verification suite of its report JSON.
+"""Print one sha256 per verification suite and seed of its report JSON.
 
 Usage:
-    python scripts/report_digest.py [--suite s3 --suite zero ...] [--trials 300] [--seed 42]
+    python scripts/report_digest.py [--suite s3 --suite zero ...] --trials 300 \
+        [--seed 42 --seed 7 ...]
 
-The digest covers the report exactly as write_report stores it, with
-wall_time set to 0, so two checkouts that print the same digest for a
-(suite, trials, seed) produce byte-identical reports.  Without --suite
-every suite is digested (sharpness always runs one trial).  The library
-is imported from the src/ directory next to this script, so running the
-script of another checkout digests that checkout.
+Each line reads `suite seed digest`.  The digest covers the report
+exactly as write_report stores it, with wall_time set to 0, so two
+checkouts that print the same digest for a (suite, trials, seed) produce
+byte-identical reports.  Without --suite every suite is digested
+(sharpness always runs one trial); without --seed the seed is 42.  The
+library is imported from the src/ directory next to this script, so
+running the script of another checkout digests that checkout.
 """
 
 import argparse
@@ -34,10 +36,12 @@ def main() -> int:
     parser.add_argument("--suite", action="append", choices=SUITE_NAMES,
                         help="suite to digest; repeat for several (default: all)")
     parser.add_argument("--trials", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="suite seed; repeat for several (default: 42)")
     args = parser.parse_args()
-    for suite in args.suite or SUITE_NAMES:
-        print(f"{suite} {report_digest(suite, args.trials, args.seed)}", flush=True)
+    for seed in args.seed or [42]:
+        for suite in args.suite or SUITE_NAMES:
+            print(f"{suite} {seed} {report_digest(suite, args.trials, seed)}", flush=True)
     return 0
 
 

@@ -55,12 +55,6 @@ from .suites import (
     run_suite,
     sharp_column_pair,
     sharp_diag_pair,
-    suite_equality_cases,
-    suite_operator_norms,
-    suite_schatten_norms,
-    suite_schatten_radii,
-    suite_sharpness,
-    suite_zero_equivalence,
 )
 from .transforms import (
     aluthge,

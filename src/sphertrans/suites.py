@@ -1,23 +1,37 @@
 """Randomized verification suites for the transform/norm inequality chains.
 
-Each suite draws independent trials (tuple + parameters), evaluates a
-fixed family of inequalities and emits one InequalityRecord per instance.
-Trial k of a run with master seed s uses the stream default_rng([s, k]),
-so reports are reproducible and independent of worker scheduling.
+Every check is one row of TABLE: its id, suite and description, its check
+kind ("le": lhs <= rhs, "eq": lhs = rhs, "gt": rhs > lhs), its two sides
+as expressions over a per-trial store, its tolerance, its index (once,
+the lambda grid, the operator/Schatten norm kind or the sharpness p
+grid), an optional condition, the artifact a fuzz witness returns and the
+required pass rate.  INEQUALITIES and REQUIRED_RATES are views of TABLE.
 
-Checks whose larger side is an optimized supremum use a relaxed slack
-(opt_tol) and, on failure, are re-evaluated with an escalated optimizer
-(8x starts plus a 100k-point screening grid) before a violation is
-declared; optimizer values are lower bounds, so this distinguishes
-under-converged suprema from genuine counterexamples.
+Trial k of a run with master seed s draws its inputs from
+default_rng([s, k]) when its store is built; every transform, norm and
+estimate is computed on first read and memoized, so reports are
+reproducible and independent of worker scheduling.
+
+Optimized suprema are lower bounds.  Checks whose optimized side could
+fall short use the relaxed slack opt_tol, and one rule escalates them: a
+failing check escalates each optimized quantity its optimized side read
+(the rhs of "le", the measured lhs of "eq"), at most once per trial.  A
+hypo-norm or Schatten estimate reruns with max(8 * n_random_starts, 256)
+starts plus a 100k-point screen, warm-started at its argmax; the joint
+radius reruns with both routes.  The store keeps the larger estimate, the
+check is judged again, and every later read sees the escalated value.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import groupby
+from typing import Callable
 
 import numpy as np
 
@@ -74,136 +88,7 @@ class SuiteConfig:
 
 
 # ---------------------------------------------------------------------------
-# inequality registry
-# ---------------------------------------------------------------------------
-
-def _reg(suite, description, artifact="tuple", required_rate=1.0, equality=False):
-    return {
-        "suite": suite,
-        "description": description,
-        "artifact": artifact,
-        "required_rate": required_rate,
-        "equality": equality,
-    }
-
-
-INEQUALITIES = {
-    # s2: operator-norm, hypo-norm and radius chains
-    "opnorm.heinz_r0.refine": _reg("s2", "interpolated-transform norm below the r0-weighted mix of aluthge and mean norms"),
-    "opnorm.heinz_r0.mean": _reg("s2", "r0-weighted mix below the mean-transform norm"),
-    "opnorm.heinz_r0.cap": _reg("s2", "mean-transform norm below the tuple norm"),
-    "opnorm.heinz_interp.lower": _reg("s2", "aluthge norm below the interpolated-transform norm"),
-    "opnorm.heinz_interp.geom": _reg("s2", "interpolated-transform norm below the geometric cross-mean of duggal and tuple norms"),
-    "opnorm.heinz_interp.cap": _reg("s2", "geometric cross-mean below the tuple norm"),
-    "opnorm.lambda_mean.lower": _reg("s2", "2 sqrt(lam - lam^2) aluthge norm below the lambda-mean norm"),
-    "opnorm.lambda_mean.convex": _reg("s2", "lambda-mean norm below the convex mix of tuple and duggal norms"),
-    "opnorm.lambda_mean.cap": _reg("s2", "convex mix below the tuple norm"),
-    "hyponorm.heinz_r0.refine": _reg("s2", "hypo-norm of interpolated transform below the r0-weighted mix"),
-    "hyponorm.heinz_r0.mean": _reg("s2", "r0-weighted hypo-norm mix below the mean-transform hypo-norm"),
-    "hyponorm.heinz_r0.cap": _reg("s2", "mean-transform hypo-norm below the tuple norm"),
-    "hyponorm.lambda_mean.lower": _reg("s2", "2 sqrt(lam - lam^2) aluthge hypo-norm below the lambda-mean hypo-norm"),
-    "hyponorm.lambda_mean.convex": _reg("s2", "lambda-mean hypo-norm below the convex mix of hypo-norms"),
-    "hyponorm.lambda_mean.cap": _reg("s2", "convex hypo-norm mix below the tuple norm"),
-    "radius.monotone.aluthge": _reg("s2", "radius of aluthge transform below radius of interpolated transform"),
-    "radius.monotone.mean": _reg("s2", "radius of interpolated transform below radius of mean transform"),
-    "heinz_scalar.lower": _reg("s2", "twice the balanced product norm below the two-sided interpolated product norm", artifact="heinz_triple"),
-    "heinz_scalar.upper": _reg("s2", "two-sided interpolated product norm below ||AX + XB||", artifact="heinz_triple"),
-    "heinz_scalar.refine": _reg("s2", "two-sided interpolated product norm below its r0-weighted refinement", artifact="heinz_triple"),
-    "heinz_scalar.refine_cap": _reg("s2", "r0-weighted refinement below ||AX + XB||", artifact="heinz_triple"),
-    "heinz_scalar.geom_interp": _reg("s2", "one-sided interpolated product norm below the geometric mean of ||AX|| and ||XB||", artifact="heinz_triple"),
-    # s3: Schatten-p chains
-    "sp.lambda_mean.scaled_convex": _reg("s3", "lambda-mean p-norm below (lam + (1-lam) d^(1/p)) times the tuple p-norm"),
-    "s2norm.duggal.dim_bound": _reg("s3", "duggal 2-norm below sqrt(n) times the tuple 2-norm"),
-    "s2norm.lambda_mean.min_bound": _reg("s3", "lambda-mean 2-norm below (lam + (1-lam) sqrt(min(n,d))) times the tuple 2-norm"),
-    "sp.heinz_r0.refine": _reg("s3", "interpolated-transform p-norm below the r0-weighted mix"),
-    "sp.heinz_r0.mean": _reg("s3", "r0-weighted p-norm mix below the mean-transform p-norm"),
-    "sp.heinz_r0.cap": _reg("s3", "mean-transform p-norm below (1 + d^(1/p))/2 times the tuple p-norm"),
-    "sp.heinz_interp.lower": _reg("s3", "aluthge p-norm below the interpolated-transform p-norm"),
-    "sp.heinz_interp.geom": _reg("s3", "interpolated-transform p-norm below the geometric cross-mean of duggal and tuple p-norms"),
-    "sp.heinz_interp.cap": _reg("s3", "geometric cross-mean below (d^(t/p) + d^((1-t)/p))/2 times the tuple p-norm"),
-    "sp.chain.lower": _reg("s3", "aluthge p-norm below the interpolated-transform p-norm (combined chain)"),
-    "sp.chain.middle": _reg("s3", "interpolated-transform p-norm below the mean-transform p-norm"),
-    "sp.chain.cap": _reg("s3", "mean-transform p-norm below (1 + d^(1/p))/2 times the tuple p-norm (combined chain)"),
-    # s4: Schatten p-radius chains and PSD power sums
-    "spr.radius_le_hypo": _reg("s4", "Schatten p-radius below the Schatten hypo-p-norm"),
-    "spr.hypo_le_norm": _reg("s4", "Schatten hypo-p-norm below the tuple p-norm"),
-    "spr.half_hypo_le_radius": _reg("s4", "half the Schatten hypo-p-norm below the Schatten p-radius"),
-    "spr.hypo_lower.p_small": _reg("s4", "d^(-1/p) times the tuple p-norm below the hypo-p-norm (p < 2)"),
-    "spr.hypo_lower.p_large": _reg("s4", "d^(-1/2) times the tuple p-norm below the hypo-p-norm (p >= 2)"),
-    "s2r.chain.a": _reg("s4", "(2d)^(-1/2) tuple 2-norm below 2^(-1/2) hypo-2-norm"),
-    "s2r.chain.b": _reg("s4", "2^(-1/2) hypo-2-norm below the Schatten 2-radius"),
-    "s2r.chain.c": _reg("s4", "Schatten 2-radius below the hypo-2-norm"),
-    "s2r.chain.d": _reg("s4", "hypo-2-norm below the tuple 2-norm"),
-    "psd.power_sum.concave": _reg("s4", "p-norm of (sum A_k)^r below p-norm of sum A_k^r for 0 < r < 1", artifact="psd_family"),
-    "psd.power_sum.convex": _reg("s4", "p-norm of (sum A_k)^r below d^(r-1) times p-norm of sum A_k^r for r >= 1", artifact="psd_family"),
-    # equality cases
-    "eq.heinz_mean.normal_forward": _reg("equality", "normal tuples: interpolated-transform p-norm equals the mean-transform p-norm", artifact="normal_tuple", equality=True),
-    "eq.aluthge_heinz.invertible_forward": _reg("equality", "normal tuples with invertible defect: aluthge p-norm equals the interpolated-transform p-norm", artifact="invertible_normal_tuple", equality=True),
-    "eq.heinz_mean.nonnormal_gap": _reg("equality", "non-normal commuting tuples: strict gap between interpolated and mean p-norms (statistical)", artifact="commuting_tuple", required_rate=0.95),
-    "eq.scalar_heinz.intertwined.sum": _reg("equality", "AX = XB forces equality of the two-sided interpolated product p-norm with ||AX + XB||_p", artifact="heinz_triple", equality=True),
-    "eq.scalar_heinz.intertwined.half": _reg("equality", "AX = XB forces equality of twice the balanced product p-norm with the two-sided interpolated p-norm", artifact="heinz_triple", equality=True),
-    "eq.scalar_heinz.generic_gap.sum": _reg("equality", "generic triples: strict gap in the second scalar inequality (statistical)", artifact="heinz_triple", required_rate=0.95),
-    "eq.scalar_heinz.generic_gap.half": _reg("equality", "generic triples: strict gap in the first scalar inequality (statistical)", artifact="heinz_triple", required_rate=0.95),
-    # zero equivalence
-    "zero.nilpotent.square_zero": _reg("zero", "nilpotent ensemble at n = 2 has vanishing tuple square"),
-    "zero.square_zero.aluthge_vanishes": _reg("zero", "square-zero tuples: interpolated aluthge transform vanishes"),
-    "zero.square_zero.heinz_vanishes": _reg("zero", "square-zero tuples: interpolated heinz transform vanishes"),
-    "zero.generic.nonvanishing": _reg("zero", "generic tuples: square and transforms all nonvanishing"),
-    "zero.mean.nonzero": _reg("zero", "generic nonzero tuples have nonzero mean transform"),
-    # sharpness fixtures
-    "sharp.column_pair.snorm": _reg("sharpness", "column-pair example: tuple p-norm equals sqrt(2) for every p", equality=True),
-    "sharp.column_pair.hypo": _reg("sharpness", "column-pair example: hypo-p-norm equals 1 for every p", equality=True),
-    "sharp.diag_pair.scaled_snorm": _reg("sharpness", "diagonal-pair example: 2^(-1/p) times the tuple p-norm equals 1", equality=True),
-    "sharp.diag_pair.hypo": _reg("sharpness", "diagonal-pair example: hypo-p-norm equals 1 (true value is 2^(1/p - 1/2) for p < 2)", equality=True),
-}
-
-REQUIRED_RATES = {rid: info["required_rate"] for rid, info in INEQUALITIES.items()}
-
-
-# ---------------------------------------------------------------------------
-# check helpers
-# ---------------------------------------------------------------------------
-
-def _check_le(recs, rid, lhs, rhs, fingerprint, tol, escalate=None):
-    """Record lhs <= rhs + tol * (1 + |rhs|); on failure, escalate() may
-    recompute the right side with a heavier optimizer before judging."""
-    lhs, rhs = float(lhs), float(rhs)
-    if lhs <= rhs + tol * (1.0 + abs(rhs)):
-        status = PASS
-    elif escalate is not None:
-        rhs = float(escalate())
-        status = REFINED if lhs <= rhs + tol * (1.0 + abs(rhs)) else FAIL
-    else:
-        status = FAIL
-    recs.append(InequalityRecord(rid, lhs, rhs, rhs - lhs, status, fingerprint))
-
-
-def _check_eq(recs, rid, value, target, fingerprint, tol, escalate=None):
-    """Record |value - target| <= tol (absolute); equality-style check."""
-    value, target = float(value), float(target)
-    if abs(value - target) <= tol:
-        status = PASS
-    elif escalate is not None:
-        value = float(escalate())
-        status = REFINED if abs(value - target) <= tol else FAIL
-    else:
-        status = FAIL
-    recs.append(
-        InequalityRecord(rid, value, target, target - value, status, fingerprint)
-    )
-
-
-def _check_gt(recs, rid, value, threshold, fingerprint):
-    """Record value > threshold (statistical strictness checks)."""
-    value = float(value)
-    status = PASS if value > threshold else FAIL
-    recs.append(
-        InequalityRecord(rid, threshold, value, value - threshold, status, fingerprint)
-    )
-
-
-# ---------------------------------------------------------------------------
-# trial samplers (shared with fuzz replay)
+# trial inputs
 # ---------------------------------------------------------------------------
 
 def _trial_rng(cfg: SuiteConfig, trial: int) -> np.random.Generator:
@@ -214,13 +99,15 @@ def _sample_dims(cfg: SuiteConfig, rng) -> tuple[int, int]:
     return int(rng.integers(1, cfg.dmax + 1)), int(rng.integers(2, cfg.nmax + 1))
 
 
-def _sample_tuple(cfg: SuiteConfig, rng):
-    d, n = _sample_dims(cfg, rng)
-    if cfg.ensemble is not None:
-        ens = cfg.ensemble
+def _sample_tuple(s, rng) -> dict:
+    """Draw the suite tuple T into the store; returns its fingerprint."""
+    s.d, s.n = _sample_dims(s.cfg, rng)
+    if s.cfg.ensemble is not None:
+        ens = s.cfg.ensemble
     else:
         ens = ("ginibre", "ginibre", "contraction", "nilpotent")[int(rng.integers(4))]
-    return random_tuple(d, n, rng, ens), d, n, ens
+    s.T = random_tuple(s.d, s.n, rng, ens)
+    return {"d": s.d, "n": s.n, "ensemble": ens}
 
 
 def _sample_heinz_triple(rng, n):
@@ -230,374 +117,88 @@ def _sample_heinz_triple(rng, n):
     return a, b, x
 
 
-def _uinorm(y, kind, p):
-    return linalg.operator_norm(y) if kind == "op" else linalg.schatten_norm(y, p)
+def _psd_powers(a):
+    eig = linalg.hermitian_eig(a)
+    values = np.clip(eig.values, 0.0, None)
+    return lambda s: linalg.psd_power_from_eig(values, eig.vectors, s)
 
 
-# ---------------------------------------------------------------------------
-# suite s2: operator-norm, hypo-norm and radius chains
-# ---------------------------------------------------------------------------
+class _Heinz:
+    """A PSD pair (A, B) around X and its Heinz products at nu;
+    norm(name, p) is the operator norm (p None) or the Schatten p-norm of
+    one product, memoized."""
 
-def _s2_trial(cfg: SuiteConfig, trial: int, artifacts=None):
-    rng = _trial_rng(cfg, trial)
-    t_tuple, d, n, ens = _sample_tuple(cfg, rng)
-    t = float(rng.uniform(0.0, 1.0))
-    nu = float(rng.uniform(0.0, 1.0))
-    p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
-    base = {"seed": cfg.seed, "trial": trial, "d": d, "n": n, "ensemble": ens}
-    if artifacts is not None:
-        artifacts["tuple"] = t_tuple
-    recs = []
+    def __init__(self, a, b, x, nu, apow=None, bpow=None):
+        apow = apow or _psd_powers(a)
+        bpow = bpow or _psd_powers(b)
+        self.a, self.b, self.x, self.r0 = a, b, x, min(nu, 1.0 - nu)
+        one_sided = apow(nu) @ x @ bpow(1.0 - nu)
+        ax, xb = a @ x, x @ b
+        self.products = {
+            "half": apow(0.5) @ x @ bpow(0.5),
+            "one_sided": one_sided,
+            "two_sided": one_sided + apow(1.0 - nu) @ x @ bpow(nu),
+            "ax": ax,
+            "xb": xb,
+            "outer": ax + xb,
+        }
+        self._norms: dict = {}
 
-    polar = spherical_polar(t_tuple)
-    t_alu = generalized_aluthge_from_polar(polar, 0.5)
-    t_heinz = heinz_from_polar(polar, t)
-    t_mean = lambda_mean_from_polar(t_tuple, polar, 0.5)
-    t_dug = duggal_from_polar(polar)
-    r0 = min(t, 1.0 - t)
-
-    n_t = spherical_norm(t_tuple)
-    n_dug = spherical_norm(t_dug)
-    n_alu = spherical_norm(t_alu)
-    n_hz = spherical_norm(t_heinz)
-    n_mean = spherical_norm(t_mean)
-    fp = {**base, "t": t}
-
-    mix = 2.0 * r0 * n_alu + (1.0 - 2.0 * r0) * n_mean
-    _check_le(recs, "opnorm.heinz_r0.refine", n_hz, mix, fp, cfg.tol)
-    _check_le(recs, "opnorm.heinz_r0.mean", mix, n_mean, fp, cfg.tol)
-    _check_le(recs, "opnorm.heinz_r0.cap", n_mean, n_t, fp, cfg.tol)
-
-    geom = 0.5 * (n_dug ** t * n_t ** (1.0 - t) + n_dug ** (1.0 - t) * n_t ** t)
-    _check_le(recs, "opnorm.heinz_interp.lower", n_alu, n_hz, fp, cfg.tol)
-    _check_le(recs, "opnorm.heinz_interp.geom", n_hz, geom, fp, cfg.tol)
-    _check_le(recs, "opnorm.heinz_interp.cap", geom, n_t, fp, cfg.tol)
-
-    lam_means = {
-        lam: lambda_mean_from_polar(t_tuple, polar, lam) for lam in _LAMBDA_GRID
-    }
-    for lam, t_lam in lam_means.items():
-        n_lam = spherical_norm(t_lam)
-        fpl = {**base, "lambda": lam}
-        _check_le(
-            recs, "opnorm.lambda_mean.lower",
-            2.0 * np.sqrt(max(lam - lam * lam, 0.0)) * n_alu, n_lam, fpl, cfg.tol,
-        )
-        convex = lam * n_t + (1.0 - lam) * n_dug
-        _check_le(recs, "opnorm.lambda_mean.convex", n_lam, convex, fpl, cfg.tol)
-        _check_le(recs, "opnorm.lambda_mean.cap", convex, n_t, fpl, cfg.tol)
-
-    # hypo-norm chains; every estimate keeps its argmax as escalation warm start
-    esc_cache: dict = {}
-
-    def hypo_val(key, tup):
-        if key not in esc_cache:
-            esc_cache[key] = hypo_norm(tup, cfg.opt)
-        return esc_cache[key].value
-
-    def hypo_esc(key, tup):
-        est = esc_cache[key]
-        better = hypo_norm(
-            tup, cfg.opt.escalated(), warm_starts=[est.argmax.coeffs]
-        )
-        esc_cache[key] = max(est, better, key=lambda e: e.value)
-        return esc_cache[key].value
-
-    h_t = hypo_val("t", t_tuple)
-    h_dug = hypo_val("dug", t_dug)
-    h_alu = hypo_val("alu", t_alu)
-    h_hz = hypo_val("hz", t_heinz)
-    h_mean = hypo_val("mean", t_mean)
-
-    hmix = 2.0 * r0 * h_alu + (1.0 - 2.0 * r0) * h_mean
-
-    def hmix_esc():
-        return 2.0 * r0 * hypo_esc("alu", t_alu) + (1.0 - 2.0 * r0) * hypo_esc("mean", t_mean)
-
-    _check_le(recs, "hyponorm.heinz_r0.refine", h_hz, hmix, fp, cfg.opt_tol, hmix_esc)
-    _check_le(recs, "hyponorm.heinz_r0.mean", hmix, h_mean, fp, cfg.opt_tol,
-              lambda: hypo_esc("mean", t_mean))
-    _check_le(recs, "hyponorm.heinz_r0.cap", h_mean, n_t, fp, cfg.tol)
-
-    for lam, t_lam in lam_means.items():
-        fpl = {**base, "lambda": lam}
-        h_lam = hypo_val(("lam", lam), t_lam)
-        _check_le(
-            recs, "hyponorm.lambda_mean.lower",
-            2.0 * np.sqrt(max(lam - lam * lam, 0.0)) * h_alu, h_lam, fpl, cfg.opt_tol,
-            lambda lam=lam, t_lam=t_lam: hypo_esc(("lam", lam), t_lam),
-        )
-        hconvex = lam * h_t + (1.0 - lam) * h_dug
-        _check_le(
-            recs, "hyponorm.lambda_mean.convex", h_lam, hconvex, fpl, cfg.opt_tol,
-            lambda lam=lam: lam * hypo_esc("t", t_tuple) + (1.0 - lam) * hypo_esc("dug", t_dug),
-        )
-        _check_le(recs, "hyponorm.lambda_mean.cap", hconvex, n_t, fpl, cfg.tol)
-
-    # radius monotonicity along the interpolation
-    rad_cache: dict = {}
-
-    def rad_val(key, tup):
-        if key not in rad_cache:
-            rad_cache[key] = joint_numerical_radius(tup, cfg.opt, route="a")
-        return rad_cache[key].value
-
-    def rad_esc(key, tup):
-        est = rad_cache[key]
-        better = joint_numerical_radius(tup, cfg.opt.escalated(), route="both")
-        rad_cache[key] = max(est, better, key=lambda e: e.value)
-        return rad_cache[key].value
-
-    w_alu = rad_val("alu", t_alu)
-    w_hz = rad_val("hz", t_heinz)
-    w_mean = rad_val("mean", t_mean)
-    _check_le(recs, "radius.monotone.aluthge", w_alu, w_hz, fp, cfg.opt_tol,
-              lambda: rad_esc("hz", t_heinz))
-    _check_le(recs, "radius.monotone.mean", w_hz, w_mean, fp, cfg.opt_tol,
-              lambda: rad_esc("mean", t_mean))
-
-    # scalar two-sided product-norm checks on a random PSD pair
-    a, b, x = _sample_heinz_triple(rng, n)
-    if artifacts is not None:
-        artifacts["heinz_triple"] = OperatorTuple(matrices=(a, b, x))
-    ea = linalg.hermitian_eig(a)
-    eb = linalg.hermitian_eig(b)
-    av = np.clip(ea.values, 0.0, None)
-    bv = np.clip(eb.values, 0.0, None)
-
-    def apow(s):
-        return linalg.psd_power_from_eig(av, ea.vectors, s)
-
-    def bpow(s):
-        return linalg.psd_power_from_eig(bv, eb.vectors, s)
-
-    half = apow(0.5) @ x @ bpow(0.5)
-    two_sided = apow(nu) @ x @ bpow(1.0 - nu) + apow(1.0 - nu) @ x @ bpow(nu)
-    one_sided = apow(nu) @ x @ bpow(1.0 - nu)
-    outer = a @ x + x @ b
-    r0n = min(nu, 1.0 - nu)
-    for kind in ("op", "p"):
-        fph = {**base, "nu": nu, "norm": kind if kind == "op" else p}
-        lo = 2.0 * _uinorm(half, kind, p)
-        mid = _uinorm(two_sided, kind, p)
-        hi = _uinorm(outer, kind, p)
-        refined = 4.0 * r0n * _uinorm(half, kind, p) + (1.0 - 2.0 * r0n) * hi
-        _check_le(recs, "heinz_scalar.lower", lo, mid, fph, cfg.tol)
-        _check_le(recs, "heinz_scalar.upper", mid, hi, fph, cfg.tol)
-        _check_le(recs, "heinz_scalar.refine", mid, refined, fph, cfg.tol)
-        _check_le(recs, "heinz_scalar.refine_cap", refined, hi, fph, cfg.tol)
-        _check_le(
-            recs, "heinz_scalar.geom_interp",
-            _uinorm(one_sided, kind, p),
-            _uinorm(a @ x, kind, p) ** nu * _uinorm(x @ b, kind, p) ** (1.0 - nu),
-            fph, cfg.tol,
-        )
-    return recs
+    def norm(self, name: str, p: float | None) -> float:
+        key = (name, p)
+        if key not in self._norms:
+            m = self.products[name]
+            self._norms[key] = linalg.operator_norm(m) if p is None \
+                else linalg.schatten_norm(m, p)
+        return self._norms[key]
 
 
-# ---------------------------------------------------------------------------
-# suite s3: Schatten-p norm chains (all closed form)
-# ---------------------------------------------------------------------------
-
-def _s3_trial(cfg: SuiteConfig, trial: int, artifacts=None):
-    rng = _trial_rng(cfg, trial)
-    t_tuple, d, n, ens = _sample_tuple(cfg, rng)
-    t = float(rng.uniform(0.0, 1.0))
-    p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
-    base = {"seed": cfg.seed, "trial": trial, "d": d, "n": n, "ensemble": ens}
-    if artifacts is not None:
-        artifacts["tuple"] = t_tuple
-    recs = []
-
-    polar = spherical_polar(t_tuple)
-    t_alu = generalized_aluthge_from_polar(polar, 0.5)
-    t_heinz = heinz_from_polar(polar, t)
-    t_mean = lambda_mean_from_polar(t_tuple, polar, 0.5)
-    t_dug = duggal_from_polar(polar)
-    r0 = min(t, 1.0 - t)
-    droot = d ** (1.0 / p)
-
-    s_t = schatten_spherical_norm(t_tuple, p)
-    s_dug = schatten_spherical_norm(t_dug, p)
-    s_alu = schatten_spherical_norm(t_alu, p)
-    s_hz = schatten_spherical_norm(t_heinz, p)
-    s_mean = schatten_spherical_norm(t_mean, p)
-    s2_t = schatten_spherical_norm(t_tuple, 2.0)
-    s2_dug = schatten_spherical_norm(t_dug, 2.0)
-    fp = {**base, "t": t, "p": p}
-
-    # the lambda means of the whole grid, stacked, in one batched SVD
-    lams = np.array(_LAMBDA_GRID)[:, None, None, None]
-    lam_grid = lams * t_tuple.array + (1.0 - lams) * t_dug.array
-    lam_svals = np.linalg.svd(lam_grid.reshape(-1, d * n, n), compute_uv=False)
-    for lam, svals in zip(_LAMBDA_GRID, lam_svals):
-        fpl = {**base, "lambda": lam, "p": p}
-        _check_le(
-            recs, "sp.lambda_mean.scaled_convex",
-            linalg.schatten_from_singulars(svals, p),
-            (lam + (1.0 - lam) * droot) * s_t, fpl, cfg.tol,
-        )
-        _check_le(
-            recs, "s2norm.lambda_mean.min_bound",
-            linalg.schatten_from_singulars(svals, 2.0),
-            (lam + (1.0 - lam) * np.sqrt(min(n, d))) * s2_t, fpl, cfg.tol,
-        )
-    _check_le(recs, "s2norm.duggal.dim_bound", s2_dug, np.sqrt(n) * s2_t, fp, cfg.tol)
-
-    mix = 2.0 * r0 * s_alu + (1.0 - 2.0 * r0) * s_mean
-    _check_le(recs, "sp.heinz_r0.refine", s_hz, mix, fp, cfg.tol)
-    _check_le(recs, "sp.heinz_r0.mean", mix, s_mean, fp, cfg.tol)
-    _check_le(recs, "sp.heinz_r0.cap", s_mean, 0.5 * (1.0 + droot) * s_t, fp, cfg.tol)
-
-    geom = 0.5 * (s_dug ** t * s_t ** (1.0 - t) + s_dug ** (1.0 - t) * s_t ** t)
-    _check_le(recs, "sp.heinz_interp.lower", s_alu, s_hz, fp, cfg.tol)
-    _check_le(recs, "sp.heinz_interp.geom", s_hz, geom, fp, cfg.tol)
-    _check_le(
-        recs, "sp.heinz_interp.cap", geom,
-        0.5 * (d ** (t / p) + d ** ((1.0 - t) / p)) * s_t, fp, cfg.tol,
-    )
-
-    _check_le(recs, "sp.chain.lower", s_alu, s_hz, fp, cfg.tol)
-    _check_le(recs, "sp.chain.middle", s_hz, s_mean, fp, cfg.tol)
-    _check_le(recs, "sp.chain.cap", s_mean, 0.5 * (1.0 + droot) * s_t, fp, cfg.tol)
-    return recs
+def _sample_s2(s, rng, base):
+    base = {**base, **_sample_tuple(s, rng)}
+    s.t = float(rng.uniform(0.0, 1.0))
+    s.r0 = min(s.t, 1.0 - s.t)
+    s.nu = float(rng.uniform(0.0, 1.0))
+    s.p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
+    s.triple = _Heinz(*_sample_heinz_triple(rng, s.n), s.nu)
+    s.fp = {"": base, "t": {**base, "t": s.t}, "nu": {**base, "nu": s.nu}}
 
 
-# ---------------------------------------------------------------------------
-# suite s4: Schatten p-radius chains and PSD power sums
-# ---------------------------------------------------------------------------
-
-def _s4_trial(cfg: SuiteConfig, trial: int, artifacts=None):
-    rng = _trial_rng(cfg, trial)
-    t_tuple, d, n, ens = _sample_tuple(cfg, rng)
-    p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
-    base = {"seed": cfg.seed, "trial": trial, "d": d, "n": n, "ensemble": ens}
-    fp = {**base, "p": p}
-    if artifacts is not None:
-        artifacts["tuple"] = t_tuple
-    recs = []
-
-    s_t = schatten_spherical_norm(t_tuple, p)
-    hy = schatten_hypo_norm(t_tuple, p, cfg.opt)
-    w = schatten_numerical_radius(t_tuple, p, cfg.opt)
-    state = {"hy": hy, "w": w}
-
-    def hy_esc():
-        better = schatten_hypo_norm(
-            t_tuple, p, cfg.opt.escalated(), warm_starts=[state["hy"].argmax.coeffs]
-        )
-        state["hy"] = max(state["hy"], better, key=lambda e: e.value)
-        return state["hy"].value
-
-    def w_esc():
-        better = schatten_numerical_radius(
-            t_tuple, p, cfg.opt.escalated(), warm_starts=[state["w"].argmax.coeffs]
-        )
-        state["w"] = max(state["w"], better, key=lambda e: e.value)
-        return state["w"].value
-
-    _check_le(recs, "spr.radius_le_hypo", w.value, hy.value, fp, cfg.opt_tol, hy_esc)
-    _check_le(recs, "spr.hypo_le_norm", hy.value, s_t, fp, cfg.tol)
-    _check_le(recs, "spr.half_hypo_le_radius", 0.5 * hy.value, w.value, fp,
-              cfg.opt_tol, w_esc)
-    if p < 2.0:
-        _check_le(recs, "spr.hypo_lower.p_small", s_t / d ** (1.0 / p), hy.value,
-                  fp, cfg.opt_tol, hy_esc)
-    else:
-        _check_le(recs, "spr.hypo_lower.p_large", s_t / np.sqrt(d), hy.value,
-                  fp, cfg.opt_tol, hy_esc)
-    if p == 2.0:
-        s2 = s_t
-        _check_le(recs, "s2r.chain.a", s2 / np.sqrt(2.0 * d),
-                  hy.value / np.sqrt(2.0), fp, cfg.opt_tol,
-                  lambda: hy_esc() / np.sqrt(2.0))
-        _check_le(recs, "s2r.chain.b", state["hy"].value / np.sqrt(2.0), w.value,
-                  fp, cfg.opt_tol, w_esc)
-        _check_le(recs, "s2r.chain.c", state["w"].value, state["hy"].value, fp,
-                  cfg.opt_tol, hy_esc)
-        _check_le(recs, "s2r.chain.d", state["hy"].value, s2, fp, cfg.tol)
-
-    # PSD power-sum comparisons for a random positive family
-    dp = int(rng.integers(1, cfg.dmax + 1))
-    family = [random_psd(n, rng) for _ in range(dp)]
-    if artifacts is not None:
-        artifacts["psd_family"] = OperatorTuple(matrices=tuple(family))
-    total = family[0].copy()
-    for m in family[1:]:
-        total += m
-    total = (total + linalg.adjoint(total)) / 2.0
-    for rid, r in (
-        ("psd.power_sum.concave", float(rng.uniform(0.05, 0.95))),
-        ("psd.power_sum.convex", float(rng.uniform(1.0, 3.0))),
-    ):
-        lhs = linalg.schatten_norm(linalg.psd_power_any(total, r), p)
-        rsum = sum(linalg.psd_power_any(m, r) for m in family)
-        rhs = linalg.schatten_norm(rsum, p)
-        if r >= 1.0:
-            rhs = dp ** (r - 1.0) * rhs
-        _check_le(recs, rid, lhs, rhs, {**fp, "r": r, "d_family": dp}, cfg.tol)
-    return recs
+def _sample_s3(s, rng, base):
+    base = {**base, **_sample_tuple(s, rng)}
+    s.t = float(rng.uniform(0.0, 1.0))
+    s.r0 = min(s.t, 1.0 - s.t)
+    s.p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
+    s.fp = {"": {**base, "p": s.p}, "t": {**base, "t": s.t, "p": s.p}}
 
 
-# ---------------------------------------------------------------------------
-# equality cases
-# ---------------------------------------------------------------------------
+def _sample_s4(s, rng, base):
+    base = {**base, **_sample_tuple(s, rng)}
+    s.p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
+    dp = int(rng.integers(1, s.cfg.dmax + 1))
+    s.family = [random_psd(s.n, rng) for _ in range(dp)]
+    s.r_concave = float(rng.uniform(0.05, 0.95))
+    s.r_convex = float(rng.uniform(1.0, 3.0))
+    fp = {**base, "p": s.p}
+    s.fp = {"": fp,
+            "concave": {**fp, "r": s.r_concave, "d_family": dp},
+            "convex": {**fp, "r": s.r_convex, "d_family": dp}}
 
-def _equality_trial(cfg: SuiteConfig, trial: int, artifacts=None):
-    rng = _trial_rng(cfg, trial)
-    d, n = _sample_dims(cfg, rng)
-    p = float((1.5, 2.0, 3.0, 5.0)[int(rng.integers(4))])
-    t = float(rng.uniform(0.15, 0.85))
-    if abs(t - 0.5) < 0.05:
-        t = 0.35
-    base = {"seed": cfg.seed, "trial": trial, "d": d, "n": n, "p": p, "t": t}
-    recs = []
-    eq_tol = 1e-9
 
-    normal = random_normal_tuple(d, n, rng)
-    if artifacts is not None:
-        artifacts["normal_tuple"] = normal
-    polar = spherical_polar(normal)
-    _check_eq(
-        recs, "eq.heinz_mean.normal_forward",
-        schatten_spherical_norm(heinz_from_polar(polar, t), p),
-        schatten_spherical_norm(lambda_mean_from_polar(normal, polar, 0.5), p),
-        base, eq_tol,
-    )
-
-    inv_normal = random_normal_tuple(d, n, rng, min_defect=0.05)
-    if artifacts is not None:
-        artifacts["invertible_normal_tuple"] = inv_normal
-    polar_inv = spherical_polar(inv_normal)
-    _check_eq(
-        recs, "eq.aluthge_heinz.invertible_forward",
-        schatten_spherical_norm(generalized_aluthge_from_polar(polar_inv, 0.5), p),
-        schatten_spherical_norm(heinz_from_polar(polar_inv, t), p),
-        base, eq_tol,
-    )
-
-    commuting = random_commuting_tuple(d, n, rng)
-    if artifacts is not None:
-        artifacts["commuting_tuple"] = commuting
-    polar_c = spherical_polar(commuting)
-    gap = schatten_spherical_norm(lambda_mean_from_polar(commuting, polar_c, 0.5), p) - \
-        schatten_spherical_norm(heinz_from_polar(polar_c, t), p)
-    if is_normal_tuple(commuting):
-        # the strict-gap claim only concerns non-normal samples
-        recs.append(InequalityRecord(
-            "eq.heinz_mean.nonnormal_gap", 0.0, gap, gap, PASS,
-            {**base, "note": "sample was normal, skipped"},
-        ))
-    else:
-        _check_gt(recs, "eq.heinz_mean.nonnormal_gap", gap, 1e-6, base)
-
-    # scalar equality predicates: intertwined triples force equality
+def _sample_equality(s, rng, base):
+    d, n = _sample_dims(s.cfg, rng)
+    s.p = float((1.5, 2.0, 3.0, 5.0)[int(rng.integers(4))])
+    s.t = float(rng.uniform(0.15, 0.85))
+    if abs(s.t - 0.5) < 0.05:
+        s.t = 0.35
+    s.normal = random_normal_tuple(d, n, rng)
+    s.inv = random_normal_tuple(d, n, rng, min_defect=0.05)
+    s.comm = random_commuting_tuple(d, n, rng)
     nu = float(rng.uniform(0.1, 0.9))
     if abs(nu - 0.5) < 0.1:
         nu = 0.25
+    # an intertwined triple: B = U* A U and X = c(A) U give AX = XB
     a = random_psd(n, rng)
-    ea = linalg.hermitian_eig(a)
-    av = np.clip(ea.values, 0.0, None)
+    apow = _psd_powers(a)
     u = np.linalg.qr(
         (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     )[0]
@@ -605,105 +206,22 @@ def _equality_trial(cfg: SuiteConfig, trial: int, artifacts=None):
     b = (b + linalg.adjoint(b)) / 2.0
     coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     c = sum(cf * np.linalg.matrix_power(a, k) for k, cf in enumerate(coeffs))
-    x = c @ u
-    if artifacts is not None:
-        artifacts["heinz_triple"] = OperatorTuple(matrices=(a, b, x))
-
-    def apow(s):
-        return linalg.psd_power_from_eig(av, ea.vectors, s)
-
-    def bpow(s):
-        return np.conj(u.T) @ apow(s) @ u
-
-    fpn = {**base, "nu": nu}
-    scale_tol = 1e-9 * (1.0 + linalg.schatten_norm(a @ x + x @ b, p))
-    two_sided = apow(nu) @ x @ bpow(1.0 - nu) + apow(1.0 - nu) @ x @ bpow(nu)
-    _check_eq(
-        recs, "eq.scalar_heinz.intertwined.sum",
-        linalg.schatten_norm(two_sided, p),
-        linalg.schatten_norm(a @ x + x @ b, p),
-        fpn, scale_tol,
-    )
-    _check_eq(
-        recs, "eq.scalar_heinz.intertwined.half",
-        2.0 * linalg.schatten_norm(apow(0.5) @ x @ bpow(0.5), p),
-        linalg.schatten_norm(two_sided, p),
-        fpn, scale_tol,
-    )
-
-    a2, b2, x2 = _sample_heinz_triple(rng, n)
-    e2a = linalg.hermitian_eig(a2)
-    e2b = linalg.hermitian_eig(b2)
-
-    def a2pow(s):
-        return linalg.psd_power_from_eig(np.clip(e2a.values, 0, None), e2a.vectors, s)
-
-    def b2pow(s):
-        return linalg.psd_power_from_eig(np.clip(e2b.values, 0, None), e2b.vectors, s)
-
-    two2 = a2pow(nu) @ x2 @ b2pow(1.0 - nu) + a2pow(1.0 - nu) @ x2 @ b2pow(nu)
-    _check_gt(
-        recs, "eq.scalar_heinz.generic_gap.sum",
-        linalg.schatten_norm(a2 @ x2 + x2 @ b2, p) - linalg.schatten_norm(two2, p),
-        1e-6, fpn,
-    )
-    _check_gt(
-        recs, "eq.scalar_heinz.generic_gap.half",
-        linalg.schatten_norm(two2, p)
-        - 2.0 * linalg.schatten_norm(a2pow(0.5) @ x2 @ b2pow(0.5), p),
-        1e-6, fpn,
-    )
-    return recs
+    s.triple = _Heinz(a, b, c @ u, nu, apow, lambda r: np.conj(u.T) @ apow(r) @ u)
+    s.generic = _Heinz(*_sample_heinz_triple(rng, n), nu)
+    base = {**base, "d": d, "n": n, "p": s.p, "t": s.t}
+    s.fp = {"": base, "nu": {**base, "nu": nu}}
 
 
-# ---------------------------------------------------------------------------
-# zero equivalence
-# ---------------------------------------------------------------------------
+def _sample_zero(s, rng, base):
+    s.d, n = _sample_dims(s.cfg, rng)
+    s.t_aluthge = float(rng.uniform(0.05, 1.0))
+    s.t = float(rng.uniform(0.05, 0.95))
+    s.nil = random_tuple(s.d, 2, rng, "nilpotent")
+    s.gen = random_tuple(s.d, n, rng, "ginibre")
+    base = {**base, "d": s.d, "t_aluthge": s.t_aluthge, "t_heinz": s.t}
+    s.fp = {"nil": {**base, "n": 2, "ensemble": "nilpotent"},
+            "gen": {**base, "n": n, "ensemble": "ginibre"}}
 
-def _zero_trial(cfg: SuiteConfig, trial: int, artifacts=None):
-    rng = _trial_rng(cfg, trial)
-    d = int(rng.integers(1, cfg.dmax + 1))
-    n = int(rng.integers(2, cfg.nmax + 1))
-    t1 = float(rng.uniform(0.05, 1.0))
-    t2 = float(rng.uniform(0.05, 0.95))
-    base = {"seed": cfg.seed, "trial": trial, "d": d, "t_aluthge": t1, "t_heinz": t2}
-    recs = []
-
-    nil = random_tuple(d, 2, rng, "nilpotent")
-    if artifacts is not None:
-        artifacts["tuple"] = nil
-    sq_residual = is_square_zero(nil, tol=1e-12).residual
-    fpn = {**base, "n": 2, "ensemble": "nilpotent"}
-    _check_eq(recs, "zero.nilpotent.square_zero", sq_residual, 0.0, fpn, 1e-12)
-    polar = spherical_polar(nil)
-    _check_eq(
-        recs, "zero.square_zero.aluthge_vanishes",
-        spherical_norm(generalized_aluthge_from_polar(polar, t1)), 0.0, fpn, 1e-10,
-    )
-    _check_eq(
-        recs, "zero.square_zero.heinz_vanishes",
-        spherical_norm(heinz_from_polar(polar, t2)), 0.0, fpn, 1e-10,
-    )
-
-    gen = random_tuple(d, n, rng, "ginibre")
-    if artifacts is not None:
-        artifacts["generic_tuple"] = gen
-    fpg = {**base, "n": n, "ensemble": "ginibre"}
-    polar_g = spherical_polar(gen)
-    sq = max(spherical_norm(tuple_power(gen, 2)), 0.0)
-    alu = spherical_norm(generalized_aluthge_from_polar(polar_g, t1))
-    hz = spherical_norm(heinz_from_polar(polar_g, t2))
-    _check_gt(recs, "zero.generic.nonvanishing", min(sq, alu, hz), 1e-8, fpg)
-    _check_gt(
-        recs, "zero.mean.nonzero",
-        spherical_norm(lambda_mean_from_polar(gen, polar_g, 0.5)), 1e-8, fpg,
-    )
-    return recs
-
-
-# ---------------------------------------------------------------------------
-# sharpness fixtures
-# ---------------------------------------------------------------------------
 
 def sharp_column_pair() -> OperatorTuple:
     """d = 2 pair with singular defect: ([[1,0],[0,0]], [[0,0],[1,0]])."""
@@ -721,55 +239,540 @@ def sharp_diag_pair() -> OperatorTuple:
     ))
 
 
-def _sharpness_trial(cfg: SuiteConfig, trial: int, artifacts=None):
-    column = sharp_column_pair()
-    diag = sharp_diag_pair()
-    if artifacts is not None:
-        artifacts["tuple"] = column
-        artifacts["diag_tuple"] = diag
-    recs = []
-    tol = 1e-8
-    for p in _SHARP_P_GRID:
-        fp = {"seed": cfg.seed, "trial": trial, "p": p}
+def _sample_sharpness(s, rng, base):
+    s.column = sharp_column_pair()
+    s.diag = sharp_diag_pair()
+    s.fp = {"": base}
 
-        def hypo_escalate(tup=column, p=p):
-            return schatten_hypo_norm(tup, p, cfg.opt.escalated()).value
 
-        _check_eq(recs, "sharp.column_pair.snorm",
-                  schatten_spherical_norm(column, p), np.sqrt(2.0), fp, tol)
-        _check_eq(recs, "sharp.column_pair.hypo",
-                  schatten_hypo_norm(column, p, cfg.opt).value, 1.0, fp, tol,
-                  escalate=hypo_escalate)
-        _check_eq(recs, "sharp.diag_pair.scaled_snorm",
-                  schatten_spherical_norm(diag, p) / 2.0 ** (1.0 / p), 1.0, fp, tol)
-        _check_eq(recs, "sharp.diag_pair.hypo",
-                  schatten_hypo_norm(diag, p, cfg.opt).value, 1.0, fp, tol,
-                  escalate=lambda tup=diag, p=p: schatten_hypo_norm(
-                      tup, p, cfg.opt.escalated()).value)
-    return recs
+_SAMPLERS = {
+    "s2": _sample_s2,
+    "s3": _sample_s3,
+    "s4": _sample_s4,
+    "equality": _sample_equality,
+    "zero": _sample_zero,
+    "sharpness": _sample_sharpness,
+}
 
 
 # ---------------------------------------------------------------------------
-# suite driver
+# the per-trial store
 # ---------------------------------------------------------------------------
 
-_TRIAL_FUNCS = {
-    "s2": _s2_trial,
-    "s3": _s3_trial,
-    "s4": _s4_trial,
-    "equality": _equality_trial,
-    "zero": _zero_trial,
-    "sharpness": _sharpness_trial,
+class _Store:
+    """One trial: its inputs, drawn eagerly, and every quantity a row reads,
+    memoized on first read.
+
+    Tuples are named "T", "normal", ... (a sampled tuple),
+    "<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or
+    the square), or by a float lam (the lambda mean of T).
+    """
+
+    t_aluthge = 0.5      # the Aluthge exponent; the zero suite draws its own
+
+    def __init__(self, suite: str, cfg: SuiteConfig, trial: int):
+        self.cfg = cfg
+        self.memo: dict = {}
+        self.reads: list = []        # optimized keys read by the current side
+        self.escalated: set = set()
+        _SAMPLERS[suite](self, _trial_rng(cfg, trial), {"seed": cfg.seed, "trial": trial})
+
+    def artifact(self, name: str) -> OperatorTuple:
+        obj = getattr(self, name)
+        if isinstance(obj, _Heinz):
+            obj = (obj.a, obj.b, obj.x)
+        return obj if isinstance(obj, OperatorTuple) else OperatorTuple(matrices=tuple(obj))
+
+    @cached_property
+    def droot(self) -> float:
+        return self.d ** (1.0 / self.p)
+
+    @cached_property
+    def lam_svals(self) -> dict:
+        """Singular values of every lambda mean of T, from one batched SVD."""
+        lams = np.array(_LAMBDA_GRID)[:, None, None, None]
+        grid = lams * self.T.array + (1.0 - lams) * self.tup("T.dug").array
+        svals = np.linalg.svd(grid.reshape(-1, self.d * self.n, self.n), compute_uv=False)
+        return dict(zip(_LAMBDA_GRID, svals))
+
+    @cached_property
+    def psd_total(self):
+        total = self.family[0].copy()
+        for m in self.family[1:]:
+            total += m
+        return (total + linalg.adjoint(total)) / 2.0
+
+    def polar(self, base: str):
+        key = ("polar", base)
+        if key not in self.memo:
+            self.memo[key] = spherical_polar(getattr(self, base))
+        return self.memo[key]
+
+    def tup(self, name) -> OperatorTuple:
+        key = ("tup", name)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = self._build(name)
+        return got
+
+    def _build(self, name) -> OperatorTuple:
+        if not isinstance(name, str):
+            return lambda_mean_from_polar(self.T, self.polar("T"), name)
+        base, _, kind = name.partition(".")
+        if not kind:
+            return getattr(self, base)
+        if kind == "sq":
+            return tuple_power(getattr(self, base), 2)
+        polar = self.polar(base)
+        if kind == "alu":
+            return generalized_aluthge_from_polar(polar, self.t_aluthge)
+        if kind == "hz":
+            return heinz_from_polar(polar, self.t)
+        if kind == "mean":
+            return lambda_mean_from_polar(getattr(self, base), polar, 0.5)
+        return duggal_from_polar(polar)
+
+    def norm(self, name, p: float | None = None) -> float:
+        """The spherical norm (p None) or Schatten p-norm of a tuple."""
+        key = ("norm", name, p)
+        got = self.memo.get(key)
+        if got is None:
+            t = self.tup(name)
+            got = self.memo[key] = spherical_norm(t) if p is None \
+                else schatten_spherical_norm(t, p)
+        return got
+
+    def hypo(self, name, p: float | None = None) -> float:
+        """The (Schatten p-) hypo-norm estimate of a tuple."""
+        return self._sup(("hypo", name, p))
+
+    def radius(self, name, p: float | None = None) -> float:
+        """The joint numerical radius (p None) or Schatten p-radius estimate."""
+        return self._sup(("radius", name, p))
+
+    def _sup(self, key) -> float:
+        self.reads.append(key)
+        est = self.memo.get(key)
+        if est is None:
+            est = self.memo[key] = self._estimate(key, self.cfg.opt)
+        return est.value
+
+    def _estimate(self, key, opt: OptimizerConfig, warm=()):
+        kind, name, p = key
+        t = self.tup(name)
+        if kind == "hypo":
+            if p is None:
+                return hypo_norm(t, opt, warm_starts=warm)
+            return schatten_hypo_norm(t, p, opt, warm_starts=warm)
+        if p is None:
+            return joint_numerical_radius(t, opt, route="both" if warm else "a")
+        return schatten_numerical_radius(t, p, opt, warm_starts=warm)
+
+    def escalate(self, keys) -> bool:
+        """Rerun each optimized quantity in keys that has not escalated in
+        this trial, keeping the larger estimate; True if any reran."""
+        fresh = [k for k in dict.fromkeys(keys) if k not in self.escalated]
+        for key in fresh:
+            self.escalated.add(key)
+            est = self.memo[key]
+            better = self._estimate(key, self.cfg.opt.escalated(), [est.argmax.coeffs])
+            self.memo[key] = max(est, better, key=lambda e: e.value)
+        return bool(fresh)
+
+    def _sides(self, row, i):
+        """Both sides of row at index value i, and the optimized keys read
+        by its optimized side: the rhs of "le", the lhs otherwise."""
+        reads = self.reads = []
+        lhs = float(row.lhs(self, i))
+        mark = len(reads)
+        rhs = float(row.rhs(self, i))
+        return lhs, rhs, reads[mark:] if row.check == "le" else reads[:mark]
+
+    def _holds(self, row, lhs: float, rhs: float) -> bool:
+        if row.check == "gt":
+            return rhs > lhs
+        tol = row.tol
+        tol = getattr(self.cfg, tol) if isinstance(tol, str) \
+            else tol(self) if callable(tol) else tol
+        if row.check == "le":
+            return lhs <= rhs + tol * (1.0 + abs(rhs))
+        return abs(lhs - rhs) <= tol
+
+    def record(self, row, i=None, fp=None) -> InequalityRecord:
+        """Judge row at index value i with fingerprint fp (default: the
+        row's own); a failing row escalates, then is judged again."""
+        if fp is None:
+            fp = self.fp[row.fp]
+        lhs, rhs, keys = self._sides(row, i)
+        note = row.skip(self) if row.skip is not None else None
+        if note:
+            lhs, status, fp = 0.0, PASS, {**fp, "note": note}
+        elif self._holds(row, lhs, rhs):
+            status = PASS
+        elif keys and self.escalate(keys):
+            lhs, rhs, _ = self._sides(row, i)
+            status = REFINED if self._holds(row, lhs, rhs) else FAIL
+        else:
+            status = FAIL
+        return InequalityRecord(row.id, lhs, rhs, rhs - lhs, status, fp)
+
+
+# ---------------------------------------------------------------------------
+# the inequality table
+# ---------------------------------------------------------------------------
+
+_ONCE = ((None, None),)
+_LAMBDA_ENTRIES = tuple((lam, {"lambda": lam}) for lam in _LAMBDA_GRID)
+_SHARP_ENTRIES = tuple((p, {"p": p}) for p in _SHARP_P_GRID)
+
+
+def _index(s, index) -> tuple:
+    """(index value, fingerprint entry) pairs of one index kind."""
+    if index == "lambda":
+        return _LAMBDA_ENTRIES
+    if index == "norm":
+        return ((None, {"norm": "op"}), (s.p, {"norm": s.p}))
+    return _SHARP_ENTRIES if index == "p" else _ONCE
+
+
+@dataclass(frozen=True)
+class Row:
+    """One inequality: lhs <= rhs ("le"), lhs = rhs ("eq") or rhs > lhs
+    ("gt"), each side a function (store, index value) -> float.
+
+    tol names a SuiteConfig slack ("tol", "opt_tol"), scaled by 1 + |rhs|,
+    or is an absolute bound: a number or a function of the store.  index
+    is None (once), "lambda" (the lambda grid), "norm" (operator norm,
+    then Schatten p) or "p" (the sharpness p grid).  when(store) gates the
+    row; skip(store) returns a note when the sample is outside the claim,
+    and the row then records a pass with lhs 0.  fp names the store's
+    fingerprint and artifact the sampled object a fuzz witness returns.
+    """
+
+    id: str
+    suite: str
+    check: str
+    lhs: Callable
+    rhs: Callable
+    description: str
+    tol: object = "tol"
+    index: str | None = None
+    when: Callable | None = None
+    skip: Callable | None = None
+    fp: str = ""
+    artifact: str = "T"
+    required_rate: float = 1.0
+
+
+def _mix(r0, alu, mean):
+    return 2.0 * r0 * alu + (1.0 - 2.0 * r0) * mean
+
+
+def _geom(t, dug, whole):
+    return 0.5 * (dug ** t * whole ** (1.0 - t) + dug ** (1.0 - t) * whole ** t)
+
+
+def _convex(lam, whole, dug):
+    return lam * whole + (1.0 - lam) * dug
+
+
+def _root(lam):
+    return 2.0 * np.sqrt(max(lam - lam * lam, 0.0))
+
+
+def _refined(h, p):
+    return 4.0 * h.r0 * h.norm("half", p) + (1.0 - 2.0 * h.r0) * h.norm("outer", p)
+
+
+def _power_of_sum(s, r):
+    return linalg.schatten_norm(linalg.psd_power_any(s.psd_total, r), s.p)
+
+
+def _sum_of_powers(s, r):
+    return linalg.schatten_norm(sum(linalg.psd_power_any(m, r) for m in s.family), s.p)
+
+
+def _normal_note(s):
+    return "sample was normal, skipped" if is_normal_tuple(s.comm) else None
+
+
+def _scale_tol(s):
+    return 1e-9 * (1.0 + s.triple.norm("outer", s.p))
+
+
+TABLE = (
+    # s2: operator-norm, hypo-norm and radius chains
+    Row("opnorm.heinz_r0.refine", "s2", "le",
+        lambda s, i: s.norm("T.hz"), lambda s, i: _mix(s.r0, s.norm("T.alu"), s.norm("T.mean")),
+        "interpolated-transform norm below the r0-weighted mix of aluthge and mean norms", fp="t"),
+    Row("opnorm.heinz_r0.mean", "s2", "le",
+        lambda s, i: _mix(s.r0, s.norm("T.alu"), s.norm("T.mean")), lambda s, i: s.norm("T.mean"),
+        "r0-weighted mix below the mean-transform norm", fp="t"),
+    Row("opnorm.heinz_r0.cap", "s2", "le",
+        lambda s, i: s.norm("T.mean"), lambda s, i: s.norm("T"),
+        "mean-transform norm below the tuple norm", fp="t"),
+    Row("opnorm.heinz_interp.lower", "s2", "le",
+        lambda s, i: s.norm("T.alu"), lambda s, i: s.norm("T.hz"),
+        "aluthge norm below the interpolated-transform norm", fp="t"),
+    Row("opnorm.heinz_interp.geom", "s2", "le",
+        lambda s, i: s.norm("T.hz"), lambda s, i: _geom(s.t, s.norm("T.dug"), s.norm("T")),
+        "interpolated-transform norm below the geometric cross-mean of duggal and tuple norms",
+        fp="t"),
+    Row("opnorm.heinz_interp.cap", "s2", "le",
+        lambda s, i: _geom(s.t, s.norm("T.dug"), s.norm("T")), lambda s, i: s.norm("T"),
+        "geometric cross-mean below the tuple norm", fp="t"),
+    Row("opnorm.lambda_mean.lower", "s2", "le",
+        lambda s, i: _root(i) * s.norm("T.alu"), lambda s, i: s.norm(i),
+        "2 sqrt(lam - lam^2) aluthge norm below the lambda-mean norm", index="lambda"),
+    Row("opnorm.lambda_mean.convex", "s2", "le",
+        lambda s, i: s.norm(i), lambda s, i: _convex(i, s.norm("T"), s.norm("T.dug")),
+        "lambda-mean norm below the convex mix of tuple and duggal norms", index="lambda"),
+    Row("opnorm.lambda_mean.cap", "s2", "le",
+        lambda s, i: _convex(i, s.norm("T"), s.norm("T.dug")), lambda s, i: s.norm("T"),
+        "convex mix below the tuple norm", index="lambda"),
+    Row("hyponorm.heinz_r0.refine", "s2", "le",
+        lambda s, i: s.hypo("T.hz"), lambda s, i: _mix(s.r0, s.hypo("T.alu"), s.hypo("T.mean")),
+        "hypo-norm of interpolated transform below the r0-weighted mix", tol="opt_tol", fp="t"),
+    Row("hyponorm.heinz_r0.mean", "s2", "le",
+        lambda s, i: _mix(s.r0, s.hypo("T.alu"), s.hypo("T.mean")), lambda s, i: s.hypo("T.mean"),
+        "r0-weighted hypo-norm mix below the mean-transform hypo-norm", tol="opt_tol", fp="t"),
+    Row("hyponorm.heinz_r0.cap", "s2", "le",
+        lambda s, i: s.hypo("T.mean"), lambda s, i: s.norm("T"),
+        "mean-transform hypo-norm below the tuple norm", fp="t"),
+    Row("hyponorm.lambda_mean.lower", "s2", "le",
+        lambda s, i: _root(i) * s.hypo("T.alu"), lambda s, i: s.hypo(i),
+        "2 sqrt(lam - lam^2) aluthge hypo-norm below the lambda-mean hypo-norm",
+        tol="opt_tol", index="lambda"),
+    Row("hyponorm.lambda_mean.convex", "s2", "le",
+        lambda s, i: s.hypo(i), lambda s, i: _convex(i, s.hypo("T"), s.hypo("T.dug")),
+        "lambda-mean hypo-norm below the convex mix of hypo-norms",
+        tol="opt_tol", index="lambda"),
+    Row("hyponorm.lambda_mean.cap", "s2", "le",
+        lambda s, i: _convex(i, s.hypo("T"), s.hypo("T.dug")), lambda s, i: s.norm("T"),
+        "convex hypo-norm mix below the tuple norm", index="lambda"),
+    Row("radius.monotone.aluthge", "s2", "le",
+        lambda s, i: s.radius("T.alu"), lambda s, i: s.radius("T.hz"),
+        "radius of aluthge transform below radius of interpolated transform",
+        tol="opt_tol", fp="t"),
+    Row("radius.monotone.mean", "s2", "le",
+        lambda s, i: s.radius("T.hz"), lambda s, i: s.radius("T.mean"),
+        "radius of interpolated transform below radius of mean transform",
+        tol="opt_tol", fp="t"),
+    Row("heinz_scalar.lower", "s2", "le",
+        lambda s, i: 2.0 * s.triple.norm("half", i), lambda s, i: s.triple.norm("two_sided", i),
+        "twice the balanced product norm below the two-sided interpolated product norm",
+        index="norm", fp="nu", artifact="triple"),
+    Row("heinz_scalar.upper", "s2", "le",
+        lambda s, i: s.triple.norm("two_sided", i), lambda s, i: s.triple.norm("outer", i),
+        "two-sided interpolated product norm below ||AX + XB||",
+        index="norm", fp="nu", artifact="triple"),
+    Row("heinz_scalar.refine", "s2", "le",
+        lambda s, i: s.triple.norm("two_sided", i), lambda s, i: _refined(s.triple, i),
+        "two-sided interpolated product norm below its r0-weighted refinement",
+        index="norm", fp="nu", artifact="triple"),
+    Row("heinz_scalar.refine_cap", "s2", "le",
+        lambda s, i: _refined(s.triple, i), lambda s, i: s.triple.norm("outer", i),
+        "r0-weighted refinement below ||AX + XB||",
+        index="norm", fp="nu", artifact="triple"),
+    Row("heinz_scalar.geom_interp", "s2", "le",
+        lambda s, i: s.triple.norm("one_sided", i),
+        lambda s, i: s.triple.norm("ax", i) ** s.nu * s.triple.norm("xb", i) ** (1.0 - s.nu),
+        "one-sided interpolated product norm below the geometric mean of ||AX|| and ||XB||",
+        index="norm", fp="nu", artifact="triple"),
+    # s3: Schatten-p chains, all closed form
+    Row("sp.lambda_mean.scaled_convex", "s3", "le",
+        lambda s, i: linalg.schatten_from_singulars(s.lam_svals[i], s.p),
+        lambda s, i: (i + (1.0 - i) * s.droot) * s.norm("T", s.p),
+        "lambda-mean p-norm below (lam + (1-lam) d^(1/p)) times the tuple p-norm",
+        index="lambda"),
+    Row("s2norm.lambda_mean.min_bound", "s3", "le",
+        lambda s, i: linalg.schatten_from_singulars(s.lam_svals[i], 2.0),
+        lambda s, i: (i + (1.0 - i) * np.sqrt(min(s.n, s.d))) * s.norm("T", 2.0),
+        "lambda-mean 2-norm below (lam + (1-lam) sqrt(min(n,d))) times the tuple 2-norm",
+        index="lambda"),
+    Row("s2norm.duggal.dim_bound", "s3", "le",
+        lambda s, i: s.norm("T.dug", 2.0), lambda s, i: np.sqrt(s.n) * s.norm("T", 2.0),
+        "duggal 2-norm below sqrt(n) times the tuple 2-norm", fp="t"),
+    Row("sp.heinz_r0.refine", "s3", "le",
+        lambda s, i: s.norm("T.hz", s.p),
+        lambda s, i: _mix(s.r0, s.norm("T.alu", s.p), s.norm("T.mean", s.p)),
+        "interpolated-transform p-norm below the r0-weighted mix", fp="t"),
+    Row("sp.heinz_r0.mean", "s3", "le",
+        lambda s, i: _mix(s.r0, s.norm("T.alu", s.p), s.norm("T.mean", s.p)),
+        lambda s, i: s.norm("T.mean", s.p),
+        "r0-weighted p-norm mix below the mean-transform p-norm", fp="t"),
+    Row("sp.heinz_r0.cap", "s3", "le",
+        lambda s, i: s.norm("T.mean", s.p), lambda s, i: 0.5 * (1.0 + s.droot) * s.norm("T", s.p),
+        "mean-transform p-norm below (1 + d^(1/p))/2 times the tuple p-norm", fp="t"),
+    Row("sp.heinz_interp.lower", "s3", "le",
+        lambda s, i: s.norm("T.alu", s.p), lambda s, i: s.norm("T.hz", s.p),
+        "aluthge p-norm below the interpolated-transform p-norm", fp="t"),
+    Row("sp.heinz_interp.geom", "s3", "le",
+        lambda s, i: s.norm("T.hz", s.p),
+        lambda s, i: _geom(s.t, s.norm("T.dug", s.p), s.norm("T", s.p)),
+        "interpolated-transform p-norm below the geometric cross-mean of duggal and tuple p-norms",
+        fp="t"),
+    Row("sp.heinz_interp.cap", "s3", "le",
+        lambda s, i: _geom(s.t, s.norm("T.dug", s.p), s.norm("T", s.p)),
+        lambda s, i: 0.5 * (s.d ** (s.t / s.p) + s.d ** ((1.0 - s.t) / s.p)) * s.norm("T", s.p),
+        "geometric cross-mean below (d^(t/p) + d^((1-t)/p))/2 times the tuple p-norm", fp="t"),
+    Row("sp.chain.lower", "s3", "le",
+        lambda s, i: s.norm("T.alu", s.p), lambda s, i: s.norm("T.hz", s.p),
+        "aluthge p-norm below the interpolated-transform p-norm (combined chain)", fp="t"),
+    Row("sp.chain.middle", "s3", "le",
+        lambda s, i: s.norm("T.hz", s.p), lambda s, i: s.norm("T.mean", s.p),
+        "interpolated-transform p-norm below the mean-transform p-norm", fp="t"),
+    Row("sp.chain.cap", "s3", "le",
+        lambda s, i: s.norm("T.mean", s.p), lambda s, i: 0.5 * (1.0 + s.droot) * s.norm("T", s.p),
+        "mean-transform p-norm below (1 + d^(1/p))/2 times the tuple p-norm (combined chain)",
+        fp="t"),
+    # s4: Schatten p-radius chains and PSD power sums
+    Row("spr.radius_le_hypo", "s4", "le",
+        lambda s, i: s.radius("T", s.p), lambda s, i: s.hypo("T", s.p),
+        "Schatten p-radius below the Schatten hypo-p-norm", tol="opt_tol"),
+    Row("spr.hypo_le_norm", "s4", "le",
+        lambda s, i: s.hypo("T", s.p), lambda s, i: s.norm("T", s.p),
+        "Schatten hypo-p-norm below the tuple p-norm"),
+    Row("spr.half_hypo_le_radius", "s4", "le",
+        lambda s, i: 0.5 * s.hypo("T", s.p), lambda s, i: s.radius("T", s.p),
+        "half the Schatten hypo-p-norm below the Schatten p-radius", tol="opt_tol"),
+    Row("spr.hypo_lower.p_small", "s4", "le",
+        lambda s, i: s.norm("T", s.p) / s.droot, lambda s, i: s.hypo("T", s.p),
+        "d^(-1/p) times the tuple p-norm below the hypo-p-norm (p < 2)",
+        tol="opt_tol", when=lambda s: s.p < 2.0),
+    Row("spr.hypo_lower.p_large", "s4", "le",
+        lambda s, i: s.norm("T", s.p) / np.sqrt(s.d), lambda s, i: s.hypo("T", s.p),
+        "d^(-1/2) times the tuple p-norm below the hypo-p-norm (p >= 2)",
+        tol="opt_tol", when=lambda s: s.p >= 2.0),
+    Row("s2r.chain.a", "s4", "le",
+        lambda s, i: s.norm("T", s.p) / np.sqrt(2.0 * s.d),
+        lambda s, i: s.hypo("T", s.p) / np.sqrt(2.0),
+        "(2d)^(-1/2) tuple 2-norm below 2^(-1/2) hypo-2-norm",
+        tol="opt_tol", when=lambda s: s.p == 2.0),
+    Row("s2r.chain.b", "s4", "le",
+        lambda s, i: s.hypo("T", s.p) / np.sqrt(2.0), lambda s, i: s.radius("T", s.p),
+        "2^(-1/2) hypo-2-norm below the Schatten 2-radius",
+        tol="opt_tol", when=lambda s: s.p == 2.0),
+    Row("s2r.chain.c", "s4", "le",
+        lambda s, i: s.radius("T", s.p), lambda s, i: s.hypo("T", s.p),
+        "Schatten 2-radius below the hypo-2-norm", tol="opt_tol", when=lambda s: s.p == 2.0),
+    Row("s2r.chain.d", "s4", "le",
+        lambda s, i: s.hypo("T", s.p), lambda s, i: s.norm("T", s.p),
+        "hypo-2-norm below the tuple 2-norm", when=lambda s: s.p == 2.0),
+    Row("psd.power_sum.concave", "s4", "le",
+        lambda s, i: _power_of_sum(s, s.r_concave), lambda s, i: _sum_of_powers(s, s.r_concave),
+        "p-norm of (sum A_k)^r below p-norm of sum A_k^r for 0 < r < 1",
+        fp="concave", artifact="family"),
+    Row("psd.power_sum.convex", "s4", "le",
+        lambda s, i: _power_of_sum(s, s.r_convex),
+        lambda s, i: len(s.family) ** (s.r_convex - 1.0) * _sum_of_powers(s, s.r_convex),
+        "p-norm of (sum A_k)^r below d^(r-1) times p-norm of sum A_k^r for r >= 1",
+        fp="convex", artifact="family"),
+    # equality cases
+    Row("eq.heinz_mean.normal_forward", "equality", "eq",
+        lambda s, i: s.norm("normal.hz", s.p), lambda s, i: s.norm("normal.mean", s.p),
+        "normal tuples: interpolated-transform p-norm equals the mean-transform p-norm",
+        tol=1e-9, artifact="normal"),
+    Row("eq.aluthge_heinz.invertible_forward", "equality", "eq",
+        lambda s, i: s.norm("inv.alu", s.p), lambda s, i: s.norm("inv.hz", s.p),
+        "normal tuples with invertible defect: aluthge p-norm equals the "
+        "interpolated-transform p-norm", tol=1e-9, artifact="inv"),
+    Row("eq.heinz_mean.nonnormal_gap", "equality", "gt",
+        lambda s, i: 1e-6, lambda s, i: s.norm("comm.mean", s.p) - s.norm("comm.hz", s.p),
+        "non-normal commuting tuples: strict gap between interpolated and mean p-norms "
+        "(statistical)", skip=_normal_note, artifact="comm", required_rate=0.95),
+    Row("eq.scalar_heinz.intertwined.sum", "equality", "eq",
+        lambda s, i: s.triple.norm("two_sided", s.p), lambda s, i: s.triple.norm("outer", s.p),
+        "AX = XB forces equality of the two-sided interpolated product p-norm with ||AX + XB||_p",
+        tol=_scale_tol, fp="nu", artifact="triple"),
+    Row("eq.scalar_heinz.intertwined.half", "equality", "eq",
+        lambda s, i: 2.0 * s.triple.norm("half", s.p),
+        lambda s, i: s.triple.norm("two_sided", s.p),
+        "AX = XB forces equality of twice the balanced product p-norm with the two-sided "
+        "interpolated p-norm", tol=_scale_tol, fp="nu", artifact="triple"),
+    Row("eq.scalar_heinz.generic_gap.sum", "equality", "gt",
+        lambda s, i: 1e-6,
+        lambda s, i: s.generic.norm("outer", s.p) - s.generic.norm("two_sided", s.p),
+        "generic triples: strict gap in the second scalar inequality (statistical)",
+        fp="nu", artifact="generic", required_rate=0.95),
+    Row("eq.scalar_heinz.generic_gap.half", "equality", "gt",
+        lambda s, i: 1e-6,
+        lambda s, i: s.generic.norm("two_sided", s.p) - 2.0 * s.generic.norm("half", s.p),
+        "generic triples: strict gap in the first scalar inequality (statistical)",
+        fp="nu", artifact="generic", required_rate=0.95),
+    # zero equivalence
+    Row("zero.nilpotent.square_zero", "zero", "eq",
+        lambda s, i: is_square_zero(s.nil, tol=1e-12).residual, lambda s, i: 0.0,
+        "nilpotent ensemble at n = 2 has vanishing tuple square",
+        tol=1e-12, fp="nil", artifact="nil"),
+    Row("zero.square_zero.aluthge_vanishes", "zero", "eq",
+        lambda s, i: s.norm("nil.alu"), lambda s, i: 0.0,
+        "square-zero tuples: interpolated aluthge transform vanishes",
+        tol=1e-10, fp="nil", artifact="nil"),
+    Row("zero.square_zero.heinz_vanishes", "zero", "eq",
+        lambda s, i: s.norm("nil.hz"), lambda s, i: 0.0,
+        "square-zero tuples: interpolated heinz transform vanishes",
+        tol=1e-10, fp="nil", artifact="nil"),
+    Row("zero.generic.nonvanishing", "zero", "gt",
+        lambda s, i: 1e-8,
+        lambda s, i: min(max(s.norm("gen.sq"), 0.0), s.norm("gen.alu"), s.norm("gen.hz")),
+        "generic tuples: square and transforms all nonvanishing", fp="gen", artifact="gen"),
+    Row("zero.mean.nonzero", "zero", "gt",
+        lambda s, i: 1e-8, lambda s, i: s.norm("gen.mean"),
+        "generic nonzero tuples have nonzero mean transform", fp="gen", artifact="gen"),
+    # sharpness fixtures
+    Row("sharp.column_pair.snorm", "sharpness", "eq",
+        lambda s, i: s.norm("column", i), lambda s, i: np.sqrt(2.0),
+        "column-pair example: tuple p-norm equals sqrt(2) for every p",
+        tol=1e-8, index="p", artifact="column"),
+    Row("sharp.column_pair.hypo", "sharpness", "eq",
+        lambda s, i: s.hypo("column", i), lambda s, i: 1.0,
+        "column-pair example: hypo-p-norm equals 1 for every p",
+        tol=1e-8, index="p", artifact="column"),
+    Row("sharp.diag_pair.scaled_snorm", "sharpness", "eq",
+        lambda s, i: s.norm("diag", i) / 2.0 ** (1.0 / i), lambda s, i: 1.0,
+        "diagonal-pair example: 2^(-1/p) times the tuple p-norm equals 1",
+        tol=1e-8, index="p", artifact="diag"),
+    Row("sharp.diag_pair.hypo", "sharpness", "eq",
+        lambda s, i: s.hypo("diag", i), lambda s, i: 1.0,
+        "diagonal-pair example: hypo-p-norm equals 1 (true value is 2^(1/p - 1/2) for p < 2)",
+        tol=1e-8, index="p", artifact="diag"),
+)
+
+INEQUALITIES = {
+    row.id: {"suite": row.suite, "description": row.description,
+             "artifact": row.artifact, "required_rate": row.required_rate}
+    for row in TABLE
 }
 
-_DEFAULT_TRIALS = {
-    "s2": 500,
-    "s3": 500,
-    "s4": 300,
-    "equality": 100,
-    "zero": 100,
-    "sharpness": 1,
+REQUIRED_RATES = {row.id: row.required_rate for row in TABLE}
+
+# each suite's rows in table order, consecutive rows of one index together:
+# a block emits all its rows at each index value before the next value
+_BLOCKS = {
+    suite: [(index, list(rows)) for index, rows in
+            groupby((row for row in TABLE if row.suite == suite), key=lambda r: r.index)]
+    for suite in SUITE_NAMES
 }
+
+
+def _trial_records(suite: str, cfg: SuiteConfig, trial: int) -> list:
+    s = _Store(suite, cfg, trial)
+    records = []
+    for index, rows in _BLOCKS[suite]:
+        for i, entry in _index(s, index):
+            # the rows at one index value share their fingerprint dicts
+            fps = s.fp if entry is None else {k: {**fp, **entry} for k, fp in s.fp.items()}
+            records.extend(s.record(row, i, fps[row.fp]) for row in rows
+                           if row.when is None or row.when(s))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# suite runner
+# ---------------------------------------------------------------------------
+
+_DEFAULT_TRIALS = {"s2": 500, "s3": 500, "s4": 300, "equality": 100, "zero": 100, "sharpness": 1}
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -786,12 +789,12 @@ def resolve_workers(workers: int | None) -> int:
 
 def _trial_worker(args):
     suite, cfg, trial = args
-    return _TRIAL_FUNCS[suite](cfg, trial)
+    return _trial_records(suite, cfg, trial)
 
 
 def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
     """Run one suite; records are merged in trial-index order."""
-    if suite not in _TRIAL_FUNCS:
+    if suite not in _BLOCKS:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITE_NAMES}")
     if suite == "sharpness":
         cfg = replace(cfg, trials=1)
@@ -805,7 +808,9 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for batch in pool.map(_trial_worker, args, chunksize=chunk):
                     records.extend(batch)
-        except (OSError, RuntimeError):
+        except (OSError, RuntimeError) as exc:
+            warnings.warn(f"process pool failed ({type(exc).__name__}: {exc}); "
+                          "running the trials serially", RuntimeWarning, stacklevel=2)
             records = [rec for a in args for rec in _trial_worker(a)]
     else:
         records = [rec for a in args for rec in _trial_worker(a)]
@@ -821,30 +826,6 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
     )
 
 
-def suite_operator_norms(trials: int = 500, **kw) -> SuiteReport:
-    return run_suite("s2", SuiteConfig(trials=trials, **kw))
-
-
-def suite_schatten_norms(trials: int = 500, **kw) -> SuiteReport:
-    return run_suite("s3", SuiteConfig(trials=trials, **kw))
-
-
-def suite_schatten_radii(trials: int = 300, **kw) -> SuiteReport:
-    return run_suite("s4", SuiteConfig(trials=trials, **kw))
-
-
-def suite_equality_cases(trials: int = 100, **kw) -> SuiteReport:
-    return run_suite("equality", SuiteConfig(trials=trials, **kw))
-
-
-def suite_zero_equivalence(trials: int = 100, **kw) -> SuiteReport:
-    return run_suite("zero", SuiteConfig(trials=trials, **kw))
-
-
-def suite_sharpness(**kw) -> SuiteReport:
-    return run_suite("sharpness", SuiteConfig(trials=1, **kw))
-
-
 def default_trials(suite: str) -> int:
     return _DEFAULT_TRIALS[suite]
 
@@ -857,18 +838,15 @@ def fuzz_inequality(inequality_id: str, cfg: SuiteConfig):
     """Scan trials of the owning suite, keeping only one inequality's records.
 
     Returns (suite, records, witness_tuple, witness_fingerprint) where the
-    witness is the sampled object of the minimum-slack trial.
+    witness is the row's sampled object in the minimum-slack trial.
     """
-    info = INEQUALITIES.get(inequality_id)
-    if info is None:
+    row = next((r for r in TABLE if r.id == inequality_id), None)
+    if row is None:
         raise KeyError(f"unknown inequality id {inequality_id!r}")
-    suite = info["suite"]
-    report = run_suite(suite, cfg)
+    report = run_suite(row.suite, cfg)
     records = [r for r in report.records if r.inequality_id == inequality_id]
     if not records:
         raise RuntimeError(f"no records produced for {inequality_id!r}")
     worst = min(records, key=lambda r: r.slack)
-    artifacts: dict = {}
-    _TRIAL_FUNCS[suite](cfg, worst.fingerprint["trial"], artifacts)
-    witness = artifacts.get(info["artifact"])
-    return suite, records, witness, worst.fingerprint
+    witness = _Store(row.suite, cfg, worst.fingerprint["trial"]).artifact(row.artifact)
+    return row.suite, records, witness, worst.fingerprint

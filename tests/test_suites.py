@@ -1,27 +1,66 @@
+import collections
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sphertrans import suites
 from sphertrans.norms import schatten_spherical_norm
 from sphertrans.reports import report_to_json, tightness_stats
 from sphertrans.suites import (
     INEQUALITIES,
     SUITE_NAMES,
+    TABLE,
+    Row,
     SuiteConfig,
-    _check_eq,
-    _check_le,
-    _s3_trial,
+    _Store,
+    _trial_records,
     fuzz_inequality,
     run_suite,
+    sharp_diag_pair,
 )
 from sphertrans.transforms import lambda_mean_from_polar
 from sphertrans.tuples import spherical_polar
 
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "sphertrans"
+
+
 def _strip_wall_time(text: str) -> str:
     return re.sub(r'"wall_time": [^,}\n]+', '"wall_time": 0', text)
+
+
+def _shorten_first_estimates(monkeypatch, name, factor, only=None, always=False):
+    """Patch the suites' estimator `name` so that unescalated calls (every
+    call if always) on the tuples whose arrays are in only, or on every
+    tuple, return factor times the value; returns a Counter of escalated
+    calls per tuple array."""
+    real = getattr(suites, name)
+    escalated = collections.Counter()
+
+    def short(t, *args, **kwargs):
+        est = real(t, *args, **kwargs)
+        config = [a for a in args if hasattr(a, "grid_points")][0]
+        key = t.array.tobytes()
+        if config.grid_points:
+            escalated[key] += 1
+            if not always:
+                return est
+        if only is None or key in only:
+            return replace(est, value=factor * est.value)
+        return est
+
+    monkeypatch.setattr(suites, name, short)
+    return escalated
+
+
+def _judge(check, lhs, rhs, tol):
+    row = Row("x", "sharpness", check, lambda s, i: lhs(s), lambda s, i: rhs(s),
+              "test row", tol=tol)
+    return _Store("sharpness", SuiteConfig(trials=1), 0).record(row)
 
 
 class TestRegistry:
@@ -46,6 +85,12 @@ class TestRegistry:
             emitted |= {rec.inequality_id for rec in rep.records}
         missing = set(INEQUALITIES) - emitted
         assert not missing, f"registered but never emitted: {missing}"
+
+    def test_each_id_written_once(self):
+        assert len(TABLE) == len(INEQUALITIES) == 61
+        source = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+        written = {rid: source.count(f'"{rid}"') for rid in INEQUALITIES}
+        assert all(count == 1 for count in written.values()), written
 
 
 class TestSuiteRuns:
@@ -112,9 +157,9 @@ class TestS3LambdaGrid:
     def test_batched_grid_equals_per_lambda_norms(self, trial):
         """Each lambda-mean norm read from the batched SVD of the grid is the
         Schatten norm of that lambda mean, bit for bit."""
-        artifacts: dict = {}
-        recs = _s3_trial(SuiteConfig(trials=6, seed=4242), trial, artifacts)
-        tup = artifacts["tuple"]
+        cfg = SuiteConfig(trials=6, seed=4242)
+        recs = _trial_records("s3", cfg, trial)
+        tup = _Store("s3", cfg, trial).T
         polar = spherical_polar(tup)
         grid_ids = {"sp.lambda_mean.scaled_convex": None,
                     "s2norm.lambda_mean.min_bound": 2.0}
@@ -131,28 +176,28 @@ class TestS3LambdaGrid:
 
 class TestCheckHelpers:
     def test_plain_pass_fail(self):
-        recs = []
-        _check_le(recs, "x", 1.0, 2.0, {}, 1e-8)
-        _check_le(recs, "x", 2.0, 1.0, {}, 1e-8)
+        recs = [_judge("le", lambda s: 1.0, lambda s: 2.0, "tol"),
+                _judge("le", lambda s: 2.0, lambda s: 1.0, "tol")]
         assert [r.status for r in recs] == ["pass", "fail"]
         assert recs[0].slack == pytest.approx(1.0)
         assert recs[1].slack == pytest.approx(-1.0)
 
-    def test_escalation_rescues_underconverged_rhs(self):
-        recs = []
-        _check_le(recs, "x", 1.0, 0.5, {}, 1e-6, escalate=lambda: 1.0)
-        assert recs[0].status == "refined-pass"
-        assert recs[0].rhs == 1.0
+    def test_escalation_rescues_underconverged_rhs(self, monkeypatch):
+        # the column pair's hypo-2-norm is 1; its first estimate reads 0.5
+        _shorten_first_estimates(monkeypatch, "schatten_hypo_norm", 0.5)
+        rec = _judge("le", lambda s: 1.0, lambda s: s.hypo("column", 2.0), "opt_tol")
+        assert rec.status == "refined-pass"
+        assert rec.rhs == pytest.approx(1.0, abs=1e-8)
 
-    def test_escalation_cannot_rescue_genuine_violation(self):
-        recs = []
-        _check_le(recs, "x", 2.0, 0.5, {}, 1e-6, escalate=lambda: 0.6)
-        assert recs[0].status == "fail"
+    def test_escalation_cannot_rescue_genuine_violation(self, monkeypatch):
+        _shorten_first_estimates(monkeypatch, "schatten_hypo_norm", 0.5)
+        rec = _judge("le", lambda s: 2.0, lambda s: s.hypo("column", 2.0), "opt_tol")
+        assert rec.status == "fail"
 
-    def test_equality_check_escalation(self):
-        recs = []
-        _check_eq(recs, "x", 0.9, 1.0, {}, 1e-8, escalate=lambda: 1.0)
-        _check_eq(recs, "x", 0.9, 1.0, {}, 1e-8)
+    def test_equality_check_escalation(self, monkeypatch):
+        _shorten_first_estimates(monkeypatch, "schatten_hypo_norm", 0.9)
+        recs = [_judge("eq", lambda s: s.hypo("column", 2.0), lambda s: 1.0, 1e-8),
+                _judge("eq", lambda s: 0.9, lambda s: 1.0, 1e-8)]
         assert [r.status for r in recs] == ["refined-pass", "fail"]
 
     def test_underconverged_hypo_norm_fixed_by_escalation(self):
@@ -169,6 +214,50 @@ class TestCheckHelpers:
         reference = hypo_norm(t).value
         assert weak <= strong + 1e-12
         assert abs(strong - reference) <= 1e-7
+
+
+class TestEscalation:
+    def test_later_reads_see_the_escalated_value(self, monkeypatch):
+        # s4 trial 0 at seed 42 has p = 2; its hypo-2-norm first reads 0.6x
+        _shorten_first_estimates(monkeypatch, "schatten_hypo_norm", 0.6)
+        recs = {r.inequality_id: r
+                for r in _trial_records("s4", SuiteConfig(trials=1, seed=42), 0)}
+        assert recs["spr.radius_le_hypo"].status == "refined-pass"
+        escalated = recs["spr.radius_le_hypo"].rhs
+        assert recs["spr.hypo_le_norm"].lhs == escalated
+        assert recs["s2r.chain.a"].rhs == escalated / np.sqrt(2.0)
+        assert recs["s2r.chain.d"].lhs == escalated
+
+    @pytest.mark.parametrize("always", [False, True])
+    def test_a_quantity_escalates_once_per_trial(self, monkeypatch, always):
+        # the hypo-norms of T and its duggal transform read 0.6x (before
+        # escalation, or always), so the lambda-mean convex row fails at
+        # most lambdas until escalation rescues it, or for good
+        cfg = SuiteConfig(trials=1, seed=42)
+        probe = _Store("s2", cfg, 0)
+        t_key, dug_key = probe.T.array.tobytes(), probe.tup("T.dug").array.tobytes()
+        escalated = _shorten_first_estimates(monkeypatch, "hypo_norm", 0.6,
+                                             only={t_key, dug_key}, always=always)
+        statuses = [r.status for r in _trial_records("s2", cfg, 0)
+                    if r.inequality_id == "hyponorm.lambda_mean.convex"]
+        assert escalated == {t_key: 1, dug_key: 1}
+        if always:
+            assert statuses.count("fail") >= 2
+        else:
+            assert statuses.count("refined-pass") == 1
+            assert "fail" not in statuses
+
+    def test_pool_failure_warns_and_runs_serially(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no process slots")
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", no_pool)
+        cfg = SuiteConfig(trials=6, workers=2)
+        with pytest.warns(RuntimeWarning, match="OSError: no process slots"):
+            pooled = run_suite("s3", cfg)
+        serial = run_suite("s3", replace(cfg, workers=1))
+        assert _strip_wall_time(report_to_json(pooled)) == \
+            _strip_wall_time(report_to_json(serial))
 
 
 class TestTightnessStats:
@@ -210,6 +299,15 @@ class TestFuzz:
         )
         assert witness is not None
         assert witness.d == 3  # (A, B, X) packed as a 3-tuple document
+
+    @pytest.mark.parametrize("rid", ["zero.generic.nonvanishing", "zero.mean.nonzero",
+                                     "sharp.diag_pair.scaled_snorm", "sharp.diag_pair.hypo"])
+    def test_fuzz_witness_is_the_rows_object(self, rid):
+        _, _, witness, fingerprint = fuzz_inequality(rid, SuiteConfig(trials=6, workers=1))
+        if rid.startswith("sharp."):
+            assert np.array_equal(witness.array, sharp_diag_pair().array)
+        else:
+            assert (witness.d, witness.n) == (fingerprint["d"], fingerprint["n"])
 
     def test_fuzz_unknown_id(self):
         with pytest.raises(KeyError):
