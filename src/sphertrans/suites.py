@@ -68,6 +68,8 @@ SUITE_NAMES = ("s2", "s3", "s4", "equality", "sharpness", "zero")
 _P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
 _LAMBDA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 _SHARP_P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
+# lambda means that are bitwise equal to a named transform (or T itself)
+_LAMBDA_ALIASES = {0.0: "T.dug", 0.5: "T.mean", 1.0: "T"}
 
 _SUITE_OPT = OptimizerConfig(n_random_starts=8)
 
@@ -265,7 +267,9 @@ class _Store:
 
     Tuples are named "T", "normal", ... (a sampled tuple),
     "<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or
-    the square), or by a float lam (the lambda mean of T).
+    the square), or by a float lam (the lambda mean of T).  norm and hypo
+    read the lambda means at 0, 1/2 and 1 under their _LAMBDA_ALIASES
+    names, so each is estimated once.
     """
 
     t_aluthge = 0.5      # the Aluthge exponent; the zero suite draws its own
@@ -334,6 +338,7 @@ class _Store:
 
     def norm(self, name, p: float | None = None) -> float:
         """The spherical norm (p None) or Schatten p-norm of a tuple."""
+        name = _LAMBDA_ALIASES.get(name, name)
         key = ("norm", name, p)
         got = self.memo.get(key)
         if got is None:
@@ -344,7 +349,7 @@ class _Store:
 
     def hypo(self, name, p: float | None = None) -> float:
         """The (Schatten p-) hypo-norm estimate of a tuple."""
-        return self._sup(("hypo", name, p))
+        return self._sup(("hypo", _LAMBDA_ALIASES.get(name, name), p))
 
     def radius(self, name, p: float | None = None) -> float:
         """The joint numerical radius (p None) or Schatten p-radius estimate."""

@@ -174,6 +174,32 @@ class TestS3LambdaGrid:
         assert checked == 22
 
 
+class TestS2LambdaAliases:
+    def test_aliased_lambda_means_equal_their_names(self):
+        cfg = SuiteConfig(trials=12, seed=42)
+        for trial in range(cfg.trials):
+            s = _Store("s2", cfg, trial)
+            for lam, name in suites._LAMBDA_ALIASES.items():
+                assert np.array_equal(s._build(lam).array, s.tup(name).array), \
+                    (trial, lam)
+
+    def test_one_s2_trial_makes_13_hypo_norm_calls(self, monkeypatch):
+        # 5 named tuples (T, aluthge, heinz, mean, duggal) plus the 8
+        # lambda means not aliased to one of them; no check escalates here
+        calls = collections.Counter()
+        real = suites.hypo_norm
+
+        def counted(t, *args, **kwargs):
+            calls[t.array.tobytes()] += 1
+            return real(t, *args, **kwargs)
+
+        monkeypatch.setattr(suites, "hypo_norm", counted)
+        recs = _trial_records("s2", SuiteConfig(trials=1, seed=42), 0)
+        assert all(r.status == "pass" for r in recs)
+        assert sum(calls.values()) == 13
+        assert set(calls.values()) == {1}
+
+
 class TestCheckHelpers:
     def test_plain_pass_fail(self):
         recs = [_judge("le", lambda s: 1.0, lambda s: 2.0, "tol"),
