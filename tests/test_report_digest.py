@@ -1,8 +1,12 @@
 import hashlib
+import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sphertrans.reports import report_to_json
 from sphertrans.suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -28,3 +32,40 @@ def test_digest_smoke_every_suite():
         report.wall_time = 0.0
         expected = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digests[("s3", seed)] == expected
+
+
+DRIFT = SCRIPT.parent / "report_drift.py"
+
+
+def _drift_rows(dir_a, dir_b):
+    out = subprocess.run([sys.executable, str(DRIFT), str(dir_a), str(dir_b)],
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    return {rid: (sides, float(rel), int(status))
+            for rid, sides, rel, status in (line.split() for line in out.splitlines()[1:])}
+
+
+def test_drift_shows_exactly_the_edited_side(tmp_path):
+    saved = tmp_path / "a"
+    subprocess.run(
+        [sys.executable, str(SCRIPT), "--suite", "s3", "--trials", "2", "--save", str(saved)],
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    path = saved / "s3-42.json"
+    report = json.loads(path.read_text())
+    assert report["wall_time"] == 0
+    same = _drift_rows(saved, saved)
+    assert same["total"][1:] == (0.0, 0)
+    assert all(sides.startswith("0/") for sides, _, _ in same.values())
+
+    edited = tmp_path / "b"
+    shutil.copytree(saved, edited)
+    record = next(r for r in report["records"] if r["rhs"])
+    record["rhs"] *= 1.0 + 1e-12
+    (edited / path.name).write_text(json.dumps(report))
+    rows = _drift_rows(saved, edited)
+    rid = record["inequality_id"]
+    moved = {k: v for k, v in rows.items() if not v[0].startswith("0/")}
+    assert set(moved) == {rid, "total"}
+    assert moved[rid][0].startswith("1/") and moved["total"][0].startswith("1/")
+    assert moved[rid][1] == pytest.approx(1e-12, rel=1e-3)
+    assert moved["total"][2] == 0
