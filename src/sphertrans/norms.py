@@ -13,9 +13,11 @@ The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
 M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
 invariant under lam -> e^{i theta} lam, so they equal
 sup_lam ||Re M(lam)||_p over the ungauged sphere.  One dual-ascent step
-serves p in [1, inf]; the joint numerical radius of the coefficient
-route is its p = inf case.  The winner is reported gauge-fixed, with
-theta the phase that the gauge removed.
+serves p in [1, inf].  The joint numerical radius is its p = inf case,
+reached by that ascent (route b) or over unit vectors (route a), and
+numerical_radius(A) is its d = 1 case.  Every radius is reported under
+one contract: argmax is gauge-fixed, theta is the phase the gauge
+removed, and value == ||Re(e^{i theta} M(argmax))||_p exactly.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from .optimize import (
     power_step,
     sphere_optimize,
 )
-from .tuples import OperatorTuple, gram_sum
+from .tuples import OperatorTuple, gram_sum, tuple_from
 
 _TWO_PI = 2.0 * np.pi
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def spherical_norm(t: OperatorTuple) -> float:
@@ -171,60 +172,27 @@ def schatten_hypo_norm_gram(t: OperatorTuple) -> float:
 
 
 # ---------------------------------------------------------------------------
-# numerical radius of a single matrix: sup_theta lam_max(Re(e^{i theta} A))
-# ---------------------------------------------------------------------------
-
-def _herm_rotations(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    rotated = np.exp(1j * thetas)[:, None, None] * a[None, :, :]
-    return (rotated + np.conj(np.swapaxes(rotated, -1, -2))) / 2.0
-
-
-def _golden_max(fun, lo: float, hi: float, tol: float):
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fun(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fun(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def numerical_radius(
-    a: np.ndarray, n_grid: int = 720, theta_tol: float = 1e-10
-) -> float:
-    """omega(A) via a theta grid plus golden-section refinement."""
-    return _radius_witness(a, n_grid, theta_tol)[0]
-
-
-def _radius_witness(a: np.ndarray, n_grid: int = 720, theta_tol: float = 1e-10):
-    """(omega(A), argmax theta, top eigenvector at that theta)."""
-    a = linalg.as_matrix(a)
-    thetas = np.linspace(0.0, _TWO_PI, n_grid, endpoint=False)
-    tops = np.linalg.eigvalsh(_herm_rotations(a, thetas))[:, -1]
-    i = int(np.argmax(tops))
-    span = _TWO_PI / n_grid
-
-    def g(theta):
-        h = _herm_rotations(a, np.array([theta]))[0]
-        return float(np.linalg.eigvalsh(h)[-1])
-
-    theta, val = _golden_max(g, thetas[i] - span, thetas[i] + span, theta_tol)
-    if tops[i] > val:
-        theta, val = float(thetas[i]), float(tops[i])
-    h = _herm_rotations(a, np.array([theta]))[0]
-    w, q = np.linalg.eigh(h)
-    return float(val), float(theta % _TWO_PI), q[:, -1]
-
-
-# ---------------------------------------------------------------------------
 # real-part supremum: sup_lam ||Re M(lam)||_p on the ungauged sphere
 # ---------------------------------------------------------------------------
+
+def _real_parts(mats: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
+    """Re M(lam) = (M + M*) / 2 for each row of coefficients."""
+    m = _combine(mats, lam_rows)
+    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
+
+
+def _real_part_norms(mats: np.ndarray, lam_rows: np.ndarray, p: float) -> np.ndarray:
+    """||Re M(lam)||_p for each row of coefficients."""
+    return _batch_schatten(np.abs(np.linalg.eigvalsh(_real_parts(mats, lam_rows))), p)
+
+
+def _reported_at(est: SupremumEstimate, lam: np.ndarray, value: float) -> SupremumEstimate:
+    """est at the coefficients lam, where value = ||Re M(lam)||_p, under
+    the radius contract: argmax is lam gauge-fixed, theta the removed phase."""
+    gauged = gauge_fix(lam)
+    theta = float(np.angle(np.vdot(gauged, lam))) % _TWO_PI
+    return replace(est, value=value, argmax=BallPoint(gauged), theta=theta)
+
 
 def _real_part_sup(
     t: OperatorTuple, p: float, config: OptimizerConfig | None, warm_starts=()
@@ -236,24 +204,18 @@ def _real_part_sup(
     a_k = tr(W T_k) the step lam' = conj(a)/|a| gives
     ||Re M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||H||_p.
     The objective changes under lam -> e^{i theta} lam, so rows are not
-    gauged while they ascend; the returned argmax is the gauge-fixed
-    winner and theta the phase removed, so that
-    value == ||Re(e^{i theta} M(argmax))||_p exactly.
+    gauged while they ascend; the winner is reported by _reported_at.
     """
     mats = t.array
 
-    def herm(rows):
-        m = _combine(mats, rows)
-        return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
-
     def batch_objective(rows):
-        return _batch_schatten(np.abs(np.linalg.eigvalsh(herm(rows))), p)
+        return _real_part_norms(mats, rows, p)
 
     def objective(lam):
         return float(batch_objective(lam[None, :])[0])
 
     def ascend(rows):
-        h, q = np.linalg.eigh(herm(rows))
+        h, q = np.linalg.eigh(_real_parts(mats, rows))
         mags = np.abs(h)
         vals = _batch_schatten(mags, p)
         # W = Q diag(sign(h) w) Q*
@@ -271,53 +233,52 @@ def _real_part_sup(
         phase_invariant=False,
         warm_starts=warm_starts,
     )
-    winner = est.argmax.coeffs
-    lam = gauge_fix(winner)
-    theta = float(np.angle(np.vdot(lam, winner))) % _TWO_PI
-    return replace(est, argmax=BallPoint(lam), theta=theta)
+    return _reported_at(est, est.argmax.coeffs, est.value)
 
 
 # ---------------------------------------------------------------------------
-# joint numerical radius: two independent estimators
+# numerical radii: p = inf real-part suprema
 # ---------------------------------------------------------------------------
 
-def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig):
-    """Route (a): sup over unit vectors x of (sum_k |<T_k x, x>|^2)^(1/2).
+def numerical_radius(a: np.ndarray) -> float:
+    """omega(A) = sup_theta ||Re(e^{i theta} A)||_op: the d = 1 case of
+    the joint numerical radius, by the p = inf real-part ascent."""
+    return _real_part_sup(tuple_from(a), np.inf, None).value
 
-    The ascent alternates the optimal coefficient vector for fixed x with
-    the top eigenvector of Re(sum lam_k T_k) for fixed coefficients.
+
+def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumEstimate:
+    """Route (a): sup over unit vectors x of |c(x)|, c_k(x) = <T_k x, x>.
+
+    The ascent alternates the optimal coefficient vector lam = conj(c)/|c|
+    for fixed x with the top eigenvector of Re M(lam) for fixed lam.  The
+    winner is reported at its lam, valued by route (b)'s objective
+    ||Re M(lam)||_op >= x* Re M(lam) x = |c(x)|.
     """
     mats = t.array
 
-    def coeffs_for(x):
-        c = np.einsum("si,kij,sj->sk", np.conj(x), mats, x)
-        return c
+    def coeffs_for(xs):
+        return np.einsum("si,kij,sj->sk", np.conj(xs), mats, xs)
 
     def objective(x):
-        c = coeffs_for(x.reshape(1, -1))[0]
-        return float(np.linalg.norm(c))
+        return float(np.linalg.norm(coeffs_for(x[None, :])[0]))
 
     def ascend(xs):
         c = coeffs_for(xs)
         vals = np.linalg.norm(c, axis=1)
         safe = np.where(vals > 0.0, vals, 1.0)
-        lam = np.conj(c) / safe[:, None]
-        m = _combine(mats, lam)
-        h = (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
-        _, q = np.linalg.eigh(h)
+        _, q = np.linalg.eigh(_real_parts(mats, np.conj(c) / safe[:, None]))
         nxt = q[:, :, -1]
         nxt[vals <= 0.0] = xs[vals <= 0.0]
         return vals, nxt
 
     est = sphere_optimize(objective, t.n, config, ascend=ascend)
-    x = est.argmax.coeffs
-    lam = coeffs_for(x.reshape(1, -1))[0]
-    nl = np.linalg.norm(lam)
-    lam = np.conj(lam) / nl if nl > 0 else np.ones(t.d, dtype=np.complex128) / np.sqrt(t.d)
-    return est, gauge_fix(lam)
+    c = coeffs_for(est.argmax.coeffs[None, :])[0]
+    nc = np.linalg.norm(c)
+    lam = np.conj(c) / nc if nc > 0 else np.full(t.d, 1.0 / np.sqrt(t.d), dtype=np.complex128)
+    return _reported_at(est, lam, float(_real_part_norms(mats, lam[None, :], np.inf)[0]))
 
 
-def _radius_coeff_route(t: OperatorTuple, config: OptimizerConfig):
+def _radius_coeff_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumEstimate:
     """Route (b): sup over the coefficient sphere of omega(sum lam_k T_k).
 
     omega(M) = sup_theta ||Re(e^{i theta} M)||_op, so this is the p = inf
@@ -329,46 +290,25 @@ def _radius_coeff_route(t: OperatorTuple, config: OptimizerConfig):
 def joint_numerical_radius(
     t: OperatorTuple, config: OptimizerConfig | None = None, route: str = "both"
 ) -> SupremumEstimate:
-    """Joint numerical radius omega(T).
+    """Joint numerical radius omega(T) = sup_lam omega(sum lam_k T_k).
 
-    route "both" (default) runs the vector-sphere estimator and the
-    coefficient-sphere estimator, reports the max, and records the gap
-    between the two in cross_gap.  "a" / "b" run a single route.
+    route "a" ascends over unit vectors, "b" over the coefficient sphere;
+    "both" (default) runs the two, reports the larger with the starts
+    summed, and records the gap |a - b| in cross_gap.  Either route is
+    reported under the radius contract, with
+    value == ||Re(e^{i theta} M(argmax))||_op exactly.
     """
-    cfg = config or OptimizerConfig()
     if route not in ("a", "b", "both"):
         raise ValueError(f"unknown route {route!r}")
-
-    candidates = []
-    value_a = value_b = None
-    if route in ("a", "both"):
-        est_a, lam_a = _radius_vector_route(t, cfg)
-        value_a = est_a.value
-        candidates.append((lam_a, est_a.converged, est_a.starts, est_a.spread))
-    if route in ("b", "both"):
-        est_b = _radius_coeff_route(t, cfg)
-        value_b = est_b.value
-        candidates.append(
-            (est_b.argmax.coeffs, est_b.converged, est_b.starts, est_b.spread)
-        )
-
-    best = None
-    for lam, conv, starts, spread in candidates:
-        val, theta, _ = _radius_witness(combination(t, lam))
-        if best is None or val > best[0]:
-            best = (val, lam, theta, conv, starts, spread)
-    value, lam, theta, conv, starts, spread = best
-    gap = abs(value_a - value_b) if (value_a is not None and value_b is not None) else None
-    total_starts = sum(c[2] for c in candidates)
-    return SupremumEstimate(
-        value=value,
-        argmax=BallPoint(lam),
-        starts=total_starts,
-        converged=conv,
-        spread=spread,
-        theta=theta,
-        cross_gap=gap,
-    )
+    cfg = config or OptimizerConfig()
+    runs = []
+    if route != "b":
+        runs.append(_radius_vector_route(t, cfg))
+    if route != "a":
+        runs.append(_radius_coeff_route(t, cfg))
+    best = max(runs, key=lambda est: est.value)
+    gap = abs(runs[0].value - runs[1].value) if len(runs) == 2 else None
+    return replace(best, starts=sum(est.starts for est in runs), cross_gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sphertrans import linalg, norms
 from sphertrans.ensembles import random_tuple
-from sphertrans.errors import InvalidPError
+from sphertrans.errors import InvalidPError, SphertransError
 from sphertrans.optimize import OptimizerConfig, grid_supremum
 from sphertrans.tuples import (
     adjoint_tuple,
@@ -81,6 +81,21 @@ class TestHypoNorm:
             assert abs(a - b) <= 2e-6
 
 
+def _dense_theta_max(a, points=2001, zooms=3):
+    """max over theta of lam_max(Re(e^{i theta} A)) on a 2001-point theta
+    grid, regridded three times around the best point so far."""
+    best, lo, hi = -np.inf, 0.0, 2.0 * np.pi
+    for _ in range(zooms + 1):
+        thetas = np.linspace(lo, hi, points)
+        rot = np.exp(1j * thetas)[:, None, None] * a
+        tops = np.linalg.eigvalsh((rot + np.conj(np.swapaxes(rot, -1, -2))) / 2.0)[:, -1]
+        i = int(np.argmax(tops))
+        best = max(best, float(tops[i]))
+        span = thetas[1] - thetas[0]
+        lo, hi = thetas[i] - span, thetas[i] + span
+    return best
+
+
 class TestNumericalRadius:
     def test_hermitian_matrix_gives_norm(self):
         rng = np.random.default_rng(0)
@@ -93,16 +108,23 @@ class TestNumericalRadius:
     def test_square_zero_matrix_gives_half_norm(self):
         a = cmat([[0, 1], [0, 0]])
         assert norms.numerical_radius(a) == pytest.approx(0.5, abs=1e-10)
-        # cross-check against a plain dense theta grid
-        thetas = np.linspace(0, 2 * np.pi, 2000)
-        brute = max(
-            np.linalg.eigvalsh((np.exp(1j * th) * a + np.exp(-1j * th) * a.conj().T) / 2)[-1]
-            for th in thetas
-        )
-        assert norms.numerical_radius(a) == pytest.approx(brute, abs=1e-8)
+        # cross-check it and 20 random matrices, every third strictly upper
+        # triangular, against a dense theta grid
+        rng = np.random.default_rng(2024)
+        mats = [a]
+        for k in range(20):
+            n = int(rng.integers(2, 6))
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            mats.append(np.triu(m, 1) if k % 3 == 0 else m)
+        for m in mats:
+            assert norms.numerical_radius(m) == pytest.approx(_dense_theta_max(m), abs=1e-8)
 
     def test_zero(self):
         assert norms.numerical_radius(np.zeros((3, 3))) == 0.0
+
+    def test_rejects_non_square(self):
+        with pytest.raises(SphertransError):
+            norms.numerical_radius(np.ones((2, 3)))
 
 
 class TestJointNumericalRadius:
@@ -375,7 +397,8 @@ class TestRadiusAscent:
     def test_value_is_exact_at_argmax_and_theta(self, spec):
         t = _table_tuple(spec)
         estimates = [(norms.schatten_numerical_radius(t, p, CFG), p) for p in (1.0, 3.0, INF)]
-        estimates.append((norms.joint_numerical_radius(t, CFG, route="b"), INF))
+        estimates += [(norms.joint_numerical_radius(t, CFG, route=r), INF)
+                      for r in ("a", "b", "both")]
         for est, p in estimates:
             lam = est.argmax.coeffs
             lead = lam[np.argmax(np.abs(lam) > 1e-12)]
