@@ -153,12 +153,15 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def schatten_from_singulars(s: np.ndarray, p: float) -> float:
-    """(sum s_j^p)^(1/p), scaled by the top value for stability."""
+    """(sum s_j^p)^(1/p) of descending singular values s, scaled by the top
+    value for stability; p = inf gives the top value."""
     if p < 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     top = float(s[0]) if len(s) else 0.0
     if top <= 0.0:
         return 0.0
+    if p == np.inf:
+        return top
     return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
 
 

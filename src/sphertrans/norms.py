@@ -1,7 +1,8 @@
 """Scalar functionals of operator tuples.
 
 Closed-form quantities (spherical, Euclidean and Schatten norms) come
-straight from explicit SVD/eigendecompositions.  Supremum quantities
+straight from explicit SVD/eigendecompositions; the spherical norms read
+the spectrum of P from one SVD of the stacked column.  Supremum quantities
 (hypo-norms, joint radii) are estimated with sphere_optimize; each
 passes a bare minorize-maximize step derived from the dual element of
 the norm being maximized, costing one small batched factorization, and
@@ -36,14 +37,15 @@ from .optimize import (
     power_step,
     sphere_optimize,
 )
-from .tuples import OperatorTuple, gram_sum, tuple_from
+from .tuples import OperatorTuple, tuple_from
 
 _TWO_PI = 2.0 * np.pi
 
 
 def spherical_norm(t: OperatorTuple) -> float:
-    """||T|| = ||sum T_k* T_k||^(1/2), the norm of the column operator."""
-    return float(np.sqrt(linalg.operator_norm(gram_sum(t))))
+    """||T|| = ||P||, the norm of the column operator: the top singular
+    value of the stacked column, the p = inf case of schatten_spherical_norm."""
+    return schatten_spherical_norm(t, np.inf)
 
 
 def euclidean_norm(t: OperatorTuple) -> float:
@@ -52,7 +54,9 @@ def euclidean_norm(t: OperatorTuple) -> float:
 
 
 def schatten_spherical_norm(t: OperatorTuple, p: float) -> float:
-    """[tr(P^p)]^(1/p), computed from the SVD of the stacked column."""
+    """[tr(P^p)]^(1/p), p in [1, inf], from the singular values of the
+    stacked column: they are P's eigenvalues, computed without forming
+    sum T_k* T_k, so the condition number is not squared."""
     if p < 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     return linalg.schatten_from_singulars(

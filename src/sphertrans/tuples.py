@@ -123,7 +123,11 @@ def tuple_power(t: OperatorTuple, k: int) -> OperatorTuple:
 
 
 def gram_sum(t: OperatorTuple) -> np.ndarray:
-    """sum_i T_i* T_i, symmetrized to be exactly Hermitian."""
+    """sum_i T_i* T_i, symmetrized to be exactly Hermitian.
+
+    Only the route-A quasinormality predicate needs this matrix itself;
+    P and its spectrum come from the stacked column (spherical_polar).
+    """
     s = np.zeros((t.n, t.n), dtype=np.complex128)
     for m in t:
         s += linalg.adjoint(m) @ m
@@ -131,8 +135,9 @@ def gram_sum(t: OperatorTuple) -> np.ndarray:
 
 
 def defect_operator(t: OperatorTuple) -> np.ndarray:
-    """P = sqrt(sum_i T_i* T_i), the PSD defect operator of the tuple."""
-    return linalg.psd_power(gram_sum(t), 0.5)
+    """P = sqrt(sum_i T_i* T_i), the PSD defect operator of the tuple, as
+    spherical_polar computes it from the SVD of the stacked column."""
+    return spherical_polar(t).p
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from sphertrans.optimize import OptimizerConfig, grid_supremum
 from sphertrans.tuples import (
     adjoint_tuple,
     block_embedding,
+    defect_operator,
     spherical_polar,
     tuple_from,
     zero_tuple,
@@ -31,6 +32,51 @@ class TestSphericalNorm:
 
     def test_zero(self):
         assert norms.spherical_norm(zero_tuple(2, 2)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_scale_far_from_one(self, scale):
+        """The norm and P come from the stacked column, never from
+        sum T_k* T_k, which underflows at 1e-170 and overflows at 1e160."""
+        base = random_tuple(2, 3, 5)
+        t = tuple_from(*(scale * m for m in base))
+        expected = scale * norms.spherical_norm(base)
+        assert abs(norms.spherical_norm(t) - expected) <= 1e-13 * expected
+        assert np.array_equal(defect_operator(t), spherical_polar(t).p)
+
+
+# (d, n, ensemble, seed, ||T||, then the spherical Schatten p-norm at
+# p = 1, 2, 3), recorded when both norms still came from sum T_k* T_k
+FROZEN_CLOSED_FORMS = (
+    (1, 2, "ginibre", 0, 0.8796227372442912, 1.1856176224839763, 0.9313264892989932,
+     0.8917966895148682),
+    (1, 5, "nilpotent", 1, 2.120937256476027, 4.440091765653414, 2.6594957761881246,
+     2.3467486465051586),
+    (1, 3, "contraction", 2, 1.0, 1.472441052883123, 1.0606265412605964, 1.0117961667920738),
+    (2, 2, "nilpotent", 3, 2.6396099745440718, 2.6396099745440718, 2.6396099745440718,
+     2.6396099745440718),
+    (2, 3, "ginibre", 4, 2.1436470352496104, 4.180308752042105, 2.6529468029250727,
+     2.3567220912692144),
+    (2, 6, "contraction", 5, 0.9999999999999999, 3.791990091461081, 1.6319138411524312,
+     1.2702418513752105),
+    (3, 4, "ginibre", 6, 2.2968356170273148, 6.324431702921054, 3.329689589358217,
+     2.756718540980918),
+    (3, 5, "nilpotent", 7, 3.754289538031636, 8.243620563614066, 4.626745186199476,
+     4.031813909995541),
+    (3, 2, "contraction", 8, 1.0, 1.5301564978354052, 1.1318418229580942, 1.047388497248612),
+    (4, 6, "ginibre", 9, 2.8364849401042576, 11.664154495108317, 4.932778946566549,
+     3.781638581681689),
+    (4, 3, "nilpotent", 10, 3.153537686463591, 4.697017618279905, 3.511001315845072,
+     3.2722615386058465),
+    (4, 5, "contraction", 11, 1.0, 3.571420034545543, 1.656056130513072, 1.306894643943961),
+)
+
+
+@pytest.mark.parametrize("d, n, ensemble, seed, op, p1, p2, p3", FROZEN_CLOSED_FORMS)
+def test_closed_forms_match_frozen_values(d, n, ensemble, seed, op, p1, p2, p3):
+    t = random_tuple(d, n, seed, ensemble)
+    got = [norms.spherical_norm(t)] + [norms.schatten_spherical_norm(t, p) for p in (1, 2, 3)]
+    for value, frozen in zip(got, (op, p1, p2, p3)):
+        assert abs(value - frozen) <= 1e-14 * frozen
 
 
 class TestEuclideanNorm:
