@@ -98,25 +98,25 @@ def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t: float) -> np.
     return (vectors * powered) @ adjoint(vectors)
 
 
-def _clipped_power(p: np.ndarray, r: float) -> np.ndarray:
-    """P^r with the roundoff clipping that psd_power documents."""
+def psd_powers(p: np.ndarray):
+    """r -> P^r for PSD P and r >= 0, every power from one eigendecomposition.
+    Eigenvalues in [-clip, 0) with clip = PSD_CLIP_RTOL * ||P||_op are
+    clipped to zero; anything more negative raises NotPSDError."""
     eig = hermitian_eig(p)
     vals = eig.values
     clip = PSD_CLIP_RTOL * (vals[-1] if vals[-1] > 0 else 0.0)
     if vals[0] < -clip - np.finfo(float).eps:
         raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{clip:.3e}")
-    return psd_power_from_eig(np.clip(vals, 0.0, None), eig.vectors, r)
+    vals = np.clip(vals, 0.0, None)
+    return lambda r: psd_power_from_eig(vals, eig.vectors, r)
 
 
 def psd_power(p: np.ndarray, t: float) -> np.ndarray:
-    """P^t for PSD P and t in [0, 1], via eigendecomposition.
-
-    Eigenvalues in [-clip, 0) with clip = PSD_CLIP_RTOL * ||P||_op are
-    clipped to zero; anything more negative raises NotPSDError.
-    """
+    """P^t for PSD P and t in [0, 1], via eigendecomposition, clipped as
+    psd_powers documents."""
     if not 0.0 <= t <= 1.0:
         raise InvalidParameterError(f"power exponent t={t} outside [0, 1]")
-    return _clipped_power(p, t)
+    return psd_powers(p)(t)
 
 
 def psd_power_any(p: np.ndarray, r: float) -> np.ndarray:
@@ -127,7 +127,7 @@ def psd_power_any(p: np.ndarray, r: float) -> np.ndarray:
     """
     if r < 0.0:
         raise InvalidParameterError(f"power exponent r={r} must be >= 0")
-    return _clipped_power(p, r)
+    return psd_powers(p)(r)
 
 
 def svd(a: np.ndarray):

@@ -1,14 +1,14 @@
 """Scalar functionals of operator tuples.
 
 Closed-form quantities (spherical, Euclidean and Schatten norms) come
-straight from explicit SVD/eigendecompositions; the spherical norms read
-the spectrum of P from one SVD of the stacked column.  Supremum quantities
-(hypo-norms, joint radii) are estimated with sphere_optimize; each
-passes a bare minorize-maximize step derived from the dual element of
-the norm being maximized, costing one small batched factorization, and
-sphere_optimize accelerates it with SQUAREM.  The operator hypo-norm is
-the p = inf case of the Schatten hypo-p-norm, with the dual element
-taken on the top singular pair only.
+straight from explicit SVDs; P's spectrum is the singular values of the
+stacked column.  Supremum quantities (hypo-norms, joint radii) are
+estimated with sphere_optimize; each passes a bare minorize-maximize
+step derived from the dual element of the norm being maximized, costing
+one small batched factorization, and sphere_optimize accelerates it
+with SQUAREM.  The operator hypo-norm is the p = inf case of the
+Schatten hypo-p-norm, with the dual element taken on the top singular
+pair only.
 
 The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
 M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
@@ -55,8 +55,7 @@ def euclidean_norm(t: OperatorTuple) -> float:
 
 def schatten_spherical_norm(t: OperatorTuple, p: float) -> float:
     """[tr(P^p)]^(1/p), p in [1, inf], from the singular values of the
-    stacked column: they are P's eigenvalues, computed without forming
-    sum T_k* T_k, so the condition number is not squared."""
+    stacked column: P's eigenvalues, without forming sum T_k* T_k."""
     if p < 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     return linalg.schatten_from_singulars(

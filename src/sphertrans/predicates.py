@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotCommutingError
+from .errors import DimensionMismatchError, NotCommutingError
 from .norms import spherical_norm
 from .tuples import (
     OperatorTuple,
@@ -46,8 +46,12 @@ def _result(residual: float, tol: float) -> PredicateResult:
     return PredicateResult(flag=residual <= tol, residual=float(residual), tol=tol)
 
 
-def _single(a) -> OperatorTuple:
-    return OperatorTuple(matrices=(a,))
+def _square_and_tol(a, tol: float | None):
+    """A as a square matrix, and tol or the default of the 1-tuple (A)."""
+    a = linalg.as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    return a, tol if tol is not None else PREDICATE_RTOL * (1.0 + linalg.operator_norm(a) ** 2)
 
 
 def is_commuting(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
@@ -63,8 +67,7 @@ def is_commuting(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
 
 
 def is_normal_single(a, tol: float | None = None) -> PredicateResult:
-    a = linalg.as_matrix(a)
-    tol = _default_tol(_single(a), tol)
+    a, tol = _square_and_tol(a, tol)
     return _result(
         linalg.operator_norm(linalg.adjoint(a) @ a - a @ linalg.adjoint(a)), tol
     )
@@ -81,16 +84,14 @@ def is_normal_tuple(t: OperatorTuple, tol: float | None = None) -> PredicateResu
 
 def is_quasinormal_single(a, tol: float | None = None) -> PredicateResult:
     """||A (A*A) - (A*A) A||_op, i.e. A commutes with A*A."""
-    a = linalg.as_matrix(a)
-    tol = _default_tol(_single(a), tol)
+    a, tol = _square_and_tol(a, tol)
     s = linalg.adjoint(a) @ a
     return _result(linalg.operator_norm(a @ s - s @ a), tol)
 
 
 def is_hyponormal_single(a, tol: float | None = None) -> PredicateResult:
     """Residual = most negative eigenvalue of A*A - AA*, clipped at 0."""
-    a = linalg.as_matrix(a)
-    tol = _default_tol(_single(a), tol)
+    a, tol = _square_and_tol(a, tol)
     gap = linalg.adjoint(a) @ a - a @ linalg.adjoint(a)
     low = float(np.linalg.eigvalsh((gap + linalg.adjoint(gap)) / 2.0)[0])
     return _result(max(0.0, -low), tol)

@@ -47,8 +47,6 @@ from .norms import (
     joint_numerical_radius,
     schatten_hypo_norm,
     schatten_numerical_radius,
-    schatten_spherical_norm,
-    spherical_norm,
 )
 from .optimize import OptimizerConfig
 from .predicates import is_normal_tuple, is_square_zero
@@ -70,6 +68,7 @@ _LAMBDA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 _SHARP_P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 # lambda means that are bitwise equal to a named transform (or T itself)
 _LAMBDA_ALIASES = {0.0: "T.dug", 0.5: "T.mean", 1.0: "T"}
+_LAMBDA_OWN = tuple(lam for lam in _LAMBDA_GRID if lam not in _LAMBDA_ALIASES)
 
 _SUITE_OPT = OptimizerConfig(n_random_starts=8)
 
@@ -119,20 +118,14 @@ def _sample_heinz_triple(rng, n):
     return a, b, x
 
 
-def _psd_powers(a):
-    eig = linalg.hermitian_eig(a)
-    values = np.clip(eig.values, 0.0, None)
-    return lambda s: linalg.psd_power_from_eig(values, eig.vectors, s)
-
-
 class _Heinz:
     """A PSD pair (A, B) around X and its Heinz products at nu;
     norm(name, p) is the operator norm (p None) or the Schatten p-norm of
     one product, memoized."""
 
     def __init__(self, a, b, x, nu, apow=None, bpow=None):
-        apow = apow or _psd_powers(a)
-        bpow = bpow or _psd_powers(b)
+        apow = apow or linalg.psd_powers(a)
+        bpow = bpow or linalg.psd_powers(b)
         self.a, self.b, self.x, self.r0 = a, b, x, min(nu, 1.0 - nu)
         one_sided = apow(nu) @ x @ bpow(1.0 - nu)
         ax, xb = a @ x, x @ b
@@ -200,7 +193,7 @@ def _sample_equality(s, rng, base):
         nu = 0.25
     # an intertwined triple: B = U* A U and X = c(A) U give AX = XB
     a = random_psd(n, rng)
-    apow = _psd_powers(a)
+    apow = linalg.psd_powers(a)
     u = np.linalg.qr(
         (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     )[0]
@@ -269,7 +262,8 @@ class _Store:
     "<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or
     the square), or by a float lam (the lambda mean of T).  norm and hypo
     read the lambda means at 0, 1/2 and 1 under their _LAMBDA_ALIASES
-    names, so each is estimated once.
+    names, so each is estimated once.  norm reads every spherical and
+    Schatten norm of a tuple from one spectrum of its stacked column.
     """
 
     t_aluthge = 0.5      # the Aluthge exponent; the zero suite draws its own
@@ -292,32 +286,22 @@ class _Store:
         return self.d ** (1.0 / self.p)
 
     @cached_property
-    def lam_svals(self) -> dict:
-        """Singular values of every lambda mean of T, from one batched SVD."""
-        lams = np.array(_LAMBDA_GRID)[:, None, None, None]
-        grid = lams * self.T.array + (1.0 - lams) * self.tup("T.dug").array
-        svals = np.linalg.svd(grid.reshape(-1, self.d * self.n, self.n), compute_uv=False)
-        return dict(zip(_LAMBDA_GRID, svals))
+    def psd_powers(self) -> list:
+        """r -> A^r for each matrix A of the PSD family, then for their sum,
+        each from one eigendecomposition shared by both exponents."""
+        return [linalg.psd_powers(m) for m in (*self.family, sum(self.family))]
 
-    @cached_property
-    def psd_total(self):
-        total = self.family[0].copy()
-        for m in self.family[1:]:
-            total += m
-        return (total + linalg.adjoint(total)) / 2.0
-
-    def polar(self, base: str):
-        key = ("polar", base)
-        if key not in self.memo:
-            self.memo[key] = spherical_polar(getattr(self, base))
-        return self.memo[key]
-
-    def tup(self, name) -> OperatorTuple:
-        key = ("tup", name)
+    def _memo(self, key, build):
         got = self.memo.get(key)
         if got is None:
-            got = self.memo[key] = self._build(name)
+            got = self.memo[key] = build()
         return got
+
+    def polar(self, base: str):
+        return self._memo(("polar", base), lambda: spherical_polar(getattr(self, base)))
+
+    def tup(self, name) -> OperatorTuple:
+        return self._memo(("tup", name), lambda: self._build(name))
 
     def _build(self, name) -> OperatorTuple:
         if not isinstance(name, str):
@@ -336,16 +320,25 @@ class _Store:
             return lambda_mean_from_polar(getattr(self, base), polar, 0.5)
         return duggal_from_polar(polar)
 
+    def spectrum(self, name) -> np.ndarray:
+        """The singular values of a tuple's stacked column, descending; the
+        lambda means not aliased to a name share one batched SVD."""
+        key = ("spectrum", name)
+        if key not in self.memo:
+            if isinstance(name, str):
+                self.memo[key] = np.linalg.svd(self.tup(name).stacked(), compute_uv=False)
+            else:
+                lams = np.array(_LAMBDA_OWN)[:, None, None, None]
+                grid = lams * self.T.array + (1.0 - lams) * self.tup("T.dug").array
+                svals = np.linalg.svd(grid.reshape(-1, self.d * self.n, self.n), compute_uv=False)
+                self.memo.update(zip([("spectrum", lam) for lam in _LAMBDA_OWN], svals))
+        return self.memo[key]
+
     def norm(self, name, p: float | None = None) -> float:
         """The spherical norm (p None) or Schatten p-norm of a tuple."""
         name = _LAMBDA_ALIASES.get(name, name)
-        key = ("norm", name, p)
-        got = self.memo.get(key)
-        if got is None:
-            t = self.tup(name)
-            got = self.memo[key] = spherical_norm(t) if p is None \
-                else schatten_spherical_norm(t, p)
-        return got
+        return self._memo(("norm", name, p), lambda: linalg.schatten_from_singulars(
+            self.spectrum(name), np.inf if p is None else p))
 
     def hypo(self, name, p: float | None = None) -> float:
         """The (Schatten p-) hypo-norm estimate of a tuple."""
@@ -357,10 +350,7 @@ class _Store:
 
     def _sup(self, key) -> float:
         self.reads.append(key)
-        est = self.memo.get(key)
-        if est is None:
-            est = self.memo[key] = self._estimate(key, self.cfg.opt)
-        return est.value
+        return self._memo(key, lambda: self._estimate(key, self.cfg.opt)).value
 
     def _estimate(self, key, opt: OptimizerConfig, warm=()):
         kind, name, p = key
@@ -490,11 +480,11 @@ def _refined(h, p):
 
 
 def _power_of_sum(s, r):
-    return linalg.schatten_norm(linalg.psd_power_any(s.psd_total, r), s.p)
+    return linalg.schatten_norm(s.psd_powers[-1](r), s.p)
 
 
 def _sum_of_powers(s, r):
-    return linalg.schatten_norm(sum(linalg.psd_power_any(m, r) for m in s.family), s.p)
+    return linalg.schatten_norm(sum(power(r) for power in s.psd_powers[:-1]), s.p)
 
 
 def _normal_note(s):
@@ -586,12 +576,12 @@ TABLE = (
         index="norm", fp="nu", artifact="triple"),
     # s3: Schatten-p chains, all closed form
     Row("sp.lambda_mean.scaled_convex", "s3", "le",
-        lambda s, i: linalg.schatten_from_singulars(s.lam_svals[i], s.p),
+        lambda s, i: s.norm(i, s.p),
         lambda s, i: (i + (1.0 - i) * s.droot) * s.norm("T", s.p),
         "lambda-mean p-norm below (lam + (1-lam) d^(1/p)) times the tuple p-norm",
         index="lambda"),
     Row("s2norm.lambda_mean.min_bound", "s3", "le",
-        lambda s, i: linalg.schatten_from_singulars(s.lam_svals[i], 2.0),
+        lambda s, i: s.norm(i, 2.0),
         lambda s, i: (i + (1.0 - i) * np.sqrt(min(s.n, s.d))) * s.norm("T", 2.0),
         "lambda-mean 2-norm below (lam + (1-lam) sqrt(min(n,d))) times the tuple 2-norm",
         index="lambda"),

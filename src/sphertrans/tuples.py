@@ -3,7 +3,9 @@
 A d-tuple T = (T_1, ..., T_d) of n x n complex matrices is viewed as the
 column operator stacking the T_i.  Its defect operator is
 P = sqrt(T_1* T_1 + ... + T_d* T_d), and T_i = V_i P with V the spherical
-partial isometry obtained from the spectral pseudoinverse of P.
+partial isometry obtained from the spectral pseudoinverse of P.  P has
+one numerical route, the SVD of the stacked dn x n column, which never
+forms sum T_i* T_i and so does not square its condition number.
 
 An OperatorTuple owns one read-only (d, n, n) complex128 array, validated
 once when the tuple is built; its coordinates are views into that array,
@@ -123,11 +125,8 @@ def tuple_power(t: OperatorTuple, k: int) -> OperatorTuple:
 
 
 def gram_sum(t: OperatorTuple) -> np.ndarray:
-    """sum_i T_i* T_i, symmetrized to be exactly Hermitian.
-
-    Only the route-A quasinormality predicate needs this matrix itself;
-    P and its spectrum come from the stacked column (spherical_polar).
-    """
+    """sum_i T_i* T_i, symmetrized to be exactly Hermitian; P never
+    comes from it (see spherical_polar)."""
     s = np.zeros((t.n, t.n), dtype=np.complex128)
     for m in t:
         s += linalg.adjoint(m) @ m
@@ -135,8 +134,7 @@ def gram_sum(t: OperatorTuple) -> np.ndarray:
 
 
 def defect_operator(t: OperatorTuple) -> np.ndarray:
-    """P = sqrt(sum_i T_i* T_i), the PSD defect operator of the tuple, as
-    spherical_polar computes it from the SVD of the stacked column."""
+    """The PSD defect operator P = sqrt(sum_i T_i* T_i): spherical_polar(t).p, read-only."""
     return spherical_polar(t).p
 
 
@@ -175,20 +173,20 @@ class SphericalPolar:
         return q @ linalg.adjoint(q)
 
 
-def spherical_polar(t: OperatorTuple, rank_rtol: float = RANK_RTOL) -> SphericalPolar:
+def spherical_polar(t: OperatorTuple) -> SphericalPolar:
     """Compute T = V P with V_i = T_i P^+ (spectral pseudoinverse).
 
     P's spectral data comes from the SVD of the stacked dn x n column:
     its singular values are P's eigenvalues computed without forming
     sum T_i* T_i, so roundoff kernels sit at eps level and the rank cut
-    at rank_rtol * ||P|| separates them cleanly.  Eigenvalues at or
+    at RANK_RTOL * ||P|| separates them cleanly.  Eigenvalues at or
     below the cut are truncated to exact zeros, making fractional powers
     vanish on the numerical kernel.
     """
     u, svals, wh = np.linalg.svd(t.stacked(), full_matrices=False)
     pvals = svals[::-1].copy()               # ascending
     q = linalg.adjoint(wh)[:, ::-1]          # matching eigenvector columns
-    tol = rank_rtol * (pvals[-1] if pvals[-1] > 0 else 0.0)
+    tol = RANK_RTOL * (pvals[-1] if pvals[-1] > 0 else 0.0)
     keep = pvals > tol
     pvals = np.where(keep, pvals, 0.0)
     p = (q * pvals) @ linalg.adjoint(q)

@@ -87,6 +87,19 @@ class TestPsdPower:
         cube = linalg.psd_power_any(p, 3.0)
         assert linalg.operator_norm(cube - p @ p @ p) <= 1e-10
 
+    def test_all_powers_from_one_factorization(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        p = random_psd_matrix(rng, 4)
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        powers = linalg.psd_powers(p)
+        for r in (0.0, 0.3, 1.0, 2.5):
+            assert np.array_equal(powers(r), linalg.psd_power_any(p, r))
+        assert len(calls) == 1 + 4
+        with pytest.raises(NotPSDError):
+            linalg.psd_powers(np.diag([1.0, -0.5]))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 4),
            p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 5.0]))
@@ -144,6 +157,11 @@ class TestNorms:
     def test_rejects_p_below_one(self):
         with pytest.raises(InvalidPError):
             linalg.schatten_norm(np.eye(2), 0.5)
+
+    def test_p_inf_is_the_top_singular_value(self):
+        s = np.array([3.0, 2.0, 2.0, 0.0])
+        assert linalg.schatten_from_singulars(s, np.inf) == 3.0
+        assert linalg.schatten_from_singulars(np.zeros(3), np.inf) == 0.0
 
     def test_operator_norm_is_top_singular_value(self):
         a = cmat([[0, 3], [0, 0]])

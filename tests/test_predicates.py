@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphertrans import predicates
+from sphertrans.norms import spherical_norm
 from sphertrans.ensembles import random_normal_tuple, random_tuple
-from sphertrans.errors import NotCommutingError
+from sphertrans.errors import DimensionMismatchError, NotCommutingError
 from sphertrans.tuples import tuple_from, zero_tuple
 
 from conftest import cmat, random_matrix
@@ -49,6 +50,23 @@ class TestSingleOperatorPredicates:
             normal = predicates.is_normal_single(a)
             if hypo.flag:
                 assert normal.residual <= normal.tol
+
+
+    def test_default_tolerance_is_the_one_tuple_default(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 6):
+            a = random_matrix(rng, n)
+            tol = predicates.PREDICATE_RTOL * (1.0 + spherical_norm(tuple_from(a)) ** 2)
+            for pred in (predicates.is_normal_single, predicates.is_quasinormal_single,
+                         predicates.is_hyponormal_single):
+                assert pred(a).tol == tol
+                assert pred(a, 0.5).tol == 0.5
+
+    def test_rejects_non_square(self):
+        for pred in (predicates.is_normal_single, predicates.is_quasinormal_single,
+                     predicates.is_hyponormal_single):
+            with pytest.raises(DimensionMismatchError):
+                pred(np.ones((2, 3)), 0.5)
 
 
 class TestTuplePredicates:

@@ -200,6 +200,31 @@ class TestS2LambdaAliases:
         assert set(calls.values()) == {1}
 
 
+class TestOneSpectrumPerTuple:
+    @pytest.mark.parametrize("suite", ["s3", "s2"])
+    def test_each_stacked_column_is_factorized_once(self, monkeypatch, suite):
+        """Over one trial (for s3 one with p != 2) every named tuple's stacked
+        column has one SVD for its spectrum, and T one more, with vectors,
+        for its polar decomposition; the other lambda means share a batched
+        SVD."""
+        cfg = SuiteConfig(trials=1, seed=42)
+        trial = next(k for k in range(20) if _Store(suite, cfg, k).p != 2.0)
+        s = _Store(suite, cfg, trial)
+        names = ("T", "T.dug", "T.alu", "T.hz", "T.mean")
+        columns = {s.tup(name).stacked().tobytes(): name for name in names}
+        calls = collections.Counter()
+        real = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 2 and a.tobytes() in columns:
+                calls[columns[a.tobytes()], kwargs.get("compute_uv", True)] += 1
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        _trial_records(suite, cfg, trial)
+        assert calls == {**{(name, False): 1 for name in names}, ("T", True): 1}
+
+
 class TestCheckHelpers:
     def test_plain_pass_fail(self):
         recs = [_judge("le", lambda s: 1.0, lambda s: 2.0, "tol"),
