@@ -161,7 +161,7 @@ def _cmd_norms(args) -> int:
     doc = _load_tuple(args.input)
     p_list = args.p if args.p else [2.0]
     for p in p_list:
-        if p < 1.0:
+        if not p >= 1.0:
             print(f"error: --p {p} must be >= 1", file=sys.stderr)
             return EXIT_PARAMS
     rows = _norm_rows(doc.tuple, p_list)
@@ -241,8 +241,7 @@ def _cmd_verify(args) -> int:
         if args.report:
             path = args.report
             if len(suites) > 1:
-                path = f"{args.report}.{name}.json" if not args.report.endswith(".json") \
-                    else args.report.replace(".json", f".{name}.json")
+                path = f"{args.report.removesuffix('.json')}.{name}.json"
             try:
                 write_report(report, path)
             except OSError as exc:

@@ -125,7 +125,7 @@ def psd_power_any(p: np.ndarray, r: float) -> np.ndarray:
     psd_power keeps the transform contract (exponent in [0, 1]); this
     helper serves checks that need larger matrix powers.
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise InvalidParameterError(f"power exponent r={r} must be >= 0")
     return psd_powers(p)(r)
 
@@ -155,7 +155,7 @@ def operator_norm(a: np.ndarray) -> float:
 def schatten_from_singulars(s: np.ndarray, p: float) -> float:
     """(sum s_j^p)^(1/p) of descending singular values s, scaled by the top
     value for stability; p = inf gives the top value."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     top = float(s[0]) if len(s) else 0.0
     if top <= 0.0:

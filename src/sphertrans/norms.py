@@ -56,8 +56,6 @@ def euclidean_norm(t: OperatorTuple) -> float:
 def schatten_spherical_norm(t: OperatorTuple, p: float) -> float:
     """[tr(P^p)]^(1/p), p in [1, inf], from the singular values of the
     stacked column: P's eigenvalues, without forming sum T_k* T_k."""
-    if p < 1.0:
-        raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     return linalg.schatten_from_singulars(
         np.linalg.svd(t.stacked(), compute_uv=False), p
     )
@@ -120,11 +118,8 @@ def _hypo_p_norm(
     mats = t.array
     flat = mats.reshape(t.d, -1)
 
-    def batch_objective(rows):
+    def objective(rows):
         return _batch_schatten(np.linalg.svd(_combine(mats, rows), compute_uv=False), p)
-
-    def objective(lam):
-        return float(batch_objective(lam[None, :])[0])
 
     def ascend(rows):
         u, s, vh = np.linalg.svd(_combine(mats, rows))
@@ -133,14 +128,7 @@ def _hypo_p_norm(
         a = np.conj(dual).reshape(len(rows), -1) @ flat.T
         return vals, power_step(rows, a)
 
-    return sphere_optimize(
-        objective,
-        t.d,
-        config,
-        ascend=ascend,
-        batch_objective=batch_objective,
-        warm_starts=warm_starts,
-    )
+    return sphere_optimize(objective, t.d, config, ascend=ascend, warm_starts=warm_starts)
 
 
 def hypo_norm(
@@ -159,7 +147,7 @@ def schatten_hypo_norm(
     warm_starts=(),
 ) -> SupremumEstimate:
     """sup over the coefficient ball of the Schatten p-norm of sum lam_k T_k."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     return _hypo_p_norm(t, p, config, warm_starts)
 
@@ -211,11 +199,8 @@ def _real_part_sup(
     """
     mats = t.array
 
-    def batch_objective(rows):
+    def objective(rows):
         return _real_part_norms(mats, rows, p)
-
-    def objective(lam):
-        return float(batch_objective(lam[None, :])[0])
 
     def ascend(rows):
         h, q = np.linalg.eigh(_real_parts(mats, rows))
@@ -227,15 +212,8 @@ def _real_part_sup(
         a = np.einsum("sij,kji->sk", dual, mats)
         return vals, power_step(rows, a)
 
-    est = sphere_optimize(
-        objective,
-        t.d,
-        config,
-        ascend=ascend,
-        batch_objective=batch_objective,
-        phase_invariant=False,
-        warm_starts=warm_starts,
-    )
+    est = sphere_optimize(objective, t.d, config, ascend=ascend,
+                          phase_invariant=False, warm_starts=warm_starts)
     return _reported_at(est, est.argmax.coeffs, est.value)
 
 
@@ -262,9 +240,6 @@ def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumE
     def coeffs_for(xs):
         return np.einsum("si,kij,sj->sk", np.conj(xs), mats, xs)
 
-    def objective(x):
-        return float(np.linalg.norm(coeffs_for(x[None, :])[0]))
-
     def ascend(xs):
         c = coeffs_for(xs)
         vals = np.linalg.norm(c, axis=1)
@@ -274,7 +249,8 @@ def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumE
         nxt[vals <= 0.0] = xs[vals <= 0.0]
         return vals, nxt
 
-    est = sphere_optimize(objective, t.n, config, ascend=ascend)
+    est = sphere_optimize(lambda xs: np.linalg.norm(coeffs_for(xs), axis=1), t.n, config,
+                          ascend=ascend)
     c = coeffs_for(est.argmax.coeffs[None, :])[0]
     nc = np.linalg.norm(c)
     lam = np.conj(c) / nc if nc > 0 else np.full(t.d, 1.0 / np.sqrt(t.d), dtype=np.complex128)
@@ -331,6 +307,6 @@ def schatten_numerical_radius(
     and theta is the phase the gauge removed from the winner, so value
     is the exact evaluation ||Re(e^{i theta} M(argmax))||_p.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     return _real_part_sup(t, p, config, warm_starts)

@@ -7,10 +7,12 @@ the sphere.  sphere_optimize performs deterministic multistart local
 ascent there and reports a certified LOWER bound: the returned value is
 always an exact evaluation of the objective at the returned point.
 
-Callers pass a bare minorize-maximize step (a batched map that does not
-lower the objective, e.g. the power-type step derived from a norm's dual
-element).  The driver accelerates it with SQUAREM and iterates to a step
-tolerance; there is no derivative-free search and no polish.
+Callers pass a batched objective, mapping an (S, d) batch of unit rows
+to (S,) values, and a bare minorize-maximize step (a batched map that
+does not lower the objective, e.g. the power-type step derived from a
+norm's dual element).  The driver accelerates the step with SQUAREM and
+iterates to a step tolerance; there is no derivative-free search and no
+polish.
 
 Rows ascend without the phase gauge.  For a phase-invariant objective
 (the hypo-norms) the driver rotates each next row to the phase of its
@@ -56,7 +58,6 @@ class OptimizerConfig:
     """Deterministic multistart settings; all randomness flows from seed."""
 
     n_random_starts: int = 32
-    step_tol: float = 1e-9
     max_iters: int = 120
     seed: int = 42
     grid_points: int = 0        # random screening points prepended as starts
@@ -128,13 +129,10 @@ def _sphere_points(rng: np.random.Generator, count: int, d: int, gauge=True) -> 
     return gauge_fix(pts) if gauge else pts
 
 
-def _evaluate_chunked(objective, batch_objective, points: np.ndarray) -> np.ndarray:
-    if batch_objective is not None:
-        vals = []
-        for lo in range(0, len(points), 8192):
-            vals.append(np.asarray(batch_objective(points[lo:lo + 8192]), dtype=float))
-        return np.concatenate(vals) if vals else np.zeros(0)
-    return np.array([objective(p) for p in points], dtype=float)
+def _evaluate_chunked(objective, points: np.ndarray) -> np.ndarray:
+    """The objective at each row of points, 8192 rows per call."""
+    return np.concatenate([np.asarray(objective(points[lo:lo + 8192]), dtype=float)
+                           for lo in range(0, len(points), 8192)])
 
 
 def sphere_optimize(
@@ -143,21 +141,21 @@ def sphere_optimize(
     config: OptimizerConfig | None = None,
     *,
     ascend=None,
-    batch_objective=None,
     phase_invariant=True,
     warm_starts=(),
 ) -> SupremumEstimate:
     """Estimate sup over the unit sphere of C^d of an objective.
 
-    objective maps a (d,) complex unit vector to a float.  ascend maps an
-    (S, d) batch of unit rows to (values, next rows), with values the
-    exact objective at the input rows and the next rows not worse.  It is
-    required unless the gauge leaves a single point (d = 1 and
-    phase_invariant).  The driver accelerates it with SQUAREM and keeps
-    the best evaluation seen, so a merely stationary map stays sound.
-    batch_objective maps (S, d) to (S,) and is used to screen
-    config.grid_points random points and, for an objective that is not
-    phase-invariant, the start phases.
+    objective maps an (S, d) batch of complex unit rows to their (S,)
+    float values.  The driver calls it to screen config.grid_points
+    random points, 8192 rows at a time, to pick the start phases of an
+    objective that is not phase-invariant, and to value the winner as a
+    one-row batch.  ascend maps an (S, d) batch of unit rows to
+    (values, next rows), with values the exact objective at the input
+    rows and the next rows not worse.  It is required unless the gauge
+    leaves a single point (d = 1 and phase_invariant).  The driver
+    accelerates it with SQUAREM and keeps the best evaluation seen, so a
+    merely stationary map stays sound.
 
     phase_invariant says objective(e^{i phi} lam) == objective(lam).
     Then each next row is rotated to the phase of its current row, the
@@ -170,10 +168,8 @@ def sphere_optimize(
     cfg = config or OptimizerConfig()
     if d == 1 and phase_invariant:
         lam = np.ones(1, dtype=np.complex128)
-        val = float(objective(lam))
-        return SupremumEstimate(
-            value=val, argmax=BallPoint(lam), starts=1, converged=True, spread=0.0
-        )
+        return SupremumEstimate(value=float(objective(lam[None, :])[0]), argmax=BallPoint(lam),
+                                starts=1, converged=True, spread=0.0)
     if ascend is None:
         raise ValueError("sphere_optimize needs an ascent map for d > 1")
 
@@ -186,7 +182,7 @@ def sphere_optimize(
         blocks.append(_sphere_points(rng, cfg.n_random_starts, d, phase_invariant))
     if cfg.grid_points > 0:
         pts = _sphere_points(rng, cfg.grid_points, d, phase_invariant)
-        vals = _evaluate_chunked(objective, batch_objective, pts)
+        vals = _evaluate_chunked(objective, pts)
         top = np.argsort(vals)[::-1][:16]
         blocks.append(pts[top])
     starts = np.vstack(blocks)
@@ -194,7 +190,7 @@ def sphere_optimize(
     if not phase_invariant:
         # objective(-lam) == objective(lam), so phases in [0, pi) suffice
         phased = starts[:, None, :] * np.exp(1j * np.pi * np.arange(4) / 4)[:, None]
-        vals = _evaluate_chunked(objective, batch_objective, phased.reshape(-1, d))
+        vals = _evaluate_chunked(objective, phased.reshape(-1, d))
         starts = phased[np.arange(n_starts), np.argmax(vals.reshape(n_starts, 4), axis=1)]
 
     best_vals, best_pts, converged = _run_ascent(ascend, starts, cfg, phase_invariant)
@@ -203,7 +199,7 @@ def sphere_optimize(
     win_pt = gauge_fix(best_pts[winner]) if phase_invariant else best_pts[winner]
     conv_vals = best_vals[converged] if converged.any() else best_vals
     return SupremumEstimate(
-        value=float(objective(win_pt)),
+        value=float(objective(win_pt[None, :])[0]),
         argmax=BallPoint(win_pt),
         starts=n_starts,
         converged=bool(converged[winner]),
@@ -254,14 +250,16 @@ def _squarem(step, rows: np.ndarray, phase_invariant: bool):
 
 
 _STALL_LIMIT = 6
+_STEP_TOL = 1e-9
 
 
 def _run_ascent(step, starts: np.ndarray, cfg: OptimizerConfig, phase_invariant: bool):
-    """Iterate the SQUAREM-accelerated step; rows retire on small steps or
-    when their value plateaus for _STALL_LIMIT consecutive iterations (the
-    step direction can dither at nonsmooth points while the value has
-    converged).  For a phase-invariant objective the next rows are phase
-    aligned, so the step length is the phase-invariant distance.
+    """Iterate the SQUAREM-accelerated step; rows retire on steps below
+    _STEP_TOL or when their value plateaus for _STALL_LIMIT consecutive
+    iterations (the step direction can dither at nonsmooth points while
+    the value has converged).  For a phase-invariant objective the next
+    rows are phase aligned, so the step length is the phase-invariant
+    distance.
     """
     current = starts.copy()
     n = len(current)
@@ -279,7 +277,7 @@ def _run_ascent(step, starts: np.ndarray, cfg: OptimizerConfig, phase_invariant:
         best_vals[idx] = vals[better]
         best_pts[idx] = current[idx]
         steps = np.linalg.norm(nxt - current[active], axis=1)
-        retire = (steps < cfg.step_tol) | (stall[active] >= _STALL_LIMIT)
+        retire = (steps < _STEP_TOL) | (stall[active] >= _STALL_LIMIT)
         converged[active[retire]] = True
         keep = ~retire
         current[active[keep]] = nxt[keep]

@@ -42,6 +42,7 @@ from .ensembles import (
     random_psd,
     random_tuple,
 )
+from .errors import InvalidParameterError
 from .norms import (
     hypo_norm,
     joint_numerical_radius,
@@ -57,7 +58,7 @@ from .transforms import (
     heinz_from_polar,
     lambda_mean_from_polar,
 )
-from .tuples import OperatorTuple, spherical_polar, tuple_power
+from .tuples import OperatorTuple, spherical_polar, tuple_from, tuple_power
 
 WORKERS_ENV = "SPHERTRANS_WORKERS"
 
@@ -119,9 +120,9 @@ def _sample_heinz_triple(rng, n):
 
 
 class _Heinz:
-    """A PSD pair (A, B) around X and its Heinz products at nu;
-    norm(name, p) is the operator norm (p None) or the Schatten p-norm of
-    one product, memoized."""
+    """A PSD pair (A, B) around X, its Heinz products at nu and
+    r0 = min(nu, 1 - nu).  The store reads each product's norms from one
+    spectrum, under names such as "triple.half" and "generic.outer"."""
 
     def __init__(self, a, b, x, nu, apow=None, bpow=None):
         apow = apow or linalg.psd_powers(a)
@@ -137,15 +138,6 @@ class _Heinz:
             "xb": xb,
             "outer": ax + xb,
         }
-        self._norms: dict = {}
-
-    def norm(self, name: str, p: float | None) -> float:
-        key = (name, p)
-        if key not in self._norms:
-            m = self.products[name]
-            self._norms[key] = linalg.operator_norm(m) if p is None \
-                else linalg.schatten_norm(m, p)
-        return self._norms[key]
 
 
 def _sample_s2(s, rng, base):
@@ -260,10 +252,11 @@ class _Store:
 
     Tuples are named "T", "normal", ... (a sampled tuple),
     "<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or
-    the square), or by a float lam (the lambda mean of T).  norm and hypo
-    read the lambda means at 0, 1/2 and 1 under their _LAMBDA_ALIASES
-    names, so each is estimated once.  norm reads every spherical and
-    Schatten norm of a tuple from one spectrum of its stacked column.
+    the square), "<heinz>.<product>" (a _Heinz product, as a 1-tuple), or
+    by a float lam (the lambda mean of T).  norm and hypo read the lambda
+    means at 0, 1/2 and 1 under their _LAMBDA_ALIASES names, so each is
+    estimated once.  norm reads every spherical, Schatten and product
+    norm of a tuple from one spectrum of its stacked column.
     """
 
     t_aluthge = 0.5      # the Aluthge exponent; the zero suite draws its own
@@ -307,17 +300,20 @@ class _Store:
         if not isinstance(name, str):
             return lambda_mean_from_polar(self.T, self.polar("T"), name)
         base, _, kind = name.partition(".")
+        obj = getattr(self, base)
         if not kind:
-            return getattr(self, base)
+            return obj
+        if isinstance(obj, _Heinz):
+            return tuple_from(obj.products[kind])
         if kind == "sq":
-            return tuple_power(getattr(self, base), 2)
+            return tuple_power(obj, 2)
         polar = self.polar(base)
         if kind == "alu":
             return generalized_aluthge_from_polar(polar, self.t_aluthge)
         if kind == "hz":
             return heinz_from_polar(polar, self.t)
         if kind == "mean":
-            return lambda_mean_from_polar(getattr(self, base), polar, 0.5)
+            return lambda_mean_from_polar(obj, polar, 0.5)
         return duggal_from_polar(polar)
 
     def spectrum(self, name) -> np.ndarray:
@@ -475,8 +471,9 @@ def _root(lam):
     return 2.0 * np.sqrt(max(lam - lam * lam, 0.0))
 
 
-def _refined(h, p):
-    return 4.0 * h.r0 * h.norm("half", p) + (1.0 - 2.0 * h.r0) * h.norm("outer", p)
+def _refined(s, p):
+    r0 = s.triple.r0
+    return 4.0 * r0 * s.norm("triple.half", p) + (1.0 - 2.0 * r0) * s.norm("triple.outer", p)
 
 
 def _power_of_sum(s, r):
@@ -492,7 +489,7 @@ def _normal_note(s):
 
 
 def _scale_tol(s):
-    return 1e-9 * (1.0 + s.triple.norm("outer", s.p))
+    return 1e-9 * (1.0 + s.norm("triple.outer", s.p))
 
 
 TABLE = (
@@ -554,24 +551,24 @@ TABLE = (
         "radius of interpolated transform below radius of mean transform",
         tol="opt_tol", fp="t"),
     Row("heinz_scalar.lower", "s2", "le",
-        lambda s, i: 2.0 * s.triple.norm("half", i), lambda s, i: s.triple.norm("two_sided", i),
+        lambda s, i: 2.0 * s.norm("triple.half", i), lambda s, i: s.norm("triple.two_sided", i),
         "twice the balanced product norm below the two-sided interpolated product norm",
         index="norm", fp="nu", artifact="triple"),
     Row("heinz_scalar.upper", "s2", "le",
-        lambda s, i: s.triple.norm("two_sided", i), lambda s, i: s.triple.norm("outer", i),
+        lambda s, i: s.norm("triple.two_sided", i), lambda s, i: s.norm("triple.outer", i),
         "two-sided interpolated product norm below ||AX + XB||",
         index="norm", fp="nu", artifact="triple"),
     Row("heinz_scalar.refine", "s2", "le",
-        lambda s, i: s.triple.norm("two_sided", i), lambda s, i: _refined(s.triple, i),
+        lambda s, i: s.norm("triple.two_sided", i), lambda s, i: _refined(s, i),
         "two-sided interpolated product norm below its r0-weighted refinement",
         index="norm", fp="nu", artifact="triple"),
     Row("heinz_scalar.refine_cap", "s2", "le",
-        lambda s, i: _refined(s.triple, i), lambda s, i: s.triple.norm("outer", i),
+        lambda s, i: _refined(s, i), lambda s, i: s.norm("triple.outer", i),
         "r0-weighted refinement below ||AX + XB||",
         index="norm", fp="nu", artifact="triple"),
     Row("heinz_scalar.geom_interp", "s2", "le",
-        lambda s, i: s.triple.norm("one_sided", i),
-        lambda s, i: s.triple.norm("ax", i) ** s.nu * s.triple.norm("xb", i) ** (1.0 - s.nu),
+        lambda s, i: s.norm("triple.one_sided", i),
+        lambda s, i: s.norm("triple.ax", i) ** s.nu * s.norm("triple.xb", i) ** (1.0 - s.nu),
         "one-sided interpolated product norm below the geometric mean of ||AX|| and ||XB||",
         index="norm", fp="nu", artifact="triple"),
     # s3: Schatten-p chains, all closed form
@@ -677,22 +674,22 @@ TABLE = (
         "non-normal commuting tuples: strict gap between interpolated and mean p-norms "
         "(statistical)", skip=_normal_note, artifact="comm", required_rate=0.95),
     Row("eq.scalar_heinz.intertwined.sum", "equality", "eq",
-        lambda s, i: s.triple.norm("two_sided", s.p), lambda s, i: s.triple.norm("outer", s.p),
+        lambda s, i: s.norm("triple.two_sided", s.p), lambda s, i: s.norm("triple.outer", s.p),
         "AX = XB forces equality of the two-sided interpolated product p-norm with ||AX + XB||_p",
         tol=_scale_tol, fp="nu", artifact="triple"),
     Row("eq.scalar_heinz.intertwined.half", "equality", "eq",
-        lambda s, i: 2.0 * s.triple.norm("half", s.p),
-        lambda s, i: s.triple.norm("two_sided", s.p),
+        lambda s, i: 2.0 * s.norm("triple.half", s.p),
+        lambda s, i: s.norm("triple.two_sided", s.p),
         "AX = XB forces equality of twice the balanced product p-norm with the two-sided "
         "interpolated p-norm", tol=_scale_tol, fp="nu", artifact="triple"),
     Row("eq.scalar_heinz.generic_gap.sum", "equality", "gt",
         lambda s, i: 1e-6,
-        lambda s, i: s.generic.norm("outer", s.p) - s.generic.norm("two_sided", s.p),
+        lambda s, i: s.norm("generic.outer", s.p) - s.norm("generic.two_sided", s.p),
         "generic triples: strict gap in the second scalar inequality (statistical)",
         fp="nu", artifact="generic", required_rate=0.95),
     Row("eq.scalar_heinz.generic_gap.half", "equality", "gt",
         lambda s, i: 1e-6,
-        lambda s, i: s.generic.norm("two_sided", s.p) - 2.0 * s.generic.norm("half", s.p),
+        lambda s, i: s.norm("generic.two_sided", s.p) - 2.0 * s.norm("generic.half", s.p),
         "generic triples: strict gap in the first scalar inequality (statistical)",
         fp="nu", artifact="generic", required_rate=0.95),
     # zero equivalence
@@ -771,6 +768,8 @@ _DEFAULT_TRIALS = {"s2": 500, "s3": 500, "s4": 300, "equality": 100, "zero": 100
 
 
 def resolve_workers(workers: int | None) -> int:
+    """workers if given, else SPHERTRANS_WORKERS, else the CPU count; a
+    malformed SPHERTRANS_WORKERS warns and falls back to the CPU count."""
     if workers is not None:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
@@ -778,7 +777,8 @@ def resolve_workers(workers: int | None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            warnings.warn(f"{WORKERS_ENV}={env!r} is not an integer; "
+                          "using the CPU count", RuntimeWarning, stacklevel=2)
     return os.cpu_count() or 1
 
 
@@ -791,6 +791,8 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
     """Run one suite; records are merged in trial-index order."""
     if suite not in _BLOCKS:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITE_NAMES}")
+    if cfg.trials < 1:
+        raise InvalidParameterError(f"trials={cfg.trials} must be >= 1")
     if suite == "sharpness":
         cfg = replace(cfg, trials=1)
     started = time.perf_counter()

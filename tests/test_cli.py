@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphertrans.cli import main
-from sphertrans.suites import sharp_column_pair
+from sphertrans.suites import SUITE_NAMES, sharp_column_pair
 from sphertrans.tupledoc import read_tuple, write_tuple
 
 
@@ -100,7 +100,8 @@ class TestNorms:
         assert all(abs(v) <= 1e-12 for v in out.values())
 
     def test_invalid_p_exits_3(self, sharp_file):
-        assert main(["norms", "--input", str(sharp_file), "--p", "0.5"]) == 3
+        for p in ("0.5", "nan"):
+            assert main(["norms", "--input", str(sharp_file), "--p", p]) == 3
 
 
 class TestClassify:
@@ -129,6 +130,20 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_zero_trials_exits_3(self, capsys):
+        code = main(["verify", "--suite", "s3", "--trials", "0", "--workers", "1"])
+        assert code == 3
+        assert "trials" in capsys.readouterr().err
+
+    def test_all_suites_report_suffix_replaces_only_the_last_json(self, tmp_path, capsys):
+        reports = tmp_path / "out.json.d"
+        reports.mkdir()
+        code = main(["verify", "--suite", "all", "--trials", "1", "--workers", "1",
+                     "--report", str(reports / "r.json")])
+        assert code == 1        # the sharpness suite fails by design
+        written = sorted(path.name for path in reports.iterdir())
+        assert written == sorted(f"r.{name}.json" for name in SUITE_NAMES)
+
     def test_zero_suite_exit_0(self, capsys):
         code = main(["verify", "--suite", "zero", "--trials", "10",
                      "--workers", "1"])
@@ -147,6 +162,11 @@ class TestFuzz:
         assert sum(out["histogram"]["bin_counts"]) == 5
         doc = read_tuple(witness)
         assert doc.tuple.d == out["witness_fingerprint"]["d"]
+
+    def test_fuzz_zero_trials_exits_3(self, capsys):
+        code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "0",
+                     "--workers", "1"])
+        assert code == 3
 
     def test_fuzz_unknown_id_exits_3(self, capsys):
         code = main(["fuzz", "--inequality-id", "bogus", "--trials", "2"])

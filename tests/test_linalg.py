@@ -81,6 +81,11 @@ class TestPsdPower:
         with pytest.raises(InvalidParameterError):
             linalg.psd_power(np.eye(2), 1.5)
 
+    def test_any_power_rejects_negative_or_nan_exponent(self):
+        for r in (-0.5, np.nan):
+            with pytest.raises(InvalidParameterError):
+                linalg.psd_power_any(np.eye(2), r)
+
     def test_any_power_matches_eig_route(self):
         rng = np.random.default_rng(11)
         p = random_psd_matrix(rng, 4)
@@ -155,8 +160,9 @@ class TestNorms:
             )
 
     def test_rejects_p_below_one(self):
-        with pytest.raises(InvalidPError):
-            linalg.schatten_norm(np.eye(2), 0.5)
+        for p in (0.5, np.nan):
+            with pytest.raises(InvalidPError):
+                linalg.schatten_norm(np.eye(2), p)
 
     def test_p_inf_is_the_top_singular_value(self):
         s = np.array([3.0, 2.0, 2.0, 0.0])

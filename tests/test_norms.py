@@ -271,8 +271,15 @@ class TestSchattenSphericalNorm:
         ) > 0.05
 
     def test_rejects_p_below_one(self, diag_pair):
-        with pytest.raises(InvalidPError):
-            norms.schatten_spherical_norm(diag_pair, 0.9)
+        for p in (0.9, np.nan):
+            with pytest.raises(InvalidPError):
+                norms.schatten_spherical_norm(diag_pair, p)
+
+    def test_suprema_reject_p_below_one_or_nan(self, diag_pair):
+        for quantity in (norms.schatten_hypo_norm, norms.schatten_numerical_radius):
+            for p in (0.9, np.nan):
+                with pytest.raises(InvalidPError):
+                    quantity(diag_pair, p)
 
 
 class TestSchattenHypoNorm:

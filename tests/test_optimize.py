@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphertrans import linalg
+from sphertrans import linalg, norms, optimize
 from sphertrans.ensembles import random_tuple
 from sphertrans.norms import combination, hypo_norm
 from sphertrans.optimize import (
@@ -40,7 +40,8 @@ class TestGauge:
 
 class TestSphereOptimize:
     def test_constant_objective(self):
-        est = sphere_optimize(lambda lam: 3.25, 3, OptimizerConfig(n_random_starts=4),
+        est = sphere_optimize(lambda rows: np.full(len(rows), 3.25), 3,
+                              OptimizerConfig(n_random_starts=4),
                               ascend=lambda rows: (np.full(len(rows), 3.25), rows))
         assert est.value == 3.25
         assert est.converged
@@ -49,9 +50,9 @@ class TestSphereOptimize:
     def test_d_one_collapses_to_single_point(self):
         calls = []
 
-        def obj(lam):
-            calls.append(np.array(lam))
-            return float(np.abs(lam[0]))
+        def obj(rows):
+            calls.append(np.array(rows))
+            return np.abs(rows[:, 0])
 
         est = sphere_optimize(obj, 1)
         assert est.value == 1.0
@@ -62,8 +63,8 @@ class TestSphereOptimize:
         # sup of |2 lam_1 + lam_2| over the ball is sqrt(5), a rank-one case
         c = np.array([2.0, 1.0])
 
-        def obj(lam):
-            return abs(2.0 * lam[0] + lam[1])
+        def obj(rows):
+            return np.abs(rows @ c)
 
         def ascend(rows):
             z = rows @ c
@@ -79,8 +80,8 @@ class TestSphereOptimize:
         c = np.array([2.0, 1.0])
         rng = np.random.default_rng(3)
 
-        def obj(lam):
-            return abs(lam @ c)
+        def obj(rows):
+            return np.abs(rows @ c)
 
         def ascend(rows):
             z = rows @ c
@@ -112,8 +113,8 @@ class TestSphereOptimize:
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_phase_dependent_objective_needs_ascent_and_no_polish(self):
-        def obj(lam):
-            return abs(lam[0].real)
+        def obj(rows):
+            return np.abs(rows[:, 0].real)
 
         with pytest.raises(ValueError):
             sphere_optimize(obj, 2, OptimizerConfig(), phase_invariant=False)
@@ -167,3 +168,24 @@ class TestEscalation:
         est = hypo_norm(t, cfg)
         base = hypo_norm(t)
         assert est.value == pytest.approx(base.value, abs=1e-8)
+
+    def test_screens_batch_objectives_in_few_calls(self, monkeypatch):
+        """A 20k-point screen hands each estimator's objective 2-D batches
+        only, a few calls each, route (a) included."""
+        calls = []
+        real = optimize.sphere_optimize
+
+        def counted(objective, *args, **kwargs):
+            def obj(rows):
+                calls.append(np.ndim(rows))
+                return objective(rows)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(norms, "sphere_optimize", counted)
+        t = random_tuple(2, 3, 12)
+        cfg = OptimizerConfig(n_random_starts=2, grid_points=20_000)
+        norms.joint_numerical_radius(t, cfg, route="a")
+        norms.hypo_norm(t, cfg)
+        norms.schatten_numerical_radius(t, 2.0, cfg)
+        assert calls and set(calls) == {2}
+        assert len(calls) <= 20

@@ -1,5 +1,6 @@
 import collections
 import json
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from sphertrans.suites import (
     _Store,
     _trial_records,
     fuzz_inequality,
+    resolve_workers,
     run_suite,
     sharp_diag_pair,
 )
@@ -206,12 +208,15 @@ class TestOneSpectrumPerTuple:
         """Over one trial (for s3 one with p != 2) every named tuple's stacked
         column has one SVD for its spectrum, and T one more, with vectors,
         for its polar decomposition; the other lambda means share a batched
-        SVD."""
+        SVD.  In s2 each of the six Heinz products is also factorized once,
+        though its norm is read both at the operator norm and at p."""
         cfg = SuiteConfig(trials=1, seed=42)
         trial = next(k for k in range(20) if _Store(suite, cfg, k).p != 2.0)
         s = _Store(suite, cfg, trial)
         names = ("T", "T.dug", "T.alu", "T.hz", "T.mean")
         columns = {s.tup(name).stacked().tobytes(): name for name in names}
+        if suite == "s2":
+            columns.update({m.tobytes(): f"triple.{k}" for k, m in s.triple.products.items()})
         calls = collections.Counter()
         real = np.linalg.svd
 
@@ -222,7 +227,7 @@ class TestOneSpectrumPerTuple:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         _trial_records(suite, cfg, trial)
-        assert calls == {**{(name, False): 1 for name in names}, ("T", True): 1}
+        assert calls == {**{(name, False): 1 for name in columns.values()}, ("T", True): 1}
 
 
 class TestCheckHelpers:
@@ -309,6 +314,13 @@ class TestEscalation:
         serial = run_suite("s3", replace(cfg, workers=1))
         assert _strip_wall_time(report_to_json(pooled)) == \
             _strip_wall_time(report_to_json(serial))
+
+    def test_malformed_worker_count_warns(self, monkeypatch):
+        monkeypatch.setenv(suites.WORKERS_ENV, "two")
+        with pytest.warns(RuntimeWarning, match="SPHERTRANS_WORKERS='two'"):
+            assert resolve_workers(None) == (os.cpu_count() or 1)
+        monkeypatch.setenv(suites.WORKERS_ENV, "3")
+        assert resolve_workers(None) == 3
 
 
 class TestTightnessStats:
