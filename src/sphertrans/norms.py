@@ -8,7 +8,10 @@ step derived from the dual element of the norm being maximized, costing
 one small batched factorization, and sphere_optimize accelerates it
 with SQUAREM.  The operator hypo-norm is the p = inf case of the
 Schatten hypo-p-norm, with the dual element taken on the top singular
-pair only.
+pair only.  The hypo-p-norms and radius route (a) of several same-shape
+tuples are estimated by one batched ascent (_hypo_p_norms,
+_radius_vector_routes), each equal to the estimate of its tuple alone;
+the public estimators are their one-tuple case.
 
 The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
 M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
@@ -36,6 +39,7 @@ from .optimize import (
     gauge_fix,
     power_step,
     sphere_optimize,
+    sphere_optimize_batch,
 )
 from .tuples import OperatorTuple, tuple_from
 
@@ -106,29 +110,47 @@ def _dual_weights(mags: np.ndarray, vals: np.ndarray, p: float) -> np.ndarray:
     return w
 
 
-def _hypo_p_norm(
-    t: OperatorTuple, p: float, config: OptimizerConfig | None, warm_starts
-) -> SupremumEstimate:
-    """sup over the coefficient sphere of ||M(lam)||_p, p in [1, inf].
+def _per_owner(fn, rows: np.ndarray, blocks) -> np.ndarray:
+    """fn(b, rows of owner b) for each owner block, stacked in row order."""
+    parts = [fn(b, rows[sl]) for b, sl in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _stack(ts) -> np.ndarray:
+    """The (B, d, n, n) array of B tuples of one shape."""
+    if len({(t.d, t.n) for t in ts}) != 1:
+        raise ValueError("a batch of tuples must share one shape (d, n)")
+    return np.stack([t.array for t in ts])
+
+
+def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None) -> list:
+    """sup over the coefficient sphere of ||M(lam)||_p, p in [1, inf], for
+    each of the same-shape tuples ts, by one batched ascent.
 
     Minorize-maximize on the dual element W = U diag(w) V* of M = U S V*:
     with a_k = tr(W* T_k) the step lam' = conj(a)/|a| gives
     ||M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||M(lam)||_p.
+    Each owner's rows are combined and contracted with its own tuple, one
+    gemm per owner; one SVD serves every row.
     """
-    mats = t.array
-    flat = mats.reshape(t.d, -1)
+    stack = _stack(ts)
+    flats = stack.reshape(len(ts), ts[0].d, -1)
 
-    def objective(rows):
-        return _batch_schatten(np.linalg.svd(_combine(mats, rows), compute_uv=False), p)
+    def combine(rows, blocks):
+        return _per_owner(lambda b, r: _combine(stack[b], r), rows, blocks)
 
-    def ascend(rows):
-        u, s, vh = np.linalg.svd(_combine(mats, rows))
+    def objective(rows, blocks):
+        return _batch_schatten(np.linalg.svd(combine(rows, blocks), compute_uv=False), p)
+
+    def ascend(rows, blocks):
+        u, s, vh = np.linalg.svd(combine(rows, blocks))
         vals = _batch_schatten(s, p)
-        dual = (u * _dual_weights(s, vals, p)[:, None, :]) @ vh
-        a = np.conj(dual).reshape(len(rows), -1) @ flat.T
+        dual = np.conj((u * _dual_weights(s, vals, p)[:, None, :]) @ vh)
+        a = _per_owner(lambda b, w: w.reshape(len(w), -1) @ flats[b].T, dual, blocks)
         return vals, power_step(rows, a)
 
-    return sphere_optimize(objective, t.d, config, ascend=ascend, warm_starts=warm_starts)
+    return sphere_optimize_batch(objective, ts[0].d, len(ts), config, ascend=ascend,
+                                 warm_starts=warm_starts)
 
 
 def hypo_norm(
@@ -137,7 +159,7 @@ def hypo_norm(
     warm_starts=(),
 ) -> SupremumEstimate:
     """sup over the coefficient ball of the operator norm of sum lam_k T_k."""
-    return _hypo_p_norm(t, np.inf, config, warm_starts)
+    return _hypo_p_norms((t,), np.inf, config, (warm_starts,))[0]
 
 
 def schatten_hypo_norm(
@@ -149,7 +171,7 @@ def schatten_hypo_norm(
     """sup over the coefficient ball of the Schatten p-norm of sum lam_k T_k."""
     if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
-    return _hypo_p_norm(t, p, config, warm_starts)
+    return _hypo_p_norms((t,), p, config, (warm_starts,))[0]
 
 
 def schatten_hypo_norm_gram(t: OperatorTuple) -> float:
@@ -227,34 +249,52 @@ def numerical_radius(a: np.ndarray) -> float:
     return _real_part_sup(tuple_from(a), np.inf, None).value
 
 
-def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumEstimate:
-    """Route (a): sup over unit vectors x of |c(x)|, c_k(x) = <T_k x, x>.
+def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
+    """Route (a) for each of the same-shape tuples ts, by one batched
+    ascent: sup over unit vectors x of |c(x)|, c_k(x) = <T_k x, x>.
 
     The ascent alternates the optimal coefficient vector lam = conj(c)/|c|
-    for fixed x with the top eigenvector of Re M(lam) for fixed lam.  The
-    winner is reported at its lam, valued by route (b)'s objective
-    ||Re M(lam)||_op >= x* Re M(lam) x = |c(x)|.
+    for fixed x with the top eigenvector of Re M(lam) for fixed lam; one
+    eigh serves every row.  Each winner is reported at its lam, valued by
+    route (b)'s objective ||Re M(lam)||_op >= x* Re M(lam) x = |c(x)|.
     """
-    mats = t.array
+    stack = _stack(ts)
 
-    def coeffs_for(xs):
-        return np.einsum("si,kij,sj->sk", np.conj(xs), mats, xs)
+    def coeffs_for(xs, blocks):
+        return _per_owner(lambda b, x: np.einsum("si,kij,sj->sk", np.conj(x), stack[b], x),
+                          xs, blocks)
 
-    def ascend(xs):
-        c = coeffs_for(xs)
+    def objective(xs, blocks):
+        return np.linalg.norm(coeffs_for(xs, blocks), axis=1)
+
+    def ascend(xs, blocks):
+        c = coeffs_for(xs, blocks)
         vals = np.linalg.norm(c, axis=1)
         safe = np.where(vals > 0.0, vals, 1.0)
-        _, q = np.linalg.eigh(_real_parts(mats, np.conj(c) / safe[:, None]))
+        lam = np.conj(c) / safe[:, None]
+        m = _per_owner(lambda b, rows: _combine(stack[b], rows), lam, blocks)
+        _, q = np.linalg.eigh((m + np.conj(np.swapaxes(m, -1, -2))) / 2.0)
         nxt = q[:, :, -1]
         nxt[vals <= 0.0] = xs[vals <= 0.0]
         return vals, nxt
 
-    est = sphere_optimize(lambda xs: np.linalg.norm(coeffs_for(xs), axis=1), t.n, config,
-                          ascend=ascend)
-    c = coeffs_for(est.argmax.coeffs[None, :])[0]
+    ests = sphere_optimize_batch(objective, ts[0].n, len(ts), config, ascend=ascend)
+    return [_vector_route_report(est, t.array) for est, t in zip(ests, ts)]
+
+
+def _vector_route_report(est: SupremumEstimate, mats: np.ndarray) -> SupremumEstimate:
+    """A route (a) winner x reported at lam = conj(c(x))/|c(x)|."""
+    x = est.argmax.coeffs
+    c = np.einsum("si,kij,sj->sk", np.conj(x[None, :]), mats, x[None, :])[0]
     nc = np.linalg.norm(c)
-    lam = np.conj(c) / nc if nc > 0 else np.full(t.d, 1.0 / np.sqrt(t.d), dtype=np.complex128)
+    lam = np.conj(c) / nc if nc > 0 else np.full(len(mats), 1.0 / np.sqrt(len(mats)),
+                                                 dtype=np.complex128)
     return _reported_at(est, lam, float(_real_part_norms(mats, lam[None, :], np.inf)[0]))
+
+
+def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumEstimate:
+    """Route (a) for one tuple."""
+    return _radius_vector_routes((t,), config)[0]
 
 
 def _radius_coeff_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumEstimate:
@@ -287,7 +327,9 @@ def joint_numerical_radius(
         runs.append(_radius_coeff_route(t, cfg))
     best = max(runs, key=lambda est: est.value)
     gap = abs(runs[0].value - runs[1].value) if len(runs) == 2 else None
-    return replace(best, starts=sum(est.starts for est in runs), cross_gap=gap)
+    return replace(best, starts=sum(est.starts for est in runs),
+                   iterations=sum(est.iterations for est in runs),
+                   evaluations=sum(est.evaluations for est in runs), cross_gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,15 @@ norm's dual element).  The driver accelerates the step with SQUAREM and
 iterates to a step tolerance; there is no derivative-free search and no
 polish.
 
+sphere_optimize_batch ascends B objectives on C^d at once: the rows of
+every owner form one (B*S, d) array, owner-major, and each call of the
+objective or step gets all active rows with the (owner, slice) blocks
+that split them, so one batched factorization serves them all.  Each
+row keeps its own start, SQUAREM step, phase alignment and retirement,
+so every owner's estimate equals a run of its objective alone.
+sphere_optimize is its B = 1 case.  Each estimate counts its SQUAREM
+iterations and the points at which its objective was evaluated.
+
 Rows ascend without the phase gauge.  For a phase-invariant objective
 (the hypo-norms) the driver rotates each next row to the phase of its
 current row, so that extrapolation and the step distance see no
@@ -87,6 +96,8 @@ class SupremumEstimate:
     spread: float
     theta: float | None = None
     cross_gap: float | None = None
+    iterations: int = 0         # SQUAREM iterations in which a start was still active
+    evaluations: int = 0        # points at which the objective or the ascent map was evaluated
 
 
 def gauge_fix(lam: np.ndarray) -> np.ndarray:
@@ -164,17 +175,89 @@ def sphere_optimize(
     must also satisfy objective(-lam) == objective(lam): each start is
     first moved to the best of its phases e^{i pi j/4}, j = 0..3, all
     screened in one batch, and the winner is returned ungauged.
+
+    This is the one-objective case of sphere_optimize_batch.
+    """
+    return sphere_optimize_batch(
+        lambda rows, blocks: objective(rows), d, 1, config,
+        ascend=None if ascend is None else lambda rows, blocks: ascend(rows),
+        phase_invariant=phase_invariant, warm_starts=(warm_starts,),
+    )[0]
+
+
+def sphere_optimize_batch(
+    objective,
+    d: int,
+    count: int,
+    config: OptimizerConfig | None = None,
+    *,
+    ascend=None,
+    phase_invariant=True,
+    warm_starts=None,
+) -> list:
+    """sphere_optimize for count objectives on C^d at once: one
+    SupremumEstimate per owner b = 0..count-1, each equal to a
+    sphere_optimize run of owner b's objective alone.
+
+    objective(rows, blocks) and ascend(rows, blocks) act as in
+    sphere_optimize on rows of several owners.  blocks holds one
+    (b, slice) pair per owner present, in row order: rows[slice] are
+    owner b's rows.  Every owner draws the same starts from config.seed,
+    plus its own warm_starts[b], and its rows ascend, retire and are
+    valued as in a run of their own, so one call of the maps (one batched
+    factorization) serves every active row of every owner.
     """
     cfg = config or OptimizerConfig()
+    warm_starts = warm_starts or ((),) * count
     if d == 1 and phase_invariant:
-        lam = np.ones(1, dtype=np.complex128)
-        return SupremumEstimate(value=float(objective(lam[None, :])[0]), argmax=BallPoint(lam),
-                                starts=1, converged=True, spread=0.0)
+        lam = np.ones((count, 1), dtype=np.complex128)
+        vals = objective(lam, _blocks(np.ones(count, dtype=int)))
+        return [SupremumEstimate(value=float(v), argmax=BallPoint(lam[b]), starts=1,
+                                 converged=True, spread=0.0, iterations=0, evaluations=1)
+                for b, v in enumerate(vals)]
     if ascend is None:
         raise ValueError("sphere_optimize needs an ascent map for d > 1")
 
+    starts = [_starts(lambda rows, b=b: objective(rows, ((b, slice(None)),)), d, cfg,
+                      phase_invariant, warm)
+              for b, warm in enumerate(warm_starts)]
+    sizes = np.array([len(s) for s, _ in starts])
+    rows = np.vstack([s for s, _ in starts])
+    best_vals, best_pts, converged, iters, evals = _run_ascent(
+        ascend, rows, np.repeat(np.arange(count), sizes), cfg, phase_invariant)
+
+    winners, spreads = [], []
+    for sl in (slice(hi - size, hi) for size, hi in zip(sizes, np.cumsum(sizes))):
+        vals, conv = best_vals[sl], converged[sl]
+        winners.append(sl.start + int(np.argmax(vals)))
+        conv_vals = vals[conv] if conv.any() else vals
+        spreads.append(float(np.max(conv_vals) - np.min(conv_vals)))
+    win_pts = best_pts[winners]
+    if phase_invariant:
+        win_pts = gauge_fix(win_pts)
+    values = objective(win_pts, _blocks(np.ones(count, dtype=int)))
+    return [
+        SupremumEstimate(
+            value=float(values[b]),
+            argmax=BallPoint(win_pts[b]),
+            starts=int(sizes[b]),
+            converged=bool(converged[winners[b]]),
+            spread=spreads[b],
+            iterations=int(iters[b]),
+            evaluations=int(evals[b] + screened + 1),
+        )
+        for b, (_, screened) in enumerate(starts)
+    ]
+
+
+def _starts(objective, d: int, cfg: OptimizerConfig, phase_invariant: bool, warm_starts):
+    """One owner's start rows and the number of points screened for them:
+    the axes, the warm starts, cfg.n_random_starts random points and the
+    top 16 of a cfg.grid_points screen, each moved to its best phase
+    when the objective is not phase-invariant."""
     rng = np.random.default_rng(cfg.seed)
     blocks = [_axis_starts(d)]
+    screened = 0
     if warm_starts:
         warm = np.vstack([np.asarray(w, dtype=np.complex128).reshape(1, -1) for w in warm_starts])
         blocks.append(gauge_fix(_normalize_rows(warm)))
@@ -183,6 +266,7 @@ def sphere_optimize(
     if cfg.grid_points > 0:
         pts = _sphere_points(rng, cfg.grid_points, d, phase_invariant)
         vals = _evaluate_chunked(objective, pts)
+        screened += len(pts)
         top = np.argsort(vals)[::-1][:16]
         blocks.append(pts[top])
     starts = np.vstack(blocks)
@@ -191,20 +275,16 @@ def sphere_optimize(
         # objective(-lam) == objective(lam), so phases in [0, pi) suffice
         phased = starts[:, None, :] * np.exp(1j * np.pi * np.arange(4) / 4)[:, None]
         vals = _evaluate_chunked(objective, phased.reshape(-1, d))
+        screened += len(vals)
         starts = phased[np.arange(n_starts), np.argmax(vals.reshape(n_starts, 4), axis=1)]
+    return starts, screened
 
-    best_vals, best_pts, converged = _run_ascent(ascend, starts, cfg, phase_invariant)
 
-    winner = int(np.argmax(best_vals))
-    win_pt = gauge_fix(best_pts[winner]) if phase_invariant else best_pts[winner]
-    conv_vals = best_vals[converged] if converged.any() else best_vals
-    return SupremumEstimate(
-        value=float(objective(win_pt[None, :])[0]),
-        argmax=BallPoint(win_pt),
-        starts=n_starts,
-        converged=bool(converged[winner]),
-        spread=float(np.max(conv_vals) - np.min(conv_vals)),
-    )
+def _blocks(sizes: np.ndarray) -> tuple:
+    """(b, slice) for each owner b with sizes[b] > 0 rows, rows owner-major."""
+    ends = np.cumsum(sizes).tolist()
+    return tuple((b, slice(hi - size, hi)) for b, (size, hi) in enumerate(zip(sizes.tolist(), ends))
+                 if size)
 
 
 def _align_phase(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -216,7 +296,7 @@ def _align_phase(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return rows * (c / mag)[:, None]
 
 
-def _squarem(step, rows: np.ndarray, phase_invariant: bool):
+def _squarem(step, rows: np.ndarray, blocks: tuple, phase_invariant: bool):
     """One SQUAREM iteration (Varadhan and Roland, 2008) of an MM step.
 
     The bare step crawls where the objective is nearly flat along some
@@ -227,7 +307,7 @@ def _squarem(step, rows: np.ndarray, phase_invariant: bool):
     map stays monotone.  Returns the values at rows and the next rows.
     """
     def mm(x):
-        vals, nxt = step(x)
+        vals, nxt = step(x, blocks)
         if phase_invariant:
             nxt = _align_phase(nxt, x)
         return np.asarray(vals, dtype=float), nxt
@@ -253,23 +333,31 @@ _STALL_LIMIT = 6
 _STEP_TOL = 1e-9
 
 
-def _run_ascent(step, starts: np.ndarray, cfg: OptimizerConfig, phase_invariant: bool):
+def _run_ascent(step, starts: np.ndarray, owner: np.ndarray, cfg: OptimizerConfig,
+                phase_invariant: bool):
     """Iterate the SQUAREM-accelerated step; rows retire on steps below
     _STEP_TOL or when their value plateaus for _STALL_LIMIT consecutive
     iterations (the step direction can dither at nonsmooth points while
     the value has converged).  For a phase-invariant objective the next
     rows are phase aligned, so the step length is the phase-invariant
-    distance.
+    distance.  owner[s] is the owner of row s, nondecreasing; besides the
+    best value, point and convergence of each row, returns the iterations
+    each owner took part in and the points at which it was evaluated.
     """
     current = starts.copy()
-    n = len(current)
+    n, count = len(current), int(owner[-1]) + 1
     best_vals = np.full(n, -np.inf)
     best_pts = current.copy()
     converged = np.zeros(n, dtype=bool)
     stall = np.zeros(n, dtype=int)
+    iters = np.zeros(count, dtype=int)
+    evals = np.zeros(count, dtype=int)
     active = np.arange(n)
     for _ in range(cfg.max_iters):
-        vals, nxt = _squarem(step, current[active], phase_invariant)
+        sizes = np.bincount(owner[active], minlength=count)
+        iters += sizes > 0
+        evals += 3 * sizes
+        vals, nxt = _squarem(step, current[active], _blocks(sizes), phase_invariant)
         improved = vals > best_vals[active] + 1e-13 * (1.0 + np.abs(vals))
         stall[active] = np.where(improved, 0, stall[active] + 1)
         better = vals > best_vals[active]
@@ -285,13 +373,15 @@ def _run_ascent(step, starts: np.ndarray, cfg: OptimizerConfig, phase_invariant:
         if active.size == 0:
             break
     if active.size:
-        vals, _ = step(current[active])
+        sizes = np.bincount(owner[active], minlength=count)
+        evals += sizes
+        vals, _ = step(current[active], _blocks(sizes))
         vals = np.asarray(vals, dtype=float)
         better = vals > best_vals[active]
         idx = active[better]
         best_vals[idx] = vals[better]
         best_pts[idx] = current[idx]
-    return best_vals, best_pts, converged
+    return best_vals, best_pts, converged, iters, evals
 
 
 def grid_supremum(objective, d: int, n_points: int = 10_000, zoom: int = 6, seed: int = 0):

@@ -10,7 +10,10 @@ required pass rate.  INEQUALITIES and REQUIRED_RATES are views of TABLE.
 Trial k of a run with master seed s draws its inputs from
 default_rng([s, k]) when its store is built; every transform, norm and
 estimate is computed on first read and memoized, so reports are
-reproducible and independent of worker scheduling.
+reproducible and independent of worker scheduling.  An s2 trial reads
+the operator hypo-norms of 13 tuples of T's shape and the joint radii of
+3; the first read of either kind estimates the whole kind by one batched
+ascent, bit for bit equal to estimating each tuple alone.
 
 Optimized suprema are lower bounds.  Checks whose optimized side could
 fall short use the relaxed slack opt_tol, and one rule escalates them: a
@@ -44,6 +47,8 @@ from .ensembles import (
 )
 from .errors import InvalidParameterError
 from .norms import (
+    _hypo_p_norms,
+    _radius_vector_routes,
     hypo_norm,
     joint_numerical_radius,
     schatten_hypo_norm,
@@ -70,6 +75,12 @@ _SHARP_P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 # lambda means that are bitwise equal to a named transform (or T itself)
 _LAMBDA_ALIASES = {0.0: "T.dug", 0.5: "T.mean", 1.0: "T"}
 _LAMBDA_OWN = tuple(lam for lam in _LAMBDA_GRID if lam not in _LAMBDA_ALIASES)
+# per suite and kind, the tuples whose operator hypo-norms (or joint
+# radii) a trial reads; all share T's shape and are estimated together
+_BATCHES = {
+    "s2": {"hypo": ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN),
+           "radius": ("T.alu", "T.hz", "T.mean")},
+}
 
 _SUITE_OPT = OptimizerConfig(n_random_starts=8)
 
@@ -256,13 +267,15 @@ class _Store:
     by a float lam (the lambda mean of T).  norm and hypo read the lambda
     means at 0, 1/2 and 1 under their _LAMBDA_ALIASES names, so each is
     estimated once.  norm reads every spherical, Schatten and product
-    norm of a tuple from one spectrum of its stacked column.
+    norm of a tuple from one spectrum of its stacked column.  A miss on
+    a name in the suite's _BATCHES estimates every name of that kind.
     """
 
     t_aluthge = 0.5      # the Aluthge exponent; the zero suite draws its own
 
     def __init__(self, suite: str, cfg: SuiteConfig, trial: int):
         self.cfg = cfg
+        self.batches = _BATCHES.get(suite, {})
         self.memo: dict = {}
         self.reads: list = []        # optimized keys read by the current side
         self.escalated: set = set()
@@ -346,7 +359,22 @@ class _Store:
 
     def _sup(self, key) -> float:
         self.reads.append(key)
-        return self._memo(key, lambda: self._estimate(key, self.cfg.opt)).value
+        if key not in self.memo:
+            kind, name, p = key
+            batch = self.batches.get(kind, ()) if p is None else ()
+            if name in batch:
+                self.memo.update(zip([(kind, n, None) for n in batch], self._first(kind, batch)))
+            else:
+                self.memo[key] = self._estimate(key, self.cfg.opt)
+        return self.memo[key].value
+
+    def _first(self, kind: str, names) -> list:
+        """The first operator hypo-norm (or joint radius, by route a)
+        estimates of the named same-shape tuples, by one batched ascent."""
+        ts = [self.tup(name) for name in names]
+        if kind == "hypo":
+            return _hypo_p_norms(ts, np.inf, self.cfg.opt)
+        return _radius_vector_routes(ts, self.cfg.opt)
 
     def _estimate(self, key, opt: OptimizerConfig, warm=()):
         kind, name, p = key

@@ -551,3 +551,63 @@ class TestAscentEngine:
     def test_hypo_norm_is_schatten_p_inf(self):
         t = random_tuple(3, 4, 7)
         assert norms.hypo_norm(t, CFG).value == norms.schatten_hypo_norm(t, INF, CFG).value
+
+
+def _same_estimate(a, b) -> bool:
+    """Bit for bit equal in every field the estimators fill."""
+    return (a.value == b.value and np.array_equal(a.argmax.coeffs, b.argmax.coeffs)
+            and (a.starts, a.converged, a.spread, a.theta, a.iterations, a.evaluations)
+            == (b.starts, b.converged, b.spread, b.theta, b.iterations, b.evaluations))
+
+
+# one batch per shape (d, n), each mixing three ensembles
+BATCH_SHAPES = [(1, 2), (1, 5), (2, 2), (2, 6), (3, 3), (3, 5), (4, 4), (4, 6)]
+BATCH_ENSEMBLES = ("ginibre", "contraction", "nilpotent")
+
+
+def _batch(d, n):
+    return [random_tuple(d, n, np.random.default_rng([d, n, k]), ens)
+            for k, ens in enumerate(BATCH_ENSEMBLES)]
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("d,n", BATCH_SHAPES)
+    @pytest.mark.parametrize("p", [INF, 1.0, 1.5, 3.0])
+    def test_hypo_norms_batched_equal_single(self, d, n, p):
+        ts = _batch(d, n)
+        single = norms.hypo_norm if p == INF else (
+            lambda t, cfg: norms.schatten_hypo_norm(t, p, cfg))
+        for t, est in zip(ts, norms._hypo_p_norms(ts, p, CFG)):
+            assert _same_estimate(est, single(t, CFG))
+
+    @pytest.mark.parametrize("d,n", BATCH_SHAPES)
+    def test_route_a_batched_equals_single(self, d, n):
+        ts = _batch(d, n)
+        for t, est in zip(ts, norms._radius_vector_routes(ts, CFG)):
+            assert _same_estimate(est, norms.joint_numerical_radius(t, CFG, route="a"))
+
+    def test_screens_and_warm_starts_stay_per_tuple(self):
+        ts = _batch(3, 4)
+        cfg = OptimizerConfig(n_random_starts=2, grid_points=500)
+        warm = ([norms.hypo_norm(ts[0], CFG).argmax.coeffs], (), [np.ones(3)])
+        for t, w, est in zip(ts, warm, norms._hypo_p_norms(ts, 1.5, cfg, warm)):
+            assert _same_estimate(est, norms.schatten_hypo_norm(t, 1.5, cfg, warm_starts=w))
+
+    def test_batch_rejects_mixed_shapes(self):
+        with pytest.raises(ValueError, match="one shape"):
+            norms._hypo_p_norms([random_tuple(2, 3, 1), random_tuple(2, 4, 1)], INF, CFG)
+
+    def test_iteration_and_evaluation_counts(self):
+        # d = 1 collapses to one evaluation; otherwise every start takes at
+        # least one SQUAREM iteration of three evaluations, and the winner
+        # is valued once more
+        one = norms.hypo_norm(random_tuple(1, 3, 2), CFG)
+        assert (one.iterations, one.evaluations) == (0, 1)
+        est = norms.hypo_norm(random_tuple(3, 4, 7), CFG)
+        assert 1 <= est.iterations <= CFG.max_iters
+        assert est.evaluations >= 3 * est.starts + 1
+        both = norms.joint_numerical_radius(random_tuple(2, 3, 5), CFG)
+        runs = [norms.joint_numerical_radius(random_tuple(2, 3, 5), CFG, route=r)
+                for r in ("a", "b")]
+        assert both.iterations == sum(r.iterations for r in runs)
+        assert both.evaluations == sum(r.evaluations for r in runs)

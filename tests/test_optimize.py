@@ -173,7 +173,7 @@ class TestEscalation:
         """A 20k-point screen hands each estimator's objective 2-D batches
         only, a few calls each, route (a) included."""
         calls = []
-        real = optimize.sphere_optimize
+        real, real_batch = optimize.sphere_optimize, optimize.sphere_optimize_batch
 
         def counted(objective, *args, **kwargs):
             def obj(rows):
@@ -181,7 +181,14 @@ class TestEscalation:
                 return objective(rows)
             return real(obj, *args, **kwargs)
 
+        def counted_batch(objective, *args, **kwargs):
+            def obj(rows, blocks):
+                calls.append(np.ndim(rows))
+                return objective(rows, blocks)
+            return real_batch(obj, *args, **kwargs)
+
         monkeypatch.setattr(norms, "sphere_optimize", counted)
+        monkeypatch.setattr(norms, "sphere_optimize_batch", counted_batch)
         t = random_tuple(2, 3, 12)
         cfg = OptimizerConfig(n_random_starts=2, grid_points=20_000)
         norms.joint_numerical_radius(t, cfg, route="a")

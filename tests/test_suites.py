@@ -36,16 +36,15 @@ def _strip_wall_time(text: str) -> str:
 
 
 def _shorten_first_estimates(monkeypatch, name, factor, only=None, always=False):
-    """Patch the suites' estimator `name` so that unescalated calls (every
-    call if always) on the tuples whose arrays are in only, or on every
-    tuple, return factor times the value; returns a Counter of escalated
-    calls per tuple array."""
+    """Patch the suites' estimator `name`, and the batched entry point the
+    store uses for first operator hypo-norms when name is hypo_norm, so
+    that unescalated estimates (every estimate if always) of the tuples
+    whose arrays are in only, or of every tuple, return factor times the
+    value; returns a Counter of escalated calls per tuple array."""
     real = getattr(suites, name)
     escalated = collections.Counter()
 
-    def short(t, *args, **kwargs):
-        est = real(t, *args, **kwargs)
-        config = [a for a in args if hasattr(a, "grid_points")][0]
+    def shorten(t, config, est):
         key = t.array.tobytes()
         if config.grid_points:
             escalated[key] += 1
@@ -55,7 +54,19 @@ def _shorten_first_estimates(monkeypatch, name, factor, only=None, always=False)
             return replace(est, value=factor * est.value)
         return est
 
+    def short(t, *args, **kwargs):
+        config = [a for a in args if hasattr(a, "grid_points")][0]
+        return shorten(t, config, real(t, *args, **kwargs))
+
     monkeypatch.setattr(suites, name, short)
+    if name == "hypo_norm":
+        real_batch = suites._hypo_p_norms
+
+        def short_batch(ts, p, config, *args, **kwargs):
+            return [shorten(t, config, est)
+                    for t, est in zip(ts, real_batch(ts, p, config, *args, **kwargs))]
+
+        monkeypatch.setattr(suites, "_hypo_p_norms", short_batch)
     return escalated
 
 
@@ -187,19 +198,46 @@ class TestS2LambdaAliases:
 
     def test_one_s2_trial_makes_13_hypo_norm_calls(self, monkeypatch):
         # 5 named tuples (T, aluthge, heinz, mean, duggal) plus the 8
-        # lambda means not aliased to one of them; no check escalates here
+        # lambda means not aliased to one of them, in one batched ascent;
+        # no check escalates here
         calls = collections.Counter()
-        real = suites.hypo_norm
+        batches = []
+        real, real_batch = suites.hypo_norm, suites._hypo_p_norms
 
         def counted(t, *args, **kwargs):
             calls[t.array.tobytes()] += 1
             return real(t, *args, **kwargs)
 
+        def counted_batch(ts, *args, **kwargs):
+            batches.append(len(ts))
+            calls.update(t.array.tobytes() for t in ts)
+            return real_batch(ts, *args, **kwargs)
+
         monkeypatch.setattr(suites, "hypo_norm", counted)
+        monkeypatch.setattr(suites, "_hypo_p_norms", counted_batch)
         recs = _trial_records("s2", SuiteConfig(trials=1, seed=42), 0)
         assert all(r.status == "pass" for r in recs)
         assert sum(calls.values()) == 13
         assert set(calls.values()) == {1}
+        assert batches == [13]
+
+    def test_batches_are_exactly_the_estimates_an_s2_trial_reads(self, monkeypatch):
+        # nothing is estimated in a batch that no row reads, and every
+        # operator hypo-norm and joint radius a row reads is in a batch
+        read = set()
+        real = _Store._sup
+
+        def spy(store, key):
+            read.add(key)
+            return real(store, key)
+
+        monkeypatch.setattr(_Store, "_sup", spy)
+        cfg = SuiteConfig(trials=3, seed=42)
+        for trial in range(cfg.trials):
+            _trial_records("s2", cfg, trial)
+        batched = {(kind, name, None)
+                   for kind, names in suites._BATCHES["s2"].items() for name in names}
+        assert read == batched
 
 
 class TestOneSpectrumPerTuple:
