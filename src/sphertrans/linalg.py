@@ -68,17 +68,20 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
 
     The input may carry roundoff-level asymmetry; it is symmetrized as
     (A + A*)/2 before factorization.  Asymmetry beyond
-    HERM_RTOL * ||A||_op raises NonHermitianError.
+    HERM_RTOL * ||A||_op raises NonHermitianError.  An exactly Hermitian
+    input skips the two norms of that check, which it always passes.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"hermitian_eig needs a square matrix, got {a.shape}")
-    scale = operator_norm(a)
-    asym = operator_norm(a - adjoint(a))
-    if asym > HERM_RTOL * scale:
-        raise NonHermitianError(
-            f"asymmetry {asym:.3e} exceeds {HERM_RTOL:.0e} * ||A|| = {HERM_RTOL * scale:.3e}"
-        )
+    skew = a - adjoint(a)
+    if skew.any():
+        scale = operator_norm(a)
+        asym = operator_norm(skew)
+        if asym > HERM_RTOL * scale:
+            raise NonHermitianError(
+                f"asymmetry {asym:.3e} exceeds {HERM_RTOL:.0e} * ||A|| = {HERM_RTOL * scale:.3e}"
+            )
     try:
         vals, vecs = np.linalg.eigh((a + adjoint(a)) / 2.0)
     except np.linalg.LinAlgError as exc:

@@ -48,6 +48,32 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             linalg.hermitian_eig(np.array([[np.nan, 0], [0, 1.0]]))
 
+    @pytest.mark.parametrize("ratio,raises", [(1.01, True), (0.99, False)])
+    def test_asymmetry_threshold(self, ratio, raises):
+        # A = [[1, delta], [0, 1]] has ||A - A*|| = delta and ||A|| = 1 + delta/2
+        # up to O(delta^2), so delta = ratio * HERM_RTOL sits just either side
+        a = np.eye(2) + ratio * linalg.HERM_RTOL * cmat([[0, 1], [0, 0]])
+        if raises:
+            with pytest.raises(NonHermitianError):
+                linalg.hermitian_eig(a)
+        else:
+            assert np.allclose(linalg.hermitian_eig(a).values, [1.0, 1.0])
+
+    def test_exactly_hermitian_input_makes_no_svd_call(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        a = random_matrix(np.random.default_rng(5), 4)
+        linalg.hermitian_eig(a + np.conj(a.T))
+        assert calls == []
+        linalg.hermitian_eig(a + np.conj(a.T) + 1e-15 * cmat(np.triu(np.ones((4, 4)), 1)))
+        assert len(calls) == 2
+
 
 class TestPsdPower:
     def test_diagonal_square_root(self):
