@@ -10,8 +10,10 @@ DIR_A and DIR_B hold reports under the same file names, such as those
 two sides, lhs and rhs.  For each inequality id one line gives the sides
 that differ out of all its sides, the largest relative difference
 |a - b| / max(|a|, |b|) over them and the number of records whose status
-changed; a last line totals them.  Reports that do not pair up (a file on
-one side only, or records of another id or fingerprint) exit with 2.
+changed; a last line totals them.  The exit status is 1 when any
+record's status changed, so a drift that must move no verdict is a
+command that fails.  Reports that do not pair up (a file on one side
+only, or records of another id or fingerprint) exit with 2.
 """
 
 import argparse
@@ -86,7 +88,7 @@ def main() -> int:
     for rid, e in [*rows.items(), ("total", total)]:
         print(f"{rid:<{width}}  {f'{e.changed}/{e.sides}':>13}  {e.max_rel:>12.2e}  "
               f"{e.status_changes:>14}")
-    return 0
+    return 1 if total.status_changes else 0
 
 
 if __name__ == "__main__":

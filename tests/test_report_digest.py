@@ -37,11 +37,16 @@ def test_digest_smoke_every_suite():
 DRIFT = SCRIPT.parent / "report_drift.py"
 
 
-def _drift_rows(dir_a, dir_b):
-    out = subprocess.run([sys.executable, str(DRIFT), str(dir_a), str(dir_b)],
-                         capture_output=True, text=True, timeout=60, check=True).stdout
+def _drift_run(dir_a, dir_b):
+    return subprocess.run([sys.executable, str(DRIFT), str(dir_a), str(dir_b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def _drift_rows(dir_a, dir_b, code=0):
+    run = _drift_run(dir_a, dir_b)
+    assert run.returncode == code, run.stderr
     return {rid: (sides, float(rel), int(status))
-            for rid, sides, rel, status in (line.split() for line in out.splitlines()[1:])}
+            for rid, sides, rel, status in (line.split() for line in run.stdout.splitlines()[1:])}
 
 
 def test_drift_shows_exactly_the_edited_side(tmp_path):
@@ -69,3 +74,26 @@ def test_drift_shows_exactly_the_edited_side(tmp_path):
     assert moved[rid][0].startswith("1/") and moved["total"][0].startswith("1/")
     assert moved[rid][1] == pytest.approx(1e-12, rel=1e-3)
     assert moved["total"][2] == 0
+
+
+def test_drift_fails_on_a_status_change(tmp_path):
+    saved = tmp_path / "a"
+    subprocess.run(
+        [sys.executable, str(SCRIPT), "--suite", "s3", "--trials", "2", "--save", str(saved)],
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    path = saved / "s3-42.json"
+    report = json.loads(path.read_text())
+    edited = tmp_path / "b"
+    shutil.copytree(saved, edited)
+    record = report["records"][0]
+    assert record["status"] == "pass"
+    record["status"] = "fail"
+    (edited / path.name).write_text(json.dumps(report))
+    rows = _drift_rows(saved, edited, code=1)
+    assert rows[record["inequality_id"]][2] == 1
+    assert rows["total"] == ("0/" + rows["total"][0].split("/")[1], 0.0, 1)
+
+    (edited / path.name).unlink()
+    unpaired = _drift_run(saved, edited)
+    assert unpaired.returncode == 2 and "do not pair up" in unpaired.stderr
