@@ -130,9 +130,8 @@ def power_step(current: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 
 def _axis_starts(d: int) -> np.ndarray:
-    """The 2d coordinate starts e_k and i*e_k."""
-    eye = np.eye(d, dtype=np.complex128)
-    return np.vstack([eye, 1j * eye])
+    """The d coordinate starts e_k."""
+    return np.eye(d, dtype=np.complex128)
 
 
 def _sphere_points(rng: np.random.Generator, count: int, d: int, gauge=True) -> np.ndarray:
@@ -252,24 +251,27 @@ def sphere_optimize_batch(
 
 def _starts(objective, d: int, cfg: OptimizerConfig, phase_invariant: bool, warm_starts):
     """One owner's start rows and the number of points screened for them:
-    the axes, the warm starts, cfg.n_random_starts random points and the
-    top 16 of a cfg.grid_points screen, each moved to its best phase
-    when the objective is not phase-invariant."""
+    the axes, the warm starts, cfg.n_random_starts random points, the
+    top 16 of a cfg.grid_points screen and d more random points, each
+    moved to its best phase when the objective is not phase-invariant.
+    The last d points are drawn last, so the other draws do not depend
+    on them."""
     rng = np.random.default_rng(cfg.seed)
-    blocks = [_axis_starts(d)]
+    parts = [_axis_starts(d)]
     screened = 0
     if warm_starts:
         warm = np.vstack([np.asarray(w, dtype=np.complex128).reshape(1, -1) for w in warm_starts])
-        blocks.append(gauge_fix(_normalize_rows(warm)))
+        parts.append(gauge_fix(_normalize_rows(warm)))
     if cfg.n_random_starts > 0:
-        blocks.append(_sphere_points(rng, cfg.n_random_starts, d, phase_invariant))
+        parts.append(_sphere_points(rng, cfg.n_random_starts, d, phase_invariant))
     if cfg.grid_points > 0:
         pts = _sphere_points(rng, cfg.grid_points, d, phase_invariant)
         vals = _evaluate_chunked(objective, pts)
         screened += len(pts)
         top = np.argsort(vals)[::-1][:16]
-        blocks.append(pts[top])
-    starts = np.vstack(blocks)
+        parts.append(pts[top])
+    parts.append(_sphere_points(rng, d, d, phase_invariant))
+    starts = np.vstack(parts)
     n_starts = len(starts)
     if not phase_invariant:
         # objective(-lam) == objective(lam), so phases in [0, pi) suffice
