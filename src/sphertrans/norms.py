@@ -116,11 +116,12 @@ def _per_owner(fn, rows: np.ndarray, blocks) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _stack(ts) -> np.ndarray:
-    """The (B, d, n, n) array of B tuples of one shape."""
-    if len({(t.d, t.n) for t in ts}) != 1:
-        raise ValueError("a batch of tuples must share one shape (d, n)")
-    return np.stack([t.array for t in ts])
+def _combine_owned(stack: np.ndarray, rows: np.ndarray, blocks) -> np.ndarray:
+    """sum_k lam[s, k] T_k for each row s, with T the tuple stack[b] of the
+    row's owner b.  One gemm per owner, over the rows a one-tuple run would
+    have, keeps every row's bits those of that run; one einsum over all
+    owners does not."""
+    return _per_owner(lambda b, r: _combine(stack[b], r), rows, blocks)
 
 
 def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None) -> list:
@@ -133,17 +134,15 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
     Each owner's rows are combined and contracted with its own tuple, one
     gemm per owner; one SVD serves every row.
     """
-    stack = _stack(ts)
+    stack = np.stack([t.array for t in ts])
     flats = stack.reshape(len(ts), ts[0].d, -1)
 
-    def combine(rows, blocks):
-        return _per_owner(lambda b, r: _combine(stack[b], r), rows, blocks)
-
     def objective(rows, blocks):
-        return _batch_schatten(np.linalg.svd(combine(rows, blocks), compute_uv=False), p)
+        return _batch_schatten(
+            np.linalg.svd(_combine_owned(stack, rows, blocks), compute_uv=False), p)
 
     def ascend(rows, blocks):
-        u, s, vh = np.linalg.svd(combine(rows, blocks))
+        u, s, vh = np.linalg.svd(_combine_owned(stack, rows, blocks))
         vals = _batch_schatten(s, p)
         dual = np.conj((u * _dual_weights(s, vals, p)[:, None, :]) @ vh)
         a = _per_owner(lambda b, w: w.reshape(len(w), -1) @ flats[b].T, dual, blocks)
@@ -188,15 +187,14 @@ def schatten_hypo_norm_gram(t: OperatorTuple) -> float:
 # real-part supremum: sup_lam ||Re M(lam)||_p on the ungauged sphere
 # ---------------------------------------------------------------------------
 
-def _real_parts(mats: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
-    """Re M(lam) = (M + M*) / 2 for each row of coefficients."""
-    m = _combine(mats, lam_rows)
+def _real_parts(m: np.ndarray) -> np.ndarray:
+    """Re M = (M + M*) / 2 for each matrix of a stack."""
     return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
 
 
 def _real_part_norms(mats: np.ndarray, lam_rows: np.ndarray, p: float) -> np.ndarray:
     """||Re M(lam)||_p for each row of coefficients."""
-    return _batch_schatten(np.abs(np.linalg.eigvalsh(_real_parts(mats, lam_rows))), p)
+    return _batch_schatten(np.abs(np.linalg.eigvalsh(_real_parts(_combine(mats, lam_rows)))), p)
 
 
 def _reported_at(est: SupremumEstimate, lam: np.ndarray, value: float) -> SupremumEstimate:
@@ -225,7 +223,7 @@ def _real_part_sup(
         return _real_part_norms(mats, rows, p)
 
     def ascend(rows):
-        h, q = np.linalg.eigh(_real_parts(mats, rows))
+        h, q = np.linalg.eigh(_real_parts(_combine(mats, rows)))
         mags = np.abs(h)
         vals = _batch_schatten(mags, p)
         # W = Q diag(sign(h) w) Q*
@@ -258,11 +256,10 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
     eigh serves every row.  Each winner is reported at its lam, valued by
     route (b)'s objective ||Re M(lam)||_op >= x* Re M(lam) x = |c(x)|.
     """
-    stack = _stack(ts)
+    stack = np.stack([t.array for t in ts])
 
     def coeffs_for(xs, blocks):
-        return _per_owner(lambda b, x: np.einsum("si,kij,sj->sk", np.conj(x), stack[b], x),
-                          xs, blocks)
+        return _per_owner(lambda b, x: _vector_coeffs(stack[b], x), xs, blocks)
 
     def objective(xs, blocks):
         return np.linalg.norm(coeffs_for(xs, blocks), axis=1)
@@ -272,8 +269,7 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
         vals = np.linalg.norm(c, axis=1)
         safe = np.where(vals > 0.0, vals, 1.0)
         lam = np.conj(c) / safe[:, None]
-        m = _per_owner(lambda b, rows: _combine(stack[b], rows), lam, blocks)
-        _, q = np.linalg.eigh((m + np.conj(np.swapaxes(m, -1, -2))) / 2.0)
+        _, q = np.linalg.eigh(_real_parts(_combine_owned(stack, lam, blocks)))
         nxt = q[:, :, -1]
         nxt[vals <= 0.0] = xs[vals <= 0.0]
         return vals, nxt
@@ -282,10 +278,14 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
     return [_vector_route_report(est, t.array) for est, t in zip(ests, ts)]
 
 
+def _vector_coeffs(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """c_k(x) = <T_k x, x> for each row x of xs."""
+    return np.einsum("si,kij,sj->sk", np.conj(xs), mats, xs)
+
+
 def _vector_route_report(est: SupremumEstimate, mats: np.ndarray) -> SupremumEstimate:
     """A route (a) winner x reported at lam = conj(c(x))/|c(x)|."""
-    x = est.argmax.coeffs
-    c = np.einsum("si,kij,sj->sk", np.conj(x[None, :]), mats, x[None, :])[0]
+    c = _vector_coeffs(mats, est.argmax.coeffs[None, :])[0]
     nc = np.linalg.norm(c)
     lam = np.conj(c) / nc if nc > 0 else np.full(len(mats), 1.0 / np.sqrt(len(mats)),
                                                  dtype=np.complex128)

@@ -210,7 +210,7 @@ def sphere_optimize_batch(
     warm_starts = warm_starts or ((),) * count
     if d == 1 and phase_invariant:
         lam = np.ones((count, 1), dtype=np.complex128)
-        vals = objective(lam, _blocks(np.ones(count, dtype=int)))
+        vals = objective(lam, _blocks(np.arange(count), count))
         return [SupremumEstimate(value=float(v), argmax=BallPoint(lam[b]), starts=1,
                                  converged=True, spread=0.0, iterations=0, evaluations=1)
                 for b, v in enumerate(vals)]
@@ -220,32 +220,31 @@ def sphere_optimize_batch(
     starts = [_starts(lambda rows, b=b: objective(rows, ((b, slice(None)),)), d, cfg,
                       phase_invariant, warm)
               for b, warm in enumerate(warm_starts)]
-    sizes = np.array([len(s) for s, _ in starts])
-    rows = np.vstack([s for s, _ in starts])
-    best_vals, best_pts, converged, iters, evals = _run_ascent(
-        ascend, rows, np.repeat(np.arange(count), sizes), cfg, phase_invariant)
+    sizes = [len(rows) for rows, _ in starts]
+    best_vals, best_pts, converged, life = _run_ascent(
+        ascend, np.vstack([rows for rows, _ in starts]), np.repeat(np.arange(count), sizes),
+        count, cfg, phase_invariant)
 
-    winners, spreads = [], []
-    for sl in (slice(hi - size, hi) for size, hi in zip(sizes, np.cumsum(sizes))):
+    winners, counts = [], []
+    for (_, screened), size, hi in zip(starts, sizes, np.cumsum(sizes).tolist()):
+        sl = slice(hi - size, hi)
         vals, conv = best_vals[sl], converged[sl]
         winners.append(sl.start + int(np.argmax(vals)))
         conv_vals = vals[conv] if conv.any() else vals
-        spreads.append(float(np.max(conv_vals) - np.min(conv_vals)))
+        # three evaluations per row and iteration, one more for each row
+        # still active at the cap, then the screens and the winner's value
+        evaluations = 3 * int(life[sl].sum()) + int((~conv).sum()) + screened + 1
+        counts.append((size, float(np.max(conv_vals) - np.min(conv_vals)),
+                       int(life[sl].max()), evaluations))
     win_pts = best_pts[winners]
     if phase_invariant:
         win_pts = gauge_fix(win_pts)
-    values = objective(win_pts, _blocks(np.ones(count, dtype=int)))
+    values = objective(win_pts, _blocks(np.arange(count), count))
     return [
-        SupremumEstimate(
-            value=float(values[b]),
-            argmax=BallPoint(win_pts[b]),
-            starts=int(sizes[b]),
-            converged=bool(converged[winners[b]]),
-            spread=spreads[b],
-            iterations=int(iters[b]),
-            evaluations=int(evals[b] + screened + 1),
-        )
-        for b, (_, screened) in enumerate(starts)
+        SupremumEstimate(value=float(values[b]), argmax=BallPoint(win_pts[b]), starts=n_starts,
+                         converged=bool(converged[winners[b]]), spread=spread,
+                         iterations=iterations, evaluations=evaluations)
+        for b, (n_starts, spread, iterations, evaluations) in enumerate(counts)
     ]
 
 
@@ -282,11 +281,16 @@ def _starts(objective, d: int, cfg: OptimizerConfig, phase_invariant: bool, warm
     return starts, screened
 
 
-def _blocks(sizes: np.ndarray) -> tuple:
-    """(b, slice) for each owner b with sizes[b] > 0 rows, rows owner-major."""
-    ends = np.cumsum(sizes).tolist()
-    return tuple((b, slice(hi - size, hi)) for b, (size, hi) in enumerate(zip(sizes.tolist(), ends))
-                 if size)
+_ONE_OWNER = ((0, slice(None)),)
+
+
+def _blocks(owner: np.ndarray, count: int) -> tuple:
+    """(b, slice of b's rows) for each owner b in the nondecreasing owner
+    index of some rows, b < count."""
+    if count == 1:
+        return _ONE_OWNER
+    ends = np.cumsum(np.bincount(owner, minlength=count)).tolist()
+    return tuple((b, slice(lo, hi)) for b, (lo, hi) in enumerate(zip([0, *ends], ends)) if hi > lo)
 
 
 def _align_phase(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -335,31 +339,27 @@ _STALL_LIMIT = 6
 _STEP_TOL = 1e-9
 
 
-def _run_ascent(step, starts: np.ndarray, owner: np.ndarray, cfg: OptimizerConfig,
-                phase_invariant: bool):
+def _run_ascent(step, starts: np.ndarray, owner: np.ndarray, count: int,
+                cfg: OptimizerConfig, phase_invariant: bool):
     """Iterate the SQUAREM-accelerated step; rows retire on steps below
     _STEP_TOL or when their value plateaus for _STALL_LIMIT consecutive
     iterations (the step direction can dither at nonsmooth points while
     the value has converged).  For a phase-invariant objective the next
     rows are phase aligned, so the step length is the phase-invariant
-    distance.  owner[s] is the owner of row s, nondecreasing; besides the
-    best value, point and convergence of each row, returns the iterations
-    each owner took part in and the points at which it was evaluated.
+    distance.  owner[s] < count is the owner of row s, nondecreasing.
+    Returns each row's best value and point, whether it retired, and the
+    number of iterations it took part in.
     """
     current = starts.copy()
-    n, count = len(current), int(owner[-1]) + 1
+    n = len(current)
     best_vals = np.full(n, -np.inf)
     best_pts = current.copy()
-    converged = np.zeros(n, dtype=bool)
+    life = np.zeros(n, dtype=int)       # the iteration a row retired in, from 1
     stall = np.zeros(n, dtype=int)
-    iters = np.zeros(count, dtype=int)
-    evals = np.zeros(count, dtype=int)
     active = np.arange(n)
-    for _ in range(cfg.max_iters):
-        sizes = np.bincount(owner[active], minlength=count)
-        iters += sizes > 0
-        evals += 3 * sizes
-        vals, nxt = _squarem(step, current[active], _blocks(sizes), phase_invariant)
+    for it in range(cfg.max_iters):
+        vals, nxt = _squarem(step, current[active], _blocks(owner[active], count),
+                             phase_invariant)
         improved = vals > best_vals[active] + 1e-13 * (1.0 + np.abs(vals))
         stall[active] = np.where(improved, 0, stall[active] + 1)
         better = vals > best_vals[active]
@@ -368,22 +368,22 @@ def _run_ascent(step, starts: np.ndarray, owner: np.ndarray, cfg: OptimizerConfi
         best_pts[idx] = current[idx]
         steps = np.linalg.norm(nxt - current[active], axis=1)
         retire = (steps < _STEP_TOL) | (stall[active] >= _STALL_LIMIT)
-        converged[active[retire]] = True
+        life[active[retire]] = it + 1
         keep = ~retire
         current[active[keep]] = nxt[keep]
         active = active[keep]
         if active.size == 0:
             break
     if active.size:
-        sizes = np.bincount(owner[active], minlength=count)
-        evals += sizes
-        vals, _ = step(current[active], _blocks(sizes))
+        vals, _ = step(current[active], _blocks(owner[active], count))
         vals = np.asarray(vals, dtype=float)
         better = vals > best_vals[active]
         idx = active[better]
         best_vals[idx] = vals[better]
         best_pts[idx] = current[idx]
-    return best_vals, best_pts, converged, iters, evals
+    converged = life > 0
+    life[~converged] = cfg.max_iters
+    return best_vals, best_pts, converged, life
 
 
 def grid_supremum(objective, d: int, n_points: int = 10_000, zoom: int = 6, seed: int = 0):

@@ -593,10 +593,6 @@ class TestBatchedAscent:
         for t, w, est in zip(ts, warm, norms._hypo_p_norms(ts, 1.5, cfg, warm)):
             assert _same_estimate(est, norms.schatten_hypo_norm(t, 1.5, cfg, warm_starts=w))
 
-    def test_batch_rejects_mixed_shapes(self):
-        with pytest.raises(ValueError, match="one shape"):
-            norms._hypo_p_norms([random_tuple(2, 3, 1), random_tuple(2, 4, 1)], INF, CFG)
-
     def test_iteration_and_evaluation_counts(self):
         # d = 1 collapses to one evaluation; otherwise every start takes at
         # least one SQUAREM iteration of three evaluations, and the winner
