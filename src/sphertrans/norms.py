@@ -110,18 +110,21 @@ def _dual_weights(mags: np.ndarray, vals: np.ndarray, p: float) -> np.ndarray:
     return w
 
 
-def _per_owner(fn, rows: np.ndarray, blocks) -> np.ndarray:
-    """fn(b, rows of owner b) for each owner block, stacked in row order."""
-    parts = [fn(b, rows[sl]) for b, sl in blocks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _per_owner(fn, stack: np.ndarray, rows: np.ndarray, blocks) -> np.ndarray:
+    """fn(stack[b], rows of owner b) for each owner block, stacked in row
+    order.  One call per owner, over the rows a one-tuple run would have,
+    keeps every row's bits those of that run; one einsum over all owners
+    does not."""
+    if len(blocks) == 1:
+        b, sl = blocks[0]
+        return fn(stack[b], rows[sl])
+    return np.concatenate([fn(stack[b], rows[sl]) for b, sl in blocks])
 
 
-def _combine_owned(stack: np.ndarray, rows: np.ndarray, blocks) -> np.ndarray:
-    """sum_k lam[s, k] T_k for each row s, with T the tuple stack[b] of the
-    row's owner b.  One gemm per owner, over the rows a one-tuple run would
-    have, keeps every row's bits those of that run; one einsum over all
-    owners does not."""
-    return _per_owner(lambda b, r: _combine(stack[b], r), rows, blocks)
+def _contract(flat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_ij w_s[i, j] T_k[i, j] for each matrix w_s of w, with flat the
+    tuple T as a (d, n*n) array."""
+    return w.reshape(len(w), -1) @ flat.T
 
 
 def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None) -> list:
@@ -138,15 +141,14 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
     flats = stack.reshape(len(ts), ts[0].d, -1)
 
     def objective(rows, blocks):
-        return _batch_schatten(
-            np.linalg.svd(_combine_owned(stack, rows, blocks), compute_uv=False), p)
+        m = _per_owner(_combine, stack, rows, blocks)
+        return _batch_schatten(np.linalg.svd(m, compute_uv=False), p)
 
     def ascend(rows, blocks):
-        u, s, vh = np.linalg.svd(_combine_owned(stack, rows, blocks))
+        u, s, vh = np.linalg.svd(_per_owner(_combine, stack, rows, blocks))
         vals = _batch_schatten(s, p)
         dual = np.conj((u * _dual_weights(s, vals, p)[:, None, :]) @ vh)
-        a = _per_owner(lambda b, w: w.reshape(len(w), -1) @ flats[b].T, dual, blocks)
-        return vals, power_step(rows, a)
+        return vals, power_step(rows, _per_owner(_contract, flats, dual, blocks))
 
     return sphere_optimize_batch(objective, ts[0].d, len(ts), config, ascend=ascend,
                                  warm_starts=warm_starts)
@@ -258,18 +260,15 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
     """
     stack = np.stack([t.array for t in ts])
 
-    def coeffs_for(xs, blocks):
-        return _per_owner(lambda b, x: _vector_coeffs(stack[b], x), xs, blocks)
-
     def objective(xs, blocks):
-        return np.linalg.norm(coeffs_for(xs, blocks), axis=1)
+        return np.linalg.norm(_per_owner(_vector_coeffs, stack, xs, blocks), axis=1)
 
     def ascend(xs, blocks):
-        c = coeffs_for(xs, blocks)
+        c = _per_owner(_vector_coeffs, stack, xs, blocks)
         vals = np.linalg.norm(c, axis=1)
         safe = np.where(vals > 0.0, vals, 1.0)
         lam = np.conj(c) / safe[:, None]
-        _, q = np.linalg.eigh(_real_parts(_combine_owned(stack, lam, blocks)))
+        _, q = np.linalg.eigh(_real_parts(_per_owner(_combine, stack, lam, blocks)))
         nxt = q[:, :, -1]
         nxt[vals <= 0.0] = xs[vals <= 0.0]
         return vals, nxt

@@ -363,12 +363,13 @@ class _Store:
             kind, name, p = key
             batch = self.batches.get(kind, ()) if p is None else ()
             if name in batch:
-                self.memo.update(zip([(kind, n, None) for n in batch], self._first(kind, batch)))
+                ests = self._estimate_batch(kind, batch)
+                self.memo.update(zip([(kind, n, None) for n in batch], ests))
             else:
                 self.memo[key] = self._estimate(key, self.cfg.opt)
         return self.memo[key].value
 
-    def _first(self, kind: str, names) -> list:
+    def _estimate_batch(self, kind: str, names) -> list:
         """The first operator hypo-norm (or joint radius, by route a)
         estimates of the named same-shape tuples, by one batched ascent."""
         ts = [self.tup(name) for name in names]
