@@ -53,8 +53,11 @@ def spherical_norm(t: OperatorTuple) -> float:
 
 
 def euclidean_norm(t: OperatorTuple) -> float:
-    """(sum_k ||T_k||^2)^(1/2)."""
-    return float(np.sqrt(sum(linalg.operator_norm(m) ** 2 for m in t)))
+    """(sum_k ||T_k||^2)^(1/2), every ||T_k|| from one batched SVD.  The
+    squares are Python float powers, which round differently from numpy's
+    in the last bit, so the value is that of the per-coordinate sum."""
+    tops = np.linalg.svd(t.array, compute_uv=False)[:, 0]
+    return float(np.sqrt(sum(s ** 2 for s in tops.tolist())))
 
 
 def schatten_spherical_norm(t: OperatorTuple, p: float) -> float:

@@ -3,7 +3,10 @@
 Each predicate returns its residual (an operator-norm or eigenvalue
 magnitude that vanishes exactly when the property holds) together with
 the thresholded flag.  The default tolerance scales with 1 + ||T||^2
-since the residuals are quadratic in the entries.
+since the residuals are quadratic in the entries.  The tuple predicates
+are stack expressions over the validated coordinate array, each with one
+batched SVD; the single-matrix predicates check their input, which comes
+from outside the package.
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, NotCommutingError
 from .norms import spherical_norm
-from .tuples import (
-    OperatorTuple,
-    block_embedding,
-    gram_sum,
-    spherical_polar,
-    tuple_power,
-)
+from .tuples import OperatorTuple, block_embedding
 
 PREDICATE_RTOL = 1e-9
 
@@ -46,6 +43,14 @@ def _result(residual: float, tol: float) -> PredicateResult:
     return PredicateResult(flag=residual <= tol, residual=float(residual), tol=tol)
 
 
+def _max_operator_norm(stack: np.ndarray) -> float:
+    """The largest operator norm in a stack of matrices, by one batched
+    SVD; 0 for an empty stack."""
+    if stack.size == 0:
+        return 0.0
+    return float(np.linalg.svd(stack, compute_uv=False)[..., 0].max())
+
+
 def _square_and_tol(a, tol: float | None):
     """A as a square matrix, and tol or the default of the 1-tuple (A)."""
     a = linalg.as_matrix(a)
@@ -57,13 +62,9 @@ def _square_and_tol(a, tol: float | None):
 def is_commuting(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
     """max_{i<j} ||T_i T_j - T_j T_i||_op against the tolerance."""
     tol = _default_tol(t, tol)
-    residual = 0.0
-    for i in range(t.d):
-        for j in range(i + 1, t.d):
-            residual = max(
-                residual, linalg.operator_norm(t[i] @ t[j] - t[j] @ t[i])
-            )
-    return _result(residual, tol)
+    i, j = np.triu_indices(t.d, 1)
+    a = t.array
+    return _result(_max_operator_norm(a[i] @ a[j] - a[j] @ a[i]), tol)
 
 
 def is_normal_single(a, tol: float | None = None) -> PredicateResult:
@@ -76,10 +77,11 @@ def is_normal_single(a, tol: float | None = None) -> PredicateResult:
 def is_normal_tuple(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
     """Commuting and each coordinate normal."""
     tol = _default_tol(t, tol)
-    residual = is_commuting(t, tol).residual
-    for m in t:
-        residual = max(residual, is_normal_single(m, tol).residual)
-    return _result(residual, tol)
+    a = t.array
+    adj = np.conj(a.transpose(0, 2, 1))
+    return _result(
+        max(is_commuting(t, tol).residual, _max_operator_norm(adj @ a - a @ adj)), tol
+    )
 
 
 def is_quasinormal_single(a, tol: float | None = None) -> PredicateResult:
@@ -114,15 +116,15 @@ def is_jointly_hyponormal(t: OperatorTuple, tol: float | None = None) -> Predica
 def is_spherically_quasinormal(
     t: OperatorTuple, route: str = "A", tol: float | None = None
 ) -> PredicateResult:
-    """Route A: each T_i commutes with sum_j T_j* T_j (used directly, no
-    square root).  Route B: the block matrices satisfy PV = VP; it is only
+    """Route A: each T_i commutes with sum_j T_j* T_j, the Gram product of
+    the stacked column (used directly, no square root).  Route B: the block matrices satisfy PV = VP; it is only
     defined for commuting tuples and raises NotCommutingError otherwise.
     """
     tol = _default_tol(t, tol)
     if route == "A":
-        s = gram_sum(t)
-        residual = max(linalg.operator_norm(m @ s - s @ m) for m in t)
-        return _result(residual, tol)
+        col = t.stacked()
+        s = linalg.adjoint(col) @ col
+        return _result(_max_operator_norm(t.array @ s - s @ t.array), tol)
     if route == "B":
         if not is_commuting(t, tol):
             raise NotCommutingError(
@@ -139,8 +141,7 @@ def is_spherically_quasinormal(
 def is_square_zero(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
     """All d^2 coordinates of T o T vanish."""
     tol = _default_tol(t, tol)
-    residual = max(linalg.operator_norm(m) for m in tuple_power(t, 2))
-    return _result(residual, tol)
+    return _result(_max_operator_norm(t.array[:, None] @ t.array[None]), tol)
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ class InvertibilityProxy:
 
 
 def taylor_invertibility_proxy(t: OperatorTuple) -> InvertibilityProxy:
-    polar = spherical_polar(t)
+    polar = t.polar
     low = float(polar.eigvals[0])
     return InvertibilityProxy(
         flag=low > polar.rank_tol,

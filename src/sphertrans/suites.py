@@ -57,13 +57,8 @@ from .norms import (
 from .optimize import OptimizerConfig
 from .predicates import is_normal_tuple, is_square_zero
 from .reports import FAIL, PASS, REFINED, InequalityRecord, SuiteReport, summarize
-from .transforms import (
-    duggal_from_polar,
-    generalized_aluthge_from_polar,
-    heinz_from_polar,
-    lambda_mean_from_polar,
-)
-from .tuples import OperatorTuple, spherical_polar, tuple_from, tuple_power
+from .transforms import duggal, generalized_aluthge, heinz, lambda_mean, mean_transform
+from .tuples import OperatorTuple, tuple_from, tuple_power
 
 WORKERS_ENV = "SPHERTRANS_WORKERS"
 
@@ -303,15 +298,12 @@ class _Store:
             got = self.memo[key] = build()
         return got
 
-    def polar(self, base: str):
-        return self._memo(("polar", base), lambda: spherical_polar(getattr(self, base)))
-
     def tup(self, name) -> OperatorTuple:
         return self._memo(("tup", name), lambda: self._build(name))
 
     def _build(self, name) -> OperatorTuple:
         if not isinstance(name, str):
-            return lambda_mean_from_polar(self.T, self.polar("T"), name)
+            return lambda_mean(self.T, name)
         base, _, kind = name.partition(".")
         obj = getattr(self, base)
         if not kind:
@@ -320,14 +312,13 @@ class _Store:
             return tuple_from(obj.products[kind])
         if kind == "sq":
             return tuple_power(obj, 2)
-        polar = self.polar(base)
         if kind == "alu":
-            return generalized_aluthge_from_polar(polar, self.t_aluthge)
+            return generalized_aluthge(obj, self.t_aluthge)
         if kind == "hz":
-            return heinz_from_polar(polar, self.t)
+            return heinz(obj, self.t)
         if kind == "mean":
-            return lambda_mean_from_polar(obj, polar, 0.5)
-        return duggal_from_polar(polar)
+            return mean_transform(obj)
+        return duggal(obj)
 
     def spectrum(self, name) -> np.ndarray:
         """The singular values of a tuple's stacked column, descending; the

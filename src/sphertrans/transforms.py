@@ -11,14 +11,14 @@ All transforms are built from the canonical decomposition T_i = V_i P:
 
 Each transform is one numpy expression on the (d, n, n) stack of the V_i
 (or of the T_i), with P and its powers broadcast over the coordinates.
-The public functions recompute the polar decomposition internally; the
-*_from_polar variants reuse a precomputed SphericalPolar.
+The decomposition is the tuple's own t.polar, computed on its first read,
+so every transform of one tuple shares one factorization.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidParameterError
-from .tuples import OperatorTuple, SphericalPolar, spherical_polar
+from .tuples import OperatorTuple
 
 
 def _check_unit_interval(name: str, x: float) -> None:
@@ -26,40 +26,16 @@ def _check_unit_interval(name: str, x: float) -> None:
         raise InvalidParameterError(f"{name}={x} outside [0, 1]")
 
 
-def duggal_from_polar(polar: SphericalPolar) -> OperatorTuple:
-    return OperatorTuple(matrices=polar.p @ polar.v)
-
-
-def generalized_aluthge_from_polar(polar: SphericalPolar, t: float) -> OperatorTuple:
-    _check_unit_interval("t", t)
-    return OperatorTuple(matrices=polar.p_power(t) @ polar.v @ polar.p_power(1.0 - t))
-
-
-def heinz_from_polar(polar: SphericalPolar, t: float) -> OperatorTuple:
-    _check_unit_interval("t", t)
-    s = 1.0 - t
-    p_t, p_s = polar.p_power(t), polar.p_power(s)
-    # the Aluthge transform at s ends in P^(1-s), and 1 - (1 - t) can miss
-    # t by one ulp; the power is recomputed only then
-    p_back = p_t if 1.0 - s == t else polar.p_power(1.0 - s)
-    return OperatorTuple(matrices=0.5 * (p_t @ polar.v @ p_s + p_s @ polar.v @ p_back))
-
-
-def lambda_mean_from_polar(
-    t: OperatorTuple, polar: SphericalPolar, lam: float
-) -> OperatorTuple:
-    _check_unit_interval("lambda", lam)
-    return OperatorTuple(matrices=lam * t.array + (1.0 - lam) * (polar.p @ polar.v))
-
-
 def duggal(t: OperatorTuple) -> OperatorTuple:
     """Spherical Duggal transform (P V_1, ..., P V_d)."""
-    return duggal_from_polar(spherical_polar(t))
+    return OperatorTuple(matrices=t.polar.p @ t.polar.v)
 
 
 def generalized_aluthge(t: OperatorTuple, s: float) -> OperatorTuple:
     """Coordinates P^s V_i P^(1-s); s = 0 gives T, s = 1 gives duggal(T)."""
-    return generalized_aluthge_from_polar(spherical_polar(t), s)
+    _check_unit_interval("t", s)
+    polar = t.polar
+    return OperatorTuple(matrices=polar.p_power(s) @ polar.v @ polar.p_power(1.0 - s))
 
 
 def aluthge(t: OperatorTuple) -> OperatorTuple:
@@ -69,12 +45,20 @@ def aluthge(t: OperatorTuple) -> OperatorTuple:
 
 def heinz(t: OperatorTuple, s: float) -> OperatorTuple:
     """Symmetric average of the generalized Aluthge transforms at s and 1-s."""
-    return heinz_from_polar(spherical_polar(t), s)
+    _check_unit_interval("t", s)
+    polar = t.polar
+    r = 1.0 - s
+    p_s, p_r = polar.p_power(s), polar.p_power(r)
+    # the Aluthge transform at r ends in P^(1-r), and 1 - (1 - s) can miss
+    # s by one ulp; the power is recomputed only then
+    p_back = p_s if 1.0 - r == s else polar.p_power(1.0 - r)
+    return OperatorTuple(matrices=0.5 * (p_s @ polar.v @ p_r + p_r @ polar.v @ p_back))
 
 
 def lambda_mean(t: OperatorTuple, lam: float) -> OperatorTuple:
     """Convex combination lam * T + (1 - lam) * duggal(T)."""
-    return lambda_mean_from_polar(t, spherical_polar(t), lam)
+    _check_unit_interval("lambda", lam)
+    return OperatorTuple(matrices=lam * t.array + (1.0 - lam) * (t.polar.p @ t.polar.v))
 
 
 def mean_transform(t: OperatorTuple) -> OperatorTuple:

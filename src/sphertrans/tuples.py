@@ -10,11 +10,15 @@ forms sum T_i* T_i and so does not square its condition number.
 An OperatorTuple owns one read-only (d, n, n) complex128 array, validated
 once when the tuple is built; its coordinates are views into that array,
 and the tuple algebra and the transforms act on the whole array at once.
+The tuple also owns its polar decomposition: t.polar is computed on first
+read and kept, so every transform, P itself and the block embedding of
+one tuple share one factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +58,8 @@ def _coordinate_stack(matrices) -> np.ndarray:
 class OperatorTuple:
     """Immutable d-tuple of square matrices on a common n-dimensional space.
 
-    `array` is the read-only (d, n, n) coordinate stack; `matrices` holds its views.
+    `array` is the read-only (d, n, n) coordinate stack; `matrices` holds its
+    views; `polar` is its spherical polar decomposition, computed once.
     """
 
     matrices: tuple
@@ -82,6 +87,11 @@ class OperatorTuple:
     def stacked(self) -> np.ndarray:
         """The dn x n column matrix with the coordinates stacked vertically."""
         return self.array.reshape(-1, self.n)
+
+    @cached_property
+    def polar(self) -> SphericalPolar:
+        """T_i = V_i P, computed on first read; the tuple is immutable."""
+        return spherical_polar(self)
 
 
 def tuple_from(*mats) -> OperatorTuple:
@@ -124,18 +134,9 @@ def tuple_power(t: OperatorTuple, k: int) -> OperatorTuple:
     return out
 
 
-def gram_sum(t: OperatorTuple) -> np.ndarray:
-    """sum_i T_i* T_i, symmetrized to be exactly Hermitian; P never
-    comes from it (see spherical_polar)."""
-    s = np.zeros((t.n, t.n), dtype=np.complex128)
-    for m in t:
-        s += linalg.adjoint(m) @ m
-    return (s + linalg.adjoint(s)) / 2.0
-
-
 def defect_operator(t: OperatorTuple) -> np.ndarray:
-    """The PSD defect operator P = sqrt(sum_i T_i* T_i): spherical_polar(t).p, read-only."""
-    return spherical_polar(t).p
+    """The PSD defect operator P = sqrt(sum_i T_i* T_i): t.polar.p, read-only."""
+    return t.polar.p
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +226,7 @@ def _first_column_block(stack: np.ndarray) -> np.ndarray:
 
 
 def block_embedding(t: OperatorTuple) -> BlockEmbedding:
-    polar = spherical_polar(t)
+    polar = t.polar
     return BlockEmbedding(
         t_block=_first_column_block(t.array),
         v_block=_first_column_block(polar.v),

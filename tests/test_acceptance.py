@@ -26,7 +26,7 @@ from sphertrans.suites import (
     sharp_column_pair,
     sharp_diag_pair,
 )
-from sphertrans.tuples import block_embedding, spherical_polar
+from sphertrans.tuples import block_embedding
 
 P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 SEED = 42
@@ -246,7 +246,7 @@ class TestCriterion9StructuralIdentities:
             scale = 1.0 + norms.spherical_norm(tup)
 
             blocks = block_embedding(tup)
-            polar = spherical_polar(tup)
+            polar = tup.polar
             # operator-norm transfer: ||T|| = ||column block|| = ||sum T*T||^(1/2)
             worst["norm_transfer"] = max(
                 worst["norm_transfer"],
@@ -287,24 +287,17 @@ class TestCriterion9StructuralIdentities:
                     linalg.operator_norm(x - y) for x, y in zip(a, b)
                 ) / scale
 
-            dug = transforms.duggal_from_polar(polar)
+            dug = transforms.duggal(tup)
             mean = [(m + g) / 2.0 for m, g in zip(tup, dug)]
             worst["endpoints"] = max(
                 worst["endpoints"],
-                dist(transforms.generalized_aluthge_from_polar(polar, 0.0), tup),
-                dist(transforms.generalized_aluthge_from_polar(polar, 1.0), dug),
-                dist(
-                    transforms.heinz_from_polar(polar, 0.5),
-                    transforms.generalized_aluthge_from_polar(polar, 0.5),
-                ),
-                dist(transforms.heinz_from_polar(polar, 0.0), mean),
-                dist(
-                    transforms.lambda_mean_from_polar(tup, polar, 0.0), dug
-                ),
-                dist(
-                    transforms.lambda_mean_from_polar(tup, polar, 1.0), tup
-                ),
-                dist(transforms.lambda_mean_from_polar(tup, polar, 0.5), mean),
+                dist(transforms.generalized_aluthge(tup, 0.0), tup),
+                dist(transforms.generalized_aluthge(tup, 1.0), dug),
+                dist(transforms.heinz(tup, 0.5), transforms.generalized_aluthge(tup, 0.5)),
+                dist(transforms.heinz(tup, 0.0), mean),
+                dist(transforms.lambda_mean(tup, 0.0), dug),
+                dist(transforms.lambda_mean(tup, 1.0), tup),
+                dist(transforms.lambda_mean(tup, 0.5), mean),
                 linalg.operator_norm(polar.p_power(0.0) - np.eye(n)),
             )
         ok = max(worst.values()) <= 1e-9

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphertrans import predicates
-from sphertrans.norms import spherical_norm
+from sphertrans import linalg, predicates
+from sphertrans.norms import euclidean_norm, spherical_norm
 from sphertrans.ensembles import random_normal_tuple, random_tuple
 from sphertrans.errors import DimensionMismatchError, NotCommutingError
-from sphertrans.tuples import tuple_from, zero_tuple
+from sphertrans.tuples import tuple_from, tuple_power, zero_tuple
 
 from conftest import cmat, random_matrix
 
@@ -197,3 +197,46 @@ class TestClassification:
         c = predicates.classify(sharp_column)
         assert not c.commuting.flag
         assert c.spherically_quasinormal_block is None
+
+
+class TestStackFormsMatchCoordinateLoops:
+    """The tuple predicates and the Euclidean norm, written over the
+    coordinate stack with one batched SVD, equal the per-coordinate loops
+    of checked single-matrix norms bit for bit."""
+
+    @staticmethod
+    def commuting_loop(t):
+        residual = 0.0
+        for i in range(t.d):
+            for j in range(i + 1, t.d):
+                residual = max(residual, linalg.operator_norm(t[i] @ t[j] - t[j] @ t[i]))
+        return residual
+
+    @classmethod
+    def normal_loop(cls, t, tol):
+        residual = cls.commuting_loop(t)
+        for m in t:
+            residual = max(residual, predicates.is_normal_single(m, tol).residual)
+        return residual
+
+    @staticmethod
+    def square_zero_loop(t):
+        return max(linalg.operator_norm(m) for m in tuple_power(t, 2))
+
+    @staticmethod
+    def euclidean_loop(t):
+        return float(np.sqrt(sum(linalg.operator_norm(m) ** 2 for m in t)))
+
+    @pytest.mark.parametrize("ensemble", ["ginibre", "nilpotent", "contraction"])
+    def test_equal_to_loops(self, ensemble):
+        for d in range(1, 5):
+            for n in range(2, 7):
+                for k in range(3):
+                    t = random_tuple(d, n, [d, n, k], ensemble)
+                    tol = 1e-9
+                    assert predicates.is_commuting(t, tol).residual == self.commuting_loop(t)
+                    assert predicates.is_normal_tuple(t, tol).residual == \
+                        self.normal_loop(t, tol)
+                    assert predicates.is_square_zero(t, tol).residual == \
+                        self.square_zero_loop(t)
+                    assert euclidean_norm(t) == self.euclidean_loop(t)

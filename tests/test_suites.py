@@ -24,8 +24,7 @@ from sphertrans.suites import (
     run_suite,
     sharp_diag_pair,
 )
-from sphertrans.transforms import lambda_mean_from_polar
-from sphertrans.tuples import spherical_polar
+from sphertrans.transforms import lambda_mean
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sphertrans"
@@ -173,7 +172,6 @@ class TestS3LambdaGrid:
         cfg = SuiteConfig(trials=6, seed=4242)
         recs = _trial_records("s3", cfg, trial)
         tup = _Store("s3", cfg, trial).T
-        polar = spherical_polar(tup)
         grid_ids = {"sp.lambda_mean.scaled_convex": None,
                     "s2norm.lambda_mean.min_bound": 2.0}
         checked = 0
@@ -181,7 +179,7 @@ class TestS3LambdaGrid:
             if rec.inequality_id in grid_ids:
                 fp = rec.fingerprint
                 p = grid_ids[rec.inequality_id] or fp["p"]
-                lam_mean = lambda_mean_from_polar(tup, polar, fp["lambda"])
+                lam_mean = lambda_mean(tup, fp["lambda"])
                 assert rec.lhs == schatten_spherical_norm(lam_mean, p), (fp, p)
                 checked += 1
         assert checked == 22

@@ -1,14 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphertrans import transforms
-from sphertrans.ensembles import random_normal_tuple, random_tuple
+from sphertrans import predicates, transforms, tuples
+from sphertrans.ensembles import random_commuting_tuple, random_normal_tuple, random_tuple
 from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import spherical_norm
 from sphertrans.predicates import is_spherically_quasinormal
-from sphertrans.tuples import spherical_polar, tuple_from, tuple_power, zero_tuple
+from sphertrans.tuples import tuple_from, tuple_power, zero_tuple
 
 from conftest import cmat
 
@@ -173,29 +175,56 @@ class TestMatchesCoordinateLoop:
         rng = np.random.default_rng([7, seed])
         ensemble = ("ginibre", "nilpotent", "contraction")[seed % 3]
         tup = random_tuple(int(rng.integers(1, 5)), int(rng.integers(2, 7)), rng, ensemble)
-        polar = spherical_polar(tup)
+        polar = tup.polar
         dug = [polar.p @ v for v in polar.v]
 
         def aluthge_loop(s):
             left, right = polar.p_power(s), polar.p_power(1.0 - s)
             return [left @ v @ right for v in polar.v]
 
-        assert same_coordinates(transforms.duggal_from_polar(polar), dug)
+        assert same_coordinates(transforms.duggal(tup), dug)
         # 0.3 is a t with 1 - (1 - t) != t in floating point
         for t in (0.0, 0.3, 0.5, 1.0, float(rng.uniform(0.15, 0.85))):
             assert same_coordinates(
-                transforms.generalized_aluthge_from_polar(polar, t), aluthge_loop(t)
+                transforms.generalized_aluthge(tup, t), aluthge_loop(t)
             )
             assert same_coordinates(
-                transforms.heinz_from_polar(polar, t),
+                transforms.heinz(tup, t),
                 [0.5 * (a + b) for a, b in zip(aluthge_loop(t), aluthge_loop(1.0 - t))],
             )
         for lam in (0.0, 0.3, 0.5, 1.0):
             assert same_coordinates(
-                transforms.lambda_mean_from_polar(tup, polar, lam),
+                transforms.lambda_mean(tup, lam),
                 [lam * m + (1.0 - lam) * g for m, g in zip(tup, dug)],
             )
         # the mean is the lambda = 1/2 case: 0.5 T + 0.5 D == 0.5 (T + D)
         assert same_coordinates(
             transforms.mean_transform(tup), [0.5 * (m + g) for m, g in zip(tup, dug)]
         )
+
+
+class TestSharedPolar:
+    def test_one_factorization_per_tuple(self, monkeypatch):
+        """Every transform and the classification of one tuple read its
+        polar decomposition, computed once."""
+        calls = []
+        factor = tuples.spherical_polar
+
+        def spy(t):
+            calls.append(t)
+            return factor(t)
+
+        # every module of the package that binds the function calls the spy
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sphertrans") and getattr(module, "spherical_polar", None) is factor:
+                monkeypatch.setattr(module, "spherical_polar", spy)
+        tup = random_commuting_tuple(3, 4, 11)
+        transforms.duggal(tup)
+        transforms.aluthge(tup)
+        transforms.generalized_aluthge(tup, 0.3)
+        transforms.heinz(tup, 0.3)
+        transforms.mean_transform(tup)
+        transforms.lambda_mean(tup, 0.7)
+        c = predicates.classify(tup)
+        assert c.spherically_quasinormal_block is not None
+        assert calls == [tup]
