@@ -813,6 +813,14 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITE_NAMES}")
     if cfg.trials < 1:
         raise InvalidParameterError(f"trials={cfg.trials} must be >= 1")
+    if cfg.dmax < 1:
+        raise InvalidParameterError(f"dmax={cfg.dmax} must be >= 1")
+    if cfg.nmax < 2:
+        raise InvalidParameterError(f"nmax={cfg.nmax} must be >= 2")
+    for name in ("tol", "opt_tol"):
+        value = getattr(cfg, name)
+        if not 0.0 <= value < np.inf:
+            raise InvalidParameterError(f"{name}={value} must be finite and >= 0")
     if suite == "sharpness":
         cfg = replace(cfg, trials=1)
     started = time.perf_counter()

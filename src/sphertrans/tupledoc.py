@@ -58,8 +58,10 @@ def from_document_dict(doc: dict) -> TupleDocument:
     name = doc.get("name", "tuple")
     _require(isinstance(name, str), "field 'name' must be a string")
     d, n = doc["d"], doc["n"]
-    _require(isinstance(d, int) and d >= 1, "field 'd' must be a positive integer")
-    _require(isinstance(n, int) and n >= 1, "field 'n' must be a positive integer")
+    # bool is an int in Python, but JSON true is not a dimension
+    for key, value in (("d", d), ("n", n)):
+        _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+                 f"field '{key}' must be a positive integer")
     grids = doc["matrices"]
     _require(isinstance(grids, list) and len(grids) == d,
              f"field 'matrices' must hold exactly d={d} grids")

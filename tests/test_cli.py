@@ -62,6 +62,14 @@ class TestCompute:
                      "--output", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_boolean_dimension_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"d": true, "n": 1, "matrices": [[[[1.0, 0.0]]]]}')
+        code = main(["compute", "--input", str(bad), "--transform", "duggal",
+                     "--output", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "'d'" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         code = main(["compute", "--input", str(tmp_path / "none.json"),
                      "--transform", "duggal", "--output", str(tmp_path / "x.json")])
@@ -135,6 +143,19 @@ class TestVerify:
         assert code == 3
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, name", [
+        ("--dmax", "0", "dmax"), ("--nmax", "1", "nmax"), ("--tol", "nan", "tol"),
+        ("--tol", "-1", "tol"), ("--tol", "inf", "tol"),
+    ])
+    def test_out_of_range_parameter_exits_3(self, option, value, name, capsys):
+        code = main(["verify", "--suite", "s3", "--trials", "2", "--workers", "1",
+                     option, value])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name}=")
+        assert captured.err.count("\n") == 1
+
     def test_all_suites_report_suffix_replaces_only_the_last_json(self, tmp_path, capsys):
         reports = tmp_path / "out.json.d"
         reports.mkdir()
@@ -167,6 +188,16 @@ class TestFuzz:
         code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "0",
                      "--workers", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("option, value", [("--dmax", "0"), ("--nmax", "1")])
+    def test_fuzz_out_of_range_dims_exit_3(self, option, value, capsys):
+        code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
+                     "--workers", "1", option, value])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option[2:]}=")
+        assert captured.err.count("\n") == 1
 
     def test_fuzz_unknown_id_exits_3(self, capsys):
         code = main(["fuzz", "--inequality-id", "bogus", "--trials", "2"])

@@ -68,3 +68,11 @@ class TestValidation:
     def test_bad_dimension_types(self):
         with pytest.raises(TupleDocumentError, match="'d'"):
             from_document_dict({"d": "two", "n": 2, "matrices": []})
+
+    @pytest.mark.parametrize("key", ["d", "n"])
+    def test_boolean_dimension_rejected(self, key):
+        # a JSON true would otherwise read as the integer 1
+        doc = to_document_dict(random_tuple(1, 1, 0))
+        doc[key] = True
+        with pytest.raises(TupleDocumentError, match=f"'{key}'"):
+            from_document_dict(doc)
