@@ -41,7 +41,15 @@ EXIT_VERIFY_FAIL = 1
 EXIT_IO = 2
 EXIT_PARAMS = 3
 
-TRANSFORMS = ("duggal", "aluthge", "gen-aluthge", "heinz", "mean", "lambda-mean")
+# compute's transforms: name -> (function of the tuple, the option it needs or None)
+TRANSFORMS = {
+    "duggal": (transforms.duggal, None),
+    "aluthge": (transforms.aluthge, None),
+    "gen-aluthge": (transforms.generalized_aluthge, "t"),
+    "heinz": (transforms.heinz, "t"),
+    "mean": (transforms.mean_transform, None),
+    "lambda-mean": (transforms.lambda_mean, "lambda"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,10 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="apply a spherical transform")
     p_compute.add_argument("--input", required=True)
     p_compute.add_argument("--output", required=True)
-    p_compute.add_argument("--transform", required=True, choices=TRANSFORMS)
+    p_compute.add_argument("--transform", required=True, choices=tuple(TRANSFORMS))
     p_compute.add_argument("--t", type=float, default=None,
                            help="exponent for gen-aluthge / heinz")
-    p_compute.add_argument("--lambda", dest="lam", type=float, default=None,
+    p_compute.add_argument("--lambda", type=float, default=None, metavar="LAM",
                            help="weight for lambda-mean")
 
     p_norms = sub.add_parser("norms", help="report all norms and radii")
@@ -109,28 +117,13 @@ def _load_tuple(path):
 def _cmd_compute(args) -> int:
     doc = _load_tuple(args.input)
     name = args.transform
+    fn, option = TRANSFORMS[name]
+    params = () if option is None else (getattr(args, option),)
+    if None in params:
+        print(f"error: --{option} is required for {name}", file=sys.stderr)
+        return EXIT_PARAMS
     try:
-        if name == "duggal":
-            out = transforms.duggal(doc.tuple)
-        elif name == "aluthge":
-            out = transforms.aluthge(doc.tuple)
-        elif name == "mean":
-            out = transforms.mean_transform(doc.tuple)
-        elif name == "gen-aluthge":
-            if args.t is None:
-                print("error: --t is required for gen-aluthge", file=sys.stderr)
-                return EXIT_PARAMS
-            out = transforms.generalized_aluthge(doc.tuple, args.t)
-        elif name == "heinz":
-            if args.t is None:
-                print("error: --t is required for heinz", file=sys.stderr)
-                return EXIT_PARAMS
-            out = transforms.heinz(doc.tuple, args.t)
-        else:
-            if args.lam is None:
-                print("error: --lambda is required for lambda-mean", file=sys.stderr)
-                return EXIT_PARAMS
-            out = transforms.lambda_mean(doc.tuple, args.lam)
+        out = fn(doc.tuple, *params)
     except (InvalidParameterError, InvalidPError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
