@@ -1,0 +1,45 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from sphertrans.suites import SUITE_NAMES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name, *args):
+    """Run scripts/<name> with the library of this checkout on its path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_sharpness_demo_prints_both_fixture_tables():
+    run = _run_script("sharpness_demo.py")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    for label in ("column pair: d=2, n=2", "diagonal pair: d=2, n=2"):
+        start = lines.index(label)
+        assert lines[start + 1].split() == ["p", "tuple", "p-norm", "hypo-p-norm", "2^(1/p-1/2)"]
+        rows = [line.split() for line in lines[start + 2:start + 8]]
+        assert [row[0] for row in rows] == ["1", "1.5", "2", "3", "5", "10"]
+        assert all(len(row) == 4 for row in rows)
+    assert lines[-1].startswith("reference values: sqrt(2) =")
+
+
+def test_run_verification_writes_every_report(tmp_path):
+    run = _run_script("run_verification.py", "--trials", "2", "--workers", "1",
+                      "--out", str(tmp_path))
+    assert run.returncode == 1, run.stderr          # the sharpness suite fails by design
+    status = {suite.strip(): rest.split()[0] for suite, rest in
+              (line.split(":", 1) for line in run.stdout.splitlines())}
+    assert status == {suite: "FAIL" if suite == "sharpness" else "ok" for suite in SUITE_NAMES}
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(f"{suite}{ext}" for suite in SUITE_NAMES
+                             for ext in (".json", ".tightness.json"))
+    for suite in SUITE_NAMES:
+        assert json.loads((tmp_path / f"{suite}.json").read_text())["suite"] == suite
