@@ -117,8 +117,9 @@ def is_spherically_quasinormal(
     t: OperatorTuple, route: str = "A", tol: float | None = None
 ) -> PredicateResult:
     """Route A: each T_i commutes with sum_j T_j* T_j, the Gram product of
-    the stacked column (used directly, no square root).  Route B: the block matrices satisfy PV = VP; it is only
-    defined for commuting tuples and raises NotCommutingError otherwise.
+    the stacked column (used directly, no square root).  Route B: the
+    block matrices satisfy PV = VP; it is only defined for commuting
+    tuples and raises NotCommutingError otherwise.
     """
     tol = _default_tol(t, tol)
     if route == "A":
