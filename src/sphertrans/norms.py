@@ -22,6 +22,14 @@ reached by that ascent (route b) or over unit vectors (route a), and
 numerical_radius(A) is its d = 1 case.  Every radius is reported under
 one contract: argmax is gauge-fixed, theta is the phase the gauge
 removed, and value == ||Re(e^{i theta} M(argmax))||_p exactly.
+
+At p = 2 the Schatten hypo-norm and the Schatten radius are exact and
+ignore the optimizer config and warm starts.  ||M(lam)||_2^2 and
+||Re M(lam)||_2^2 are quadratic forms in the coefficients, so the
+argmax is a top eigenvector of one small matrix: the d x d Gram matrix
+of the coordinates for the hypo-2-norm, and a 2d x 2d real one for the
+Schatten 2-radius.  The value is still the objective evaluated at that
+argmax, now the true supremum to rounding.
 """
 
 from __future__ import annotations
@@ -172,20 +180,53 @@ def schatten_hypo_norm(
     config: OptimizerConfig | None = None,
     warm_starts=(),
 ) -> SupremumEstimate:
-    """sup over the coefficient ball of the Schatten p-norm of sum lam_k T_k."""
+    """sup over the coefficient ball of the Schatten p-norm of sum lam_k T_k.
+
+    At p = 2 the supremum is exact: the argmax is a top eigenvector of
+    the Gram matrix of the coordinates, and config and warm_starts are
+    not used.
+    """
     if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
+    if p == 2.0:
+        return _hypo_2_norm(t)
     return _hypo_p_norms((t,), p, config, (warm_starts,))[0]
+
+
+def _scaled_gram(rows: np.ndarray) -> tuple:
+    """(G, s) for a (k, N) array F: s is the largest entry magnitude of F
+    (1 if every entry is 0) and G = conj(F) @ F.T / s^2, Hermitian.
+    Dividing F by s before the product keeps G from underflowing or
+    overflowing; its eigenvectors do not depend on s, and s^2 restores
+    its eigenvalues."""
+    scale = float(np.max(np.abs(rows))) or 1.0
+    f = rows / scale
+    return np.conj(f) @ f.T, scale
+
+
+def _exact_estimate(value: float, lam: np.ndarray) -> SupremumEstimate:
+    """A closed-form supremum: value is the objective at lam."""
+    return SupremumEstimate(value=float(value), argmax=BallPoint(lam), starts=0,
+                            converged=True, spread=0.0, iterations=0, evaluations=1)
+
+
+def _hypo_2_norm(t: OperatorTuple) -> SupremumEstimate:
+    """The exact Schatten hypo-2-norm.  ||M(lam)||_2^2 = lam* H lam with
+    H = conj(F) @ F.T, F the tuple as a (d, n*n) array, so the argmax is
+    a top eigenvector of H, valued by the ascent's objective."""
+    mats = t.array
+    lam = gauge_fix(np.linalg.eigh(_scaled_gram(mats.reshape(t.d, -1))[0])[1][:, -1])
+    value = _batch_schatten(np.linalg.svd(_combine(mats, lam[None, :]), compute_uv=False), 2.0)
+    return _exact_estimate(value[0], lam)
 
 
 def schatten_hypo_norm_gram(t: OperatorTuple) -> float:
     """Closed form for p = 2: sqrt of the top eigenvalue of the d x d Gram
-    matrix G[j, k] = tr(T_k T_j*).  Independent of the optimizer route.
+    matrix G[j, k] = tr(T_k T_j*), built on the tuple divided by its
+    largest entry.  Independent of the optimizer route.
     """
-    mats = t.array
-    g = np.einsum("kab,jab->jk", mats, np.conj(mats))
-    g = (g + np.conj(g.T)) / 2.0
-    return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
+    g, scale = _scaled_gram(t.array.reshape(t.d, -1))
+    return scale * float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +281,22 @@ def _real_part_sup(
     est = sphere_optimize(objective, t.d, config, ascend=ascend,
                           phase_invariant=False, warm_starts=warm_starts)
     return _reported_at(est, est.argmax.coeffs, est.value)
+
+
+def _real_part_2_sup(t: OperatorTuple) -> SupremumEstimate:
+    """The exact sup over the unit sphere of ||Re M(lam)||_2.
+
+    With lam = x + i y, Re M(lam) = sum_m z_m E_m for z = (x, y) real and
+    E = (Re T_1, ..., Re T_d, Re(i T_1), ..., Re(i T_d)), so
+    ||Re M(lam)||_2^2 = z^T R z with R = Re <E_m, E_l>, and the argmax
+    is a top eigenvector of R, reported by _reported_at.
+    """
+    mats = t.array
+    e = _real_parts(np.concatenate([mats, 1j * mats])).reshape(2 * t.d, -1)
+    z = np.linalg.eigh(_scaled_gram(e)[0].real)[1][:, -1]
+    lam = z[:t.d] + 1j * z[t.d:]
+    value = float(_real_part_norms(mats, lam[None, :], 2.0)[0])
+    return _reported_at(_exact_estimate(value, lam), lam, value)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +406,12 @@ def schatten_numerical_radius(
     Computed as sup_lam ||Re M(lam)||_p over the ungauged coefficient
     sphere by one dual ascent (no theta sweep).  argmax is gauge-fixed
     and theta is the phase the gauge removed from the winner, so value
-    is the exact evaluation ||Re(e^{i theta} M(argmax))||_p.
+    is the exact evaluation ||Re(e^{i theta} M(argmax))||_p.  At p = 2
+    the supremum is exact: the argmax is a top eigenvector of a 2d x 2d
+    real matrix, and config and warm_starts are not used.
     """
     if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
+    if p == 2.0:
+        return _real_part_2_sup(t)
     return _real_part_sup(t, p, config, warm_starts)

@@ -86,7 +86,10 @@ class SupremumEstimate:
 
     value is the objective evaluated exactly at argmax; spread is the
     max-min range over final values of converged starts (a multimodality
-    diagnostic, not an error bar).
+    diagnostic, not an error bar).  The p = 2 Schatten hypo-norm and
+    Schatten radius are closed forms that use no config or warm starts:
+    they report starts=0, converged=True, spread=0.0, iterations=0 and
+    evaluations=1.
     """
 
     value: float

@@ -59,12 +59,30 @@ def _square_and_tol(a, tol: float | None):
     return a, tol if tol is not None else PREDICATE_RTOL * (1.0 + linalg.operator_norm(a) ** 2)
 
 
-def is_commuting(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
-    """max_{i<j} ||T_i T_j - T_j T_i||_op against the tolerance."""
-    tol = _default_tol(t, tol)
+def _commutator_residual(t: OperatorTuple) -> float:
+    """max_{i<j} ||T_i T_j - T_j T_i||_op."""
     i, j = np.triu_indices(t.d, 1)
     a = t.array
-    return _result(_max_operator_norm(a[i] @ a[j] - a[j] @ a[i]), tol)
+    return _max_operator_norm(a[i] @ a[j] - a[j] @ a[i])
+
+
+def _normality_defects(t: OperatorTuple) -> np.ndarray:
+    """||T_k* T_k - T_k T_k*||_op for each coordinate, by one batched SVD;
+    each equals is_normal_single's residual of T_k bit for bit."""
+    a = t.array
+    adj = np.conj(a.transpose(0, 2, 1))
+    return np.linalg.svd(adj @ a - a @ adj, compute_uv=False)[:, 0]
+
+
+def _normal_result(commutator: float, defects: np.ndarray, tol: float) -> PredicateResult:
+    """is_normal_tuple from the commutator residual and the coordinate
+    normality defects."""
+    return _result(max(commutator, float(defects.max())), tol)
+
+
+def is_commuting(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
+    """max_{i<j} ||T_i T_j - T_j T_i||_op against the tolerance."""
+    return _result(_commutator_residual(t), _default_tol(t, tol))
 
 
 def is_normal_single(a, tol: float | None = None) -> PredicateResult:
@@ -76,12 +94,7 @@ def is_normal_single(a, tol: float | None = None) -> PredicateResult:
 
 def is_normal_tuple(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
     """Commuting and each coordinate normal."""
-    tol = _default_tol(t, tol)
-    a = t.array
-    adj = np.conj(a.transpose(0, 2, 1))
-    return _result(
-        max(is_commuting(t, tol).residual, _max_operator_norm(adj @ a - a @ adj)), tol
-    )
+    return _normal_result(_commutator_residual(t), _normality_defects(t), _default_tol(t, tol))
 
 
 def is_quasinormal_single(a, tol: float | None = None) -> PredicateResult:
@@ -131,12 +144,14 @@ def is_spherically_quasinormal(
             raise NotCommutingError(
                 "route B of spherical quasinormality needs a commuting tuple"
             )
-        blocks = block_embedding(t)
-        residual = linalg.operator_norm(
-            blocks.p_block @ blocks.v_block - blocks.v_block @ blocks.p_block
-        )
-        return _result(residual, tol)
+        return _result(_route_b_residual(t), tol)
     raise ValueError(f"unknown route {route!r}")
+
+
+def _route_b_residual(t: OperatorTuple) -> float:
+    """||PV - VP||_op of the block matrices of a commuting tuple."""
+    blocks = block_embedding(t)
+    return linalg.operator_norm(blocks.p_block @ blocks.v_block - blocks.v_block @ blocks.p_block)
 
 
 def is_square_zero(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
@@ -190,19 +205,24 @@ class Classification:
 
 
 def classify(t: OperatorTuple, tol: float | None = None) -> Classification:
+    """Every predicate at one tolerance.  The commutator residual and the
+    coordinate normality defects are computed once and shared by the
+    predicates that read them, so each field equals its predicate's
+    result bit for bit."""
     tol = _default_tol(t, tol)
-    commuting = is_commuting(t, tol)
-    route_b = is_spherically_quasinormal(t, "B", tol) if commuting else None
+    commutator = _commutator_residual(t)
+    defects = _normality_defects(t)
+    commuting = _result(commutator, tol)
     return Classification(
         tol=tol,
         commuting=commuting,
-        normal=is_normal_tuple(t, tol),
+        normal=_normal_result(commutator, defects, tol),
         jointly_hyponormal=is_jointly_hyponormal(t, tol),
         spherically_quasinormal=is_spherically_quasinormal(t, "A", tol),
-        spherically_quasinormal_block=route_b,
+        spherically_quasinormal_block=_result(_route_b_residual(t), tol) if commuting else None,
         square_zero=is_square_zero(t, tol),
         taylor_proxy=taylor_invertibility_proxy(t),
-        coordinate_normal=tuple(is_normal_single(m, tol) for m in t),
+        coordinate_normal=tuple(_result(r, tol) for r in defects.tolist()),
         coordinate_quasinormal=tuple(is_quasinormal_single(m, tol) for m in t),
         coordinate_hyponormal=tuple(is_hyponormal_single(m, tol) for m in t),
     )

@@ -16,13 +16,15 @@ the operator hypo-norms of 13 tuples of T's shape and the joint radii of
 ascent, bit for bit equal to estimating each tuple alone.
 
 Optimized suprema are lower bounds.  Checks whose optimized side could
-fall short use the relaxed slack opt_tol, and one rule escalates them: a
-failing check escalates each optimized quantity its optimized side read
-(the rhs of "le", the measured lhs of "eq"), at most once per trial.  A
-hypo-norm or Schatten estimate reruns with max(8 * n_random_starts, 256)
-starts plus a 100k-point screen, warm-started at its argmax; the joint
-radius reruns with both routes.  The store keeps the larger estimate, the
-check is judged again, and every later read sees the escalated value.
+fall short use the relaxed slack opt_tol; the s2r.chain rows run only at
+p = 2, where both Schatten suprema are exact, and use tol.  One rule
+escalates: a failing check escalates each optimized quantity its
+optimized side read (the rhs of "le", the measured lhs of "eq"), at
+most once per trial.  A hypo-norm or Schatten estimate reruns with
+max(8 * n_random_starts, 256) starts plus a 100k-point screen,
+warm-started at its argmax; the joint radius reruns with both routes.
+The store keeps the larger estimate, the check is judged again, and
+every later read sees the escalated value.
 """
 
 from __future__ import annotations
@@ -659,15 +661,13 @@ TABLE = (
     Row("s2r.chain.a", "s4", "le",
         lambda s, i: s.norm("T", s.p) / np.sqrt(2.0 * s.d),
         lambda s, i: s.hypo("T", s.p) / np.sqrt(2.0),
-        "(2d)^(-1/2) tuple 2-norm below 2^(-1/2) hypo-2-norm",
-        tol="opt_tol", when=lambda s: s.p == 2.0),
+        "(2d)^(-1/2) tuple 2-norm below 2^(-1/2) hypo-2-norm", when=lambda s: s.p == 2.0),
     Row("s2r.chain.b", "s4", "le",
         lambda s, i: s.hypo("T", s.p) / np.sqrt(2.0), lambda s, i: s.radius("T", s.p),
-        "2^(-1/2) hypo-2-norm below the Schatten 2-radius",
-        tol="opt_tol", when=lambda s: s.p == 2.0),
+        "2^(-1/2) hypo-2-norm below the Schatten 2-radius", when=lambda s: s.p == 2.0),
     Row("s2r.chain.c", "s4", "le",
         lambda s, i: s.radius("T", s.p), lambda s, i: s.hypo("T", s.p),
-        "Schatten 2-radius below the hypo-2-norm", tol="opt_tol", when=lambda s: s.p == 2.0),
+        "Schatten 2-radius below the hypo-2-norm", when=lambda s: s.p == 2.0),
     Row("s2r.chain.d", "s4", "le",
         lambda s, i: s.hypo("T", s.p), lambda s, i: s.norm("T", s.p),
         "hypo-2-norm below the tuple 2-norm", when=lambda s: s.p == 2.0),

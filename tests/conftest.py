@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
+from sphertrans.ensembles import random_tuple
 from sphertrans.tuples import OperatorTuple
+
+GRID_ENSEMBLES = ("ginibre", "nilpotent", "contraction")
+
+
+def grid_tuples() -> list:
+    """180 tuples: d = 1..4, n = 2..6, three ensembles, three seeds each."""
+    return [random_tuple(d, n, [d, n, k], ensemble) for ensemble in GRID_ENSEMBLES
+            for d in range(1, 5) for n in range(2, 7) for k in range(3)]
 
 
 def cmat(rows) -> np.ndarray:

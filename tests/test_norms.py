@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sphertrans.ensembles import random_tuple
 from sphertrans.errors import InvalidPError, SphertransError
 from sphertrans.optimize import OptimizerConfig, grid_supremum
 from sphertrans.tuples import (
+    OperatorTuple,
     adjoint_tuple,
     block_embedding,
     defect_operator,
@@ -18,7 +20,7 @@ from sphertrans.tuples import (
     zero_tuple,
 )
 
-from conftest import cmat
+from conftest import cmat, grid_tuples
 
 CFG = OptimizerConfig(n_random_starts=8)
 
@@ -320,7 +322,7 @@ class TestSchattenHypoNorm:
             t = random_tuple(3, 5, seed)
             opt = norms.schatten_hypo_norm(t, 2.0, CFG).value
             closed = norms.schatten_hypo_norm_gram(t)
-            assert abs(opt - closed) <= 1e-6
+            assert abs(opt - closed) <= 1e-14 * closed
 
     def test_adjoint_symmetry(self):
         for seed in range(3):
@@ -373,6 +375,72 @@ class TestSchattenNumericalRadius:
                 w = norms.schatten_numerical_radius(t, 2.0, CFG).value
                 assert h / np.sqrt(2.0) <= w + 1e-6
                 assert s / np.sqrt(2.0 * t.d) <= w + 1e-6
+
+
+@pytest.fixture(scope="module")
+def p2_grid():
+    """(tuple, hypo-2-norm, its ascent, 2-radius, its ascent) on the grid,
+    the ascents at the default 32 random starts."""
+    cfg = OptimizerConfig()
+    return [(t, norms.schatten_hypo_norm(t, 2.0), norms._hypo_p_norms((t,), 2.0, cfg)[0],
+             norms.schatten_numerical_radius(t, 2.0), norms._real_part_sup(t, 2.0, cfg))
+            for t in grid_tuples()]
+
+
+class TestExactP2:
+    def test_not_below_the_ascent(self, p2_grid):
+        for _, hypo, hypo_ascent, radius, radius_ascent in p2_grid:
+            assert hypo.value >= hypo_ascent.value * (1.0 - 2e-15)
+            assert radius.value >= radius_ascent.value * (1.0 - 2e-15)
+
+    def test_not_above_the_top_eigenvalue(self, p2_grid):
+        # the quadratic forms, built from scratch: tr(T_k T_j*) and
+        # tr(E_m E_l) over E = (Re T_k, Re(i T_k))
+        for t, hypo, _, radius, _ in p2_grid:
+            gram = np.array([[np.trace(a @ np.conj(b.T)) for a in t] for b in t])
+            parts = [linalg.real_part(c * m) for c in (1.0, 1j) for m in t]
+            form = np.array([[np.trace(a @ b).real for a in parts] for b in parts])
+            assert hypo.value <= np.sqrt(np.linalg.eigvalsh(gram)[-1]) * (1.0 + 2e-15)
+            assert radius.value <= np.sqrt(np.linalg.eigvalsh(form)[-1]) * (1.0 + 2e-15)
+
+    def test_value_is_the_objective_at_argmax(self, p2_grid):
+        # the radius is valued at the ungauged argmax e^{i theta} argmax
+        for t, hypo, _, radius, _ in p2_grid:
+            m = norms._combine(t.array, hypo.argmax.coeffs[None, :])
+            assert hypo.value == norms._batch_schatten(
+                np.linalg.svd(m, compute_uv=False), 2.0)[0]
+            lam = np.exp(1j * radius.theta) * radius.argmax.coeffs
+            assert radius.value == pytest.approx(
+                norms._real_part_norms(t.array, lam[None, :], 2.0)[0], rel=1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        (1, 4, 3, "ginibre"), (3, 5, 11, "nilpotent"), (4, 3, 13, "contraction"),
+    ])
+    def test_ignores_the_optimizer_config(self, spec):
+        t = random_tuple(*spec)
+        crippled = OptimizerConfig(n_random_starts=0, max_iters=1)
+        for estimator in (norms.schatten_hypo_norm, norms.schatten_numerical_radius):
+            est = estimator(t, 2.0, CFG)
+            assert (est.starts, est.converged, est.spread, est.iterations,
+                    est.evaluations) == (0, True, 0.0, 0, 1)
+            for other in (estimator(t, 2.0, crippled), estimator(t, 2.0, CFG.escalated()),
+                          estimator(t, 2.0, CFG, warm_starts=[np.ones(t.d)])):
+                assert _same_estimate(other, est)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160])
+    def test_scale_far_from_one(self, scale):
+        """The quadratic forms are built on the tuple divided by its
+        largest entry: unscaled, the Gram matrix read 0.0 at 1e-170 and
+        raised LinAlgError at 1e160."""
+        base = random_tuple(3, 4, 7)
+        t = OperatorTuple(tuple(scale * base.array))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (norms.schatten_hypo_norm_gram,
+                          lambda t: norms.schatten_hypo_norm(t, 2.0).value,
+                          lambda t: norms.schatten_numerical_radius(t, 2.0).value):
+                expected = scale * value(base)
+                assert abs(value(t) - expected) <= 1e-14 * expected
 
 
 INF = float("inf")
@@ -449,7 +517,8 @@ class TestRadiusAscent:
     ])
     def test_value_is_exact_at_argmax_and_theta(self, spec):
         t = _table_tuple(spec)
-        estimates = [(norms.schatten_numerical_radius(t, p, CFG), p) for p in (1.0, 3.0, INF)]
+        estimates = [(norms.schatten_numerical_radius(t, p, CFG), p)
+                     for p in (1.0, 2.0, 3.0, INF)]
         estimates += [(norms.joint_numerical_radius(t, CFG, route=r), INF)
                       for r in ("a", "b", "both")]
         for est, p in estimates:

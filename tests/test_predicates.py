@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from sphertrans import linalg, predicates
 from sphertrans.norms import euclidean_norm, spherical_norm
-from sphertrans.ensembles import random_normal_tuple, random_tuple
+from sphertrans.ensembles import random_commuting_tuple, random_normal_tuple, random_tuple
 from sphertrans.errors import DimensionMismatchError, NotCommutingError
 from sphertrans.tuples import tuple_from, tuple_power, zero_tuple
 
-from conftest import cmat, random_matrix
+from conftest import cmat, grid_tuples, random_matrix
 
 
 class TestSingleOperatorPredicates:
@@ -197,6 +197,48 @@ class TestClassification:
         c = predicates.classify(sharp_column)
         assert not c.commuting.flag
         assert c.spherically_quasinormal_block is None
+
+    @staticmethod
+    def classify_by_predicates(t):
+        """classify as separate predicate calls, each computing its own
+        residuals."""
+        tol = predicates._default_tol(t, None)
+        commuting = predicates.is_commuting(t, tol)
+        return predicates.Classification(
+            tol=tol,
+            commuting=commuting,
+            normal=predicates.is_normal_tuple(t, tol),
+            jointly_hyponormal=predicates.is_jointly_hyponormal(t, tol),
+            spherically_quasinormal=predicates.is_spherically_quasinormal(t, "A", tol),
+            spherically_quasinormal_block=(predicates.is_spherically_quasinormal(t, "B", tol)
+                                           if commuting else None),
+            square_zero=predicates.is_square_zero(t, tol),
+            taylor_proxy=predicates.taylor_invertibility_proxy(t),
+            coordinate_normal=tuple(predicates.is_normal_single(m, tol) for m in t),
+            coordinate_quasinormal=tuple(predicates.is_quasinormal_single(m, tol) for m in t),
+            coordinate_hyponormal=tuple(predicates.is_hyponormal_single(m, tol) for m in t),
+        )
+
+    def test_shared_residuals_equal_separate_predicates(self):
+        tuples = grid_tuples() + [random_commuting_tuple(d, n, [d, n])
+                                  for d in range(2, 5) for n in range(2, 7)]
+        assert sum(predicates.is_commuting(t).flag for t in tuples) >= 60
+        for t in tuples:
+            assert predicates.classify(t) == self.classify_by_predicates(t)
+
+    def test_commuting_tuple_svd_count(self, monkeypatch):
+        # separate predicates made 15 SVDs here: the commutator residual
+        # three times and the coordinate normality defects twice
+        t = random_commuting_tuple(3, 4, 11)
+        real, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        predicates.classify(t)
+        assert len(calls) == 10
 
 
 class TestStackFormsMatchCoordinateLoops:
