@@ -31,7 +31,3 @@ class InvalidParameterError(SphertransError):
 
 class DimensionMismatchError(SphertransError):
     """Operands act on different spaces."""
-
-
-class NotCommutingError(SphertransError):
-    """Predicate route is only defined for commuting tuples."""

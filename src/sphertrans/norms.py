@@ -17,9 +17,10 @@ The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
 M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
 invariant under lam -> e^{i theta} lam, so they equal
 sup_lam ||Re M(lam)||_p over the ungauged sphere.  One dual-ascent step
-serves p in [1, inf].  The joint numerical radius is its p = inf case,
-reached by that ascent (route b) or over unit vectors (route a), and
-numerical_radius(A) is its d = 1 case.  Every radius is reported under
+serves p in [1, inf].  The joint numerical radius is its p = inf case:
+joint_numerical_radius runs that ascent (route b) and one over unit
+vectors (route a), each a check on the other, and reports the larger.
+numerical_radius(A) is the d = 1 case.  Every radius is reported under
 one contract: argmax is gauge-fixed, theta is the phase the gauge
 removed, and value == ||Re(e^{i theta} M(argmax))||_p exactly.
 
@@ -366,29 +367,23 @@ def _radius_coeff_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumEs
 
 
 def joint_numerical_radius(
-    t: OperatorTuple, config: OptimizerConfig | None = None, route: str = "both"
+    t: OperatorTuple, config: OptimizerConfig | None = None
 ) -> SupremumEstimate:
     """Joint numerical radius omega(T) = sup_lam omega(sum lam_k T_k).
 
-    route "a" ascends over unit vectors, "b" over the coefficient sphere;
-    "both" (default) runs the two, reports the larger with the starts
-    summed, and records the gap |a - b| in cross_gap.  Either route is
-    reported under the radius contract, with
+    Runs route (a), over unit vectors, and route (b), over the coefficient
+    sphere, so that each checks the other: reports the larger estimate
+    with starts, iterations and evaluations summed, and the gap |a - b|
+    in cross_gap.  It is reported under the radius contract, with
     value == ||Re(e^{i theta} M(argmax))||_op exactly.
     """
-    if route not in ("a", "b", "both"):
-        raise ValueError(f"unknown route {route!r}")
     cfg = config or OptimizerConfig()
-    runs = []
-    if route != "b":
-        runs.append(_radius_vector_route(t, cfg))
-    if route != "a":
-        runs.append(_radius_coeff_route(t, cfg))
-    best = max(runs, key=lambda est: est.value)
-    gap = abs(runs[0].value - runs[1].value) if len(runs) == 2 else None
-    return replace(best, starts=sum(est.starts for est in runs),
+    runs = (_radius_vector_route(t, cfg), _radius_coeff_route(t, cfg))
+    return replace(max(runs, key=lambda est: est.value),
+                   starts=sum(est.starts for est in runs),
                    iterations=sum(est.iterations for est in runs),
-                   evaluations=sum(est.evaluations for est in runs), cross_gap=gap)
+                   evaluations=sum(est.evaluations for est in runs),
+                   cross_gap=abs(runs[0].value - runs[1].value))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ the thresholded flag.  The default tolerance scales with 1 + ||T||^2
 since the residuals are quadratic in the entries.  The tuple predicates
 are stack expressions over the validated coordinate array, each with one
 batched SVD; the single-matrix predicates check their input, which comes
-from outside the package.
+from outside the package.  Spherical quasinormality has one predicate;
+classify also reports its block-matrix form PV = VP for commuting
+tuples, as a check on it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, NotCommutingError
+from .errors import DimensionMismatchError
 from .norms import spherical_norm
-from .tuples import OperatorTuple, block_embedding
+from .tuples import OperatorTuple
 
 PREDICATE_RTOL = 1e-9
 
@@ -126,32 +128,22 @@ def is_jointly_hyponormal(t: OperatorTuple, tol: float | None = None) -> Predica
     return _result(max(0.0, -low), tol)
 
 
-def is_spherically_quasinormal(
-    t: OperatorTuple, route: str = "A", tol: float | None = None
-) -> PredicateResult:
-    """Route A: each T_i commutes with sum_j T_j* T_j, the Gram product of
-    the stacked column (used directly, no square root).  Route B: the
-    block matrices satisfy PV = VP; it is only defined for commuting
-    tuples and raises NotCommutingError otherwise.
-    """
+def is_spherically_quasinormal(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
+    """Each T_i commutes with sum_j T_j* T_j, the Gram product of the
+    stacked column (used directly, no square root)."""
     tol = _default_tol(t, tol)
-    if route == "A":
-        col = t.stacked()
-        s = linalg.adjoint(col) @ col
-        return _result(_max_operator_norm(t.array @ s - s @ t.array), tol)
-    if route == "B":
-        if not is_commuting(t, tol):
-            raise NotCommutingError(
-                "route B of spherical quasinormality needs a commuting tuple"
-            )
-        return _result(_route_b_residual(t), tol)
-    raise ValueError(f"unknown route {route!r}")
+    col = t.stacked()
+    s = linalg.adjoint(col) @ col
+    return _result(_max_operator_norm(t.array @ s - s @ t.array), tol)
 
 
-def _route_b_residual(t: OperatorTuple) -> float:
-    """||PV - VP||_op of the block matrices of a commuting tuple."""
-    blocks = block_embedding(t)
-    return linalg.operator_norm(blocks.p_block @ blocks.v_block - blocks.v_block @ blocks.p_block)
+def _block_residual(t: OperatorTuple) -> float:
+    """||P_block V_block - V_block P_block||_op, the block-matrix form of
+    spherical quasinormality for a commuting tuple.  Its only nonzero
+    block column stacks P V_i - V_i P, so this is that dn x n column's
+    operator norm."""
+    polar = t.polar
+    return _max_operator_norm((polar.p @ polar.v - polar.v @ polar.p).reshape(-1, t.n))
 
 
 def is_square_zero(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
@@ -195,8 +187,8 @@ class Classification:
     commuting: PredicateResult
     normal: PredicateResult
     jointly_hyponormal: PredicateResult
-    spherically_quasinormal: PredicateResult          # route A
-    spherically_quasinormal_block: PredicateResult | None  # route B, commuting only
+    spherically_quasinormal: PredicateResult
+    spherically_quasinormal_block: PredicateResult | None  # commuting tuples only
     square_zero: PredicateResult
     taylor_proxy: InvertibilityProxy
     coordinate_normal: tuple
@@ -218,8 +210,8 @@ def classify(t: OperatorTuple, tol: float | None = None) -> Classification:
         commuting=commuting,
         normal=_normal_result(commutator, defects, tol),
         jointly_hyponormal=is_jointly_hyponormal(t, tol),
-        spherically_quasinormal=is_spherically_quasinormal(t, "A", tol),
-        spherically_quasinormal_block=_result(_route_b_residual(t), tol) if commuting else None,
+        spherically_quasinormal=is_spherically_quasinormal(t, tol),
+        spherically_quasinormal_block=_result(_block_residual(t), tol) if commuting else None,
         square_zero=is_square_zero(t, tol),
         taylor_proxy=taylor_invertibility_proxy(t),
         coordinate_normal=tuple(_result(r, tol) for r in defects.tolist()),

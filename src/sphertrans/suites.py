@@ -378,7 +378,7 @@ class _Store:
                 return hypo_norm(t, opt, warm_starts=warm)
             return schatten_hypo_norm(t, p, opt, warm_starts=warm)
         if p is None:
-            return joint_numerical_radius(t, opt, route="both" if warm else "a")
+            return joint_numerical_radius(t, opt)
         return schatten_numerical_radius(t, p, opt, warm_starts=warm)
 
     def escalate(self, keys) -> bool:

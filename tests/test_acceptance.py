@@ -204,9 +204,7 @@ class TestCriterion8OracleEquivalence:
         worst = 0.0
         for k in range(200):
             tup = _mixed_tuple(k, nmax=5)
-            est = norms.joint_numerical_radius(
-                tup, OptimizerConfig(n_random_starts=8), route="both"
-            )
+            est = norms.joint_numerical_radius(tup, OptimizerConfig(n_random_starts=8))
             worst = max(worst, est.cross_gap)
         ok = worst <= 1e-6
         _line("8b radius route cross-check", ok,

@@ -188,7 +188,7 @@ class TestJointNumericalRadius:
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 3))
     def test_sandwich(self, seed, d):
         t = random_tuple(d, 4, seed)
-        w = norms.joint_numerical_radius(t, CFG, route="a").value
+        w = norms._radius_vector_route(t, CFG).value
         s = norms.spherical_norm(t)
         e = norms.euclidean_norm(t)
         assert s / (2.0 * np.sqrt(d)) <= w + 1e-6
@@ -202,6 +202,18 @@ class TestJointNumericalRadius:
             est = norms.joint_numerical_radius(t)
             assert est.cross_gap is not None
             assert est.cross_gap <= 1e-6
+
+    def test_reports_larger_route_with_summed_diagnostics(self):
+        for seed in range(4):
+            t = random_tuple(3, 4, seed)
+            a, b = norms._radius_vector_route(t, CFG), norms._radius_coeff_route(t, CFG)
+            est = norms.joint_numerical_radius(t, CFG)
+            best = a if a.value >= b.value else b
+            assert est.value == best.value and est.theta == best.theta
+            assert np.array_equal(est.argmax.coeffs, best.argmax.coeffs)
+            for field in ("starts", "iterations", "evaluations"):
+                assert getattr(est, field) == getattr(a, field) + getattr(b, field)
+            assert est.cross_gap == abs(a.value - b.value)
 
     def test_adjoint_symmetry(self):
         for seed in range(3):
@@ -509,7 +521,7 @@ class TestRadiusAscent:
 
     @pytest.mark.parametrize("spec,before", ROUTE_B_TABLE)
     def test_route_b_not_below_theta_sweep(self, spec, before):
-        est = norms.joint_numerical_radius(_table_tuple(spec), CFG, route="b")
+        est = norms._radius_coeff_route(_table_tuple(spec), CFG)
         assert est.value >= before - 1e-9 * (1.0 + before)
 
     @pytest.mark.parametrize("spec", [
@@ -519,8 +531,8 @@ class TestRadiusAscent:
         t = _table_tuple(spec)
         estimates = [(norms.schatten_numerical_radius(t, p, CFG), p)
                      for p in (1.0, 2.0, 3.0, INF)]
-        estimates += [(norms.joint_numerical_radius(t, CFG, route=r), INF)
-                      for r in ("a", "b", "both")]
+        estimates += [(route(t, CFG), INF) for route in (
+            norms._radius_vector_route, norms._radius_coeff_route, norms.joint_numerical_radius)]
         for est, p in estimates:
             lam = est.argmax.coeffs
             lead = lam[np.argmax(np.abs(lam) > 1e-12)]
@@ -534,14 +546,14 @@ class TestRadiusAscent:
         for spec in ((2, 3, 5, "ginibre"), "fixture", (3, 5, 11, "nilpotent")):
             t = _table_tuple(spec)
             w = norms.schatten_numerical_radius(t, INF, CFG).value
-            b = norms.joint_numerical_radius(t, CFG, route="b").value
+            b = norms._radius_coeff_route(t, CFG).value
             assert w == pytest.approx(b, abs=1e-10)
 
     def test_escalation_has_no_cost_cliff(self):
         t = random_tuple(3, 5, 11)
         for run in (
             lambda cfg: norms.schatten_numerical_radius(t, 3.0, cfg),
-            lambda cfg: norms.joint_numerical_radius(t, cfg, route="b"),
+            lambda cfg: norms._radius_coeff_route(t, cfg),
         ):
             base = run(CFG).value
             start = time.perf_counter()
@@ -605,7 +617,7 @@ class TestAscentEngine:
         new = [
             norms.hypo_norm(t, CFG).value,
             *(norms.schatten_hypo_norm(t, p, CFG).value for p in (1.0, 1.5, 3.0)),
-            norms.joint_numerical_radius(t, CFG, route="a").value,
+            norms._radius_vector_route(t, CFG).value,
         ]
         for value, before in zip(new, (op, p1, p15, p3, route_a)):
             assert value >= before - 1e-9 * (1.0 + before)
@@ -613,7 +625,7 @@ class TestAscentEngine:
     def test_route_a_converges_on_nilpotent_tuple(self):
         # the old route a stopped at the cap here with 1.533791614508
         t = random_tuple(4, 3, np.random.default_rng(1086), "nilpotent")
-        est = norms.joint_numerical_radius(t, CFG, route="a")
+        est = norms._radius_vector_route(t, CFG)
         assert est.converged
         assert est.value >= 1.533791614508
 
@@ -653,7 +665,7 @@ class TestBatchedAscent:
     def test_route_a_batched_equals_single(self, d, n):
         ts = _batch(d, n)
         for t, est in zip(ts, norms._radius_vector_routes(ts, CFG)):
-            assert _same_estimate(est, norms.joint_numerical_radius(t, CFG, route="a"))
+            assert _same_estimate(est, norms._radius_vector_route(t, CFG))
 
     def test_screens_and_warm_starts_stay_per_tuple(self):
         ts = _batch(3, 4)
@@ -671,8 +683,8 @@ class TestBatchedAscent:
         est = norms.hypo_norm(random_tuple(3, 4, 7), CFG)
         assert 1 <= est.iterations <= CFG.max_iters
         assert est.evaluations >= 3 * est.starts + 1
-        both = norms.joint_numerical_radius(random_tuple(2, 3, 5), CFG)
-        runs = [norms.joint_numerical_radius(random_tuple(2, 3, 5), CFG, route=r)
-                for r in ("a", "b")]
+        t = random_tuple(2, 3, 5)
+        both = norms.joint_numerical_radius(t, CFG)
+        runs = [norms._radius_vector_route(t, CFG), norms._radius_coeff_route(t, CFG)]
         assert both.iterations == sum(r.iterations for r in runs)
         assert both.evaluations == sum(r.evaluations for r in runs)

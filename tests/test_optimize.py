@@ -191,7 +191,7 @@ class TestEscalation:
         monkeypatch.setattr(norms, "sphere_optimize_batch", counted_batch)
         t = random_tuple(2, 3, 12)
         cfg = OptimizerConfig(n_random_starts=2, grid_points=20_000)
-        norms.joint_numerical_radius(t, cfg, route="a")
+        norms._radius_vector_route(t, cfg)
         norms.hypo_norm(t, cfg)
         norms.schatten_numerical_radius(t, 2.0, cfg)
         assert calls and set(calls) == {2}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from sphertrans import linalg, predicates
 from sphertrans.norms import euclidean_norm, spherical_norm
 from sphertrans.ensembles import random_commuting_tuple, random_normal_tuple, random_tuple
-from sphertrans.errors import DimensionMismatchError, NotCommutingError
-from sphertrans.tuples import tuple_from, tuple_power, zero_tuple
+from sphertrans.errors import DimensionMismatchError
+from sphertrans.tuples import block_embedding, tuple_from, tuple_power, zero_tuple
 
 from conftest import cmat, grid_tuples, random_matrix
 
@@ -111,27 +113,23 @@ class TestTuplePredicates:
     def test_zero_tuple_everything(self):
         z = zero_tuple(2, 2)
         assert predicates.is_jointly_hyponormal(z).flag
-        assert predicates.is_spherically_quasinormal(z, "A").flag
+        assert predicates.is_spherically_quasinormal(z).flag
         assert predicates.is_square_zero(z).flag
 
 
 class TestSphericalQuasinormality:
     def test_column_pair_route_a_residual(self, sharp_column):
         # gram sum is diag(2, 0); [T2, diag(2,0)] has norm 2
-        res = predicates.is_spherically_quasinormal(sharp_column, "A")
+        res = predicates.is_spherically_quasinormal(sharp_column)
         assert res.residual == pytest.approx(2.0, abs=1e-12)
         assert not res.flag
-
-    def test_route_b_requires_commuting(self, sharp_column):
-        with pytest.raises(NotCommutingError):
-            predicates.is_spherically_quasinormal(sharp_column, "B")
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 3), n=st.integers(2, 5))
     def test_routes_agree_on_commuting_tuples(self, seed, d, n):
         t = random_normal_tuple(d, n, seed)
-        a = predicates.is_spherically_quasinormal(t, "A")
-        b = predicates.is_spherically_quasinormal(t, "B")
+        a = predicates.is_spherically_quasinormal(t)
+        b = predicates.classify(t).spherically_quasinormal_block
         assert a.flag and b.flag
 
     def test_routes_agree_negative_case(self):
@@ -139,13 +137,9 @@ class TestSphericalQuasinormality:
         base = cmat([[0, 1], [0, 0]])
         t = tuple_from(base, base @ base + 2 * base)
         assert predicates.is_commuting(t).flag
-        a = predicates.is_spherically_quasinormal(t, "A")
-        b = predicates.is_spherically_quasinormal(t, "B")
+        a = predicates.is_spherically_quasinormal(t)
+        b = predicates.classify(t).spherically_quasinormal_block
         assert not a.flag and not b.flag
-
-    def test_unknown_route(self, diag_pair):
-        with pytest.raises(ValueError):
-            predicates.is_spherically_quasinormal(diag_pair, "C")
 
 
 class TestImplicationChain:
@@ -156,7 +150,7 @@ class TestImplicationChain:
     ):
         t = random_normal_tuple(d, n, seed)
         assert predicates.is_normal_tuple(t).flag
-        assert predicates.is_spherically_quasinormal(t, "A").flag
+        assert predicates.is_spherically_quasinormal(t).flag
         assert predicates.is_jointly_hyponormal(t).flag
 
 
@@ -199,9 +193,17 @@ class TestClassification:
         assert c.spherically_quasinormal_block is None
 
     @staticmethod
-    def classify_by_predicates(t):
+    def block_matrix_residual(t):
+        """||P_block V_block - V_block P_block||_op on the dn x dn block
+        matrices."""
+        blocks = block_embedding(t)
+        return linalg.operator_norm(blocks.p_block @ blocks.v_block
+                                    - blocks.v_block @ blocks.p_block)
+
+    @classmethod
+    def classify_by_predicates(cls, t):
         """classify as separate predicate calls, each computing its own
-        residuals."""
+        residuals, with the block residual from the block matrices."""
         tol = predicates._default_tol(t, None)
         commuting = predicates.is_commuting(t, tol)
         return predicates.Classification(
@@ -209,8 +211,8 @@ class TestClassification:
             commuting=commuting,
             normal=predicates.is_normal_tuple(t, tol),
             jointly_hyponormal=predicates.is_jointly_hyponormal(t, tol),
-            spherically_quasinormal=predicates.is_spherically_quasinormal(t, "A", tol),
-            spherically_quasinormal_block=(predicates.is_spherically_quasinormal(t, "B", tol)
+            spherically_quasinormal=predicates.is_spherically_quasinormal(t, tol),
+            spherically_quasinormal_block=(predicates._result(cls.block_matrix_residual(t), tol)
                                            if commuting else None),
             square_zero=predicates.is_square_zero(t, tol),
             taylor_proxy=predicates.taylor_invertibility_proxy(t),
@@ -224,7 +226,14 @@ class TestClassification:
                                   for d in range(2, 5) for n in range(2, 7)]
         assert sum(predicates.is_commuting(t).flag for t in tuples) >= 60
         for t in tuples:
-            assert predicates.classify(t) == self.classify_by_predicates(t)
+            got, ref = predicates.classify(t), self.classify_by_predicates(t)
+            block, ref_block = got.spherically_quasinormal_block, ref.spherically_quasinormal_block
+            assert replace(got, spherically_quasinormal_block=None) == replace(
+                ref, spherically_quasinormal_block=None)
+            assert (block is None) == (ref_block is None)
+            if ref_block is not None:
+                assert block.flag == ref_block.flag and block.tol == ref_block.tol
+                assert block.residual == pytest.approx(ref_block.residual, rel=1e-14)
 
     def test_commuting_tuple_svd_count(self, monkeypatch):
         # separate predicates made 15 SVDs here: the commutator residual

@@ -132,7 +132,7 @@ class TestFixedPoints:
     def test_spherically_quasinormal_noncommuting_fixed(self):
         # both coordinates commute with the gram sum although they do not commute
         tup = tuple_from(cmat([[0, 1], [0, 0]]), cmat([[0, 0], [1, 0]]))
-        assert is_spherically_quasinormal(tup, route="A").flag
+        assert is_spherically_quasinormal(tup).flag
         for t in (0.0, 0.3, 0.5, 1.0):
             assert tuples_close(transforms.generalized_aluthge(tup, t), tup, 1e-10)
 
