@@ -122,11 +122,7 @@ def _cmd_compute(args) -> int:
     if None in params:
         print(f"error: --{option} is required for {name}", file=sys.stderr)
         return EXIT_PARAMS
-    try:
-        out = fn(doc.tuple, *params)
-    except (InvalidParameterError, InvalidPError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    out = fn(doc.tuple, *params)
     try:
         write_tuple(args.output, out, name=f"{doc.name}.{name}")
     except OSError as exc:

@@ -102,21 +102,8 @@ def tightness_stats(report: SuiteReport, bins: int = 20) -> dict:
     return out
 
 
-def report_to_dict(report: SuiteReport) -> dict:
-    return {
-        "suite": report.suite,
-        "seed": report.seed,
-        "trials": report.trials,
-        "tol": report.tol,
-        "opt_tol": report.opt_tol,
-        "records": [asdict(r) for r in report.records],
-        "summary": report.summary,
-        "wall_time": report.wall_time,
-    }
-
-
 def report_to_json(report: SuiteReport) -> str:
-    return json.dumps(report_to_dict(report), indent=1, sort_keys=True)
+    return json.dumps(asdict(report), indent=1, sort_keys=True)
 
 
 def write_report(report: SuiteReport, path) -> None:
