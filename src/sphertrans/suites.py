@@ -813,6 +813,8 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITE_NAMES}")
     if cfg.trials < 1:
         raise InvalidParameterError(f"trials={cfg.trials} must be >= 1")
+    if cfg.seed < 0:
+        raise InvalidParameterError(f"seed={cfg.seed} must be >= 0")
     if cfg.dmax < 1:
         raise InvalidParameterError(f"dmax={cfg.dmax} must be >= 1")
     if cfg.nmax < 2:
@@ -871,7 +873,8 @@ def fuzz_inequality(inequality_id: str, cfg: SuiteConfig):
     report = run_suite(row.suite, cfg)
     records = [r for r in report.records if r.inequality_id == inequality_id]
     if not records:
-        raise RuntimeError(f"no records produced for {inequality_id!r}")
+        raise InvalidParameterError(
+            f"trials={report.trials} produced no record of {inequality_id!r}")
     worst = min(records, key=lambda r: r.slack)
     witness = _Store(row.suite, cfg, worst.fingerprint["trial"]).artifact(row.artifact)
     return row.suite, records, witness, worst.fingerprint

@@ -145,7 +145,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("option, value, name", [
         ("--dmax", "0", "dmax"), ("--nmax", "1", "nmax"), ("--tol", "nan", "tol"),
-        ("--tol", "-1", "tol"), ("--tol", "inf", "tol"),
+        ("--tol", "-1", "tol"), ("--tol", "inf", "tol"), ("--seed", "-1", "seed"),
     ])
     def test_out_of_range_parameter_exits_3(self, option, value, name, capsys):
         code = main(["verify", "--suite", "s3", "--trials", "2", "--workers", "1",
@@ -197,6 +197,26 @@ class TestFuzz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {option[2:]}=")
+        assert captured.err.count("\n") == 1
+
+    def test_fuzz_negative_seed_exits_3(self, capsys):
+        code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
+                     "--workers", "1", "--seed", "-1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed=")
+        assert captured.err.count("\n") == 1
+
+    def test_fuzz_unreached_row_exits_3(self, capsys):
+        # trial 0 at seed 42 draws p = 2, so the p < 2 row never runs
+        code = main(["fuzz", "--inequality-id", "spr.hypo_lower.p_small", "--trials", "1",
+                     "--workers", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trials=1 ")
+        assert "spr.hypo_lower.p_small" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_fuzz_unknown_id_exits_3(self, capsys):
