@@ -26,11 +26,12 @@ removed, and value == ||Re(e^{i theta} M(argmax))||_p exactly.
 
 At p = 2 the Schatten hypo-norm and the Schatten radius are exact and
 ignore the optimizer config and warm starts.  ||M(lam)||_2^2 and
-||Re M(lam)||_2^2 are quadratic forms in the coefficients, so the
-argmax is a top eigenvector of one small matrix: the d x d Gram matrix
-of the coordinates for the hypo-2-norm, and a 2d x 2d real one for the
-Schatten 2-radius.  The value is still the objective evaluated at that
-argmax, now the true supremum to rounding.
+||Re M(lam)||_2^2 are quadratic forms in the real and imaginary parts
+of the coefficients, so for both the argmax is a top eigenvector of one
+2d x 2d real matrix (_quadratic_argmax).  The value is still the
+objective evaluated at that argmax, now the true supremum to rounding.
+schatten_hypo_norm_gram gives the hypo-2-norm from the d x d complex
+Gram matrix instead, so the two check each other.
 """
 
 from __future__ import annotations
@@ -184,8 +185,7 @@ def schatten_hypo_norm(
     """sup over the coefficient ball of the Schatten p-norm of sum lam_k T_k.
 
     At p = 2 the supremum is exact: the argmax is a top eigenvector of
-    the Gram matrix of the coordinates, and config and warm_starts are
-    not used.
+    a 2d x 2d real matrix, and config and warm_starts are not used.
     """
     if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
@@ -211,12 +211,24 @@ def _exact_estimate(value: float, lam: np.ndarray) -> SupremumEstimate:
                             converged=True, spread=0.0, iterations=0, evaluations=1)
 
 
+def _quadratic_argmax(e: np.ndarray) -> np.ndarray:
+    """The argmax over the unit sphere of ||sum_m z_m E_m||_2 for real z,
+    as coefficients lam = z[:d] + i z[d:], where e stacks the 2d
+    matrices E_m.  ||sum_m z_m E_m||_2^2 = z^T R z with R = Re <E_m, E_l>,
+    so z is a top eigenvector of R."""
+    d = len(e) // 2
+    z = np.linalg.eigh(_scaled_gram(e.reshape(2 * d, -1))[0].real)[1][:, -1]
+    return z[:d] + 1j * z[d:]
+
+
 def _hypo_2_norm(t: OperatorTuple) -> SupremumEstimate:
-    """The exact Schatten hypo-2-norm.  ||M(lam)||_2^2 = lam* H lam with
-    H = conj(F) @ F.T, F the tuple as a (d, n*n) array, so the argmax is
-    a top eigenvector of H, valued by the ascent's objective."""
+    """The exact Schatten hypo-2-norm.  With lam = x + i y,
+    M(lam) = sum_m z_m E_m for z = (x, y) and E = (T_1, ..., T_d,
+    i T_1, ..., i T_d), so the argmax is _quadratic_argmax of E, valued
+    by the ascent's objective.  schatten_hypo_norm_gram reads the d x d
+    complex Gram matrix instead, an independent eigenproblem."""
     mats = t.array
-    lam = gauge_fix(np.linalg.eigh(_scaled_gram(mats.reshape(t.d, -1))[0])[1][:, -1])
+    lam = gauge_fix(_quadratic_argmax(np.concatenate([mats, 1j * mats])))
     value = _batch_schatten(np.linalg.svd(_combine(mats, lam[None, :]), compute_uv=False), 2.0)
     return _exact_estimate(value[0], lam)
 
@@ -224,7 +236,8 @@ def _hypo_2_norm(t: OperatorTuple) -> SupremumEstimate:
 def schatten_hypo_norm_gram(t: OperatorTuple) -> float:
     """Closed form for p = 2: sqrt of the top eigenvalue of the d x d Gram
     matrix G[j, k] = tr(T_k T_j*), built on the tuple divided by its
-    largest entry.  Independent of the optimizer route.
+    largest entry.  Independent of the ascent and of the 2d x 2d
+    eigenproblem of schatten_hypo_norm at p = 2.
     """
     g, scale = _scaled_gram(t.array.reshape(t.d, -1))
     return scale * float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
@@ -288,14 +301,11 @@ def _real_part_2_sup(t: OperatorTuple) -> SupremumEstimate:
     """The exact sup over the unit sphere of ||Re M(lam)||_2.
 
     With lam = x + i y, Re M(lam) = sum_m z_m E_m for z = (x, y) real and
-    E = (Re T_1, ..., Re T_d, Re(i T_1), ..., Re(i T_d)), so
-    ||Re M(lam)||_2^2 = z^T R z with R = Re <E_m, E_l>, and the argmax
-    is a top eigenvector of R, reported by _reported_at.
+    E = (Re T_1, ..., Re T_d, Re(i T_1), ..., Re(i T_d)), so the argmax
+    is _quadratic_argmax of E, reported by _reported_at.
     """
     mats = t.array
-    e = _real_parts(np.concatenate([mats, 1j * mats])).reshape(2 * t.d, -1)
-    z = np.linalg.eigh(_scaled_gram(e)[0].real)[1][:, -1]
-    lam = z[:t.d] + 1j * z[t.d:]
+    lam = _quadratic_argmax(_real_parts(np.concatenate([mats, 1j * mats])))
     value = float(_real_part_norms(mats, lam[None, :], 2.0)[0])
     return _reported_at(_exact_estimate(value, lam), lam, value)
 
