@@ -212,21 +212,18 @@ def _exact_estimate(value: float, lam: np.ndarray) -> SupremumEstimate:
 
 
 def _quadratic_argmax(e: np.ndarray) -> np.ndarray:
-    """The argmax over the unit sphere of ||sum_m z_m E_m||_2 for real z,
-    as coefficients lam = z[:d] + i z[d:], where e stacks the 2d
-    matrices E_m.  ||sum_m z_m E_m||_2^2 = z^T R z with R = Re <E_m, E_l>,
-    so z is a top eigenvector of R."""
+    """lam = z[:d] + i z[d:] for z the argmax over the real unit sphere of
+    ||sum_m z_m E_m||_2, e the stack of the 2d matrices E_m: the square is
+    z^T R z with R = Re <E_m, E_l>, so z is a top eigenvector of R.  With
+    E = (T, iT), sum_m z_m E_m = M(lam)."""
     d = len(e) // 2
     z = np.linalg.eigh(_scaled_gram(e.reshape(2 * d, -1))[0].real)[1][:, -1]
     return z[:d] + 1j * z[d:]
 
 
 def _hypo_2_norm(t: OperatorTuple) -> SupremumEstimate:
-    """The exact Schatten hypo-2-norm.  With lam = x + i y,
-    M(lam) = sum_m z_m E_m for z = (x, y) and E = (T_1, ..., T_d,
-    i T_1, ..., i T_d), so the argmax is _quadratic_argmax of E, valued
-    by the ascent's objective.  schatten_hypo_norm_gram reads the d x d
-    complex Gram matrix instead, an independent eigenproblem."""
+    """The exact Schatten hypo-2-norm: the argmax is _quadratic_argmax of
+    E = (T, iT), valued by the ascent's objective."""
     mats = t.array
     lam = gauge_fix(_quadratic_argmax(np.concatenate([mats, 1j * mats])))
     value = _batch_schatten(np.linalg.svd(_combine(mats, lam[None, :]), compute_uv=False), 2.0)
@@ -298,12 +295,8 @@ def _real_part_sup(
 
 
 def _real_part_2_sup(t: OperatorTuple) -> SupremumEstimate:
-    """The exact sup over the unit sphere of ||Re M(lam)||_2.
-
-    With lam = x + i y, Re M(lam) = sum_m z_m E_m for z = (x, y) real and
-    E = (Re T_1, ..., Re T_d, Re(i T_1), ..., Re(i T_d)), so the argmax
-    is _quadratic_argmax of E, reported by _reported_at.
-    """
+    """The exact sup over the unit sphere of ||Re M(lam)||_2: the argmax
+    is _quadratic_argmax of E = Re(T, iT), reported by _reported_at."""
     mats = t.array
     lam = _quadratic_argmax(_real_parts(np.concatenate([mats, 1j * mats])))
     value = float(_real_part_norms(mats, lam[None, :], 2.0)[0])
@@ -379,14 +372,10 @@ def _radius_coeff_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumEs
 def joint_numerical_radius(
     t: OperatorTuple, config: OptimizerConfig | None = None
 ) -> SupremumEstimate:
-    """Joint numerical radius omega(T) = sup_lam omega(sum lam_k T_k).
-
-    Runs route (a), over unit vectors, and route (b), over the coefficient
-    sphere, so that each checks the other: reports the larger estimate
-    with starts, iterations and evaluations summed, and the gap |a - b|
-    in cross_gap.  It is reported under the radius contract, with
-    value == ||Re(e^{i theta} M(argmax))||_op exactly.
-    """
+    """Joint numerical radius omega(T) = sup_lam omega(sum lam_k T_k): the
+    larger estimate of route (a), over unit vectors, and route (b), over
+    the coefficient sphere, with the starts, iterations and evaluations of
+    both summed and cross_gap = |a - b|."""
     cfg = config or OptimizerConfig()
     runs = (_radius_vector_route(t, cfg), _radius_coeff_route(t, cfg))
     return replace(max(runs, key=lambda est: est.value),

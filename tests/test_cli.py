@@ -189,7 +189,8 @@ class TestFuzz:
                      "--workers", "1"])
         assert code == 3
 
-    @pytest.mark.parametrize("option, value", [("--dmax", "0"), ("--nmax", "1")])
+    @pytest.mark.parametrize("option, value",
+                             [("--dmax", "0"), ("--nmax", "1"), ("--seed", "-1")])
     def test_fuzz_out_of_range_dims_exit_3(self, option, value, capsys):
         code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
                      "--workers", "1", option, value])
@@ -197,15 +198,6 @@ class TestFuzz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {option[2:]}=")
-        assert captured.err.count("\n") == 1
-
-    def test_fuzz_negative_seed_exits_3(self, capsys):
-        code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
-                     "--workers", "1", "--seed", "-1"])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: seed=")
         assert captured.err.count("\n") == 1
 
     def test_fuzz_unreached_row_exits_3(self, capsys):

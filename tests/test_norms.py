@@ -683,8 +683,3 @@ class TestBatchedAscent:
         est = norms.hypo_norm(random_tuple(3, 4, 7), CFG)
         assert 1 <= est.iterations <= CFG.max_iters
         assert est.evaluations >= 3 * est.starts + 1
-        t = random_tuple(2, 3, 5)
-        both = norms.joint_numerical_radius(t, CFG)
-        runs = [norms._radius_vector_route(t, CFG), norms._radius_coeff_route(t, CFG)]
-        assert both.iterations == sum(r.iterations for r in runs)
-        assert both.evaluations == sum(r.evaluations for r in runs)
