@@ -3,12 +3,12 @@
 Each predicate returns its residual (an operator-norm or eigenvalue
 magnitude that vanishes exactly when the property holds) together with
 the thresholded flag.  The default tolerance scales with 1 + ||T||^2
-since the residuals are quadratic in the entries.  The tuple predicates
-are stack expressions over the validated coordinate array, each with one
-batched SVD; the single-matrix predicates check their input, which comes
-from outside the package.  Spherical quasinormality has one predicate;
-classify also reports its block-matrix form PV = VP for commuting
-tuples, as a check on it.
+since the residuals are quadratic in the entries.  Every predicate is a
+stack expression with one batched factorization.  Normality,
+quasinormality and hyponormality of a matrix have one (k, n, n) kernel
+each: classify applies it to the coordinates, the single-matrix
+predicate to the validated 1-tuple (A).  classify also reports the
+block-matrix form PV = VP of spherical quasinormality for commuting tuples.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError
-from .norms import spherical_norm
-from .tuples import OperatorTuple
+from .norms import _real_parts, spherical_norm
+from .tuples import OperatorTuple, tuple_from
 
 PREDICATE_RTOL = 1e-9
 
@@ -42,7 +41,7 @@ def _default_tol(t: OperatorTuple, tol: float | None) -> float:
 
 
 def _result(residual: float, tol: float) -> PredicateResult:
-    return PredicateResult(flag=residual <= tol, residual=float(residual), tol=tol)
+    return PredicateResult(flag=bool(residual <= tol), residual=float(residual), tol=tol)
 
 
 def _max_operator_norm(stack: np.ndarray) -> float:
@@ -53,14 +52,6 @@ def _max_operator_norm(stack: np.ndarray) -> float:
     return float(np.linalg.svd(stack, compute_uv=False)[..., 0].max())
 
 
-def _square_and_tol(a, tol: float | None):
-    """A as a square matrix, and tol or the default of the 1-tuple (A)."""
-    a = linalg.as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a, tol if tol is not None else PREDICATE_RTOL * (1.0 + linalg.operator_norm(a) ** 2)
-
-
 def _commutator_residual(t: OperatorTuple) -> float:
     """max_{i<j} ||T_i T_j - T_j T_i||_op."""
     i, j = np.triu_indices(t.d, 1)
@@ -68,12 +59,29 @@ def _commutator_residual(t: OperatorTuple) -> float:
     return _max_operator_norm(a[i] @ a[j] - a[j] @ a[i])
 
 
-def _normality_defects(t: OperatorTuple) -> np.ndarray:
-    """||T_k* T_k - T_k T_k*||_op for each coordinate, by one batched SVD;
-    each equals is_normal_single's residual of T_k bit for bit."""
-    a = t.array
+def _normality_defects(a: np.ndarray) -> np.ndarray:
+    """||A_k* A_k - A_k A_k*||_op for each matrix of a (k, n, n) stack."""
     adj = np.conj(a.transpose(0, 2, 1))
     return np.linalg.svd(adj @ a - a @ adj, compute_uv=False)[:, 0]
+
+
+def _quasinormality_defects(a: np.ndarray) -> np.ndarray:
+    """||A_k (A_k* A_k) - (A_k* A_k) A_k||_op for each matrix of a stack."""
+    s = np.conj(a.transpose(0, 2, 1)) @ a
+    return np.linalg.svd(a @ s - s @ a, compute_uv=False)[:, 0]
+
+
+def _hyponormality_defects(a: np.ndarray) -> np.ndarray:
+    """The most negative eigenvalue of A_k* A_k - A_k A_k*, clipped at 0."""
+    adj = np.conj(a.transpose(0, 2, 1))
+    low = np.linalg.eigvalsh(_real_parts(adj @ a - a @ adj))[:, 0]
+    return np.where(low < 0.0, -low, 0.0)
+
+
+def _single(defects, a, tol: float | None) -> PredicateResult:
+    """A stack kernel applied to the validated 1-tuple (A)."""
+    t = tuple_from(a)
+    return _result(defects(t.array)[0], _default_tol(t, tol))
 
 
 def _normal_result(commutator: float, defects: np.ndarray, tol: float) -> PredicateResult:
@@ -88,30 +96,24 @@ def is_commuting(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
 
 
 def is_normal_single(a, tol: float | None = None) -> PredicateResult:
-    a, tol = _square_and_tol(a, tol)
-    return _result(
-        linalg.operator_norm(linalg.adjoint(a) @ a - a @ linalg.adjoint(a)), tol
-    )
+    """||A*A - AA*||_op."""
+    return _single(_normality_defects, a, tol)
 
 
 def is_normal_tuple(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
     """Commuting and each coordinate normal."""
-    return _normal_result(_commutator_residual(t), _normality_defects(t), _default_tol(t, tol))
+    return _normal_result(_commutator_residual(t), _normality_defects(t.array),
+                          _default_tol(t, tol))
 
 
 def is_quasinormal_single(a, tol: float | None = None) -> PredicateResult:
     """||A (A*A) - (A*A) A||_op, i.e. A commutes with A*A."""
-    a, tol = _square_and_tol(a, tol)
-    s = linalg.adjoint(a) @ a
-    return _result(linalg.operator_norm(a @ s - s @ a), tol)
+    return _single(_quasinormality_defects, a, tol)
 
 
 def is_hyponormal_single(a, tol: float | None = None) -> PredicateResult:
     """Residual = most negative eigenvalue of A*A - AA*, clipped at 0."""
-    a, tol = _square_and_tol(a, tol)
-    gap = linalg.adjoint(a) @ a - a @ linalg.adjoint(a)
-    low = float(np.linalg.eigvalsh((gap + linalg.adjoint(gap)) / 2.0)[0])
-    return _result(max(0.0, -low), tol)
+    return _single(_hyponormality_defects, a, tol)
 
 
 def commutator_block_matrix(t: OperatorTuple) -> np.ndarray:
@@ -203,7 +205,7 @@ def classify(t: OperatorTuple, tol: float | None = None) -> Classification:
     result bit for bit."""
     tol = _default_tol(t, tol)
     commutator = _commutator_residual(t)
-    defects = _normality_defects(t)
+    defects = _normality_defects(t.array)
     commuting = _result(commutator, tol)
     return Classification(
         tol=tol,
@@ -214,7 +216,7 @@ def classify(t: OperatorTuple, tol: float | None = None) -> Classification:
         spherically_quasinormal_block=_result(_block_residual(t), tol) if commuting else None,
         square_zero=is_square_zero(t, tol),
         taylor_proxy=taylor_invertibility_proxy(t),
-        coordinate_normal=tuple(_result(r, tol) for r in defects.tolist()),
-        coordinate_quasinormal=tuple(is_quasinormal_single(m, tol) for m in t),
-        coordinate_hyponormal=tuple(is_hyponormal_single(m, tol) for m in t),
+        coordinate_normal=tuple(_result(r, tol) for r in defects),
+        coordinate_quasinormal=tuple(_result(r, tol) for r in _quasinormality_defects(t.array)),
+        coordinate_hyponormal=tuple(_result(r, tol) for r in _hyponormality_defects(t.array)),
     )

@@ -237,7 +237,8 @@ class TestClassification:
 
     def test_commuting_tuple_svd_count(self, monkeypatch):
         # separate predicates made 15 SVDs here: the commutator residual
-        # three times and the coordinate normality defects twice
+        # three times, the coordinate normality defects twice and one
+        # quasinormality SVD per coordinate
         t = random_commuting_tuple(3, 4, 11)
         real, calls = np.linalg.svd, []
 
@@ -247,13 +248,13 @@ class TestClassification:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         predicates.classify(t)
-        assert len(calls) == 10
+        assert len(calls) == 8
 
 
 class TestStackFormsMatchCoordinateLoops:
-    """The tuple predicates and the Euclidean norm, written over the
-    coordinate stack with one batched SVD, equal the per-coordinate loops
-    of checked single-matrix norms bit for bit."""
+    """The tuple predicates, the coordinate kernels and the Euclidean norm,
+    written over the coordinate stack, equal per-coordinate loops of
+    checked single-matrix norms bit for bit."""
 
     @staticmethod
     def commuting_loop(t):
@@ -263,12 +264,30 @@ class TestStackFormsMatchCoordinateLoops:
                 residual = max(residual, linalg.operator_norm(t[i] @ t[j] - t[j] @ t[i]))
         return residual
 
-    @classmethod
-    def normal_loop(cls, t, tol):
-        residual = cls.commuting_loop(t)
+    @staticmethod
+    def coordinate_normal_loop(t):
+        return [linalg.operator_norm(linalg.adjoint(m) @ m - m @ linalg.adjoint(m)) for m in t]
+
+    @staticmethod
+    def coordinate_quasinormal_loop(t):
+        out = []
         for m in t:
-            residual = max(residual, predicates.is_normal_single(m, tol).residual)
-        return residual
+            s = linalg.adjoint(m) @ m
+            out.append(linalg.operator_norm(m @ s - s @ m))
+        return out
+
+    @staticmethod
+    def coordinate_hyponormal_loop(t):
+        out = []
+        for m in t:
+            gap = linalg.adjoint(m) @ m - m @ linalg.adjoint(m)
+            low = float(np.linalg.eigvalsh((gap + linalg.adjoint(gap)) / 2.0)[0])
+            out.append(max(0.0, -low))
+        return out
+
+    @classmethod
+    def normal_loop(cls, t):
+        return max(cls.commuting_loop(t), *cls.coordinate_normal_loop(t))
 
     @staticmethod
     def square_zero_loop(t):
@@ -280,14 +299,21 @@ class TestStackFormsMatchCoordinateLoops:
 
     @pytest.mark.parametrize("ensemble", ["ginibre", "nilpotent", "contraction"])
     def test_equal_to_loops(self, ensemble):
+        singles = {"normal": predicates.is_normal_single,
+                   "quasinormal": predicates.is_quasinormal_single,
+                   "hyponormal": predicates.is_hyponormal_single}
         for d in range(1, 5):
             for n in range(2, 7):
                 for k in range(3):
                     t = random_tuple(d, n, [d, n, k], ensemble)
                     tol = 1e-9
                     assert predicates.is_commuting(t, tol).residual == self.commuting_loop(t)
-                    assert predicates.is_normal_tuple(t, tol).residual == \
-                        self.normal_loop(t, tol)
+                    assert predicates.is_normal_tuple(t, tol).residual == self.normal_loop(t)
                     assert predicates.is_square_zero(t, tol).residual == \
                         self.square_zero_loop(t)
                     assert euclidean_norm(t) == self.euclidean_loop(t)
+                    c = predicates.classify(t, tol)
+                    for name, single in singles.items():
+                        ref = getattr(self, f"coordinate_{name}_loop")(t)
+                        assert [r.residual for r in getattr(c, f"coordinate_{name}")] == ref
+                        assert [single(m, tol).residual for m in t] == ref
