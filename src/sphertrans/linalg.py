@@ -122,17 +122,6 @@ def psd_power(p: np.ndarray, t: float) -> np.ndarray:
     return psd_powers(p)(t)
 
 
-def psd_power_any(p: np.ndarray, r: float) -> np.ndarray:
-    """P^r for PSD P and any r >= 0, same clipping as psd_power.
-
-    psd_power keeps the transform contract (exponent in [0, 1]); this
-    helper serves checks that need larger matrix powers.
-    """
-    if not r >= 0.0:
-        raise InvalidParameterError(f"power exponent r={r} must be >= 0")
-    return psd_powers(p)(r)
-
-
 def svd(a: np.ndarray):
     """Full SVD (U, s, Vh) with singular values descending."""
     a = as_matrix(a)

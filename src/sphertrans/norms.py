@@ -85,8 +85,8 @@ def _combine(mats: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
 
 
 def combination(t: OperatorTuple, lam: np.ndarray) -> np.ndarray:
-    """The single matrix sum_k lam_k T_k."""
-    return np.einsum("k,kij->ij", np.asarray(lam, dtype=np.complex128), t.array)
+    """sum_k lam_k T_k; rows of coefficients give a stack of matrices."""
+    return np.einsum("...k,kij->...ij", np.asarray(lam, dtype=np.complex128), t.array)
 
 
 # ---------------------------------------------------------------------------

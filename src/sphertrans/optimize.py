@@ -393,32 +393,30 @@ def grid_supremum(objective, d: int, n_points: int = 10_000, zoom: int = 6, seed
     """Brute-force sphere supremum: dense grid plus local grid zoom.
 
     Independent cross-check oracle for sphere_optimize; shares no search
-    code with it.  For d = 2 the gauge-fixed sphere is the structured
+    code with it.  objective is batched as in sphere_optimize, an (S, d)
+    batch of unit rows to (S,) values, and is called once per grid
+    level.  For d = 2 the gauge-fixed sphere is the structured
     2-parameter family (cos a, sin a e^{i b}), scanned on a regular grid
-    that is repeatedly shrunk around the incumbent.  For other d a
-    random grid with Gaussian local resampling is used.
+    that is shrunk zoom times around the incumbent.  For other d > 1 a
+    random grid of n_points is followed by zoom Gaussian clouds of 256
+    points around the incumbent.
     """
     if d == 1:
-        return float(objective(np.ones(1, dtype=np.complex128)))
+        return float(objective(np.ones((1, 1), dtype=np.complex128))[0])
     if d == 2:
         m = max(8, int(np.sqrt(n_points)))
-
-        def lam_of(a, b):
-            return np.array([np.cos(a), np.sin(a) * np.exp(1j * b)])
-
         lo_a, hi_a = 0.0, np.pi / 2
         lo_b, hi_b = 0.0, 2 * np.pi
         best = -np.inf
         best_ab = (0.0, 0.0)
         for _ in range(zoom + 1):
-            aa = np.linspace(lo_a, hi_a, m)
-            bb = np.linspace(lo_b, hi_b, m)
-            for a in aa:
-                for b in bb:
-                    val = float(objective(lam_of(a, b)))
-                    if val > best:
-                        best = val
-                        best_ab = (a, b)
+            aa, bb = np.meshgrid(np.linspace(lo_a, hi_a, m), np.linspace(lo_b, hi_b, m),
+                                 indexing="ij")
+            aa, bb = aa.ravel(), bb.ravel()
+            vals = objective(np.stack([np.cos(aa), np.sin(aa) * np.exp(1j * bb)], axis=1))
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best, best_ab = float(vals[i]), (aa[i], bb[i])
             wa = (hi_a - lo_a) * 0.15
             wb = (hi_b - lo_b) * 0.15
             lo_a = max(0.0, best_ab[0] - wa)
@@ -429,7 +427,7 @@ def grid_supremum(objective, d: int, n_points: int = 10_000, zoom: int = 6, seed
         return best
     rng = np.random.default_rng(seed)
     pts = _sphere_points(rng, n_points, d)
-    vals = np.array([objective(p) for p in pts])
+    vals = objective(pts)
     best_i = int(np.argmax(vals))
     best, center = float(vals[best_i]), pts[best_i]
     sigma = 0.3
@@ -438,7 +436,7 @@ def grid_supremum(objective, d: int, n_points: int = 10_000, zoom: int = 6, seed
             rng.standard_normal((256, d)) + 1j * rng.standard_normal((256, d))
         )
         cloud = gauge_fix(_normalize_rows(cloud))
-        cvals = np.array([objective(p) for p in cloud])
+        cvals = objective(cloud)
         i = int(np.argmax(cvals))
         if cvals[i] > best:
             best, center = float(cvals[i]), cloud[i]

@@ -102,16 +102,6 @@ def zero_tuple(d: int, n: int) -> OperatorTuple:
     return OperatorTuple(matrices=np.zeros((d, n, n)))
 
 
-def tuple_add(a: OperatorTuple, b: OperatorTuple) -> OperatorTuple:
-    if a.d != b.d or a.n != b.n:
-        raise DimensionMismatchError("tuples must share d and n")
-    return OperatorTuple(matrices=a.array + b.array)
-
-
-def tuple_scale(c: complex, a: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple(matrices=c * a.array)
-
-
 def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
     return OperatorTuple(matrices=np.conj(t.array.transpose(0, 2, 1)))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sphertrans.ensembles import random_tuple
+from sphertrans.norms import combination
 from sphertrans.tuples import OperatorTuple
 
 GRID_ENSEMBLES = ("ginibre", "nilpotent", "contraction")
@@ -11,6 +12,16 @@ def grid_tuples() -> list:
     """180 tuples: d = 1..4, n = 2..6, three ensembles, three seeds each."""
     return [random_tuple(d, n, [d, n, k], ensemble) for ensemble in GRID_ENSEMBLES
             for d in range(1, 5) for n in range(2, 7) for k in range(3)]
+
+
+def hypo_oracle(t, p=np.inf):
+    """The batched objective lam rows -> ||sum_k lam_k T_k||_p for
+    grid_supremum: numpy's vector p-norm of the singular values, apart
+    from the estimators' own evaluation."""
+    def objective(lam):
+        return np.linalg.norm(np.linalg.svd(combination(t, lam), compute_uv=False),
+                              ord=p, axis=-1)
+    return objective
 
 
 def cmat(rows) -> np.ndarray:

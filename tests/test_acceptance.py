@@ -28,6 +28,8 @@ from sphertrans.suites import (
 )
 from sphertrans.tuples import block_embedding
 
+from conftest import hypo_oracle
+
 P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 SEED = 42
 
@@ -87,9 +89,7 @@ class TestCriterion2DiagPairSharpness:
         assert elapsed < 1.0
         # independent oracle for the true values
         for p in P_GRID:
-            def obj(lam, p=p):
-                return linalg.schatten_norm(norms.combination(tup, lam), p)
-            brute = grid_supremum(obj, 2, n_points=10_000)
+            brute = grid_supremum(hypo_oracle(tup, p), 2, n_points=10_000)
             assert brute == pytest.approx(true_hypo[p], abs=1e-6)
         assert not bad, "hypo-p-norm deviates from its true value: " + detail
 
@@ -218,11 +218,7 @@ class TestCriterion8OracleEquivalence:
             n = int(rng.integers(2, 4))
             tup = random_tuple(2, n, rng, "ginibre")
             est = norms.hypo_norm(tup).value
-
-            def obj(lam, tup=tup):
-                return linalg.operator_norm(norms.combination(tup, lam))
-
-            brute = grid_supremum(obj, 2, n_points=10_000)
+            brute = grid_supremum(hypo_oracle(tup), 2, n_points=10_000)
             worst = max(worst, abs(est - brute))
         ok = worst <= 1e-6
         _line("8c hypo-norm vs dense grid", ok,

@@ -20,7 +20,7 @@ from sphertrans.tuples import (
     zero_tuple,
 )
 
-from conftest import cmat, grid_tuples
+from conftest import cmat, grid_tuples, hypo_oracle
 
 CFG = OptimizerConfig(n_random_starts=8)
 
@@ -314,13 +314,8 @@ class TestSchattenHypoNorm:
             expected = 2.0 ** (1.0 / p - 0.5)
             est = norms.schatten_hypo_norm(diag_pair, p)
             assert est.value == pytest.approx(expected, abs=1e-8)
-
-            def obj(lam, p=p):
-                return linalg.schatten_norm(norms.combination(diag_pair, lam), p)
-
-            assert grid_supremum(obj, 2, n_points=10_000) == pytest.approx(
-                expected, abs=1e-6
-            )
+            assert grid_supremum(hypo_oracle(diag_pair, p), 2, n_points=10_000) == \
+                pytest.approx(expected, abs=1e-6)
 
     def test_single_coordinate(self):
         t = random_tuple(1, 3, 31)

@@ -13,6 +13,8 @@ from sphertrans.optimize import (
     sphere_optimize,
 )
 
+from conftest import hypo_oracle
+
 
 class TestBallPoint:
     def test_rejects_points_outside_ball(self):
@@ -135,24 +137,32 @@ class TestGridOracle:
         for seed in range(6):
             t = random_tuple(2, 2, seed)
             est = hypo_norm(t)
-
-            def obj(lam):
-                return linalg.operator_norm(combination(t, lam))
-
-            brute = grid_supremum(obj, 2, n_points=10_000)
+            brute = grid_supremum(hypo_oracle(t), 2, n_points=10_000)
             assert abs(est.value - brute) <= 1e-6
             # optimizer value is a lower bound of the supremum
             assert est.value <= brute + 1e-6
 
     def test_d1_shortcut(self):
-        assert grid_supremum(lambda lam: float(np.abs(lam[0])), 1) == 1.0
+        assert grid_supremum(lambda lam: np.abs(lam[:, 0]), 1) == 1.0
 
     def test_general_d_random_grid(self):
         def obj(lam):
-            return abs(lam[0] + lam[1] + lam[2])
+            return np.abs(lam.sum(axis=1))
 
         brute = grid_supremum(obj, 3, n_points=4000, seed=1)
         assert brute == pytest.approx(np.sqrt(3.0), abs=5e-3)
+
+    @pytest.mark.parametrize("d,levels", [(1, 1), (2, 7), (3, 7)])
+    def test_one_objective_call_per_grid_level(self, d, levels):
+        batches = []
+
+        def obj(lam):
+            assert lam.ndim == 2 and lam.shape[1] == d
+            batches.append(len(lam))
+            return np.abs(lam.sum(axis=1))
+
+        grid_supremum(obj, d, n_points=400, zoom=6)
+        assert len(batches) == levels
 
 
 class TestEscalation:

@@ -13,11 +13,9 @@ from sphertrans.tuples import (
     block_embedding,
     defect_operator,
     spherical_polar,
-    tuple_add,
     tuple_from,
     tuple_power,
     tuple_product,
-    tuple_scale,
     zero_tuple,
 )
 
@@ -254,11 +252,8 @@ class TestArrayBackedTuple:
         a = random_tuple(d, n, rng)
         b = random_tuple(d, n, rng, "nilpotent")
         c = random_tuple(e, n, rng, "contraction")
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        assert same_coordinates(tuple_add(a, b), [x + y for x, y in zip(a, b)])
-        assert same_coordinates(tuple_scale(z, a), [z * x for x in a])
-        assert same_coordinates(tuple_scale(0.5, a), [0.5 * x for x in a])
-        assert same_coordinates(adjoint_tuple(a), [np.conj(x.T) for x in a])
+        for t in (a, b):
+            assert same_coordinates(adjoint_tuple(t), [np.conj(x.T) for x in t])
         assert same_coordinates(tuple_product(a, c), [x @ y for x in a for y in c])
         assert same_coordinates(
             tuple_power(c, 3), [x @ (y @ w) for x in c for y in c for w in c]
