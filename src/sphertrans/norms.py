@@ -36,6 +36,7 @@ Gram matrix instead, so the two check each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -63,11 +64,10 @@ def spherical_norm(t: OperatorTuple) -> float:
 
 
 def euclidean_norm(t: OperatorTuple) -> float:
-    """(sum_k ||T_k||^2)^(1/2), every ||T_k|| from one batched SVD.  The
-    squares are Python float powers, which round differently from numpy's
-    in the last bit, so the value is that of the per-coordinate sum."""
-    tops = np.linalg.svd(t.array, compute_uv=False)[:, 0]
-    return float(np.sqrt(sum(s ** 2 for s in tops.tolist())))
+    """(sum_k ||T_k||^2)^(1/2), every ||T_k|| from one batched SVD, by
+    math.hypot, which neither underflows nor overflows where the squares
+    would."""
+    return math.hypot(*np.linalg.svd(t.array, compute_uv=False)[:, 0].tolist())
 
 
 def schatten_spherical_norm(t: OperatorTuple, p: float) -> float:

@@ -103,6 +103,12 @@ class TestEuclideanNorm:
             norms.euclidean_norm(adjoint_tuple(t)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_neither_underflows_nor_overflows(self, scale):
+        t = random_tuple(3, 4, 1)
+        assert norms.euclidean_norm(OperatorTuple(matrices=scale * t.array)) == pytest.approx(
+            scale * norms.euclidean_norm(t), rel=1e-15)
+
 
 class TestHypoNorm:
     def test_single_coordinate(self):

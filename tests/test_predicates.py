@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -295,7 +296,7 @@ class TestStackFormsMatchCoordinateLoops:
 
     @staticmethod
     def euclidean_loop(t):
-        return float(np.sqrt(sum(linalg.operator_norm(m) ** 2 for m in t)))
+        return math.hypot(*(linalg.operator_norm(m) for m in t))
 
     @pytest.mark.parametrize("ensemble", ["ginibre", "nilpotent", "contraction"])
     def test_equal_to_loops(self, ensemble):
