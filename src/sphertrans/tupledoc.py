@@ -99,6 +99,6 @@ def read_tuple(path) -> TupleDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise TupleDocumentError(f"invalid JSON in {path}: {exc}") from exc
     return from_document_dict(doc)

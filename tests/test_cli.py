@@ -107,6 +107,15 @@ class TestNorms:
         out = json.loads(capsys.readouterr().out)
         assert all(abs(v) <= 1e-12 for v in out.values())
 
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00{}")
+        assert main(["norms", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read tuple from {bad}: ")
+        assert captured.err.count("\n") == 1
+
     def test_invalid_p_exits_3(self, sharp_file):
         for p in ("0.5", "nan"):
             assert main(["norms", "--input", str(sharp_file), "--p", p]) == 3
