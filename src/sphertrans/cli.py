@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import transforms
+from .ensembles import ENSEMBLES
 from .errors import InvalidParameterError, InvalidPError, SphertransError
 from .norms import (
     euclidean_norm,
@@ -96,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--inequality-id", required=True)
     p_fuzz.add_argument("--trials", type=int, default=200)
     p_fuzz.add_argument("--seed", type=int, default=42)
-    p_fuzz.add_argument("--ensemble", default=None,
-                        choices=("ginibre", "nilpotent", "contraction"))
+    p_fuzz.add_argument("--ensemble", default=None, choices=ENSEMBLES,
+                        help="force the tuple ensemble of an s2, s3 or s4 row")
     p_fuzz.add_argument("--dmax", type=int, default=4)
     p_fuzz.add_argument("--nmax", type=int, default=6)
     p_fuzz.add_argument("--witness", default=None,

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import linalg
 from .ensembles import (
+    ENSEMBLES,
     random_commuting_tuple,
     random_normal_tuple,
     random_psd,
@@ -80,6 +81,8 @@ _BATCHES = {
 }
 
 _SUITE_OPT = OptimizerConfig(n_random_starts=8)
+# the suites whose tuple T _sample_tuple draws, the only reader of SuiteConfig.ensemble
+_ENSEMBLE_SUITES = ("s2", "s3", "s4")
 
 
 @dataclass(frozen=True)
@@ -823,6 +826,12 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
         value = getattr(cfg, name)
         if not 0.0 <= value < np.inf:
             raise InvalidParameterError(f"{name}={value} must be finite and >= 0")
+    if cfg.ensemble is not None and suite not in _ENSEMBLE_SUITES:
+        raise InvalidParameterError(f"ensemble={cfg.ensemble!r} applies only to suites "
+                                    f"{', '.join(_ENSEMBLE_SUITES)}, not {suite}")
+    if cfg.ensemble not in (None, *ENSEMBLES):
+        raise InvalidParameterError(f"ensemble={cfg.ensemble!r} must be one of "
+                                    f"{', '.join(ENSEMBLES)}")
     if suite == "sharpness":
         cfg = replace(cfg, trials=1)
     started = time.perf_counter()

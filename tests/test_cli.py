@@ -220,6 +220,15 @@ class TestFuzz:
         assert "spr.hypo_lower.p_small" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_fuzz_ensemble_of_an_unsampled_suite_exits_3(self, capsys):
+        code = main(["fuzz", "--inequality-id", "zero.generic.nonvanishing",
+                     "--ensemble", "nilpotent", "--trials", "3", "--workers", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ensemble='nilpotent' applies only to suites ")
+        assert captured.err.count("\n") == 1
+
     def test_fuzz_unknown_id_exits_3(self, capsys):
         code = main(["fuzz", "--inequality-id", "bogus", "--trials", "2"])
         assert code == 3

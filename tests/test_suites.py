@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sphertrans import suites
+from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import schatten_spherical_norm
 from sphertrans.reports import report_to_json, tightness_stats
 from sphertrans.suites import (
@@ -162,6 +163,12 @@ class TestSuiteRuns:
         rep = run_suite("s3", SuiteConfig(trials=6, workers=1, ensemble="ginibre"))
         for rec in rep.records:
             assert rec.fingerprint.get("ensemble", "ginibre") == "ginibre"
+
+    @pytest.mark.parametrize("suite, ensemble", [("zero", "nilpotent"), ("equality", "ginibre"),
+                                                 ("sharpness", "ginibre"), ("s3", "gaussian")])
+    def test_ensemble_rejected_where_unread_or_unknown(self, suite, ensemble):
+        with pytest.raises(InvalidParameterError, match=f"ensemble='{ensemble}'"):
+            run_suite(suite, SuiteConfig(trials=1, workers=1, ensemble=ensemble))
 
 
 class TestS3LambdaGrid:
