@@ -11,7 +11,9 @@ Schatten hypo-p-norm, with the dual element taken on the top singular
 pair only.  The hypo-p-norms and radius route (a) of several same-shape
 tuples are estimated by one batched ascent (_hypo_p_norms,
 _radius_vector_routes), each equal to the estimate of its tuple alone;
-the public estimators are their one-tuple case.
+the public estimators are their one-tuple case.  Every ascent runs on
+its tuple divided by a power of two near the largest entry, which is
+exact, so its estimate scales with the tuple (_binary_scaled).
 
 The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
 M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
@@ -123,6 +125,21 @@ def _dual_weights(mags: np.ndarray, vals: np.ndarray, p: float) -> np.ndarray:
     return w
 
 
+def _binary_scaled(mats: np.ndarray) -> tuple:
+    """(mats / s, s) with s a power of two and the largest entry magnitude
+    of mats / s in [1, 2).  The ascents run on mats / s: dividing by s is
+    exact, so the argmax does not move, and at unit scale their absolute
+    thresholds and the squares in their vector norms neither vanish nor
+    overflow.  Values and spreads are multiplied back by _rescaled."""
+    scale = math.ldexp(0.5, math.frexp(float(np.max(np.abs(mats))))[1])
+    return mats / scale, scale
+
+
+def _rescaled(est: SupremumEstimate, scale: float) -> SupremumEstimate:
+    """An estimate of the supremum for mats / scale, for mats."""
+    return replace(est, value=est.value * scale, spread=est.spread * scale)
+
+
 def _per_owner(fn, stack: np.ndarray, rows: np.ndarray, blocks) -> np.ndarray:
     """fn(stack[b], rows of owner b) for each owner block, stacked in row
     order.  One call per owner, over the rows a one-tuple run would have,
@@ -148,9 +165,11 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
     with a_k = tr(W* T_k) the step lam' = conj(a)/|a| gives
     ||M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||M(lam)||_p.
     Each owner's rows are combined and contracted with its own tuple, one
-    gemm per owner; one SVD serves every row.
+    gemm per owner; one SVD serves every row.  Each tuple is ascended at
+    unit scale (_binary_scaled).
     """
-    stack = np.stack([t.array for t in ts])
+    scaled = [_binary_scaled(t.array) for t in ts]
+    stack = np.stack([mats for mats, _ in scaled])
     flats = stack.reshape(len(ts), ts[0].d, -1)
 
     def objective(rows, blocks):
@@ -163,8 +182,9 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
         dual = np.conj((u * _dual_weights(s, vals, p)[:, None, :]) @ vh)
         return vals, power_step(rows, _per_owner(_contract, flats, dual, blocks))
 
-    return sphere_optimize_batch(objective, ts[0].d, len(ts), config, ascend=ascend,
+    ests = sphere_optimize_batch(objective, ts[0].d, len(ts), config, ascend=ascend,
                                  warm_starts=warm_starts)
+    return [_rescaled(est, scale) for est, (_, scale) in zip(ests, scaled)]
 
 
 def hypo_norm(
@@ -272,9 +292,10 @@ def _real_part_sup(
     a_k = tr(W T_k) the step lam' = conj(a)/|a| gives
     ||Re M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||H||_p.
     The objective changes under lam -> e^{i theta} lam, so rows are not
-    gauged while they ascend; the winner is reported by _reported_at.
+    gauged while they ascend; the winner is reported by _reported_at.  The
+    ascent runs at unit scale (_binary_scaled).
     """
-    mats = t.array
+    mats, scale = _binary_scaled(t.array)
 
     def objective(rows):
         return _real_part_norms(mats, rows, p)
@@ -289,8 +310,8 @@ def _real_part_sup(
         a = np.einsum("sij,kji->sk", dual, mats)
         return vals, power_step(rows, a)
 
-    est = sphere_optimize(objective, t.d, config, ascend=ascend,
-                          phase_invariant=False, warm_starts=warm_starts)
+    est = _rescaled(sphere_optimize(objective, t.d, config, ascend=ascend,
+                                    phase_invariant=False, warm_starts=warm_starts), scale)
     return _reported_at(est, est.argmax.coeffs, est.value)
 
 
@@ -321,8 +342,10 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
     for fixed x with the top eigenvector of Re M(lam) for fixed lam; one
     eigh serves every row.  Each winner is reported at its lam, valued by
     route (b)'s objective ||Re M(lam)||_op >= x* Re M(lam) x = |c(x)|.
+    Each tuple is ascended at unit scale (_binary_scaled).
     """
-    stack = np.stack([t.array for t in ts])
+    scaled = [_binary_scaled(t.array) for t in ts]
+    stack = np.stack([mats for mats, _ in scaled])
 
     def objective(xs, blocks):
         return np.linalg.norm(_per_owner(_vector_coeffs, stack, xs, blocks), axis=1)
@@ -338,7 +361,8 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
         return vals, nxt
 
     ests = sphere_optimize_batch(objective, ts[0].n, len(ts), config, ascend=ascend)
-    return [_vector_route_report(est, t.array) for est, t in zip(ests, ts)]
+    return [_vector_route_report(_rescaled(est, scale), mats, scale)
+            for est, (mats, scale) in zip(ests, scaled)]
 
 
 def _vector_coeffs(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -346,13 +370,15 @@ def _vector_coeffs(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.einsum("si,kij,sj->sk", np.conj(xs), mats, xs)
 
 
-def _vector_route_report(est: SupremumEstimate, mats: np.ndarray) -> SupremumEstimate:
-    """A route (a) winner x reported at lam = conj(c(x))/|c(x)|."""
+def _vector_route_report(est: SupremumEstimate, mats: np.ndarray,
+                         scale: float) -> SupremumEstimate:
+    """A route (a) winner x for the tuple scale * mats reported at
+    lam = conj(c(x))/|c(x)|."""
     c = _vector_coeffs(mats, est.argmax.coeffs[None, :])[0]
     nc = np.linalg.norm(c)
     lam = np.conj(c) / nc if nc > 0 else np.full(len(mats), 1.0 / np.sqrt(len(mats)),
                                                  dtype=np.complex128)
-    return _reported_at(est, lam, float(_real_part_norms(mats, lam[None, :], np.inf)[0]))
+    return _reported_at(est, lam, float(_real_part_norms(mats, lam[None, :], np.inf)[0]) * scale)
 
 
 def _radius_vector_route(t: OperatorTuple, config: OptimizerConfig) -> SupremumEstimate:

@@ -634,6 +634,17 @@ class TestAscentEngine:
         t = random_tuple(3, 4, 7)
         assert norms.hypo_norm(t, CFG).value == norms.schatten_hypo_norm(t, INF, CFG).value
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_suprema_scale_with_the_tuple(self, scale):
+        # at these scales absolute step thresholds would freeze the rows
+        # and squared vector norms would overflow
+        t = random_tuple(3, 4, 1)
+        scaled = OperatorTuple(matrices=scale * t.array)
+        for estimate in (norms.hypo_norm, norms.joint_numerical_radius,
+                         lambda u: norms.schatten_hypo_norm(u, 1.0),
+                         lambda u: norms.schatten_numerical_radius(u, 1.0)):
+            assert estimate(scaled).value == pytest.approx(scale * estimate(t).value, rel=2e-15)
+
 
 def _same_estimate(a, b) -> bool:
     """Bit for bit equal in every field the estimators fill."""
