@@ -237,9 +237,10 @@ class TestClassification:
                 assert block.residual == pytest.approx(ref_block.residual, rel=1e-14)
 
     def test_commuting_tuple_svd_count(self, monkeypatch):
-        # separate predicates made 15 SVDs here: the commutator residual
-        # three times, the coordinate normality defects twice and one
-        # quasinormality SVD per coordinate
+        # one SVD each: the tolerance, the commutator, the coordinate
+        # normality and quasinormality defects, quasinormality, the polar
+        # decomposition, the block column and the square; separate
+        # predicates made 15
         t = random_commuting_tuple(3, 4, 11)
         real, calls = np.linalg.svd, []
 
