@@ -8,8 +8,12 @@ step derived from the dual element of the norm being maximized, costing
 one small batched factorization, and sphere_optimize accelerates it
 with SQUAREM.  The operator hypo-norm is the p = inf case of the
 Schatten hypo-p-norm, with the dual element taken on the top singular
-pair only.  The hypo-p-norms and radius route (a) of several same-shape
-tuples are estimated by one batched ascent (_hypo_p_norms,
+pair only.  Its step needs no SVD after an ascent's first call: each
+row carries its top right singular vector v from call to call, refines
+it by power steps and returns the minorant ||M(lam) v||, never lowered
+from one step to the next; the driver values each winner by the full
+singular values.  The hypo-p-norms and radius route (a) of several
+same-shape tuples are estimated by one batched ascent (_hypo_p_norms,
 _radius_vector_routes), each equal to the estimate of its tuple alone;
 the public estimators are their one-tuple case.  Every ascent runs on
 its tuple divided by a power of two near the largest entry, which is
@@ -157,6 +161,25 @@ def _contract(flat: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w.reshape(len(w), -1) @ flat.T
 
 
+_POWER_STEPS = 2
+
+
+def _top_right_vectors(m: np.ndarray, v) -> np.ndarray:
+    """The top right singular vector of each matrix of the stack m, from
+    one full SVD when v is None, else estimated by _POWER_STEPS power
+    steps v <- M*M v / ||M*M v|| from the rows of v, which need not be
+    unit.  A power step does not lower ||M v|| of a unit v; a row with
+    M*M v = 0, so M v = 0, keeps its v."""
+    if v is None:
+        return np.conj(np.linalg.svd(m)[2][:, 0, :])
+    mh = np.conj(np.swapaxes(m, 1, 2))
+    for _ in range(_POWER_STEPS):
+        w = (mh @ (m @ v[:, :, None]))[:, :, 0]
+        nw = np.linalg.norm(w, axis=1)
+        v = np.where((nw > 0.0)[:, None], w / np.where(nw > 0.0, nw, 1.0)[:, None], v)
+    return v
+
+
 def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None) -> list:
     """sup over the coefficient sphere of ||M(lam)||_p, p in [1, inf], for
     each of the same-shape tuples ts, by one batched ascent.
@@ -167,6 +190,16 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
     Each owner's rows are combined and contracted with its own tuple, one
     gemm per owner; one SVD serves every row.  Each tuple is ascended at
     unit scale (_binary_scaled).
+
+    At p = inf the dual element is W = u v* for a unit v and
+    u = M v / ||M v||, so a_k = u* T_k v, and the step returns the
+    minorant ||M(lam) v|| <= ||M(lam)||, which it never lowers: the
+    power steps do not, and ||M(lam') v|| >= |a| >= ||M(lam) v||.  v is
+    the ascent's state: each row's v goes to its next step, where
+    _top_right_vectors refines it, and SQUAREM extrapolates it with the
+    row.  Only an ascent's first step runs a full SVD.  The driver
+    values each winner by the objective, so every estimate is still the
+    exact norm at its argmax.
     """
     scaled = [_binary_scaled(t.array) for t in ts]
     stack = np.stack([mats for mats, _ in scaled])
@@ -176,11 +209,19 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
         m = _per_owner(_combine, stack, rows, blocks)
         return _batch_schatten(np.linalg.svd(m, compute_uv=False), p)
 
-    def ascend(rows, blocks):
-        u, s, vh = np.linalg.svd(_per_owner(_combine, stack, rows, blocks))
-        vals = _batch_schatten(s, p)
-        dual = np.conj((u * _dual_weights(s, vals, p)[:, None, :]) @ vh)
-        return vals, power_step(rows, _per_owner(_contract, flats, dual, blocks))
+    def ascend(rows, blocks, v):
+        m = _per_owner(_combine, stack, rows, blocks)
+        if p == np.inf:
+            v = _top_right_vectors(m, v)
+            mv = (m @ v[:, :, None])[:, :, 0]
+            vals = np.linalg.norm(mv, axis=1)
+            u = mv / np.where(vals > 0.0, vals, 1.0)[:, None]
+            dual = np.conj(u)[:, :, None] * v[:, None, :]
+        else:
+            u, s, vh = np.linalg.svd(m)
+            vals = _batch_schatten(s, p)
+            dual = np.conj((u * _dual_weights(s, vals, p)[:, None, :]) @ vh)
+        return vals, power_step(rows, _per_owner(_contract, flats, dual, blocks)), v
 
     ests = sphere_optimize_batch(objective, ts[0].d, len(ts), config, ascend=ascend,
                                  warm_starts=warm_starts)
@@ -350,7 +391,7 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
     def objective(xs, blocks):
         return np.linalg.norm(_per_owner(_vector_coeffs, stack, xs, blocks), axis=1)
 
-    def ascend(xs, blocks):
+    def ascend(xs, blocks, state):
         c = _per_owner(_vector_coeffs, stack, xs, blocks)
         vals = np.linalg.norm(c, axis=1)
         safe = np.where(vals > 0.0, vals, 1.0)
@@ -358,7 +399,7 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
         _, q = np.linalg.eigh(_real_parts(_per_owner(_combine, stack, lam, blocks)))
         nxt = q[:, :, -1]
         nxt[vals <= 0.0] = xs[vals <= 0.0]
-        return vals, nxt
+        return vals, nxt, None
 
     ests = sphere_optimize_batch(objective, ts[0].n, len(ts), config, ascend=ascend)
     return [_vector_route_report(_rescaled(est, scale), mats, scale)

@@ -14,6 +14,16 @@ norm's dual element).  The driver accelerates the step with SQUAREM and
 iterates to a step tolerance; there is no derivative-free search and no
 polish.
 
+Inside the driver every step has one protocol:
+ascend(rows, blocks, state) -> (values, next rows, state).  state is
+None on an ascent's first call and otherwise what the step returned for
+the same rows, so a step can carry per-row work from one call to the
+next (the operator hypo-norm carries each row's top singular vector).
+The values a step returns may be a lower bound of the objective at its
+rows, as long as the step does not lower that bound: the driver ranks
+rows by them but values each winner by the objective, so every
+estimate is still exact at its argmax.
+
 sphere_optimize_batch ascends B objectives on C^d at once: the rows of
 every owner form one (B*S, d) array, owner-major, and each call of the
 objective or step gets all active rows with the (owner, slice) blocks
@@ -164,11 +174,13 @@ def sphere_optimize(
     random points, 8192 rows at a time, to pick the start phases of an
     objective that is not phase-invariant, and to value the winner as a
     one-row batch.  ascend maps an (S, d) batch of unit rows to
-    (values, next rows), with values the exact objective at the input
-    rows and the next rows not worse.  It is required unless the gauge
-    leaves a single point (d = 1 and phase_invariant).  The driver
-    accelerates it with SQUAREM and keeps the best evaluation seen, so a
-    merely stationary map stays sound.
+    (values, next rows), with values the objective at the input rows (or
+    a lower bound of it that the step does not lower) and the next rows
+    not worse.  It is required unless the gauge leaves a single point
+    (d = 1 and phase_invariant), and it carries no state from call to
+    call.  The driver accelerates it with SQUAREM, keeps the best
+    evaluation seen, so a merely stationary map stays sound, and values
+    the winner by objective.
 
     phase_invariant says objective(e^{i phi} lam) == objective(lam).
     Then each next row is rotated to the phase of its current row, the
@@ -182,7 +194,7 @@ def sphere_optimize(
     """
     return sphere_optimize_batch(
         lambda rows, blocks: objective(rows), d, 1, config,
-        ascend=None if ascend is None else lambda rows, blocks: ascend(rows),
+        ascend=None if ascend is None else lambda rows, blocks, state: (*ascend(rows), None),
         phase_invariant=phase_invariant, warm_starts=(warm_starts,),
     )[0]
 
@@ -201,13 +213,19 @@ def sphere_optimize_batch(
     SupremumEstimate per owner b = 0..count-1, each equal to a
     sphere_optimize run of owner b's objective alone.
 
-    objective(rows, blocks) and ascend(rows, blocks) act as in
-    sphere_optimize on rows of several owners.  blocks holds one
-    (b, slice) pair per owner present, in row order: rows[slice] are
-    owner b's rows.  Every owner draws the same starts from config.seed,
-    plus its own warm_starts[b], and its rows ascend, retire and are
-    valued as in a run of their own, so one call of the maps (one batched
-    factorization) serves every active row of every owner.
+    objective(rows, blocks) acts as in sphere_optimize on rows of several
+    owners.  blocks holds one (b, slice) pair per owner present, in row
+    order: rows[slice] are owner b's rows.  ascend(rows, blocks, state)
+    returns (values, next rows, state).  state is None on the first call
+    and otherwise an (S, m) array, one row per row, that SQUAREM carries
+    and extrapolates with the rows (or None throughout, for a step that
+    carries nothing).  values may be a lower bound of the objective at
+    rows that the step does not lower; the rows are ranked by it, but
+    each winner is valued by objective.  Every owner draws the same
+    starts from config.seed, plus its own warm_starts[b], and its rows
+    ascend, retire and are valued as in a run of their own, so one call
+    of the maps (one batched factorization) serves every active row of
+    every owner.
     """
     cfg = config or OptimizerConfig()
     warm_starts = warm_starts or ((),) * count
@@ -305,7 +323,7 @@ def _align_phase(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return rows * (c / mag)[:, None]
 
 
-def _squarem(step, rows: np.ndarray, blocks: tuple, phase_invariant: bool):
+def _squarem(step, rows: np.ndarray, blocks: tuple, state, phase_invariant: bool):
     """One SQUAREM iteration (Varadhan and Roland, 2008) of an MM step.
 
     The bare step crawls where the objective is nearly flat along some
@@ -313,16 +331,23 @@ def _squarem(step, rows: np.ndarray, blocks: tuple, phase_invariant: bool):
     take one more step from there.  alpha = -1 gives back the
     second step; |alpha| <= 1/|r| bounds the jump.  The extrapolated
     branch is kept only where it is no worse than the first step, so the
-    map stays monotone.  Returns the values at rows and the next rows.
+    map stays monotone.  The step's state is part of the iterate: rows get
+    state, x1 the state returned at rows, and the extrapolated point the
+    three states extrapolated with the same alpha (the state returned at
+    x1 on an ascent's first call).  Handed the state at x1 instead, the
+    carried-vector hypo-norm step valued extrapolated points below v1 on
+    slow tuples, rejected every extrapolation and crawled to the cap.
+    Returns the values at rows, the next rows and the state of the kept
+    branch.
     """
-    def mm(x):
-        vals, nxt = step(x, blocks)
+    def mm(x, carried):
+        vals, nxt, carried = step(x, blocks, carried)
         if phase_invariant:
             nxt = _align_phase(nxt, x)
-        return np.asarray(vals, dtype=float), nxt
+        return np.asarray(vals, dtype=float), nxt, carried
 
-    vals, x1 = mm(rows)
-    v1, x2 = mm(x1)
+    vals, x1, s1 = mm(rows, state)
+    v1, x2, s2 = mm(x1, s1)
     r = x1 - rows
     v = x2 - x1 - r
     nr = np.linalg.norm(r, axis=1)
@@ -331,11 +356,18 @@ def _squarem(step, rows: np.ndarray, blocks: tuple, phase_invariant: bool):
     xe = rows - 2.0 * alpha[:, None] * r + (alpha**2)[:, None] * v
     ne = np.linalg.norm(xe, axis=1)
     xe /= np.where(ne > 0.0, ne, 1.0)[:, None]
-    ve, x3 = mm(xe)
-    nxt = np.where(((ve >= v1) & (ne > 0.0))[:, None], x3, x2)
+    se = s2
+    if state is not None:
+        rs = s1 - state
+        se = state - 2.0 * alpha[:, None] * rs + (alpha**2)[:, None] * (s2 - s1 - rs)
+    ve, x3, s3 = mm(xe, se)
+    extrapolated = ((ve >= v1) & (ne > 0.0))[:, None]
+    nxt = np.where(extrapolated, x3, x2)
+    if s3 is not None:
+        s3 = np.where(extrapolated, s3, s2)
     if phase_invariant:
         nxt = _align_phase(nxt, rows)
-    return vals, nxt
+    return vals, nxt, s3
 
 
 _STALL_LIMIT = 6
@@ -350,6 +382,7 @@ def _run_ascent(step, starts: np.ndarray, owner: np.ndarray, count: int,
     the value has converged).  For a phase-invariant objective the next
     rows are phase aligned, so the step length is the phase-invariant
     distance.  owner[s] < count is the owner of row s, nondecreasing.
+    The step's state is kept for the active rows, subset with them.
     Returns each row's best value and point, whether it retired, and the
     number of iterations it took part in.
     """
@@ -360,9 +393,10 @@ def _run_ascent(step, starts: np.ndarray, owner: np.ndarray, count: int,
     life = np.zeros(n, dtype=int)       # the iteration a row retired in, from 1
     stall = np.zeros(n, dtype=int)
     active = np.arange(n)
+    state = None                        # the step's state of each active row
     for it in range(cfg.max_iters):
-        vals, nxt = _squarem(step, current[active], _blocks(owner[active], count),
-                             phase_invariant)
+        vals, nxt, state = _squarem(step, current[active], _blocks(owner[active], count),
+                                    state, phase_invariant)
         improved = vals > best_vals[active] + 1e-13 * (1.0 + np.abs(vals))
         stall[active] = np.where(improved, 0, stall[active] + 1)
         better = vals > best_vals[active]
@@ -375,10 +409,12 @@ def _run_ascent(step, starts: np.ndarray, owner: np.ndarray, count: int,
         keep = ~retire
         current[active[keep]] = nxt[keep]
         active = active[keep]
+        if state is not None:
+            state = state[keep]
         if active.size == 0:
             break
     if active.size:
-        vals, _ = step(current[active], _blocks(owner[active], count))
+        vals, _, _ = step(current[active], _blocks(owner[active], count), state)
         vals = np.asarray(vals, dtype=float)
         better = vals > best_vals[active]
         idx = active[better]

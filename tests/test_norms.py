@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from sphertrans import linalg, norms
 from sphertrans.ensembles import random_tuple
 from sphertrans.errors import InvalidPError, SphertransError
-from sphertrans.optimize import OptimizerConfig, grid_supremum
+from sphertrans.optimize import OptimizerConfig, grid_supremum, power_step, sphere_optimize
+from sphertrans.suites import sharp_diag_pair
 from sphertrans.tuples import (
     OperatorTuple,
     adjoint_tuple,
@@ -20,7 +21,7 @@ from sphertrans.tuples import (
     zero_tuple,
 )
 
-from conftest import cmat, grid_tuples, hypo_oracle
+from conftest import cmat, grid_tuples, hypo_oracle, random_matrix
 
 CFG = OptimizerConfig(n_random_starts=8)
 
@@ -695,3 +696,89 @@ class TestBatchedAscent:
         est = norms.hypo_norm(random_tuple(3, 4, 7), CFG)
         assert 1 <= est.iterations <= CFG.max_iters
         assert est.evaluations >= 3 * est.starts + 1
+
+
+def _full_svd_hypo_norm(t, cfg) -> float:
+    """The operator hypo-norm ascended with a full SVD at every step: the
+    dual element is the top singular pair of M(lam), and each step returns
+    the exact norm.  The reference for the carried-vector step."""
+    mats, scale = norms._binary_scaled(t.array)
+
+    def objective(rows):
+        return np.linalg.svd(norms._combine(mats, rows), compute_uv=False)[:, 0]
+
+    def ascend(rows):
+        u, s, vh = np.linalg.svd(norms._combine(mats, rows))
+        a = np.einsum("si,kij,sj->sk", np.conj(u[:, :, 0]), mats, np.conj(vh[:, 0, :]))
+        return s[:, 0], power_step(rows, a)
+
+    return sphere_optimize(objective, t.d, cfg, ascend=ascend).value * scale
+
+
+def _hypo_maps(monkeypatch, t):
+    """The (objective, ascend) pair that hypo_norm(t) hands the driver."""
+    maps = {}
+    real = norms.sphere_optimize_batch
+
+    def capture(objective, *args, ascend=None, **kwargs):
+        maps.update(objective=objective, ascend=ascend)
+        return real(objective, *args, ascend=ascend, **kwargs)
+
+    monkeypatch.setattr(norms, "sphere_optimize_batch", capture)
+    norms.hypo_norm(t, CFG)
+    return maps["objective"], maps["ascend"]
+
+
+# 40 fixed tuples over (d, n) in 2..4 x 2..6 and the three ensembles
+CARRIED_TUPLES = [(2 + k % 3, 2 + k % 5, k, BATCH_ENSEMBLES[k // 15]) for k in range(40)]
+
+
+class TestCarriedTopVector:
+    """The p = inf step carries each row's top right singular vector and
+    refines it by power steps, so it returns a minorant of ||M(lam)||."""
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 4), (4, 6)])
+    def test_tied_top_singular_value(self, d, n):
+        # every singular value of M(lam) = <lam, conj c> U is the top one,
+        # so the power vector has nothing to converge to
+        rng = np.random.default_rng([d, n])
+        u = np.linalg.qr(random_matrix(rng, n))[0]
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        t = OperatorTuple(matrices=c[:, None, None] * u)
+        assert norms.hypo_norm(t, CFG).value == pytest.approx(np.linalg.norm(c), rel=1e-12)
+
+    def test_sharp_diag_pair_is_one(self):
+        assert norms.hypo_norm(sharp_diag_pair(), CFG).value == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_tuple_and_zero_coordinate(self):
+        # RuntimeWarning is an error under this suite's settings, so a
+        # division by a zero norm fails here
+        assert norms.hypo_norm(zero_tuple(3, 4), CFG).value == 0.0
+        a = random_tuple(1, 4, 5)[0]
+        t = tuple_from(a, np.zeros((4, 4)))
+        assert norms.hypo_norm(t, CFG).value == pytest.approx(linalg.operator_norm(a),
+                                                              rel=1e-12)
+
+    @pytest.mark.parametrize("d,n,seed,ensemble", CARRIED_TUPLES)
+    def test_not_below_full_svd_steps(self, d, n, seed, ensemble):
+        t = random_tuple(d, n, seed, ensemble)
+        reference = _full_svd_hypo_norm(t, CFG)
+        assert norms.hypo_norm(t, CFG).value >= reference * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 5), (4, 6)])
+    @pytest.mark.parametrize("ensemble", BATCH_ENSEMBLES)
+    def test_minorant_never_falls(self, monkeypatch, d, n, ensemble):
+        # bare steps from 16 random rows: each value is at most the norm
+        # at its row and at least the value one step before, to rounding
+        objective, ascend = _hypo_maps(monkeypatch, random_tuple(d, n, 7, ensemble))
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((16, d)) + 1j * rng.standard_normal((16, d))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        blocks = ((0, slice(None)),)
+        state, before = None, None
+        for _ in range(40):
+            vals, nxt, state = ascend(rows, blocks, state)
+            assert np.all(vals <= objective(rows, blocks) * (1.0 + 1e-15))
+            if before is not None:
+                assert np.all(vals >= before * (1.0 - 1e-15))
+            before, rows = vals, nxt
