@@ -2,7 +2,7 @@ import collections
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +154,11 @@ class TestSuiteRuns:
         assert doc["trials"] == 5
         assert len(doc["records"]) == len(rep.records)
         assert set(doc["summary"]) == set(rep.summary)
+
+    @pytest.mark.parametrize("suite", ["s3", "sharpness"])
+    def test_report_json_is_the_asdict_dump(self, suite):
+        rep = run_suite(suite, SuiteConfig(trials=3, workers=1))
+        assert report_to_json(rep) == json.dumps(asdict(rep), indent=1, sort_keys=True)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
