@@ -9,8 +9,10 @@ DIR_A and DIR_B hold reports under the same file names, such as those
 (suite, trials, seed).  Records are paired in order, and each record has
 two sides, lhs and rhs.  For each inequality id one line gives the sides
 that differ out of all its sides, the largest relative difference
-|a - b| / max(|a|, |b|) over them and the number of records whose status
-changed; a last line totals them.  The exit status is 1 when any
+|a - b| / max(|a|, |b|) over them, the number of sides of B that fall
+more than 1e-12 relative below A with the worst such fall
+(a - b) / max(|a|, |b|), and the number of records whose status changed;
+a last line totals them.  The exit status is 1 when any
 record's status changed, so a drift that must move no verdict is a
 command that fails.  Reports that do not pair up (a file on one side
 only, or records of another id or fingerprint) exit with 2.
@@ -28,13 +30,20 @@ class Drift:
     changed: int = 0          # sides that differ
     sides: int = 0
     max_rel: float = 0.0
+    falls: int = 0            # sides of B more than FALL_REL below A
+    worst_fall: float = 0.0
     status_changes: int = 0
 
     def add(self, other: "Drift") -> None:
         self.changed += other.changed
         self.sides += other.sides
         self.max_rel = max(self.max_rel, other.max_rel)
+        self.falls += other.falls
+        self.worst_fall = max(self.worst_fall, other.worst_fall)
         self.status_changes += other.status_changes
+
+
+FALL_REL = 1e-12
 
 
 def _rel(a: float, b: float) -> float:
@@ -66,6 +75,10 @@ def drift(dir_a: Path, dir_b: Path) -> dict:
                 if ra[side] != rb[side]:
                     entry.changed += 1
                     entry.max_rel = max(entry.max_rel, _rel(ra[side], rb[side]))
+                    fall = (ra[side] - rb[side]) / max(abs(ra[side]), abs(rb[side]))
+                    if fall > FALL_REL:
+                        entry.falls += 1
+                        entry.worst_fall = max(entry.worst_fall, fall)
             entry.status_changes += ra["status"] != rb["status"]
     return dict(sorted(out.items()))
 
@@ -84,10 +97,11 @@ def main() -> int:
     for entry in rows.values():
         total.add(entry)
     width = max(len(rid) for rid in rows)
-    print(f"{'id':<{width}}  {'sides_changed':>13}  {'max_rel_diff':>12}  status_changes")
+    print(f"{'id':<{width}}  {'sides_changed':>13}  {'max_rel_diff':>12}  {'falls':>5}  "
+          f"{'worst_fall':>10}  status_changes")
     for rid, e in [*rows.items(), ("total", total)]:
         print(f"{rid:<{width}}  {f'{e.changed}/{e.sides}':>13}  {e.max_rel:>12.2e}  "
-              f"{e.status_changes:>14}")
+              f"{e.falls:>5}  {e.worst_fall:>10.2e}  {e.status_changes:>14}")
     return 1 if total.status_changes else 0
 
 

@@ -45,8 +45,11 @@ def _drift_run(dir_a, dir_b):
 def _drift_rows(dir_a, dir_b, code=0):
     run = _drift_run(dir_a, dir_b)
     assert run.returncode == code, run.stderr
-    return {rid: (sides, float(rel), int(status))
-            for rid, sides, rel, status in (line.split() for line in run.stdout.splitlines()[1:])}
+    lines = run.stdout.splitlines()
+    assert lines[0].split() == ["id", "sides_changed", "max_rel_diff", "falls", "worst_fall",
+                                "status_changes"]
+    return {rid: (sides, float(rel), int(falls), float(worst), int(status))
+            for rid, sides, rel, falls, worst, status in (line.split() for line in lines[1:])}
 
 
 def test_drift_shows_exactly_the_edited_side(tmp_path):
@@ -59,8 +62,8 @@ def test_drift_shows_exactly_the_edited_side(tmp_path):
     report = json.loads(path.read_text())
     assert report["wall_time"] == 0
     same = _drift_rows(saved, saved)
-    assert same["total"][1:] == (0.0, 0)
-    assert all(sides.startswith("0/") for sides, _, _ in same.values())
+    assert same["total"][1:] == (0.0, 0, 0.0, 0)
+    assert all(row[0].startswith("0/") for row in same.values())
 
     edited = tmp_path / "b"
     shutil.copytree(saved, edited)
@@ -73,7 +76,29 @@ def test_drift_shows_exactly_the_edited_side(tmp_path):
     assert set(moved) == {rid, "total"}
     assert moved[rid][0].startswith("1/") and moved["total"][0].startswith("1/")
     assert moved[rid][1] == pytest.approx(1e-12, rel=1e-3)
-    assert moved["total"][2] == 0
+    assert moved["total"][2:] == (0, 0.0, 0)        # a rise is not a fall
+
+
+def test_drift_counts_the_sides_that_fall(tmp_path):
+    saved = tmp_path / "a"
+    subprocess.run(
+        [sys.executable, str(SCRIPT), "--suite", "s3", "--trials", "2", "--save", str(saved)],
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    path = saved / "s3-42.json"
+    report = json.loads(path.read_text())
+    edited = tmp_path / "b"
+    shutil.copytree(saved, edited)
+    sided = [r for r in report["records"] if r["lhs"] and r["rhs"]]
+    fallen, tiny = sided[0], sided[-1]
+    fallen["rhs"] *= 1.0 - 1e-9
+    tiny["lhs"] *= 1.0 - 1e-13                      # below the 1e-12 threshold
+    (edited / path.name).write_text(json.dumps(report))
+    rows = _drift_rows(saved, edited)
+    assert rows[fallen["inequality_id"]][2] == 1
+    assert rows[fallen["inequality_id"]][3] == pytest.approx(1e-9, rel=1e-3)
+    assert rows["total"][0].startswith("2/")
+    assert rows["total"][2:] == (1, rows[fallen["inequality_id"]][3], 0)
 
 
 def test_drift_fails_on_a_status_change(tmp_path):
@@ -91,8 +116,8 @@ def test_drift_fails_on_a_status_change(tmp_path):
     record["status"] = "fail"
     (edited / path.name).write_text(json.dumps(report))
     rows = _drift_rows(saved, edited, code=1)
-    assert rows[record["inequality_id"]][2] == 1
-    assert rows["total"] == ("0/" + rows["total"][0].split("/")[1], 0.0, 1)
+    assert rows[record["inequality_id"]][4] == 1
+    assert rows["total"] == ("0/" + rows["total"][0].split("/")[1], 0.0, 0, 0.0, 1)
 
     (edited / path.name).unlink()
     unpaired = _drift_run(saved, edited)
