@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Print the cost per call of each layer at d=3, n=5 as a markdown table.
+
+Usage:
+    python scripts/layer_costs.py [--tuples 10] [--repeats 5]
+
+Each row is one layer: spherical_polar and every supremum estimator,
+called on --tuples ginibre tuples random_tuple(3, 5, k) with the suites'
+optimizer config (8 random starts).  The time is the median over the
+tuples of the best of --repeats calls, in ms.  iterations and evaluations
+are the means per call of the counts each SupremumEstimate carries, so
+they include the batched ascents that a tracer wrapping the single-tuple
+entry points misses; "-" marks a layer that makes no estimate.  The
+numerical_radius row is the ascent numerical_radius runs (the d = 1
+real-part supremum, default config) on the tuple's first matrix, called
+directly so that its estimate can be read.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from sphertrans import norms
+from sphertrans.ensembles import random_tuple
+from sphertrans.optimize import SupremumEstimate
+from sphertrans.suites import SuiteConfig
+from sphertrans.tuples import spherical_polar, tuple_from
+
+D, N = 3, 5
+CFG = SuiteConfig(trials=1).opt
+
+LAYERS = (
+    ("`spherical_polar`", spherical_polar),
+    ("`hypo_norm`", lambda t: norms.hypo_norm(t, CFG)),
+    ("`schatten_hypo_norm` (p=3)", lambda t: norms.schatten_hypo_norm(t, 3.0, CFG)),
+    ("`schatten_hypo_norm` (p=2, exact)", lambda t: norms.schatten_hypo_norm(t, 2.0, CFG)),
+    ("joint radius, route a", lambda t: norms._radius_vector_route(t, CFG)),
+    ("joint radius, route b", lambda t: norms._radius_coeff_route(t, CFG)),
+    ("`joint_numerical_radius` (both routes)",
+     lambda t: norms.joint_numerical_radius(t, CFG)),
+    ("`schatten_numerical_radius` (p=3)",
+     lambda t: norms.schatten_numerical_radius(t, 3.0, CFG)),
+    (f"`numerical_radius`, n={N}",
+     lambda t: norms._real_part_sup(tuple_from(t[0]), np.inf, None)),
+)
+
+
+def _best_ms(fn, t, repeats: int):
+    """(best wall time of repeats calls of fn(t) in ms, the last result)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn(t)
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best, result
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tuples", type=int, default=10)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    if args.tuples < 1 or args.repeats < 1:
+        print("error: --tuples and --repeats must be at least 1", file=sys.stderr)
+        return 2
+    ts = [random_tuple(D, N, k, "ginibre") for k in range(args.tuples)]
+    print(f"d={D}, n={N}: median over {args.tuples} ginibre tuples of the best of "
+          f"{args.repeats} calls, {CFG.n_random_starts} random starts")
+    print("| layer | ms per call | iterations | evaluations |")
+    print("|-------|-------------|------------|-------------|")
+    for label, fn in LAYERS:
+        runs = [_best_ms(fn, t, args.repeats) for t in ts]
+        ms = statistics.median(run[0] for run in runs)
+        ests = [run[1] for run in runs]
+        if isinstance(ests[0], SupremumEstimate):
+            counts = [f"{statistics.fmean(getattr(e, name) for e in ests):.1f}"
+                      for name in ("iterations", "evaluations")]
+        else:
+            counts = ["-", "-"]
+        print(f"| {label} | {ms:.2f} | {counts[0]} | {counts[1]} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
