@@ -334,10 +334,9 @@ def _squarem(step, rows: np.ndarray, blocks: tuple, state, phase_invariant: bool
     map stays monotone.  The step's state is part of the iterate: rows get
     state, x1 the state returned at rows, and the extrapolated point the
     three states extrapolated with the same alpha (the state returned at
-    x1 on an ascent's first call).  Handed the state at x1 instead, the
-    carried-vector hypo-norm step valued extrapolated points below v1 on
-    slow tuples, rejected every extrapolation and crawled to the cap.
-    Returns the values at rows, the next rows and the state of the kept
+    x1 on an ascent's first call).  The state at x1 alone lags a long
+    jump: a carried-vector step would undervalue the extrapolated point
+    and reject it at every iteration of a slow tuple.  Returns the values at rows, the next rows and the state of the kept
     branch.
     """
     def mm(x, carried):
@@ -353,14 +352,15 @@ def _squarem(step, rows: np.ndarray, blocks: tuple, state, phase_invariant: bool
     nr = np.linalg.norm(r, axis=1)
     alpha = -nr / np.maximum(np.linalg.norm(v, axis=1), 1e-300)
     alpha = np.minimum(np.maximum(alpha, -1.0 / np.maximum(nr, 1e-300)), -1.0)
-    xe = rows - 2.0 * alpha[:, None] * r + (alpha**2)[:, None] * v
+
+    def extrapolate(y0, y1, y2):
+        dy = y1 - y0
+        return y0 - 2.0 * alpha[:, None] * dy + (alpha**2)[:, None] * (y2 - y1 - dy)
+
+    xe = extrapolate(rows, x1, x2)
     ne = np.linalg.norm(xe, axis=1)
     xe /= np.where(ne > 0.0, ne, 1.0)[:, None]
-    se = s2
-    if state is not None:
-        rs = s1 - state
-        se = state - 2.0 * alpha[:, None] * rs + (alpha**2)[:, None] * (s2 - s1 - rs)
-    ve, x3, s3 = mm(xe, se)
+    ve, x3, s3 = mm(xe, s2 if state is None else extrapolate(state, s1, s2))
     extrapolated = ((ve >= v1) & (ne > 0.0))[:, None]
     nxt = np.where(extrapolated, x3, x2)
     if s3 is not None:
