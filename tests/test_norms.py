@@ -10,7 +10,6 @@ from sphertrans import linalg, norms
 from sphertrans.ensembles import random_tuple
 from sphertrans.errors import InvalidPError, SphertransError
 from sphertrans.optimize import OptimizerConfig, grid_supremum, power_step, sphere_optimize
-from sphertrans.suites import sharp_diag_pair
 from sphertrans.tuples import (
     OperatorTuple,
     adjoint_tuple,
@@ -117,7 +116,7 @@ class TestHypoNorm:
         assert norms.hypo_norm(t).value == pytest.approx(linalg.operator_norm(t[0]))
 
     def test_diag_pair_is_one(self, diag_pair):
-        assert norms.hypo_norm(diag_pair).value == pytest.approx(1.0, abs=1e-9)
+        assert norms.hypo_norm(diag_pair).value == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -746,9 +745,6 @@ class TestCarriedTopVector:
         c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         t = OperatorTuple(matrices=c[:, None, None] * u)
         assert norms.hypo_norm(t, CFG).value == pytest.approx(np.linalg.norm(c), rel=1e-12)
-
-    def test_sharp_diag_pair_is_one(self):
-        assert norms.hypo_norm(sharp_diag_pair(), CFG).value == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_tuple_and_zero_coordinate(self):
         # RuntimeWarning is an error under this suite's settings, so a
