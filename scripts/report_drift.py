@@ -73,12 +73,12 @@ def drift(dir_a: Path, dir_b: Path) -> dict:
             for side in ("lhs", "rhs"):
                 entry.sides += 1
                 if ra[side] != rb[side]:
+                    rel = _rel(ra[side], rb[side])
                     entry.changed += 1
-                    entry.max_rel = max(entry.max_rel, _rel(ra[side], rb[side]))
-                    fall = (ra[side] - rb[side]) / max(abs(ra[side]), abs(rb[side]))
-                    if fall > FALL_REL:
+                    entry.max_rel = max(entry.max_rel, rel)
+                    if rb[side] < ra[side] and rel > FALL_REL:
                         entry.falls += 1
-                        entry.worst_fall = max(entry.worst_fall, fall)
+                        entry.worst_fall = max(entry.worst_fall, rel)
             entry.status_changes += ra["status"] != rb["status"]
     return dict(sorted(out.items()))
 
