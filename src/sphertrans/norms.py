@@ -11,8 +11,8 @@ Schatten hypo-p-norm, with the dual element taken on the top singular
 pair only.  Its step needs no SVD after an ascent's first call: each
 row carries its top right singular vector v from call to call, refines
 it by power steps and returns the minorant ||M(lam) v||, never lowered
-from one step to the next; the driver values each winner by the full
-singular values.  The hypo-p-norms and radius route (a) of several
+from one step to the next; sphere_optimize values each winner by the
+full singular values.  The hypo-p-norms and radius route (a) of several
 same-shape tuples are estimated by one batched ascent (_hypo_p_norms,
 _radius_vector_routes), each equal to the estimate of its tuple alone;
 the public estimators are their one-tuple case.  Every ascent runs on
@@ -197,7 +197,7 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
     power steps do not, and ||M(lam') v|| >= |a| >= ||M(lam) v||.  v is
     the ascent's state: each row's v goes to its next step, where
     _top_right_vectors refines it, and SQUAREM extrapolates it with the
-    row.  Only an ascent's first step runs a full SVD.  The driver
+    row.  Only an ascent's first step runs a full SVD.  The optimizer
     values each winner by the objective, so every estimate is still the
     exact norm at its argmax.
     """

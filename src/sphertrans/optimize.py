@@ -14,14 +14,14 @@ norm's dual element).  The driver accelerates the step with SQUAREM and
 iterates to a step tolerance; there is no derivative-free search and no
 polish.
 
-Inside the driver every step has one protocol:
+Inside the optimizer every step has one protocol:
 ascend(rows, blocks, state) -> (values, next rows, state).  state is
 None on an ascent's first call and otherwise what the step returned for
 the same rows, so a step can carry per-row work from one call to the
 next (the operator hypo-norm carries each row's top singular vector).
 The values a step returns may be a lower bound of the objective at its
-rows, as long as the step does not lower that bound: the driver ranks
-rows by them but values each winner by the objective, so every
+rows, as long as the step does not lower that bound: rows are ranked by
+these values, but each winner is valued by the objective, so every
 estimate is still exact at its argmax.
 
 sphere_optimize_batch ascends B objectives on C^d at once: the rows of
@@ -178,7 +178,7 @@ def sphere_optimize(
     a lower bound of it that the step does not lower) and the next rows
     not worse.  It is required unless the gauge leaves a single point
     (d = 1 and phase_invariant), and it carries no state from call to
-    call.  The driver accelerates it with SQUAREM, keeps the best
+    call.  sphere_optimize accelerates it with SQUAREM, keeps the best
     evaluation seen, so a merely stationary map stays sound, and values
     the winner by objective.
 

@@ -715,7 +715,7 @@ def _full_svd_hypo_norm(t, cfg) -> float:
 
 
 def _hypo_maps(monkeypatch, t):
-    """The (objective, ascend) pair that hypo_norm(t) hands the driver."""
+    """The (objective, ascend) pair that hypo_norm(t) hands sphere_optimize_batch."""
     maps = {}
     real = norms.sphere_optimize_batch
 
