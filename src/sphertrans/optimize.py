@@ -221,11 +221,11 @@ def sphere_optimize_batch(
     and extrapolates with the rows (or None throughout, for a step that
     carries nothing).  values may be a lower bound of the objective at
     rows that the step does not lower; the rows are ranked by it, but
-    each winner is valued by objective.  Every owner draws the same
-    starts from config.seed, plus its own warm_starts[b], and its rows
-    ascend, retire and are valued as in a run of their own, so one call
-    of the maps (one batched factorization) serves every active row of
-    every owner.
+    each winner is valued by objective.  Every owner starts from the
+    same random points, drawn once from config.seed, plus its own
+    warm_starts[b]; its screens and its rows' ascent, retirement and
+    value are as in a run of its own, so one call of the maps (one
+    batched factorization) serves every active row of every owner.
     """
     cfg = config or OptimizerConfig()
     warm_starts = warm_starts or ((),) * count
@@ -238,8 +238,9 @@ def sphere_optimize_batch(
     if ascend is None:
         raise ValueError("sphere_optimize needs an ascent map for d > 1")
 
+    draws = _random_draws(d, cfg, phase_invariant)
     starts = [_starts(lambda rows, b=b: objective(rows, ((b, slice(None)),)), d, cfg,
-                      phase_invariant, warm)
+                      phase_invariant, warm, draws)
               for b, warm in enumerate(warm_starts)]
     sizes = [len(rows) for rows, _ in starts]
     best_vals, best_pts, converged, life = _run_ascent(
@@ -269,28 +270,37 @@ def sphere_optimize_batch(
     ]
 
 
-def _starts(objective, d: int, cfg: OptimizerConfig, phase_invariant: bool, warm_starts):
-    """One owner's start rows and the number of points screened for them:
-    the axes, the warm starts, cfg.n_random_starts random points, the
-    top 16 of a cfg.grid_points screen and d more random points, each
-    moved to its best phase when the objective is not phase-invariant.
-    The last d points are drawn last, so the other draws do not depend
-    on them."""
+def _random_draws(d: int, cfg: OptimizerConfig, phase_invariant: bool) -> tuple:
+    """The random points every owner's starts use, drawn from cfg.seed:
+    cfg.n_random_starts starts, the cfg.grid_points screen and d more
+    starts.  The last d points are drawn last, so the other draws do not
+    depend on them."""
     rng = np.random.default_rng(cfg.seed)
+    return tuple(_sphere_points(rng, count, d, phase_invariant) if count > 0 else None
+                 for count in (cfg.n_random_starts, cfg.grid_points, d))
+
+
+def _starts(objective, d: int, cfg: OptimizerConfig, phase_invariant: bool, warm_starts,
+            draws: tuple):
+    """One owner's start rows and the number of points screened for them:
+    the axes, the warm starts, the random starts, the top 16 of the
+    screen by this owner's objective and the d last random points (all
+    from draws), each moved to its best phase when the objective is not
+    phase-invariant."""
+    random, grid, last = draws
     parts = [_axis_starts(d)]
     screened = 0
     if warm_starts:
         warm = np.vstack([np.asarray(w, dtype=np.complex128).reshape(1, -1) for w in warm_starts])
         parts.append(gauge_fix(_normalize_rows(warm)))
-    if cfg.n_random_starts > 0:
-        parts.append(_sphere_points(rng, cfg.n_random_starts, d, phase_invariant))
-    if cfg.grid_points > 0:
-        pts = _sphere_points(rng, cfg.grid_points, d, phase_invariant)
-        vals = _evaluate_chunked(objective, pts)
-        screened += len(pts)
+    if random is not None:
+        parts.append(random)
+    if grid is not None:
+        vals = _evaluate_chunked(objective, grid)
+        screened += len(grid)
         top = np.argsort(vals)[::-1][:16]
-        parts.append(pts[top])
-    parts.append(_sphere_points(rng, d, d, phase_invariant))
+        parts.append(grid[top])
+    parts.append(last)
     starts = np.vstack(parts)
     n_starts = len(starts)
     if not phase_invariant:

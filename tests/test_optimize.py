@@ -206,3 +206,60 @@ class TestEscalation:
         norms.schatten_numerical_radius(t, 2.0, cfg)
         assert calls and set(calls) == {2}
         assert len(calls) <= 20
+
+
+class TestBatchDraws:
+    """sphere_optimize_batch draws its random points once per batch, and
+    every owner's estimate is still that of a run of its own."""
+
+    @pytest.mark.parametrize("phase_invariant", [True, False])
+    def test_one_draw_per_batch_and_estimates_unchanged(self, monkeypatch, phase_invariant):
+        # |c_b . lam| and |Re(c_b . lam)|, ascended by the dual step
+        cs = np.array([[2.0, 1.0, 0.5j], [0.3, -1.0j, 1.0], [1.0, 1.0, 1.0]])
+
+        def values(c, rows):
+            z = rows @ c
+            return np.abs(z if phase_invariant else z.real), z
+
+        def objective(c):
+            return lambda rows: values(c, rows)[0]
+
+        def ascend(c):
+            def step(rows):
+                vals, z = values(c, rows)
+                sign = np.conj(z) / np.where(vals > 0, np.abs(z), 1.0) if phase_invariant \
+                    else np.sign(z.real)
+                return vals, power_step(rows, sign[:, None] * c)
+            return step
+
+        def batched(make):
+            def per_block(rows, blocks, *state):
+                parts = [make(cs[b])(rows[sl]) for b, sl in blocks]
+                if make is objective:
+                    return np.concatenate(parts)
+                return (np.concatenate([v for v, _ in parts]),
+                        np.vstack([nxt for _, nxt in parts]), None)
+            return per_block
+
+        cfg = OptimizerConfig(n_random_starts=4, grid_points=300, seed=5)
+        warm = ([np.array([1.0, 1.0j, 0.0])], (), [np.array([0.0, 1.0, 1.0])])
+        draws = []
+        real_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return real_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        ests = optimize.sphere_optimize_batch(batched(objective), 3, len(cs), cfg,
+                                              ascend=batched(ascend),
+                                              phase_invariant=phase_invariant, warm_starts=warm)
+        assert draws == [(cfg.seed,)]
+        for c, w, est in zip(cs, warm, ests):
+            alone = sphere_optimize(objective(c), 3, cfg, ascend=ascend(c),
+                                    phase_invariant=phase_invariant, warm_starts=w)
+            assert est.argmax.coeffs.tobytes() == alone.argmax.coeffs.tobytes()
+            assert (est.value, est.starts, est.converged, est.spread, est.iterations,
+                    est.evaluations) == (alone.value, alone.starts, alone.converged,
+                                         alone.spread, alone.iterations, alone.evaluations)
+            assert est.value == pytest.approx(np.linalg.norm(c), rel=1e-9)
