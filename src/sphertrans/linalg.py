@@ -37,7 +37,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def real_part(a: np.ndarray) -> np.ndarray:
@@ -89,16 +90,29 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
     return HermitianEig(values=vals, vectors=vecs)
 
 
-def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:
-    """Fractional power from a precomputed PSD eigendecomposition.
+def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray:
+    """Fractional power from a precomputed PSD eigendecomposition, of one
+    matrix (values (n,), vectors (n, n), t a float) or of each matrix of a
+    stack (values (k, n), vectors (k, n, n), t one exponent per matrix).
 
     Convention: P^0 = I exactly (not the range projection), and 0^t = 0
-    for t > 0.  Negative eigenvalues must already be clipped.
+    for t > 0.  Negative eigenvalues must already be clipped.  Each
+    matrix's eigenvalues are raised to its exponent as one float, as for a
+    single matrix: numpy evaluates x ** 0.5 as sqrt(x), which an array of
+    exponents would not.
     """
-    if t == 0.0:
+    stacked = np.ndim(t) > 0
+    if not stacked and t == 0.0:
         return np.eye(len(values), dtype=np.complex128)
-    powered = np.where(values > 0.0, values, 0.0) ** t
-    return (vectors * powered) @ adjoint(vectors)
+    clipped = np.where(values > 0.0, values, 0.0)
+    if stacked:
+        powered = np.stack([row ** e for row, e in zip(clipped, np.asarray(t, dtype=float).tolist())])
+    else:
+        powered = clipped ** float(t)
+    out = (vectors * powered[..., None, :]) @ adjoint(vectors)
+    if stacked:
+        out[np.asarray(t) == 0.0] = np.eye(len(values[0]))
+    return out
 
 
 def psd_powers(p: np.ndarray):

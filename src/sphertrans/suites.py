@@ -8,12 +8,20 @@ grid), an optional condition, the artifact a fuzz witness returns and the
 required pass rate.  INEQUALITIES and REQUIRED_RATES are views of TABLE.
 
 Trial k of a run with master seed s draws its inputs from
-default_rng([s, k]) when its store is built; every transform, norm and
-estimate is computed on first read and memoized, so reports are
-reproducible and independent of worker scheduling.  An s2 trial reads
-the operator hypo-norms of 13 tuples of T's shape and the joint radii of
-3; the first read of either kind estimates the whole kind by one batched
-ascent, bit for bit equal to estimating each tuple alone.
+default_rng([s, k]) when its store is built.  run_suite evaluates
+contiguous blocks of trials, serially or one block per pool task: a
+block builds its trials' stores in trial order, then computes every
+spectrum its suite's rows read (_SPECTRA) for all of them at once.  Per
+sampled tuple and shape, one polar_stack factorizes the block's tuples,
+the transforms are stack expressions with each trial's own exponent,
+and the stacked columns of each shape get one batched SVD.  Every other
+quantity (an estimate, a predicate, a tuple a row reads) is computed on
+first read and memoized.  Each value is bit for bit the one a trial
+computes alone, so reports are reproducible and independent of the
+block size and worker scheduling.  An s2 trial reads the operator
+hypo-norms of 13 tuples of T's shape and the joint radii of 3; the first
+read of either kind estimates the whole kind by one batched ascent, bit
+for bit equal to estimating each tuple alone.
 
 Optimized suprema are lower bounds.  Checks whose optimized side could
 fall short use the relaxed slack opt_tol; the s2r.chain rows run only at
@@ -32,6 +40,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -60,8 +69,8 @@ from .norms import (
 from .optimize import OptimizerConfig
 from .predicates import is_normal_tuple, is_square_zero
 from .reports import FAIL, PASS, REFINED, InequalityRecord, SuiteReport, summarize
-from .transforms import duggal, generalized_aluthge, heinz, lambda_mean, mean_transform
-from .tuples import OperatorTuple, tuple_from, tuple_power
+from .transforms import aluthge_of, duggal_of, heinz_of, lambda_mean_of
+from .tuples import OperatorTuple, polar_stack, product_of
 
 WORKERS_ENV = "SPHERTRANS_WORKERS"
 
@@ -78,6 +87,20 @@ _LAMBDA_OWN = tuple(lam for lam in _LAMBDA_GRID if lam not in _LAMBDA_ALIASES)
 _BATCHES = {
     "s2": {"hypo": ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN),
            "radius": ("T.alu", "T.hz", "T.mean")},
+}
+# per suite, the tuples whose spectra every trial's rows read; a block
+# computes them for all its trials at once
+_HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")
+_T_FAMILY = ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN)
+_SPECTRA = {
+    "s2": (*_T_FAMILY, *(f"triple.{kind}" for kind in _HEINZ_PRODUCTS)),
+    "s3": _T_FAMILY,
+    "s4": ("T",),
+    "equality": ("normal.hz", "normal.mean", "inv.alu", "inv.hz", "comm.mean", "comm.hz",
+                 *(f"{h}.{kind}" for h in ("triple", "generic")
+                   for kind in ("half", "two_sided", "outer"))),
+    "zero": ("nil.alu", "nil.hz", "gen.sq", "gen.alu", "gen.hz", "gen.mean"),
+    "sharpness": ("column", "diag"),
 }
 
 _SUITE_OPT = OptimizerConfig(n_random_starts=8)
@@ -259,7 +282,7 @@ _SAMPLERS = {
 
 class _Store:
     """One trial: its inputs, drawn eagerly, and every quantity a row reads,
-    memoized on first read.
+    memoized.
 
     Tuples are named "T", "normal", ... (a sampled tuple),
     "<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or
@@ -267,8 +290,12 @@ class _Store:
     by a float lam (the lambda mean of T).  norm and hypo read the lambda
     means at 0, 1/2 and 1 under their _LAMBDA_ALIASES names, so each is
     estimated once.  norm reads every spherical, Schatten and product
-    norm of a tuple from one spectrum of its stacked column.  A miss on
-    a name in the suite's _BATCHES estimates every name of that kind.
+    norm of a tuple from one spectrum of its stacked column.  The block
+    that owns the store fills the spectra of the suite's _SPECTRA names,
+    and of a suite with _BATCHES the tuples those batches estimate;
+    anything else is computed on first read, a spectrum by the same
+    _fill_spectra on this store alone.  A miss on a name in the suite's
+    _BATCHES estimates every name of that kind.
     """
 
     t_aluthge = 0.5      # the Aluthge exponent; the zero suite draws its own
@@ -307,36 +334,17 @@ class _Store:
         return self._memo(("tup", name), lambda: self._build(name))
 
     def _build(self, name) -> OperatorTuple:
-        if not isinstance(name, str):
-            return lambda_mean(self.T, name)
-        base, _, kind = name.partition(".")
-        obj = getattr(self, base)
-        if not kind:
-            return obj
-        if isinstance(obj, _Heinz):
-            return tuple_from(obj.products[kind])
-        if kind == "sq":
-            return tuple_power(obj, 2)
-        if kind == "alu":
-            return generalized_aluthge(obj, self.t_aluthge)
-        if kind == "hz":
-            return heinz(obj, self.t)
-        if kind == "mean":
-            return mean_transform(obj)
-        return duggal(obj)
+        base, kind = _name_parts(name)
+        if kind == "":
+            return getattr(self, base)
+        return OperatorTuple(matrices=_coordinates([self], [name])[name][0])
 
     def spectrum(self, name) -> np.ndarray:
-        """The singular values of a tuple's stacked column, descending; the
-        lambda means not aliased to a name share one batched SVD."""
+        """The singular values of a tuple's stacked column, descending; a
+        miss on a lambda mean not aliased to a name computes them all."""
         key = ("spectrum", name)
         if key not in self.memo:
-            if isinstance(name, str):
-                self.memo[key] = np.linalg.svd(self.tup(name).stacked(), compute_uv=False)
-            else:
-                lams = np.array(_LAMBDA_OWN)[:, None, None, None]
-                grid = lams * self.T.array + (1.0 - lams) * self.tup("T.dug").array
-                svals = np.linalg.svd(grid.reshape(-1, self.d * self.n, self.n), compute_uv=False)
-                self.memo.update(zip([("spectrum", lam) for lam in _LAMBDA_OWN], svals))
+            _fill_spectra([self], (name,) if isinstance(name, str) else _LAMBDA_OWN)
         return self.memo[key]
 
     def norm(self, name, p: float | None = None) -> float:
@@ -431,6 +439,89 @@ class _Store:
         else:
             status = FAIL
         return InequalityRecord(row.id, lhs, rhs, rhs - lhs, status, fp)
+
+
+# ---------------------------------------------------------------------------
+# a block's tuples and spectra, for all its stores at once
+# ---------------------------------------------------------------------------
+
+def _name_parts(name) -> tuple:
+    """(sampled object, kind) of a tuple name; kind "" is the object
+    itself, and a float lam names the lambda mean of T."""
+    if isinstance(name, str):
+        base, _, kind = name.partition(".")
+        return base, kind
+    return "T", name
+
+
+def _coordinates(stores, names) -> dict:
+    """{name: [the (d, n, n) coordinates of the named tuple in each store]}.
+
+    The stores' sampled tuples of one name and shape form one stack.  The
+    transforms come from one polar_stack of it and one stack expression
+    per kind, with each store's own exponent, and the lambda means from
+    one expression over the lambda grid.  A Heinz product is a 1-tuple.
+    """
+    kinds = defaultdict(list)
+    for name in names:
+        base, kind = _name_parts(name)
+        kinds[base].append(kind)
+    out = {name: [None] * len(stores) for name in names}
+    for base, wanted in kinds.items():
+        shapes = defaultdict(list)
+        for i, s in enumerate(stores):
+            obj = getattr(s, base)
+            if isinstance(obj, _Heinz):
+                for kind in wanted:
+                    out[f"{base}.{kind}"][i] = obj.products[kind][None]
+            else:
+                shapes[obj.array.shape].append(i)
+        for idx in shapes.values():
+            group = [stores[i] for i in idx]
+            built = _transform_stacks(group, np.stack([getattr(s, base).array for s in group]),
+                                      wanted)
+            for kind in wanted:
+                name = base if kind == "" else f"{base}.{kind}" if isinstance(kind, str) else kind
+                for i, coords in zip(idx, built[kind]):
+                    out[name][i] = coords
+    return out
+
+
+def _transform_stacks(group, coords: np.ndarray, kinds) -> dict:
+    """{kind: the (k, d', n, n) coordinates of that kind for each store of
+    group}, whose sampled tuples are the stack coords."""
+    out = {"": coords}
+    lams = [kind for kind in kinds if not isinstance(kind, str)]
+    if lams or {"dug", "alu", "hz", "mean"} & set(kinds):
+        polar = polar_stack(coords)
+        out["dug"] = duggal_of(polar)
+    if "alu" in kinds:
+        out["alu"] = aluthge_of(polar, np.array([s.t_aluthge for s in group]))
+    if "hz" in kinds:
+        out["hz"] = heinz_of(polar, np.array([s.t for s in group]))
+    if "mean" in kinds:
+        out["mean"] = lambda_mean_of(coords, out["dug"], 0.5)
+    if "sq" in kinds:
+        out["sq"] = product_of(coords, coords)
+    if lams:
+        grid = lambda_mean_of(coords[:, None], out["dug"][:, None], np.array(lams))
+        out.update(zip(lams, grid.swapaxes(0, 1)))
+    return out
+
+
+def _fill_spectra(stores, names) -> dict:
+    """Put the spectrum of each named tuple of each store into its memo,
+    one batched SVD per column shape; returns the coordinates."""
+    coords = _coordinates(stores, names)
+    columns = defaultdict(list)
+    for name, per_store in coords.items():
+        for s, c in zip(stores, per_store):
+            columns[c.shape].append((s, name, c))
+    for (d, n, _), entries in columns.items():
+        stack = np.stack([c for _, _, c in entries]).reshape(len(entries), d * n, n)
+        for (s, name, _), svals in zip(entries, np.linalg.svd(stack, compute_uv=False)):
+            s.memo[("spectrum", name)] = svals
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -763,23 +854,33 @@ INEQUALITIES = {
 REQUIRED_RATES = {row.id: row.required_rate for row in TABLE}
 
 # each suite's rows in table order, consecutive rows of one index together:
-# a block emits all its rows at each index value before the next value
-_BLOCKS = {
+# a run of rows emits all its rows at each index value before the next value
+_ROW_RUNS = {
     suite: [(index, list(rows)) for index, rows in
             groupby((row for row in TABLE if row.suite == suite), key=lambda r: r.index)]
     for suite in SUITE_NAMES
 }
 
 
-def _trial_records(suite: str, cfg: SuiteConfig, trial: int) -> list:
-    s = _Store(suite, cfg, trial)
+def _block_records(suite: str, cfg: SuiteConfig, trials) -> list:
+    """The records of a block of trials, in trial order.  The stores are
+    built in trial order, then the spectra every trial's rows read are
+    computed for the whole block, and the tuples the suite's _BATCHES
+    estimate come from the same stacks."""
+    stores = [_Store(suite, cfg, k) for k in trials]
+    coords = _fill_spectra(stores, _SPECTRA[suite])
+    batched = {name for names in _BATCHES.get(suite, {}).values() for name in names
+               if _name_parts(name)[1] != ""}
     records = []
-    for index, rows in _BLOCKS[suite]:
-        for i, entry in _index(s, index):
-            # the rows at one index value share their fingerprint dicts
-            fps = s.fp if entry is None else {k: {**fp, **entry} for k, fp in s.fp.items()}
-            records.extend(s.record(row, i, fps[row.fp]) for row in rows
-                           if row.when is None or row.when(s))
+    for i, s in enumerate(stores):
+        for name in batched:
+            s.memo[("tup", name)] = OperatorTuple(matrices=coords[name][i])
+        for index, rows in _ROW_RUNS[suite]:
+            for value, entry in _index(s, index):
+                # the rows at one index value share their fingerprint dicts
+                fps = s.fp if entry is None else {k: {**fp, **entry} for k, fp in s.fp.items()}
+                records.extend(s.record(row, value, fps[row.fp]) for row in rows
+                               if row.when is None or row.when(s))
     return records
 
 
@@ -805,14 +906,26 @@ def resolve_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
+_BLOCK_TRIALS = 100     # at most, so that a block's live stores stay small
+
+
+def _trial_blocks(trials: int, workers: int) -> list:
+    """Contiguous blocks of trial indices: of _BLOCK_TRIALS serially, and
+    for a pool of about a quarter of a worker's share, so that the
+    workers stay balanced."""
+    size = _BLOCK_TRIALS if workers == 1 else min(_BLOCK_TRIALS, max(1, trials // (workers * 4)))
+    return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+
 def _trial_worker(args):
-    suite, cfg, trial = args
-    return _trial_records(suite, cfg, trial)
+    """The records of one block of trials, args = (suite, cfg, trials)."""
+    return _block_records(*args)
 
 
 def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
-    """Run one suite; records are merged in trial-index order."""
-    if suite not in _BLOCKS:
+    """Run one suite in blocks of trials; records are merged in
+    trial-index order."""
+    if suite not in _ROW_RUNS:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITE_NAMES}")
     if cfg.trials < 1:
         raise InvalidParameterError(f"trials={cfg.trials} must be >= 1")
@@ -835,14 +948,13 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
     if suite == "sharpness":
         cfg = replace(cfg, trials=1)
     started = time.perf_counter()
-    args = [(suite, cfg, k) for k in range(cfg.trials)]
-    workers = resolve_workers(cfg.workers)
+    workers = min(resolve_workers(cfg.workers), cfg.trials)
+    args = [(suite, cfg, block) for block in _trial_blocks(cfg.trials, workers)]
     records: list = []
-    if workers > 1 and cfg.trials > 1:
-        chunk = max(1, cfg.trials // (workers * 4))
+    if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for batch in pool.map(_trial_worker, args, chunksize=chunk):
+                for batch in pool.map(_trial_worker, args):
                     records.extend(batch)
         except (OSError, RuntimeError) as exc:
             warnings.warn(f"process pool failed ({type(exc).__name__}: {exc}); "

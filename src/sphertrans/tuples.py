@@ -12,7 +12,9 @@ once when the tuple is built; its coordinates are views into that array,
 and the tuple algebra and the transforms act on the whole array at once.
 The tuple also owns its polar decomposition: t.polar is computed on first
 read and kept, so every transform, P itself and the block embedding of
-one tuple share one factorization.
+one tuple share one factorization.  polar_stack factorizes a stack of
+same-shape tuples by one batched SVD; spherical_polar is its one-tuple
+case.
 """
 
 from __future__ import annotations
@@ -110,8 +112,14 @@ def tuple_product(t: OperatorTuple, s: OperatorTuple) -> OperatorTuple:
     """(T_1 S_1, ..., T_1 S_n, ..., T_m S_1, ..., T_m S_n), i outer, j inner."""
     if t.n != s.n:
         raise DimensionMismatchError(f"tuples act on different spaces: {t.n} vs {s.n}")
-    products = t.array[:, None] @ s.array[None]       # [i, j] = T_i S_j
-    return OperatorTuple(matrices=products.reshape(-1, t.n, t.n))
+    return OperatorTuple(matrices=product_of(t.array, s.array))
+
+
+def product_of(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coordinates of the tuple product of two (d, n, n) coordinate
+    stacks, or of each pair of tuples in two (k, d, n, n) stacks."""
+    products = a[..., :, None, :, :] @ b[..., None, :, :, :]      # [i, j] = T_i S_j
+    return products.reshape(*a.shape[:-3], -1, *a.shape[-2:])
 
 
 def tuple_power(t: OperatorTuple, k: int) -> OperatorTuple:
@@ -135,7 +143,9 @@ class SphericalPolar:
 
     P is PSD with spectral data (eigvals ascending, eigvecs unitary);
     rank counts eigenvalues above rank_tol.  sum_i V_i* V_i is the
-    orthogonal projection onto range(P).
+    orthogonal projection onto range(P).  The decompositions of a stack
+    of k tuples (polar_stack) have the same fields with a leading axis of
+    length k, rank and rank_tol as arrays; polar[i] is tuple i's.
     """
 
     v: np.ndarray            # read-only (d, n, n) stack of the V_i
@@ -153,8 +163,14 @@ class SphericalPolar:
     def n(self) -> int:
         return self.p.shape[0]
 
-    def p_power(self, t: float) -> np.ndarray:
-        """P^t from the cached spectrum (P^0 = I convention)."""
+    def __getitem__(self, i) -> SphericalPolar:
+        return SphericalPolar(v=self.v[i], p=self.p[i], rank=int(self.rank[i]),
+                              rank_tol=float(self.rank_tol[i]),
+                              eigvals=self.eigvals[i], eigvecs=self.eigvecs[i])
+
+    def p_power(self, t) -> np.ndarray:
+        """P^t from the cached spectrum (P^0 = I convention); for a stack,
+        t is one exponent per tuple."""
         return linalg.psd_power_from_eig(self.eigvals, self.eigvecs, t)
 
     def range_projection(self) -> np.ndarray:
@@ -164,36 +180,42 @@ class SphericalPolar:
         return q @ linalg.adjoint(q)
 
 
-def spherical_polar(t: OperatorTuple) -> SphericalPolar:
-    """Compute T = V P with V_i = T_i P^+ (spectral pseudoinverse).
+def polar_stack(arrays: np.ndarray) -> SphericalPolar:
+    """Compute T = V P with V_i = T_i P^+ (spectral pseudoinverse) for each
+    tuple of a (k, d, n, n) stack, by one batched SVD.
 
     P's spectral data comes from the SVD of the stacked dn x n column:
     its singular values are P's eigenvalues computed without forming
     sum T_i* T_i, so roundoff kernels sit at eps level and the rank cut
     at RANK_RTOL * ||P|| separates them cleanly.  Eigenvalues at or
     below the cut are truncated to exact zeros, making fractional powers
-    vanish on the numerical kernel.
+    vanish on the numerical kernel.  Each tuple's decomposition is bit
+    for bit the one it gets alone.
     """
-    u, svals, wh = np.linalg.svd(t.stacked(), full_matrices=False)
-    pvals = svals[::-1].copy()               # ascending
-    q = linalg.adjoint(wh)[:, ::-1]          # matching eigenvector columns
-    tol = RANK_RTOL * (pvals[-1] if pvals[-1] > 0 else 0.0)
-    keep = pvals > tol
+    k, d, n, _ = arrays.shape
+    _, svals, wh = np.linalg.svd(arrays.reshape(k, d * n, n), full_matrices=False)
+    pvals = svals[:, ::-1].copy()               # ascending
+    q = linalg.adjoint(wh)[..., ::-1]           # matching eigenvector columns
+    top = pvals[:, -1]
+    tol = RANK_RTOL * np.where(top > 0, top, 0.0)
+    keep = pvals > tol[:, None]
     pvals = np.where(keep, pvals, 0.0)
-    p = (q * pvals) @ linalg.adjoint(q)
+    p = (q * pvals[:, None, :]) @ linalg.adjoint(q)
     p = (p + linalg.adjoint(p)) / 2.0
     inv = np.zeros_like(pvals)
     inv[keep] = 1.0 / pvals[keep]
-    pinv = (q * inv) @ linalg.adjoint(q)
-    v = _frozen(t.array @ pinv)
-    return SphericalPolar(
-        v=v,
-        p=_frozen(p),
-        rank=int(np.count_nonzero(keep)),
-        rank_tol=tol,
-        eigvals=pvals,
-        eigvecs=q,
-    )
+    pinv = (q * inv[:, None, :]) @ linalg.adjoint(q)
+    v = arrays @ pinv[:, None]
+    v.setflags(write=False)
+    p.setflags(write=False)
+    return SphericalPolar(v=v, p=p, rank=np.count_nonzero(keep, axis=1), rank_tol=tol,
+                          eigvals=pvals, eigvecs=q)
+
+
+def spherical_polar(t: OperatorTuple) -> SphericalPolar:
+    """The spherical polar decomposition of one tuple: polar_stack of the
+    one-tuple stack."""
+    return polar_stack(t.array[None])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from sphertrans.suites import (
     Row,
     SuiteConfig,
     _Store,
-    _trial_records,
+    _block_records,
     fuzz_inequality,
     resolve_workers,
     run_suite,
@@ -135,11 +135,14 @@ class TestSuiteRuns:
                 assert rec.lhs == pytest.approx(expected, abs=1e-8)
 
     def test_determinism_serial_vs_parallel(self):
-        cfg1 = SuiteConfig(trials=16, workers=1)
-        cfg2 = SuiteConfig(trials=16, workers=2)
-        a = report_to_json(run_suite("s3", cfg1))
-        b = report_to_json(run_suite("s3", cfg2))
-        assert _strip_wall_time(a) == _strip_wall_time(b)
+        # 40 trials make one serial block and eight pooled blocks of five,
+        # and a block holds several trials of one shape
+        for suite in ("s3", "equality", "zero"):
+            cfg1 = SuiteConfig(trials=40, workers=1)
+            cfg2 = SuiteConfig(trials=40, workers=2)
+            a = report_to_json(run_suite(suite, cfg1))
+            b = report_to_json(run_suite(suite, cfg2))
+            assert _strip_wall_time(a) == _strip_wall_time(b), suite
 
     def test_determinism_repeat(self):
         cfg = SuiteConfig(trials=8, workers=1)
@@ -176,13 +179,62 @@ class TestSuiteRuns:
             run_suite(suite, SuiteConfig(trials=1, workers=1, ensemble=ensemble))
 
 
+def _record_bits(records) -> list:
+    return [(r.inequality_id, r.lhs.hex(), r.rhs.hex(), r.slack.hex(), r.status, r.fingerprint)
+            for r in records]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("seed", [42, 4242])
+    @pytest.mark.parametrize("suite,trials", [("s3", 40), ("equality", 40), ("zero", 40),
+                                              ("s2", 8)])
+    def test_records_do_not_depend_on_the_block(self, suite, trials, seed):
+        """Blocks of one trial, of seven and of the whole run give the same
+        records, float for float."""
+        cfg = SuiteConfig(trials=trials, seed=seed)
+
+        def in_blocks(size):
+            return _record_bits(rec for lo in range(0, trials, size)
+                                for rec in _block_records(suite, cfg,
+                                                          range(lo, min(lo + size, trials))))
+
+        whole = in_blocks(trials)
+        assert in_blocks(1) == whole
+        assert in_blocks(7) == whole
+
+    @pytest.mark.parametrize("trials,workers,sizes", [
+        (300, 1, [100] * 3), (250, 1, [100, 100, 50]), (300, 2, [37] * 8 + [4]),
+        (40, 2, [5] * 8), (8, 2, [1] * 8), (8, 1, [8]), (1, 1, [1])])
+    def test_blocks_cover_the_trials_in_order(self, trials, workers, sizes):
+        blocks = suites._trial_blocks(trials, workers)
+        assert [len(b) for b in blocks] == sizes
+        assert [k for b in blocks for k in b] == list(range(trials))
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_block_spectra_are_exactly_the_spectra_rows_read(self, monkeypatch, suite):
+        # a block computes no spectrum that no row reads, and a row reads
+        # no spectrum that its block left to be computed on first read
+        read = set()
+        real = _Store.spectrum
+
+        def spy(store, name):
+            assert ("spectrum", name) in store.memo
+            read.add(name)
+            return real(store, name)
+
+        monkeypatch.setattr(_Store, "spectrum", spy)
+        cfg = SuiteConfig(trials=3, seed=42)
+        _block_records(suite, cfg, range(1 if suite == "sharpness" else cfg.trials))
+        assert read == set(suites._SPECTRA[suite])
+
+
 class TestS3LambdaGrid:
     @pytest.mark.parametrize("trial", range(6))
     def test_batched_grid_equals_per_lambda_norms(self, trial):
         """Each lambda-mean norm read from the batched SVD of the grid is the
         Schatten norm of that lambda mean, bit for bit."""
         cfg = SuiteConfig(trials=6, seed=4242)
-        recs = _trial_records("s3", cfg, trial)
+        recs = _block_records("s3", cfg, [trial])
         tup = _Store("s3", cfg, trial).T
         grid_ids = {"sp.lambda_mean.scaled_convex": None,
                     "s2norm.lambda_mean.min_bound": 2.0}
@@ -225,7 +277,7 @@ class TestS2LambdaAliases:
 
         monkeypatch.setattr(suites, "hypo_norm", counted)
         monkeypatch.setattr(suites, "_hypo_p_norms", counted_batch)
-        recs = _trial_records("s2", SuiteConfig(trials=1, seed=42), 0)
+        recs = _block_records("s2", SuiteConfig(trials=1, seed=42), [0])
         assert all(r.status == "pass" for r in recs)
         assert sum(calls.values()) == 13
         assert set(calls.values()) == {1}
@@ -244,38 +296,48 @@ class TestS2LambdaAliases:
         monkeypatch.setattr(_Store, "_sup", spy)
         cfg = SuiteConfig(trials=3, seed=42)
         for trial in range(cfg.trials):
-            _trial_records("s2", cfg, trial)
+            _block_records("s2", cfg, [trial])
         batched = {(kind, name, None)
                    for kind, names in suites._BATCHES["s2"].items() for name in names}
         assert read == batched
 
 
 class TestOneSpectrumPerTuple:
-    @pytest.mark.parametrize("suite", ["s3", "s2"])
+    @pytest.mark.parametrize("suite", ["s3", "s2", "equality", "zero"])
     def test_each_stacked_column_is_factorized_once(self, monkeypatch, suite):
-        """Over one trial (for s3 one with p != 2) every named tuple's stacked
-        column has one SVD for its spectrum, and T one more, with vectors,
-        for its polar decomposition; the other lambda means share a batched
-        SVD.  In s2 each of the six Heinz products is also factorized once,
-        though its norm is read both at the operator norm and at p."""
-        cfg = SuiteConfig(trials=1, seed=42)
-        trial = next(k for k in range(20) if _Store(suite, cfg, k).p != 2.0)
-        s = _Store(suite, cfg, trial)
-        names = ("T", "T.dug", "T.alu", "T.hz", "T.mean")
-        columns = {s.tup(name).stacked().tobytes(): name for name in names}
-        if suite == "s2":
-            columns.update({m.tobytes(): f"triple.{k}" for k, m in s.triple.products.items()})
+        """Over a block of four trials, counting every matrix of a batched
+        SVD, each stacked column whose spectrum a row reads has one SVD,
+        though s2, s3 and equality read most norms both at p and at the
+        operator norm or p = 2.  Each sampled tuple that is transformed has
+        one more, with vectors, for its polar decomposition.  In equality,
+        is_normal_tuple's default tolerance also reads the norm of comm."""
+        cfg = SuiteConfig(trials=4, seed=42)
+        trials = range(cfg.trials)
+        stores = [_Store(suite, cfg, k) for k in trials]
+        if suite in ("s2", "s3"):
+            assert {s.p for s in stores} - {2.0}
+        names = suites._SPECTRA[suite]
+        bases = {suites._name_parts(name)[0] for name in names
+                 if isinstance(name, float) or "." in name} - {"triple", "generic"}
+        columns = {s.tup(name).stacked().tobytes(): (k, name)
+                   for k, s in zip(trials, stores) for name in (*names, *bases)}
         calls = collections.Counter()
         real = np.linalg.svd
 
         def counted(a, *args, **kwargs):
-            if np.ndim(a) == 2 and a.tobytes() in columns:
-                calls[columns[a.tobytes()], kwargs.get("compute_uv", True)] += 1
+            a = np.asarray(a)
+            for m in a.reshape(-1, *a.shape[-2:]):
+                if m.tobytes() in columns:
+                    calls[columns[m.tobytes()], kwargs.get("compute_uv", True)] += 1
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        _trial_records(suite, cfg, trial)
-        assert calls == {**{(name, False): 1 for name in columns.values()}, ("T", True): 1}
+        _block_records(suite, cfg, trials)
+        expected = {((k, name), False): 1 for k in trials for name in names}
+        expected.update({((k, base), True): 1 for k in trials for base in bases})
+        if suite == "equality":
+            expected.update({((k, "comm"), False): 1 for k in trials})
+        assert calls == expected
 
 
 class TestCheckHelpers:
@@ -325,7 +387,7 @@ class TestEscalation:
         # s4 trial 0 at seed 42 has p = 2; its hypo-2-norm first reads 0.6x
         _shorten_first_estimates(monkeypatch, "schatten_hypo_norm", 0.6)
         recs = {r.inequality_id: r
-                for r in _trial_records("s4", SuiteConfig(trials=1, seed=42), 0)}
+                for r in _block_records("s4", SuiteConfig(trials=1, seed=42), [0])}
         assert recs["spr.radius_le_hypo"].status == "refined-pass"
         escalated = recs["spr.radius_le_hypo"].rhs
         assert recs["spr.hypo_le_norm"].lhs == escalated
@@ -342,7 +404,7 @@ class TestEscalation:
         t_key, dug_key = probe.T.array.tobytes(), probe.tup("T.dug").array.tobytes()
         escalated = _shorten_first_estimates(monkeypatch, "hypo_norm", 0.6,
                                              only={t_key, dug_key}, always=always)
-        statuses = [r.status for r in _trial_records("s2", cfg, 0)
+        statuses = [r.status for r in _block_records("s2", cfg, [0])
                     if r.inequality_id == "hyponorm.lambda_mean.convex"]
         assert escalated == {t_key: 1, dug_key: 1}
         if always:

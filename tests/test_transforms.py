@@ -228,3 +228,39 @@ class TestSharedPolar:
         c = predicates.classify(tup)
         assert c.spherically_quasinormal_block is not None
         assert calls == [tup]
+
+
+class TestStackKernels:
+    """The stack kernels over k same-shape tuples, with one parameter per
+    tuple, give each tuple's decomposition and transforms bit for bit."""
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (2, 2), (3, 5), (4, 6)])
+    def test_equal_to_each_tuple_alone(self, d, n):
+        rng = np.random.default_rng([11, d, n])
+        # nilpotent tuples have a singular P, the zero tuple has P = 0
+        ts = [random_tuple(d, n, rng, ens)
+              for ens in ("ginibre", "nilpotent", "contraction", "nilpotent") * 3]
+        ts.append(zero_tuple(d, n))
+        # exponent-0 rows (P^0 = I) among t > 0 rows, 0.3 with 1 - (1 - t) != t,
+        # 0.5 that numpy raises to by sqrt, and 1 with P^(1 - t) = I
+        s = np.array([0.0, 0.5, 0.3, 1.0, 0.0, *rng.uniform(size=7), 0.0])
+        lam = np.array([0.0, 1.0, 0.5, *rng.uniform(size=10)])
+        coords = np.stack([t.array for t in ts])
+        polar = tuples.polar_stack(coords)
+        dug = transforms.duggal_of(polar)
+        stacks = (dug, transforms.aluthge_of(polar, s), transforms.heinz_of(polar, s),
+                  transforms.lambda_mean_of(coords, dug, lam), polar.p_power(s))
+        ranks = {polar[i].rank for i in range(len(ts))}
+        assert {0, n} <= ranks and ranks - {0, n}
+        for i, t in enumerate(ts):
+            alone = tuples.spherical_polar(t)
+            got = polar[i]
+            for field in ("v", "p", "eigvals", "eigvecs"):
+                assert np.array_equal(getattr(got, field), getattr(alone, field)), field
+            assert (got.rank, got.rank_tol) == (alone.rank, alone.rank_tol)
+            single = (transforms.duggal(t), transforms.generalized_aluthge(t, float(s[i])),
+                      transforms.heinz(t, float(s[i])), transforms.lambda_mean(t, float(lam[i])))
+            for stack, one in zip(stacks, single):
+                assert stack[i].tobytes() == one.array.tobytes()
+            assert stacks[-1][i].tobytes() == alone.p_power(float(s[i])).tobytes()
+        assert all(np.array_equal(stacks[-1][i], np.eye(n)) for i in np.flatnonzero(s == 0.0))
