@@ -4,16 +4,23 @@
 Usage:
     python scripts/layer_costs.py [--tuples 10] [--repeats 5]
 
-Each row is one layer: spherical_polar and every supremum estimator,
-called on --tuples ginibre tuples random_tuple(3, 5, k) with the suites'
-optimizer config (8 random starts).  The time is the median over the
-tuples of the best of --repeats calls, in ms.  iterations and evaluations
-are the means per call of the counts each SupremumEstimate carries, so
-they include the batched ascents that a tracer wrapping the single-tuple
-entry points misses; "-" marks a layer that makes no estimate.  The
-numerical_radius row is the ascent numerical_radius runs (the d = 1
-real-part supremum, default config) on the tuple's first matrix, called
-directly so that its estimate can be read.
+Each row is one layer: spherical_polar, the transforms, the closed-form
+Schatten norm and every supremum estimator, called on --tuples ginibre
+tuples random_tuple(3, 5, k) with the suites' optimizer config (8 random
+starts).  The time is the median over the tuples of the best of
+--repeats calls, in ms.  The transforms row makes the Duggal, Aluthge,
+Heinz (t = 0.3) and mean transforms of a tuple whose decomposition is
+already computed.  The two "s3 trial" rows make the numerics of one s3
+trial whose T is the tuple: its decomposition, the four transforms, the
+lambda grid and the spectra its rows read.  "alone" does one trial at a
+time; "in a block" does all --tuples trials at once, as run_suite's
+blocks do, and divides the best time by their number.  iterations and
+evaluations are the means per call of the counts each SupremumEstimate
+carries, so they include the batched ascents that a tracer wrapping the
+single-tuple entry points misses; "-" marks a layer that makes no
+estimate.  The numerical_radius row is the ascent numerical_radius runs
+(the d = 1 real-part supremum, default config) on the tuple's first
+matrix, called directly so that its estimate can be read.
 """
 
 import argparse
@@ -23,7 +30,7 @@ import time
 
 import numpy as np
 
-from sphertrans import norms
+from sphertrans import norms, suites, transforms
 from sphertrans.ensembles import random_tuple
 from sphertrans.optimize import SupremumEstimate
 from sphertrans.suites import SuiteConfig
@@ -32,8 +39,34 @@ from sphertrans.tuples import spherical_polar, tuple_from
 D, N = 3, 5
 CFG = SuiteConfig(trials=1).opt
 
-LAYERS = (
+S3_SPECTRA = suites._SPECTRA["s3"]
+
+
+def _transforms(t):
+    return (transforms.duggal(t), transforms.aluthge(t), transforms.heinz(t, 0.3),
+            transforms.mean_transform(t))
+
+
+def _s3_numerics(stores):
+    return suites._fill_spectra(stores, S3_SPECTRA)
+
+
+def _s3_trials(ts) -> list:
+    """s3 trial stores, trial k with the tuple ts[k] as its T."""
+    stores = []
+    for k, t in enumerate(ts):
+        s = suites._Store("s3", SuiteConfig(trials=len(ts)), k)
+        s.T, s.d, s.n = t, t.d, t.n
+        stores.append(s)
+    return stores
+
+
+CLOSED_FORM = (
     ("`spherical_polar`", spherical_polar),
+    ("transforms (Duggal, Aluthge, Heinz, mean)", _transforms),
+    ("`schatten_spherical_norm` (p=3)", lambda t: norms.schatten_spherical_norm(t, 3.0)),
+)
+ESTIMATORS = (
     ("`hypo_norm`", lambda t: norms.hypo_norm(t, CFG)),
     ("`schatten_hypo_norm` (p=3)", lambda t: norms.schatten_hypo_norm(t, 3.0, CFG)),
     ("`schatten_hypo_norm` (p=2, exact)", lambda t: norms.schatten_hypo_norm(t, 2.0, CFG)),
@@ -71,8 +104,16 @@ def main() -> int:
           f"{args.repeats} calls, {CFG.n_random_starts} random starts")
     print("| layer | ms per call | iterations | evaluations |")
     print("|-------|-------------|------------|-------------|")
-    for label, fn in LAYERS:
-        runs = [_best_ms(fn, t, args.repeats) for t in ts]
+    block = _s3_trials(ts)
+    block_ms = _best_ms(lambda b: suites._fill_spectra(b, S3_SPECTRA), block, args.repeats)[0]
+    rows = [(label, [_best_ms(fn, t, args.repeats) for t in ts]) for label, fn in CLOSED_FORM]
+    trials = _s3_trials(ts)
+    rows.append(("s3 trial numerics, alone",
+                 [_best_ms(_s3_numerics, [s], args.repeats) for s in trials]))
+    block_ms, _ = _best_ms(_s3_numerics, trials, args.repeats)
+    rows.append((f"s3 trial numerics, in a block of {len(ts)}", [(block_ms / len(ts), None)]))
+    rows += [(label, [_best_ms(fn, t, args.repeats) for t in ts]) for label, fn in ESTIMATORS]
+    for label, runs in rows:
         ms = statistics.median(run[0] for run in runs)
         ests = [run[1] for run in runs]
         if isinstance(ests[0], SupremumEstimate):

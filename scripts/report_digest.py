@@ -3,18 +3,21 @@
 
 Usage:
     python scripts/report_digest.py [--suite s3 --suite zero ...] --trials 300 \
-        [--seed 42 --seed 7 ...] [--save DIR]
+        [--seed 42 --seed 7 ...] [--workers N] [--save DIR]
 
 Each line reads `suite seed digest`.  The digest covers the report
 exactly as write_report stores it, with wall_time set to 0, so two
 checkouts that print the same digest for a (suite, trials, seed) produce
 byte-identical reports.  Without --suite every suite is digested
-(sharpness always runs one trial); without --seed the seed is 42.  The
-library is imported from the src/ directory next to this script, so
-running the script of another checkout digests that checkout.  With
---save DIR each digested report is also written, wall_time 0, as
-DIR/<suite>-<seed>.json; scripts/report_drift.py compares two such
-directories value by value.
+(sharpness always runs one trial); without --seed the seed is 42.
+--workers sets run_suite's worker count, which also sets where its
+blocks of trials begin and end; without it run_suite picks its own (see
+resolve_workers).  A report is the same at every worker count, so the
+digests are too.  The library is imported from the src/ directory next
+to this script, so running the script of another checkout digests that
+checkout.  With --save DIR each digested report is also written,
+wall_time 0, as DIR/<suite>-<seed>.json; scripts/report_drift.py
+compares two such directories value by value.
 """
 
 import argparse
@@ -28,8 +31,9 @@ from sphertrans.reports import report_to_json, write_report  # noqa: E402
 from sphertrans.suites import SUITE_NAMES, SuiteConfig, run_suite  # noqa: E402
 
 
-def report_digest(suite: str, trials: int, seed: int, save: Path | None = None) -> str:
-    report = run_suite(suite, SuiteConfig(trials=trials, seed=seed))
+def report_digest(suite: str, trials: int, seed: int, save: Path | None = None,
+                  workers: int | None = None) -> str:
+    report = run_suite(suite, SuiteConfig(trials=trials, seed=seed, workers=workers))
     report.wall_time = 0.0
     if save is not None:
         write_report(report, save / f"{suite}-{seed}.json")
@@ -43,14 +47,18 @@ def main() -> int:
     parser.add_argument("--trials", type=int, required=True)
     parser.add_argument("--seed", type=int, action="append",
                         help="suite seed; repeat for several (default: 42)")
+    parser.add_argument("--workers", type=int, metavar="N",
+                        help="run_suite's worker count (default: its own choice)")
     parser.add_argument("--save", type=Path, metavar="DIR",
                         help="also write each report as DIR/<suite>-<seed>.json")
     args = parser.parse_args()
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be at least 1")
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
     for seed in args.seed or [42]:
         for suite in args.suite or SUITE_NAMES:
-            digest = report_digest(suite, args.trials, seed, args.save)
+            digest = report_digest(suite, args.trials, seed, args.save, args.workers)
             print(f"{suite} {seed} {digest}", flush=True)
     return 0
 

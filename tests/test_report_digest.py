@@ -34,6 +34,21 @@ def test_digest_smoke_every_suite():
         assert digests[("s3", seed)] == expected
 
 
+def test_digest_is_the_same_at_one_and_two_workers():
+    """The workers set the block boundaries; a 40-trial equality run holds
+    several trials of one shape in a block at either count."""
+    digests = [subprocess.run(
+        [sys.executable, str(SCRIPT), "--suite", "equality", "--trials", "40",
+         "--workers", str(workers)],
+        capture_output=True, text=True, timeout=600, check=True,
+    ).stdout for workers in (1, 2)]
+    assert digests[0] == digests[1]
+    assert re.fullmatch(r"equality 42 [0-9a-f]{64}\n", digests[0])
+    bad = subprocess.run([sys.executable, str(SCRIPT), "--trials", "1", "--workers", "0"],
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "--workers must be at least 1" in bad.stderr
+
+
 DRIFT = SCRIPT.parent / "report_drift.py"
 
 

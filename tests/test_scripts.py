@@ -46,19 +46,23 @@ def test_run_verification_writes_every_report(tmp_path):
 
 
 def test_layer_costs_prints_every_layer():
-    run = _run_script("layer_costs.py", "--tuples", "1", "--repeats", "1")
+    run = _run_script("layer_costs.py", "--tuples", "2", "--repeats", "1")
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[1] == "| layer | ms per call | iterations | evaluations |"
     rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[3:]]
     assert [row[0] for row in rows] == [
-        "`spherical_polar`", "`hypo_norm`", "`schatten_hypo_norm` (p=3)",
+        "`spherical_polar`", "transforms (Duggal, Aluthge, Heinz, mean)",
+        "`schatten_spherical_norm` (p=3)", "s3 trial numerics, alone",
+        "s3 trial numerics, in a block of 2",
+        "`hypo_norm`", "`schatten_hypo_norm` (p=3)",
         "`schatten_hypo_norm` (p=2, exact)", "joint radius, route a", "joint radius, route b",
         "`joint_numerical_radius` (both routes)", "`schatten_numerical_radius` (p=3)",
         "`numerical_radius`, n=5"]
     assert all(float(row[1]) > 0.0 for row in rows)
-    assert rows[0][2:] == ["-", "-"]
+    # the closed-form layers make no estimate
+    assert all(row[2:] == ["-", "-"] for row in rows[:5])
     # the exact p = 2 hypo-norm is one evaluation; every ascent iterates
-    assert rows[3][2:] == ["0.0", "1.0"]
-    assert all(float(row[2]) >= 1.0 for i, row in enumerate(rows[1:], 1) if i != 3)
+    assert rows[7][2:] == ["0.0", "1.0"]
+    assert all(float(row[2]) >= 1.0 for i, row in enumerate(rows[5:], 5) if i != 7)
     assert _run_script("layer_costs.py", "--tuples", "0").returncode == 2
