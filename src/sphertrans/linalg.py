@@ -24,12 +24,14 @@ HERM_RTOL = 1e-12        # allowed relative asymmetry in hermitian_eig
 PSD_CLIP_RTOL = 1e-12    # eigenvalues in [-clip, 0) are treated as roundoff
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array and validate finiteness."""
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, or with stack a 3-D stack of
+    matrices, and validate finiteness."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim != 2 + stack:
+        raise ValueError(f"expected a {'stack of' if stack else '2-D'} matrices, "
+                         f"got shape {m.shape}")
+    if min(m.shape[-2:]) < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -65,35 +67,38 @@ class HermitianEig:
 
 
 def hermitian_eig(a: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    (k, n, n) stack (values (k, n), vectors (k, n, n)).
 
     The input may carry roundoff-level asymmetry; it is symmetrized as
     (A + A*)/2 before factorization.  Asymmetry beyond
     HERM_RTOL * ||A||_op raises NonHermitianError.  An exactly Hermitian
     input skips the two norms of that check, which it always passes.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    a = as_matrix(a, stack=np.ndim(a) == 3)
+    if a.shape[-2] != a.shape[-1]:
         raise NonSquareError(f"hermitian_eig needs a square matrix, got {a.shape}")
-    skew = a - adjoint(a)
-    if skew.any():
-        scale = operator_norm(a)
-        asym = operator_norm(skew)
-        if asym > HERM_RTOL * scale:
-            raise NonHermitianError(
-                f"asymmetry {asym:.3e} exceeds {HERM_RTOL:.0e} * ||A|| = {HERM_RTOL * scale:.3e}"
-            )
     try:
+        skew = a - adjoint(a)
+        if skew.any():
+            scale = np.linalg.svd(a, compute_uv=False)[..., 0]
+            asym = np.linalg.svd(skew, compute_uv=False)[..., 0]
+            worst = np.argmax(asym - HERM_RTOL * scale)
+            asym, scale = asym.flat[worst], scale.flat[worst]
+            if asym > HERM_RTOL * scale:
+                raise NonHermitianError(f"asymmetry {asym:.3e} exceeds {HERM_RTOL:.0e} * "
+                                        f"||A|| = {HERM_RTOL * scale:.3e}")
         vals, vecs = np.linalg.eigh((a + adjoint(a)) / 2.0)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigh failed: {exc}") from exc
+        raise NumericalFailureError(f"factorization failed: {exc}") from exc
     return HermitianEig(values=vals, vectors=vecs)
 
 
 def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray:
     """Fractional power from a precomputed PSD eigendecomposition, of one
     matrix (values (n,), vectors (n, n), t a float) or of each matrix of a
-    stack (values (k, n), vectors (k, n, n), t one exponent per matrix).
+    stack (values (k, n), vectors (k, n, n), t a float or one exponent per
+    matrix).
 
     Convention: P^0 = I exactly (not the range projection), and 0^t = 0
     for t > 0.  Negative eigenvalues must already be clipped.  Each
@@ -101,9 +106,10 @@ def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray
     single matrix: numpy evaluates x ** 0.5 as sqrt(x), which an array of
     exponents would not.
     """
+    n = values.shape[-1]
     stacked = np.ndim(t) > 0
     if not stacked and t == 0.0:
-        return np.eye(len(values), dtype=np.complex128)
+        return np.tile(np.eye(n, dtype=np.complex128), (*values.shape[:-1], 1, 1))
     clipped = np.where(values > 0.0, values, 0.0)
     if stacked:
         powered = np.stack([row ** e for row, e in zip(clipped, np.asarray(t, dtype=float).tolist())])
@@ -111,19 +117,24 @@ def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray
         powered = clipped ** float(t)
     out = (vectors * powered[..., None, :]) @ adjoint(vectors)
     if stacked:
-        out[np.asarray(t) == 0.0] = np.eye(len(values[0]))
+        out[np.asarray(t) == 0.0] = np.eye(n)
     return out
 
 
 def psd_powers(p: np.ndarray):
-    """r -> P^r for PSD P and r >= 0, every power from one eigendecomposition.
-    Eigenvalues in [-clip, 0) with clip = PSD_CLIP_RTOL * ||P||_op are
-    clipped to zero; anything more negative raises NotPSDError."""
+    """r -> P^r for PSD P and r >= 0, every power from one eigendecomposition;
+    for a (k, n, n) stack, r -> the k powers, r a float or one exponent per
+    matrix, from one batched eigendecomposition.  Eigenvalues in [-clip, 0)
+    with clip = PSD_CLIP_RTOL * ||P||_op are clipped to zero; anything more
+    negative raises NotPSDError."""
     eig = hermitian_eig(p)
     vals = eig.values
-    clip = PSD_CLIP_RTOL * (vals[-1] if vals[-1] > 0 else 0.0)
-    if vals[0] < -clip - np.finfo(float).eps:
-        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{clip:.3e}")
+    top = vals[..., -1]
+    clip = PSD_CLIP_RTOL * np.where(top > 0, top, 0.0)
+    worst = np.argmax(-clip - vals[..., 0])
+    low, clip = vals[..., 0].flat[worst], clip.flat[worst]
+    if low < -clip - np.finfo(float).eps:
+        raise NotPSDError(f"eigenvalue {low:.3e} below -{clip:.3e}")
     vals = np.clip(vals, 0.0, None)
     return lambda r: psd_power_from_eig(vals, eig.vectors, r)
 

@@ -90,7 +90,7 @@ _BATCHES = {
 }
 # per suite, the tuples whose spectra every trial's rows read; a block
 # computes them for all its trials at once
-_HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")
+_HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")   # _heinz_products
 _T_FAMILY = ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN)
 _SPECTRA = {
     "s2": (*_T_FAMILY, *(f"triple.{kind}" for kind in _HEINZ_PRODUCTS)),
@@ -154,24 +154,38 @@ def _sample_heinz_triple(rng, n):
 
 
 class _Heinz:
-    """A PSD pair (A, B) around X, its Heinz products at nu and
-    r0 = min(nu, 1 - nu).  The store reads each product's norms from one
-    spectrum, under names such as "triple.half" and "generic.outer"."""
+    """A PSD pair (A, B) around X, an exponent nu and r0 = min(nu, 1 - nu).
+    With u, B = U* A U and B's powers are U* A^r U.  The store reads the
+    norms of its Heinz products (_heinz_products) from one spectrum each,
+    under names such as "triple.half" and "generic.outer"."""
 
-    def __init__(self, a, b, x, nu, apow=None, bpow=None):
-        apow = apow or linalg.psd_powers(a)
-        bpow = bpow or linalg.psd_powers(b)
-        self.a, self.b, self.x, self.r0 = a, b, x, min(nu, 1.0 - nu)
-        one_sided = apow(nu) @ x @ bpow(1.0 - nu)
-        ax, xb = a @ x, x @ b
-        self.products = {
-            "half": apow(0.5) @ x @ bpow(0.5),
-            "one_sided": one_sided,
-            "two_sided": one_sided + apow(1.0 - nu) @ x @ bpow(nu),
-            "ax": ax,
-            "xb": xb,
-            "outer": ax + xb,
-        }
+    def __init__(self, a, b, x, nu, u=None):
+        self.a, self.b, self.x, self.nu, self.u = a, b, x, nu, u
+        self.r0 = min(nu, 1.0 - nu)
+
+
+def _heinz_products(hs) -> dict:
+    """{product: the (k, n, n) products of each of the k same-size Heinz
+    triples hs}, which all have u or all lack it; the A and B powers of
+    every triple come from one batched eigendecomposition each."""
+    a, b, x = (np.stack([getattr(h, m) for h in hs]) for m in "abx")
+    nu = np.array([h.nu for h in hs])
+    apow = linalg.psd_powers(a)
+    if hs[0].u is None:
+        bpow = linalg.psd_powers(b)
+    else:
+        u = np.stack([h.u for h in hs])
+        bpow = lambda r: linalg.adjoint(u) @ apow(r) @ u      # noqa: E731
+    one_sided = apow(nu) @ x @ bpow(1.0 - nu)
+    ax, xb = a @ x, x @ b
+    return {
+        "half": apow(0.5) @ x @ bpow(0.5),
+        "one_sided": one_sided,
+        "two_sided": one_sided + apow(1.0 - nu) @ x @ bpow(nu),
+        "ax": ax,
+        "xb": xb,
+        "outer": ax + xb,
+    }
 
 
 def _sample_s2(s, rng, base):
@@ -219,7 +233,6 @@ def _sample_equality(s, rng, base):
         nu = 0.25
     # an intertwined triple: B = U* A U and X = c(A) U give AX = XB
     a = random_psd(n, rng)
-    apow = linalg.psd_powers(a)
     u = np.linalg.qr(
         (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     )[0]
@@ -227,7 +240,7 @@ def _sample_equality(s, rng, base):
     b = (b + linalg.adjoint(b)) / 2.0
     coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     c = sum(cf * np.linalg.matrix_power(a, k) for k, cf in enumerate(coeffs))
-    s.triple = _Heinz(a, b, c @ u, nu, apow, lambda r: np.conj(u.T) @ apow(r) @ u)
+    s.triple = _Heinz(a, b, c @ u, nu, u)
     s.generic = _Heinz(*_sample_heinz_triple(rng, n), nu)
     base = {**base, "d": d, "n": n, "p": s.p, "t": s.t}
     s.fp = {"": base, "nu": {**base, "nu": nu}}
@@ -337,7 +350,8 @@ class _Store:
         base, kind = _name_parts(name)
         if kind == "":
             return getattr(self, base)
-        return OperatorTuple(matrices=_coordinates([self], [name])[name][0])
+        (_, stacks), = _stacks([self], [name])
+        return OperatorTuple(matrices=stacks[name][0])
 
     def spectrum(self, name) -> np.ndarray:
         """The singular values of a tuple's stacked column, descending; a
@@ -454,37 +468,34 @@ def _name_parts(name) -> tuple:
     return "T", name
 
 
-def _coordinates(stores, names) -> dict:
-    """{name: [the (d, n, n) coordinates of the named tuple in each store]}.
+def _stacks(stores, names):
+    """Per sampled object and shape, yield (the indices of its stores,
+    {name: the (k, d', n, n) coordinates of the named tuple in each}).
 
-    The stores' sampled tuples of one name and shape form one stack.  The
-    transforms come from one polar_stack of it and one stack expression
-    per kind, with each store's own exponent, and the lambda means from
-    one expression over the lambda grid.  A Heinz product is a 1-tuple.
+    The transforms of a tuple stack come from one polar_stack of it and
+    one stack expression per kind, with each store's own exponent, and
+    the lambda means from one expression over the lambda grid.  A Heinz
+    product is a 1-tuple, from _heinz_products of the stack of triples.
     """
     kinds = defaultdict(list)
     for name in names:
         base, kind = _name_parts(name)
-        kinds[base].append(kind)
-    out = {name: [None] * len(stores) for name in names}
+        kinds[base].append((name, kind))
     for base, wanted in kinds.items():
-        shapes = defaultdict(list)
+        groups = defaultdict(list)
         for i, s in enumerate(stores):
             obj = getattr(s, base)
-            if isinstance(obj, _Heinz):
-                for kind in wanted:
-                    out[f"{base}.{kind}"][i] = obj.products[kind][None]
+            groups[(obj.a.shape, obj.u is None) if isinstance(obj, _Heinz)
+                   else obj.array.shape].append(i)
+        for idx in groups.values():
+            objs = [getattr(stores[i], base) for i in idx]
+            if isinstance(objs[0], _Heinz):
+                built = {kind: m[:, None] for kind, m in _heinz_products(objs).items()}
             else:
-                shapes[obj.array.shape].append(i)
-        for idx in shapes.values():
-            group = [stores[i] for i in idx]
-            built = _transform_stacks(group, np.stack([getattr(s, base).array for s in group]),
-                                      wanted)
-            for kind in wanted:
-                name = base if kind == "" else f"{base}.{kind}" if isinstance(kind, str) else kind
-                for i, coords in zip(idx, built[kind]):
-                    out[name][i] = coords
-    return out
+                built = _transform_stacks([stores[i] for i in idx],
+                                          np.stack([t.array for t in objs]),
+                                          [kind for _, kind in wanted])
+            yield idx, {name: built[kind] for name, kind in wanted}
 
 
 def _transform_stacks(group, coords: np.ndarray, kinds) -> dict:
@@ -509,19 +520,24 @@ def _transform_stacks(group, coords: np.ndarray, kinds) -> dict:
     return out
 
 
-def _fill_spectra(stores, names) -> dict:
+def _fill_spectra(stores, names, tuples=()) -> None:
     """Put the spectrum of each named tuple of each store into its memo,
-    one batched SVD per column shape; returns the coordinates."""
-    coords = _coordinates(stores, names)
-    columns = defaultdict(list)
-    for name, per_store in coords.items():
-        for s, c in zip(stores, per_store):
-            columns[c.shape].append((s, name, c))
-    for (d, n, _), entries in columns.items():
-        stack = np.stack([c for _, _, c in entries]).reshape(len(entries), d * n, n)
-        for (s, name, _), svals in zip(entries, np.linalg.svd(stack, compute_uv=False)):
-            s.memo[("spectrum", name)] = svals
-    return coords
+    and the tuple itself for the names in tuples.  Each group of _stacks
+    is factorized as soon as it is built, one batched SVD per column
+    shape, so that only one group's stacks are alive at a time."""
+    for idx, stacks in _stacks(stores, names):
+        shapes = defaultdict(list)
+        for name, stack in stacks.items():
+            shapes[stack.shape[1:]].append(name)
+        for (d, n, _), group in shapes.items():
+            columns = np.concatenate([stacks[name] for name in group]).reshape(-1, d * n, n)
+            svals = np.linalg.svd(columns, compute_uv=False).reshape(len(group), len(idx), -1)
+            for name, rows in zip(group, svals):
+                for i, spectrum in zip(idx, rows):
+                    stores[i].memo[("spectrum", name)] = spectrum
+        for name in set(tuples) & stacks.keys():
+            for i, coords in zip(idx, stacks[name]):
+                stores[i].memo[("tup", name)] = OperatorTuple(matrices=coords)
 
 
 # ---------------------------------------------------------------------------
@@ -868,13 +884,11 @@ def _block_records(suite: str, cfg: SuiteConfig, trials) -> list:
     computed for the whole block, and the tuples the suite's _BATCHES
     estimate come from the same stacks."""
     stores = [_Store(suite, cfg, k) for k in trials]
-    coords = _fill_spectra(stores, _SPECTRA[suite])
-    batched = {name for names in _BATCHES.get(suite, {}).values() for name in names
-               if _name_parts(name)[1] != ""}
+    _fill_spectra(stores, _SPECTRA[suite],
+                  [name for names in _BATCHES.get(suite, {}).values() for name in names
+                   if _name_parts(name)[1] != ""])
     records = []
-    for i, s in enumerate(stores):
-        for name in batched:
-            s.memo[("tup", name)] = OperatorTuple(matrices=coords[name][i])
+    for s in stores:
         for index, rows in _ROW_RUNS[suite]:
             for value, entry in _index(s, index):
                 # the rows at one index value share their fingerprint dicts
