@@ -90,7 +90,7 @@ _BATCHES = {
 }
 # per suite, the tuples whose spectra every trial's rows read; a block
 # computes them for all its trials at once
-_HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")   # _heinz_products
+_HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")  # of _heinz_products
 _T_FAMILY = ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN)
 _SPECTRA = {
     "s2": (*_T_FAMILY, *(f"triple.{kind}" for kind in _HEINZ_PRODUCTS)),
@@ -505,6 +505,7 @@ def _transform_stacks(group, coords: np.ndarray, kinds) -> dict:
     lams = [kind for kind in kinds if not isinstance(kind, str)]
     if lams or {"dug", "alu", "hz", "mean"} & set(kinds):
         polar = polar_stack(coords)
+    if lams or {"dug", "mean"} & set(kinds):
         out["dug"] = duggal_of(polar)
     if "alu" in kinds:
         out["alu"] = aluthge_of(polar, np.array([s.t_aluthge for s in group]))
@@ -888,7 +889,9 @@ def _block_records(suite: str, cfg: SuiteConfig, trials) -> list:
                   [name for names in _BATCHES.get(suite, {}).values() for name in names
                    if _name_parts(name)[1] != ""])
     records = []
-    for s in stores:
+    stores.reverse()
+    while stores:
+        s = stores.pop()        # released once its records are out
         for index, rows in _ROW_RUNS[suite]:
             for value, entry in _index(s, index):
                 # the rows at one index value share their fingerprint dicts
