@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from sphertrans import norms, suites, transforms
+from sphertrans import blocks, norms, suites, transforms
 from sphertrans.ensembles import random_tuple
 from sphertrans.optimize import SupremumEstimate
 from sphertrans.suites import SuiteConfig
@@ -48,7 +48,7 @@ def _transforms(t):
 
 
 def _s3_numerics(stores):
-    return suites._fill_spectra(stores, S3_SPECTRA)
+    return blocks.fill_spectra(stores, S3_SPECTRA)
 
 
 def _s3_trials(ts) -> list:
@@ -104,8 +104,6 @@ def main() -> int:
           f"{args.repeats} calls, {CFG.n_random_starts} random starts")
     print("| layer | ms per call | iterations | evaluations |")
     print("|-------|-------------|------------|-------------|")
-    block = _s3_trials(ts)
-    block_ms = _best_ms(lambda b: suites._fill_spectra(b, S3_SPECTRA), block, args.repeats)[0]
     rows = [(label, [_best_ms(fn, t, args.repeats) for t in ts]) for label, fn in CLOSED_FORM]
     trials = _s3_trials(ts)
     rows.append(("s3 trial numerics, alone",

@@ -40,7 +40,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -50,6 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
+from .blocks import HeinzTriple, fill_spectra, name_parts, stacks
 from .ensembles import (
     ENSEMBLES,
     random_commuting_tuple,
@@ -69,8 +69,7 @@ from .norms import (
 from .optimize import OptimizerConfig
 from .predicates import is_normal_tuple, is_square_zero
 from .reports import FAIL, PASS, REFINED, InequalityRecord, SuiteReport, summarize
-from .transforms import aluthge_of, duggal_of, heinz_of, lambda_mean_of
-from .tuples import OperatorTuple, polar_stack, product_of
+from .tuples import OperatorTuple
 
 WORKERS_ENV = "SPHERTRANS_WORKERS"
 
@@ -90,7 +89,7 @@ _BATCHES = {
 }
 # per suite, the tuples whose spectra every trial's rows read; a block
 # computes them for all its trials at once
-_HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")  # of _heinz_products
+_HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")  # of heinz_products
 _T_FAMILY = ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN)
 _SPECTRA = {
     "s2": (*_T_FAMILY, *(f"triple.{kind}" for kind in _HEINZ_PRODUCTS)),
@@ -153,48 +152,13 @@ def _sample_heinz_triple(rng, n):
     return a, b, x
 
 
-class _Heinz:
-    """A PSD pair (A, B) around X, an exponent nu and r0 = min(nu, 1 - nu).
-    With u, B = U* A U and B's powers are U* A^r U.  The store reads the
-    norms of its Heinz products (_heinz_products) from one spectrum each,
-    under names such as "triple.half" and "generic.outer"."""
-
-    def __init__(self, a, b, x, nu, u=None):
-        self.a, self.b, self.x, self.nu, self.u = a, b, x, nu, u
-        self.r0 = min(nu, 1.0 - nu)
-
-
-def _heinz_products(hs) -> dict:
-    """{product: the (k, n, n) products of each of the k same-size Heinz
-    triples hs}, which all have u or all lack it; the A and B powers of
-    every triple come from one batched eigendecomposition each."""
-    a, b, x = (np.stack([getattr(h, m) for h in hs]) for m in "abx")
-    nu = np.array([h.nu for h in hs])
-    apow = linalg.psd_powers(a)
-    if hs[0].u is None:
-        bpow = linalg.psd_powers(b)
-    else:
-        u = np.stack([h.u for h in hs])
-        bpow = lambda r: linalg.adjoint(u) @ apow(r) @ u      # noqa: E731
-    one_sided = apow(nu) @ x @ bpow(1.0 - nu)
-    ax, xb = a @ x, x @ b
-    return {
-        "half": apow(0.5) @ x @ bpow(0.5),
-        "one_sided": one_sided,
-        "two_sided": one_sided + apow(1.0 - nu) @ x @ bpow(nu),
-        "ax": ax,
-        "xb": xb,
-        "outer": ax + xb,
-    }
-
-
 def _sample_s2(s, rng, base):
     base = {**base, **_sample_tuple(s, rng)}
     s.t = float(rng.uniform(0.0, 1.0))
     s.r0 = min(s.t, 1.0 - s.t)
     s.nu = float(rng.uniform(0.0, 1.0))
     s.p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
-    s.triple = _Heinz(*_sample_heinz_triple(rng, s.n), s.nu)
+    s.triple = HeinzTriple(*_sample_heinz_triple(rng, s.n), s.nu)
     s.fp = {"": base, "t": {**base, "t": s.t}, "nu": {**base, "nu": s.nu}}
 
 
@@ -240,8 +204,8 @@ def _sample_equality(s, rng, base):
     b = (b + linalg.adjoint(b)) / 2.0
     coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     c = sum(cf * np.linalg.matrix_power(a, k) for k, cf in enumerate(coeffs))
-    s.triple = _Heinz(a, b, c @ u, nu, u)
-    s.generic = _Heinz(*_sample_heinz_triple(rng, n), nu)
+    s.triple = HeinzTriple(a, b, c @ u, nu, u)
+    s.generic = HeinzTriple(*_sample_heinz_triple(rng, n), nu)
     base = {**base, "d": d, "n": n, "p": s.p, "t": s.t}
     s.fp = {"": base, "nu": {**base, "nu": nu}}
 
@@ -299,7 +263,7 @@ class _Store:
 
     Tuples are named "T", "normal", ... (a sampled tuple),
     "<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or
-    the square), "<heinz>.<product>" (a _Heinz product, as a 1-tuple), or
+    the square), "<heinz>.<product>" (a HeinzTriple product, as a 1-tuple), or
     by a float lam (the lambda mean of T).  norm and hypo read the lambda
     means at 0, 1/2 and 1 under their _LAMBDA_ALIASES names, so each is
     estimated once.  norm reads every spherical, Schatten and product
@@ -307,7 +271,7 @@ class _Store:
     that owns the store fills the spectra of the suite's _SPECTRA names,
     and of a suite with _BATCHES the tuples those batches estimate;
     anything else is computed on first read, a spectrum by the same
-    _fill_spectra on this store alone.  A miss on a name in the suite's
+    blocks.fill_spectra on this store alone.  A miss on a name in the suite's
     _BATCHES estimates every name of that kind.
     """
 
@@ -323,7 +287,7 @@ class _Store:
 
     def artifact(self, name: str) -> OperatorTuple:
         obj = getattr(self, name)
-        if isinstance(obj, _Heinz):
+        if isinstance(obj, HeinzTriple):
             obj = (obj.a, obj.b, obj.x)
         return obj if isinstance(obj, OperatorTuple) else OperatorTuple(matrices=tuple(obj))
 
@@ -347,18 +311,18 @@ class _Store:
         return self._memo(("tup", name), lambda: self._build(name))
 
     def _build(self, name) -> OperatorTuple:
-        base, kind = _name_parts(name)
+        base, kind = name_parts(name)
         if kind == "":
             return getattr(self, base)
-        (_, stacks), = _stacks([self], [name])
-        return OperatorTuple(matrices=stacks[name][0])
+        (_, built), = stacks([self], [name])
+        return OperatorTuple(matrices=built[name][0])
 
     def spectrum(self, name) -> np.ndarray:
         """The singular values of a tuple's stacked column, descending; a
         miss on a lambda mean not aliased to a name computes them all."""
         key = ("spectrum", name)
         if key not in self.memo:
-            _fill_spectra([self], (name,) if isinstance(name, str) else _LAMBDA_OWN)
+            fill_spectra([self], (name,) if isinstance(name, str) else _LAMBDA_OWN)
         return self.memo[key]
 
     def norm(self, name, p: float | None = None) -> float:
@@ -453,92 +417,6 @@ class _Store:
         else:
             status = FAIL
         return InequalityRecord(row.id, lhs, rhs, rhs - lhs, status, fp)
-
-
-# ---------------------------------------------------------------------------
-# a block's tuples and spectra, for all its stores at once
-# ---------------------------------------------------------------------------
-
-def _name_parts(name) -> tuple:
-    """(sampled object, kind) of a tuple name; kind "" is the object
-    itself, and a float lam names the lambda mean of T."""
-    if isinstance(name, str):
-        base, _, kind = name.partition(".")
-        return base, kind
-    return "T", name
-
-
-def _stacks(stores, names):
-    """Per sampled object and shape, yield (the indices of its stores,
-    {name: the (k, d', n, n) coordinates of the named tuple in each}).
-
-    The transforms of a tuple stack come from one polar_stack of it and
-    one stack expression per kind, with each store's own exponent, and
-    the lambda means from one expression over the lambda grid.  A Heinz
-    product is a 1-tuple, from _heinz_products of the stack of triples.
-    """
-    kinds = defaultdict(list)
-    for name in names:
-        base, kind = _name_parts(name)
-        kinds[base].append((name, kind))
-    for base, wanted in kinds.items():
-        groups = defaultdict(list)
-        for i, s in enumerate(stores):
-            obj = getattr(s, base)
-            groups[(obj.a.shape, obj.u is None) if isinstance(obj, _Heinz)
-                   else obj.array.shape].append(i)
-        for idx in groups.values():
-            objs = [getattr(stores[i], base) for i in idx]
-            if isinstance(objs[0], _Heinz):
-                built = {kind: m[:, None] for kind, m in _heinz_products(objs).items()}
-            else:
-                built = _transform_stacks([stores[i] for i in idx],
-                                          np.stack([t.array for t in objs]),
-                                          [kind for _, kind in wanted])
-            yield idx, {name: built[kind] for name, kind in wanted}
-
-
-def _transform_stacks(group, coords: np.ndarray, kinds) -> dict:
-    """{kind: the (k, d', n, n) coordinates of that kind for each store of
-    group}, whose sampled tuples are the stack coords."""
-    out = {"": coords}
-    lams = [kind for kind in kinds if not isinstance(kind, str)]
-    if lams or {"dug", "alu", "hz", "mean"} & set(kinds):
-        polar = polar_stack(coords)
-    if lams or {"dug", "mean"} & set(kinds):
-        out["dug"] = duggal_of(polar)
-    if "alu" in kinds:
-        out["alu"] = aluthge_of(polar, np.array([s.t_aluthge for s in group]))
-    if "hz" in kinds:
-        out["hz"] = heinz_of(polar, np.array([s.t for s in group]))
-    if "mean" in kinds:
-        out["mean"] = lambda_mean_of(coords, out["dug"], 0.5)
-    if "sq" in kinds:
-        out["sq"] = product_of(coords, coords)
-    if lams:
-        grid = lambda_mean_of(coords[:, None], out["dug"][:, None], np.array(lams))
-        out.update(zip(lams, grid.swapaxes(0, 1)))
-    return out
-
-
-def _fill_spectra(stores, names, tuples=()) -> None:
-    """Put the spectrum of each named tuple of each store into its memo,
-    and the tuple itself for the names in tuples.  Each group of _stacks
-    is factorized as soon as it is built, one batched SVD per column
-    shape, so that only one group's stacks are alive at a time."""
-    for idx, stacks in _stacks(stores, names):
-        shapes = defaultdict(list)
-        for name, stack in stacks.items():
-            shapes[stack.shape[1:]].append(name)
-        for (d, n, _), group in shapes.items():
-            columns = np.concatenate([stacks[name] for name in group]).reshape(-1, d * n, n)
-            svals = np.linalg.svd(columns, compute_uv=False).reshape(len(group), len(idx), -1)
-            for name, rows in zip(group, svals):
-                for i, spectrum in zip(idx, rows):
-                    stores[i].memo[("spectrum", name)] = spectrum
-        for name in set(tuples) & stacks.keys():
-            for i, coords in zip(idx, stacks[name]):
-                stores[i].memo[("tup", name)] = OperatorTuple(matrices=coords)
 
 
 # ---------------------------------------------------------------------------
@@ -885,9 +763,9 @@ def _block_records(suite: str, cfg: SuiteConfig, trials) -> list:
     computed for the whole block, and the tuples the suite's _BATCHES
     estimate come from the same stacks."""
     stores = [_Store(suite, cfg, k) for k in trials]
-    _fill_spectra(stores, _SPECTRA[suite],
-                  [name for names in _BATCHES.get(suite, {}).values() for name in names
-                   if _name_parts(name)[1] != ""])
+    fill_spectra(stores, _SPECTRA[suite],
+                 [name for names in _BATCHES.get(suite, {}).values() for name in names
+                  if name_parts(name)[1] != ""])
     records = []
     stores.reverse()
     while stores:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphertrans import suites
+from sphertrans import blocks, suites
 from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import schatten_spherical_norm
 from sphertrans.reports import report_to_json, tightness_stats
@@ -317,7 +317,7 @@ class TestOneSpectrumPerTuple:
         if suite in ("s2", "s3"):
             assert {s.p for s in stores} - {2.0}
         names = suites._SPECTRA[suite]
-        bases = {suites._name_parts(name)[0] for name in names
+        bases = {blocks.name_parts(name)[0] for name in names
                  if isinstance(name, float) or "." in name} - {"triple", "generic"}
         columns = {s.tup(name).stacked().tobytes(): (k, name)
                    for k, s in zip(trials, stores) for name in (*names, *bases)}
