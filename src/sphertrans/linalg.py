@@ -112,7 +112,8 @@ def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray
         return np.tile(np.eye(n, dtype=np.complex128), (*values.shape[:-1], 1, 1))
     clipped = np.where(values > 0.0, values, 0.0)
     if stacked:
-        powered = np.stack([row ** e for row, e in zip(clipped, np.asarray(t, dtype=float).tolist())])
+        exps = np.asarray(t, dtype=float).tolist()
+        powered = np.stack([row ** e for row, e in zip(clipped, exps)])
     else:
         powered = clipped ** float(t)
     out = (vectors * powered[..., None, :]) @ adjoint(vectors)

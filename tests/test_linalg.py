@@ -75,6 +75,31 @@ class TestHermitianEig:
         assert len(calls) == 2
 
 
+class TestStacks:
+    """hermitian_eig and psd_powers of a (k, n, n) stack give each matrix
+    bit for bit what it gets alone, and reject a stack with one bad matrix."""
+
+    def test_stacked_powers_equal_each_matrix_alone(self):
+        rng = np.random.default_rng(9)
+        mats = [random_psd_matrix(rng, 4) for _ in range(5)]
+        mats[2] = np.diag([2.0, 1.0, 0.0, 0.0]).astype(complex)      # singular
+        powers = linalg.psd_powers(np.stack(mats))
+        alone = [linalg.psd_powers(m) for m in mats]
+        exps = np.array([0.0, 0.5, 0.3, 1.0, 2.5])
+        for r in (0.0, 0.5, 0.37):
+            assert all(got.tobytes() == one(r).tobytes() for got, one in zip(powers(r), alone))
+        assert all(got.tobytes() == one(float(e)).tobytes()
+                   for got, one, e in zip(powers(exps), alone, exps))
+        assert np.array_equal(powers(exps)[0], np.eye(4))
+
+    def test_stack_with_one_bad_matrix_raises(self):
+        good = np.eye(2)
+        with pytest.raises(NonHermitianError):
+            linalg.hermitian_eig(np.stack([good, cmat([[0, 1], [0, 0]])]))
+        with pytest.raises(NotPSDError):
+            linalg.psd_powers(np.stack([good, np.diag([1.0, -0.5])]))
+
+
 class TestPsdPower:
     def test_diagonal_square_root(self):
         out = linalg.psd_power(np.diag([2.0, 0.0]), 0.5)
