@@ -11,11 +11,12 @@ Trial k of a run with master seed s draws its inputs from
 default_rng([s, k]) when its store is built.  run_suite evaluates
 contiguous blocks of trials, serially or one block per pool task: a
 block builds its trials' stores in trial order, then computes every
-spectrum its suite's rows read (_SPECTRA) for all of them at once.  Per
-sampled tuple and shape, one polar_stack factorizes the block's tuples,
-the transforms are stack expressions with each trial's own exponent,
-and the stacked columns of each shape get one batched SVD.  Every other
-quantity (an estimate, a predicate, a tuple a row reads) is computed on
+spectrum its suite's rows read (_SPECTRA) for all of them at once
+(blocks.py).  Per sampled tuple and shape, one polar_stack factorizes
+the block's tuples, the transforms are stack expressions with each
+trial's own exponent, the Heinz products come from batched
+eigendecompositions, and the stacked columns of each shape get one
+batched SVD.  Every other quantity (an estimate, a predicate, a tuple a row reads) is computed on
 first read and memoized.  Each value is bit for bit the one a trial
 computes alone, so reports are reproducible and independent of the
 block size and worker scheduling.  An s2 trial reads the operator
@@ -263,16 +264,16 @@ class _Store:
 
     Tuples are named "T", "normal", ... (a sampled tuple),
     "<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or
-    the square), "<heinz>.<product>" (a HeinzTriple product, as a 1-tuple), or
-    by a float lam (the lambda mean of T).  norm and hypo read the lambda
-    means at 0, 1/2 and 1 under their _LAMBDA_ALIASES names, so each is
-    estimated once.  norm reads every spherical, Schatten and product
-    norm of a tuple from one spectrum of its stacked column.  The block
-    that owns the store fills the spectra of the suite's _SPECTRA names,
-    and of a suite with _BATCHES the tuples those batches estimate;
-    anything else is computed on first read, a spectrum by the same
-    blocks.fill_spectra on this store alone.  A miss on a name in the suite's
-    _BATCHES estimates every name of that kind.
+    the square), "<heinz>.<product>" (a HeinzTriple product, as a
+    1-tuple), or by a float lam (the lambda mean of T).  norm and hypo
+    read the lambda means at 0, 1/2 and 1 under their _LAMBDA_ALIASES
+    names, so each is estimated once.  norm reads every spherical,
+    Schatten and product norm of a tuple from one spectrum of its stacked
+    column.  The block that owns the store fills the spectra of the
+    suite's _SPECTRA names, and of a suite with _BATCHES the tuples those
+    batches estimate; anything else is computed on first read, a spectrum
+    by the same blocks.fill_spectra on this store alone.  A miss on a
+    name in the suite's _BATCHES estimates every name of that kind.
     """
 
     t_aluthge = 0.5      # the Aluthge exponent; the zero suite draws its own
