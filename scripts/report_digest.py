@@ -3,7 +3,7 @@
 
 Usage:
     python scripts/report_digest.py [--suite s3 --suite zero ...] --trials 300 \
-        [--seed 42 --seed 7 ...] [--workers N] [--save DIR]
+        [--seed 42 --seed 7 ...] [--workers N] [--save DIR] [--expect FILE]
 
 Each line reads `suite seed digest`.  The digest covers the report
 exactly as write_report stores it, with wall_time set to 0, so two
@@ -17,7 +17,11 @@ digests are too.  The library is imported from the src/ directory next
 to this script, so running the script of another checkout digests that
 checkout.  With --save DIR each digested report is also written,
 wall_time 0, as DIR/<suite>-<seed>.json; scripts/report_drift.py
-compares two such directories value by value.
+compares two such directories value by value.  With --expect FILE, a
+file of lines in this script's own format (another checkout's output,
+say), each digest that differs from FILE's or is missing from it prints
+`MISMATCH suite seed` on stderr, and the script exits 1 after the last
+digest if any did.
 """
 
 import argparse
@@ -51,16 +55,32 @@ def main() -> int:
                         help="run_suite's worker count (default: its own choice)")
     parser.add_argument("--save", type=Path, metavar="DIR",
                         help="also write each report as DIR/<suite>-<seed>.json")
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="exit 1 unless each digest equals its `suite seed digest` "
+                             "line in FILE")
     args = parser.parse_args()
+    expected = None
+    if args.expect is not None:
+        try:
+            rows = [line.split() for line in args.expect.read_text().splitlines() if line.strip()]
+        except OSError as exc:
+            parser.error(f"--expect: {exc}")
+        if any(len(row) != 3 for row in rows):
+            parser.error(f"--expect: a line of {args.expect} is not `suite seed digest`")
+        expected = {(suite, seed): digest for suite, seed, digest in rows}
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be at least 1")
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
+    mismatched = False
     for seed in args.seed or [42]:
         for suite in args.suite or SUITE_NAMES:
             digest = report_digest(suite, args.trials, seed, args.save, args.workers)
             print(f"{suite} {seed} {digest}", flush=True)
-    return 0
+            if expected is not None and expected.get((suite, str(seed))) != digest:
+                print(f"MISMATCH {suite} {seed}", file=sys.stderr, flush=True)
+                mismatched = True
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

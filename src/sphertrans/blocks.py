@@ -1,16 +1,13 @@
 """The numerics of a block of suite trials, computed as stacks.
 
-A block holds the stores of contiguous trials of one suite (suites._Store).
-Each store names its tuples: "T", "normal", ... (a sampled tuple),
-"<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or the
-square), "<heinz>.<product>" (a product of a HeinzTriple, as a 1-tuple),
-or a float lam (the lambda mean of T).  For a list of stores, stacks
-builds the named tuples of every store at once: per sampled object and
-shape, one polar_stack and one stack expression per kind, with each
-store's own exponent (its t and t_aluthge).  fill_spectra factorizes each
-group's stacked columns by one batched SVD per column shape, into each
-store's memo.  Every value is bit for bit the one a store computes alone,
-which is the same code on a list of one store.
+A block holds the stores of contiguous trials of one suite (suites._Store),
+each of which names its tuples as name_parts reads them.  For a list of
+stores, stacks builds the named tuples of every store at once: per
+sampled object and shape, one polar_stack and one stack expression per
+kind, with each store's own exponent (its t and t_aluthge).  fill_spectra
+factorizes each group's stacked columns by one batched SVD per column
+shape, into each store's memo.  Every value is bit for bit the one a
+store computes alone, which is the same code on a list of one store.
 """
 
 from __future__ import annotations
@@ -60,8 +57,11 @@ def heinz_products(hs) -> dict:
 
 
 def name_parts(name) -> tuple:
-    """(sampled object, kind) of a tuple name; kind "" is the object
-    itself, and a float lam names the lambda mean of T."""
+    """(sampled object, kind) of a tuple name.  A name is a sampled tuple
+    ("T", "normal", ...; kind ""), "<sampled>.<kind>" with kind alu, hz,
+    mean, dug or sq (a transform or the square), "<heinz>.<product>" (a
+    heinz_products product, as a 1-tuple) or a float lam (the lambda mean
+    of T, kind lam)."""
     if isinstance(name, str):
         base, _, kind = name.partition(".")
         return base, kind

@@ -13,6 +13,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import transforms
 from .ensembles import ENSEMBLES
 from .errors import InvalidParameterError, InvalidPError, SphertransError
@@ -26,7 +28,7 @@ from .norms import (
     spherical_norm,
 )
 from .predicates import classify
-from .reports import write_report
+from .reports import slack_histogram, write_report
 from .suites import (
     SUITE_NAMES,
     INEQUALITIES,
@@ -256,10 +258,7 @@ def _cmd_fuzz(args) -> int:
         workers=args.workers,
     )
     suite, records, witness, fingerprint = fuzz_inequality(args.inequality_id, cfg)
-    import numpy as np
-
     slacks = np.array([r.slack for r in records])
-    counts, edges = np.histogram(slacks, bins=20)
     out = {
         "inequality_id": args.inequality_id,
         "suite": suite,
@@ -268,13 +267,10 @@ def _cmd_fuzz(args) -> int:
         "records": len(records),
         "min_slack": float(slacks.min()),
         "max_slack": float(slacks.max()),
-        "histogram": {
-            "bin_edges": [float(e) for e in edges],
-            "bin_counts": [int(c) for c in counts],
-        },
+        "histogram": slack_histogram(slacks),
         "witness_fingerprint": fingerprint,
     }
-    if witness is not None and args.witness:
+    if args.witness:
         try:
             write_tuple(args.witness, witness, name=f"witness.{args.inequality_id}")
         except OSError as exc:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 PASS = "pass"
 REFINED = "refined-pass"
 FAIL = "fail"
@@ -80,24 +82,26 @@ def summarize(records, required_rates: dict) -> dict:
     return dict(sorted(out.items()))
 
 
+def slack_histogram(slacks, bins: int = 20) -> dict:
+    """np.histogram of slacks as plain data: bin_edges and bin_counts."""
+    counts, edges = np.histogram(slacks, bins=bins)
+    return {"bin_edges": [float(e) for e in edges], "bin_counts": [int(c) for c in counts]}
+
+
 def tightness_stats(report: SuiteReport, bins: int = 20) -> dict:
     """Histogram of slack per inequality id, as plain data."""
-    import numpy as np
-
     grouped: dict = {}
     for rec in report.records:
         grouped.setdefault(rec.inequality_id, []).append(rec.slack)
     out = {}
     for rid, slacks in sorted(grouped.items()):
         arr = np.asarray(slacks, dtype=float)
-        counts, edges = np.histogram(arr, bins=bins)
         out[rid] = {
             "count": int(arr.size),
             "min": float(arr.min()),
             "max": float(arr.max()),
             "mean": float(arr.mean()),
-            "bin_edges": [float(e) for e in edges],
-            "bin_counts": [int(c) for c in counts],
+            **slack_histogram(arr, bins),
         }
     return out
 

@@ -16,13 +16,12 @@ spectrum its suite's rows read (_SPECTRA) for all of them at once
 the block's tuples, the transforms are stack expressions with each
 trial's own exponent, the Heinz products come from batched
 eigendecompositions, and the stacked columns of each shape get one
-batched SVD.  Every other quantity (an estimate, a predicate, a tuple a row reads) is computed on
-first read and memoized.  Each value is bit for bit the one a trial
-computes alone, so reports are reproducible and independent of the
-block size and worker scheduling.  An s2 trial reads the operator
-hypo-norms of 13 tuples of T's shape and the joint radii of 3; the first
-read of either kind estimates the whole kind by one batched ascent, bit
-for bit equal to estimating each tuple alone.
+batched SVD.  The block then estimates each s2 trial's 13 operator
+hypo-norms, and then its 3 joint radii (_BATCHES), by one batched ascent
+each, bit for bit equal to estimating each tuple alone.  Any other
+estimate is computed on first read and memoized.  Each value is bit for
+bit the one a trial computes alone, so reports are reproducible and
+independent of the block size and worker scheduling.
 
 Optimized suprema are lower bounds.  Checks whose optimized side could
 fall short use the relaxed slack opt_tol; the s2r.chain rows run only at
@@ -50,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .blocks import HeinzTriple, fill_spectra, name_parts, stacks
+from .blocks import HeinzTriple, fill_spectra, name_parts
 from .ensembles import (
     ENSEMBLES,
     random_commuting_tuple,
@@ -82,16 +81,15 @@ _SHARP_P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 # lambda means that are bitwise equal to a named transform (or T itself)
 _LAMBDA_ALIASES = {0.0: "T.dug", 0.5: "T.mean", 1.0: "T"}
 _LAMBDA_OWN = tuple(lam for lam in _LAMBDA_GRID if lam not in _LAMBDA_ALIASES)
-# per suite and kind, the tuples whose operator hypo-norms (or joint
-# radii) a trial reads; all share T's shape and are estimated together
+_T_FAMILY = ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN)
+# per suite and kind, the tuples of T's shape whose operator hypo-norms (or
+# joint radii) a trial reads; its block estimates them by one batched ascent
 _BATCHES = {
-    "s2": {"hypo": ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN),
-           "radius": ("T.alu", "T.hz", "T.mean")},
+    "s2": {"hypo": _T_FAMILY, "radius": ("T.alu", "T.hz", "T.mean")},
 }
 # per suite, the tuples whose spectra every trial's rows read; a block
 # computes them for all its trials at once
 _HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")  # of heinz_products
-_T_FAMILY = ("T", "T.dug", "T.alu", "T.hz", "T.mean", *_LAMBDA_OWN)
 _SPECTRA = {
     "s2": (*_T_FAMILY, *(f"triple.{kind}" for kind in _HEINZ_PRODUCTS)),
     "s3": _T_FAMILY,
@@ -260,27 +258,22 @@ _SAMPLERS = {
 
 class _Store:
     """One trial: its inputs, drawn eagerly, and every quantity a row reads,
-    memoized.
+    memoized, with tuples named as blocks.name_parts reads them.
 
-    Tuples are named "T", "normal", ... (a sampled tuple),
-    "<sampled>.<kind>" with kind alu, hz, mean, dug or sq (a transform or
-    the square), "<heinz>.<product>" (a HeinzTriple product, as a
-    1-tuple), or by a float lam (the lambda mean of T).  norm and hypo
+    Its block (_block_records) fills the spectra of the suite's _SPECTRA
+    names, the transforms its _BATCHES name and their first estimates.
+    tup and spectrum read only those (or a sampled tuple); a read the
+    block did not fill raises a KeyError that names it.  norm and hypo
     read the lambda means at 0, 1/2 and 1 under their _LAMBDA_ALIASES
-    names, so each is estimated once.  norm reads every spherical,
-    Schatten and product norm of a tuple from one spectrum of its stacked
-    column.  The block that owns the store fills the spectra of the
-    suite's _SPECTRA names, and of a suite with _BATCHES the tuples those
-    batches estimate; anything else is computed on first read, a spectrum
-    by the same blocks.fill_spectra on this store alone.  A miss on a
-    name in the suite's _BATCHES estimates every name of that kind.
+    names.  norm reads every spherical, Schatten and product norm of a
+    tuple from one spectrum of its stacked column.  Any other estimate is
+    computed on first read.
     """
 
     t_aluthge = 0.5      # the Aluthge exponent; the zero suite draws its own
 
     def __init__(self, suite: str, cfg: SuiteConfig, trial: int):
         self.cfg = cfg
-        self.batches = _BATCHES.get(suite, {})
         self.memo: dict = {}
         self.reads: list = []        # optimized keys read by the current side
         self.escalated: set = set()
@@ -308,23 +301,18 @@ class _Store:
             got = self.memo[key] = build()
         return got
 
-    def tup(self, name) -> OperatorTuple:
-        return self._memo(("tup", name), lambda: self._build(name))
+    def _filled(self, key):
+        if key not in self.memo:
+            raise KeyError(f"the block filled no {key[0]} of {key[1]!r}")
+        return self.memo[key]
 
-    def _build(self, name) -> OperatorTuple:
+    def tup(self, name) -> OperatorTuple:
         base, kind = name_parts(name)
-        if kind == "":
-            return getattr(self, base)
-        (_, built), = stacks([self], [name])
-        return OperatorTuple(matrices=built[name][0])
+        return getattr(self, base) if kind == "" else self._filled(("tup", name))
 
     def spectrum(self, name) -> np.ndarray:
-        """The singular values of a tuple's stacked column, descending; a
-        miss on a lambda mean not aliased to a name computes them all."""
-        key = ("spectrum", name)
-        if key not in self.memo:
-            fill_spectra([self], (name,) if isinstance(name, str) else _LAMBDA_OWN)
-        return self.memo[key]
+        """The singular values of a tuple's stacked column, descending."""
+        return self._filled(("spectrum", name))
 
     def norm(self, name, p: float | None = None) -> float:
         """The spherical norm (p None) or Schatten p-norm of a tuple."""
@@ -342,23 +330,7 @@ class _Store:
 
     def _sup(self, key) -> float:
         self.reads.append(key)
-        if key not in self.memo:
-            kind, name, p = key
-            batch = self.batches.get(kind, ()) if p is None else ()
-            if name in batch:
-                ests = self._estimate_batch(kind, batch)
-                self.memo.update(zip([(kind, n, None) for n in batch], ests))
-            else:
-                self.memo[key] = self._estimate(key, self.cfg.opt)
-        return self.memo[key].value
-
-    def _estimate_batch(self, kind: str, names) -> list:
-        """The first operator hypo-norm (or joint radius, by route a)
-        estimates of the named same-shape tuples, by one batched ascent."""
-        ts = [self.tup(name) for name in names]
-        if kind == "hypo":
-            return _hypo_p_norms(ts, np.inf, self.cfg.opt)
-        return _radius_vector_routes(ts, self.cfg.opt)
+        return self._memo(key, lambda: self._estimate(key, self.cfg.opt)).value
 
     def _estimate(self, key, opt: OptimizerConfig, warm=()):
         kind, name, p = key
@@ -760,13 +732,20 @@ _ROW_RUNS = {
 
 def _block_records(suite: str, cfg: SuiteConfig, trials) -> list:
     """The records of a block of trials, in trial order.  The stores are
-    built in trial order, then the spectra every trial's rows read are
-    computed for the whole block, and the tuples the suite's _BATCHES
-    estimate come from the same stacks."""
+    built in trial order, then the block's spectra and the transforms of
+    _BATCHES are computed at once, then each trial's _BATCHES estimates,
+    one batched ascent per kind."""
     stores = [_Store(suite, cfg, k) for k in trials]
+    batches = _BATCHES.get(suite, {})
     fill_spectra(stores, _SPECTRA[suite],
-                 [name for names in _BATCHES.get(suite, {}).values() for name in names
+                 [name for names in batches.values() for name in names
                   if name_parts(name)[1] != ""])
+    for s in stores:
+        for kind, names in batches.items():
+            ts = [s.tup(name) for name in names]
+            ests = _hypo_p_norms(ts, np.inf, cfg.opt) if kind == "hypo" \
+                else _radius_vector_routes(ts, cfg.opt)
+            s.memo.update(zip([(kind, name, None) for name in names], ests))
     records = []
     stores.reverse()
     while stores:
@@ -788,17 +767,20 @@ _DEFAULT_TRIALS = {"s2": 500, "s3": 500, "s4": 300, "equality": 100, "zero": 100
 
 
 def resolve_workers(workers: int | None) -> int:
-    """workers if given, else SPHERTRANS_WORKERS, else the CPU count; a
-    malformed SPHERTRANS_WORKERS warns and falls back to the CPU count."""
+    """workers if given, else SPHERTRANS_WORKERS if it is an integer of at
+    least 1 (else it warns), else the CPU count."""
     if workers is not None:
-        return max(1, workers)
+        return workers
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
-            warnings.warn(f"{WORKERS_ENV}={env!r} is not an integer; "
-                          "using the CPU count", RuntimeWarning, stacklevel=2)
+            count = 0
+        if count >= 1:
+            return count
+        warnings.warn(f"{WORKERS_ENV}={env!r} is not an integer of at least 1; "
+                      "using the CPU count", RuntimeWarning, stacklevel=2)
     return os.cpu_count() or 1
 
 
@@ -831,6 +813,8 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
         raise InvalidParameterError(f"dmax={cfg.dmax} must be >= 1")
     if cfg.nmax < 2:
         raise InvalidParameterError(f"nmax={cfg.nmax} must be >= 2")
+    if cfg.workers is not None and cfg.workers < 1:
+        raise InvalidParameterError(f"workers={cfg.workers} must be >= 1")
     for name in ("tol", "opt_tol"):
         value = getattr(cfg, name)
         if not 0.0 <= value < np.inf:

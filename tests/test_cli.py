@@ -155,6 +155,7 @@ class TestVerify:
     @pytest.mark.parametrize("option, value, name", [
         ("--dmax", "0", "dmax"), ("--nmax", "1", "nmax"), ("--tol", "nan", "tol"),
         ("--tol", "-1", "tol"), ("--tol", "inf", "tol"), ("--seed", "-1", "seed"),
+        ("--workers", "0", "workers"), ("--workers", "-4", "workers"),
     ])
     def test_out_of_range_parameter_exits_3(self, option, value, name, capsys):
         code = main(["verify", "--suite", "s3", "--trials", "2", "--workers", "1",
@@ -199,7 +200,8 @@ class TestFuzz:
         assert code == 3
 
     @pytest.mark.parametrize("option, value",
-                             [("--dmax", "0"), ("--nmax", "1"), ("--seed", "-1")])
+                             [("--dmax", "0"), ("--nmax", "1"), ("--seed", "-1"),
+                              ("--workers", "0"), ("--workers", "-4")])
     def test_fuzz_out_of_range_dims_exit_3(self, option, value, capsys):
         code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
                      "--workers", "1", option, value])

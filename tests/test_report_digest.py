@@ -49,6 +49,33 @@ def test_digest_is_the_same_at_one_and_two_workers():
     assert bad.returncode == 2 and "--workers must be at least 1" in bad.stderr
 
 
+def _sharpness_digests(*extra):
+    return subprocess.run([sys.executable, str(SCRIPT), "--suite", "sharpness", "--trials", "1",
+                           *extra], capture_output=True, text=True, timeout=600)
+
+
+def test_expect_passes_saved_digests_and_flags_an_edited_or_missing_one(tmp_path):
+    saved = _sharpness_digests()
+    assert saved.returncode == 0
+    expect = tmp_path / "digests.txt"
+    expect.write_text(saved.stdout)
+    same = _sharpness_digests("--expect", str(expect))
+    assert (same.returncode, same.stdout, same.stderr) == (0, saved.stdout, "")
+
+    suite, seed, digest = saved.stdout.split()
+    expect.write_text(f"{suite} {seed} {digest[::-1]}\n")
+    edited = _sharpness_digests("--expect", str(expect), "--seed", "42", "--seed", "7")
+    assert edited.returncode == 1
+    assert edited.stdout.splitlines()[0] == saved.stdout.strip()
+    # a digest missing from the file is a mismatch too
+    assert edited.stderr.splitlines() == ["MISMATCH sharpness 42", "MISMATCH sharpness 7"]
+
+    expect.write_text(f"{suite} {seed}\n")
+    for path in (expect, tmp_path / "missing.txt"):
+        bad = _sharpness_digests("--expect", str(path))
+        assert (bad.returncode, bad.stdout) == (2, "") and "--expect: " in bad.stderr
+
+
 DRIFT = SCRIPT.parent / "report_drift.py"
 
 

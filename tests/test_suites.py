@@ -26,6 +26,7 @@ from sphertrans.suites import (
     sharp_diag_pair,
 )
 from sphertrans.transforms import lambda_mean
+from sphertrans.tuples import OperatorTuple
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sphertrans"
@@ -37,7 +38,7 @@ def _strip_wall_time(text: str) -> str:
 
 def _shorten_first_estimates(monkeypatch, name, factor, only=None, always=False):
     """Patch the suites' estimator `name`, and the batched entry point the
-    store uses for first operator hypo-norms when name is hypo_norm, so
+    block uses for first operator hypo-norms when name is hypo_norm, so
     that unescalated estimates (every estimate if always) of the tuples
     whose arrays are in only, or of every tuple, return factor times the
     value; returns a Counter of escalated calls per tuple array."""
@@ -68,6 +69,13 @@ def _shorten_first_estimates(monkeypatch, name, factor, only=None, always=False)
 
         monkeypatch.setattr(suites, "_hypo_p_norms", short_batch)
     return escalated
+
+
+def _bare_tup(store, name) -> OperatorTuple:
+    """A named tuple of a store that no block filled, built by blocks.stacks
+    as its block builds it."""
+    (_, built), = blocks.stacks([store], [name])
+    return OperatorTuple(matrices=built[name][0])
 
 
 def _judge(check, lhs, rhs, tol):
@@ -187,7 +195,7 @@ def _record_bits(records) -> list:
 class TestBlocks:
     @pytest.mark.parametrize("seed", [42, 4242])
     @pytest.mark.parametrize("suite,trials", [("s3", 40), ("equality", 40), ("zero", 40),
-                                              ("s2", 8)])
+                                              ("s2", 8), ("s4", 8)])
     def test_records_do_not_depend_on_the_block(self, suite, trials, seed):
         """Blocks of one trial, of seven and of the whole run give the same
         records, float for float."""
@@ -227,6 +235,20 @@ class TestBlocks:
         _block_records(suite, cfg, range(1 if suite == "sharpness" else cfg.trials))
         assert read == set(suites._SPECTRA[suite])
 
+    def test_a_bare_store_builds_and_factorizes_nothing(self):
+        # a read that no block filled fails and names what it read
+        s = _Store("s2", SuiteConfig(trials=1, seed=42), 0)
+        assert s.tup("T") is s.T
+        with pytest.raises(KeyError, match="tup of 'T.alu'"):
+            s.tup("T.alu")
+        with pytest.raises(KeyError, match="spectrum of 'T'"):
+            s.norm("T")
+        with pytest.raises(KeyError, match="spectrum of 0.3"):
+            s.norm(0.3)
+        with pytest.raises(KeyError, match="tup of 'T.mean'"):
+            s.hypo(0.5)
+        assert s.memo == {}
+
 
 class TestS3LambdaGrid:
     @pytest.mark.parametrize("trial", range(6))
@@ -255,7 +277,7 @@ class TestS2LambdaAliases:
         for trial in range(cfg.trials):
             s = _Store("s2", cfg, trial)
             for lam, name in suites._LAMBDA_ALIASES.items():
-                assert np.array_equal(s._build(lam).array, s.tup(name).array), \
+                assert np.array_equal(_bare_tup(s, lam).array, _bare_tup(s, name).array), \
                     (trial, lam)
 
     def test_one_s2_trial_makes_13_hypo_norm_calls(self, monkeypatch):
@@ -319,7 +341,7 @@ class TestOneSpectrumPerTuple:
         names = suites._SPECTRA[suite]
         bases = {blocks.name_parts(name)[0] for name in names
                  if isinstance(name, float) or "." in name} - {"triple", "generic"}
-        columns = {s.tup(name).stacked().tobytes(): (k, name)
+        columns = {_bare_tup(s, name).stacked().tobytes(): (k, name)
                    for k, s in zip(trials, stores) for name in (*names, *bases)}
         calls = collections.Counter()
         real = np.linalg.svd
@@ -401,7 +423,7 @@ class TestEscalation:
         # most lambdas until escalation rescues it, or for good
         cfg = SuiteConfig(trials=1, seed=42)
         probe = _Store("s2", cfg, 0)
-        t_key, dug_key = probe.T.array.tobytes(), probe.tup("T.dug").array.tobytes()
+        t_key, dug_key = probe.T.array.tobytes(), _bare_tup(probe, "T.dug").array.tobytes()
         escalated = _shorten_first_estimates(monkeypatch, "hypo_norm", 0.6,
                                              only={t_key, dug_key}, always=always)
         statuses = [r.status for r in _block_records("s2", cfg, [0])
@@ -429,6 +451,10 @@ class TestEscalation:
         monkeypatch.setenv(suites.WORKERS_ENV, "two")
         with pytest.warns(RuntimeWarning, match="SPHERTRANS_WORKERS='two'"):
             assert resolve_workers(None) == (os.cpu_count() or 1)
+        for below in ("0", "-4"):
+            monkeypatch.setenv(suites.WORKERS_ENV, below)
+            with pytest.warns(RuntimeWarning, match=f"SPHERTRANS_WORKERS='{below}'"):
+                assert resolve_workers(None) == (os.cpu_count() or 1)
         monkeypatch.setenv(suites.WORKERS_ENV, "3")
         assert resolve_workers(None) == 3
 
