@@ -12,10 +12,11 @@ that differ out of all its sides, the largest relative difference
 |a - b| / max(|a|, |b|) over them, the number of sides of B that fall
 more than 1e-12 relative below A with the worst such fall
 (a - b) / max(|a|, |b|), and the number of records whose status changed;
-a last line totals them.  The exit status is 1 when any
-record's status changed, so a drift that must move no verdict is a
-command that fails.  Reports that do not pair up (a file on one side
-only, or records of another id or fingerprint) exit with 2.
+a last line totals them.  The exit status is 1 when any record's
+status changed or any side fell, so a drift that must move no verdict
+and lower no value is a command that fails.  Reports that do not pair
+up (a file on one side only, or records of another id or fingerprint)
+exit with 2.
 """
 
 import argparse
@@ -102,7 +103,7 @@ def main() -> int:
     for rid, e in [*rows.items(), ("total", total)]:
         print(f"{rid:<{width}}  {f'{e.changed}/{e.sides}':>13}  {e.max_rel:>12.2e}  "
               f"{e.falls:>5}  {e.worst_fall:>10.2e}  {e.status_changes:>14}")
-    return 1 if total.status_changes else 0
+    return 1 if total.status_changes or total.falls else 0
 
 
 if __name__ == "__main__":

@@ -12,12 +12,16 @@ pair only.  Its step needs no SVD after an ascent's first call: each
 row carries its top right singular vector v from call to call, refines
 it by power steps and returns the minorant ||M(lam) v||, never lowered
 from one step to the next; sphere_optimize values each winner by the
-full singular values.  The hypo-p-norms and radius route (a) of several
-same-shape tuples are estimated by one batched ascent (_hypo_p_norms,
-_radius_vector_routes), each equal to the estimate of its tuple alone;
-the public estimators are their one-tuple case.  Every ascent runs on
-its tuple divided by a power of two near the largest entry, which is
-exact, so its estimate scales with the tuple (_binary_scaled).
+full singular values.  Those come from linalg.stack_singular_values, in
+closed form for 2 x 2 matrices, so a 2 x 2 tuple's escalation screen of
+100k points makes no LAPACK call; the ascent steps keep LAPACK's SVD,
+which also gives the singular vectors.  The hypo-p-norms and radius
+route (a) of several same-shape tuples are estimated by one batched
+ascent (_hypo_p_norms, _radius_vector_routes), each equal to the
+estimate of its tuple alone; the public estimators are their one-tuple
+case.  Every ascent runs on its tuple divided by a power of two near the
+largest entry, which is exact, so its estimate scales with the tuple
+(_binary_scaled).
 
 The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
 M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
@@ -199,7 +203,8 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
     _top_right_vectors refines it, and SQUAREM extrapolates it with the
     row.  Only an ascent's first step runs a full SVD.  The optimizer
     values each winner by the objective, so every estimate is still the
-    exact norm at its argmax.
+    exact norm at its argmax.  The objective, which screens and values,
+    takes its singular values from linalg.stack_singular_values.
     """
     scaled = [_binary_scaled(t.array) for t in ts]
     stack = np.stack([mats for mats, _ in scaled])
@@ -207,7 +212,7 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
 
     def objective(rows, blocks):
         m = _per_owner(_combine, stack, rows, blocks)
-        return _batch_schatten(np.linalg.svd(m, compute_uv=False), p)
+        return _batch_schatten(linalg.stack_singular_values(m), p)
 
     def ascend(rows, blocks, v):
         m = _per_owner(_combine, stack, rows, blocks)
@@ -287,7 +292,7 @@ def _hypo_2_norm(t: OperatorTuple) -> SupremumEstimate:
     E = (T, iT), valued by the ascent's objective."""
     mats = t.array
     lam = gauge_fix(_quadratic_argmax(np.concatenate([mats, 1j * mats])))
-    value = _batch_schatten(np.linalg.svd(_combine(mats, lam[None, :]), compute_uv=False), 2.0)
+    value = _batch_schatten(linalg.stack_singular_values(_combine(mats, lam[None, :])), 2.0)
     return _exact_estimate(value[0], lam)
 
 

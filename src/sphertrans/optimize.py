@@ -50,6 +50,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DimensionMismatchError, InvalidParameterError
+
 _ZERO_TOL = 1e-14
 
 
@@ -80,6 +82,11 @@ class OptimizerConfig:
     max_iters: int = 120
     seed: int = 42
     grid_points: int = 0        # random screening points prepended as starts
+
+    def __post_init__(self):
+        for name in ("n_random_starts", "max_iters", "seed", "grid_points"):
+            if getattr(self, name) < 0:
+                raise InvalidParameterError(f"{name}={getattr(self, name)} must be >= 0")
 
     def escalated(self) -> "OptimizerConfig":
         """Heavier rerun used before declaring an inequality violation."""
@@ -291,7 +298,11 @@ def _starts(objective, d: int, cfg: OptimizerConfig, phase_invariant: bool, warm
     parts = [_axis_starts(d)]
     screened = 0
     if warm_starts:
-        warm = np.vstack([np.asarray(w, dtype=np.complex128).reshape(1, -1) for w in warm_starts])
+        warm = [np.asarray(w, dtype=np.complex128).reshape(1, -1) for w in warm_starts]
+        bad = [w.shape[1] for w in warm if w.shape[1] != d]
+        if bad:
+            raise DimensionMismatchError(f"a warm start has {bad[0]} coefficients, expected d={d}")
+        warm = np.vstack(warm)
         parts.append(gauge_fix(_normalize_rows(warm)))
     if random is not None:
         parts.append(random)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphertrans import linalg, norms
+from sphertrans import linalg, norms, optimize
 from sphertrans.ensembles import random_tuple
 from sphertrans.errors import InvalidPError, SphertransError
 from sphertrans.optimize import OptimizerConfig, grid_supremum, power_step, sphere_optimize
+from sphertrans.suites import sharp_diag_pair
 from sphertrans.tuples import (
     OperatorTuple,
     adjoint_tuple,
@@ -421,7 +422,7 @@ class TestExactP2:
         for t, hypo, _, radius, _ in p2_grid:
             m = norms._combine(t.array, hypo.argmax.coeffs[None, :])
             assert hypo.value == norms._batch_schatten(
-                np.linalg.svd(m, compute_uv=False), 2.0)[0]
+                linalg.stack_singular_values(m), 2.0)[0]
             lam = np.exp(1j * radius.theta) * radius.argmax.coeffs
             assert radius.value == pytest.approx(
                 norms._real_part_norms(t.array, lam[None, :], 2.0)[0], rel=1e-15)
@@ -714,8 +715,9 @@ def _full_svd_hypo_norm(t, cfg) -> float:
     return sphere_optimize(objective, t.d, cfg, ascend=ascend).value * scale
 
 
-def _hypo_maps(monkeypatch, t):
-    """The (objective, ascend) pair that hypo_norm(t) hands sphere_optimize_batch."""
+def _hypo_maps(monkeypatch, t, p=float("inf")):
+    """The (objective, ascend) pair that the hypo-p-norm ascent of t hands
+    sphere_optimize_batch; at p = inf, that of hypo_norm(t)."""
     maps = {}
     real = norms.sphere_optimize_batch
 
@@ -724,7 +726,7 @@ def _hypo_maps(monkeypatch, t):
         return real(objective, *args, ascend=ascend, **kwargs)
 
     monkeypatch.setattr(norms, "sphere_optimize_batch", capture)
-    norms.hypo_norm(t, CFG)
+    norms._hypo_p_norms((t,), p, CFG)
     return maps["objective"], maps["ascend"]
 
 
@@ -778,3 +780,49 @@ class TestCarriedTopVector:
             if before is not None:
                 assert np.all(vals >= before * (1.0 - 1e-15))
             before, rows = vals, nxt
+
+
+@pytest.fixture(scope="module")
+def escalated_grid():
+    """The 100k-point screen an escalated suite estimate draws at d = 2."""
+    return optimize._random_draws(2, CFG.escalated(), True)[1]
+
+
+class TestClosedForm2x2Objective:
+    """The hypo-p-norm objective takes 2 x 2 singular values in closed
+    form (linalg.stack_singular_values), not from LAPACK."""
+
+    # the column pair is left out: its objective is 1 at every point, so
+    # every point of the screen ties and no ranking is defined
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.0, 10.0])
+    @pytest.mark.parametrize("t", [sharp_diag_pair(), random_tuple(2, 2, 31)],
+                             ids=["diag_pair", "ginibre"])
+    def test_screen_ranks_as_lapack(self, monkeypatch, escalated_grid, t, p):
+        objective, _ = _hypo_maps(monkeypatch, t, p)
+        blocks = ((0, slice(None)),)
+
+        def top(vals):
+            return np.argsort(vals)[::-1][:16]
+
+        closed = top(optimize._evaluate_chunked(lambda r: objective(r, blocks), escalated_grid))
+        monkeypatch.setattr(linalg, "stack_singular_values",
+                            lambda m: np.linalg.svd(m, compute_uv=False))
+        lapack = top(optimize._evaluate_chunked(lambda r: objective(r, blocks), escalated_grid))
+        assert np.array_equal(closed, lapack)
+
+    def test_escalation_passes_few_matrices_through_lapack(self, monkeypatch):
+        # the 100k-point screen passes no matrix through LAPACK; the ascent
+        # steps do: 276 starts, each in two SQUAREM iterations of three
+        # steps, 1,656 matrices
+        matrices = []
+        real = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        est = norms.schatten_hypo_norm(sharp_diag_pair(), 1.0,
+                                       OptimizerConfig(n_random_starts=8).escalated())
+        assert max(matrices) <= est.starts
+        assert sum(matrices) < 2000

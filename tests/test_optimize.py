@@ -3,6 +3,7 @@ import pytest
 
 from sphertrans import linalg, norms, optimize
 from sphertrans.ensembles import random_tuple
+from sphertrans.errors import DimensionMismatchError, InvalidParameterError
 from sphertrans.norms import combination, hypo_norm
 from sphertrans.optimize import (
     BallPoint,
@@ -12,6 +13,7 @@ from sphertrans.optimize import (
     power_step,
     sphere_optimize,
 )
+from sphertrans.suites import sharp_diag_pair
 
 from conftest import hypo_oracle
 
@@ -163,6 +165,21 @@ class TestGridOracle:
 
         grid_supremum(obj, d, n_points=400, zoom=6)
         assert len(batches) == levels
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["n_random_starts", "grid_points", "max_iters", "seed"])
+    def test_negative_field_raises(self, field):
+        with pytest.raises(InvalidParameterError, match=field):
+            OptimizerConfig(**{field: -1})
+
+    def test_zero_fields_are_valid(self):
+        cfg = OptimizerConfig(n_random_starts=0, grid_points=0, max_iters=0, seed=0)
+        assert cfg.escalated().n_random_starts == 256
+
+    def test_warm_start_of_wrong_length_raises(self):
+        with pytest.raises(DimensionMismatchError, match="d=2"):
+            hypo_norm(sharp_diag_pair(), None, warm_starts=[np.ones(3)])
 
 
 class TestEscalation:

@@ -136,7 +136,7 @@ def test_drift_counts_the_sides_that_fall(tmp_path):
     fallen["rhs"] *= 1.0 - 1e-9
     tiny["lhs"] *= 1.0 - 1e-13                      # below the 1e-12 threshold
     (edited / path.name).write_text(json.dumps(report))
-    rows = _drift_rows(saved, edited)
+    rows = _drift_rows(saved, edited, code=1)
     assert rows[fallen["inequality_id"]][2] == 1
     assert rows[fallen["inequality_id"]][3] == pytest.approx(1e-9, rel=1e-3)
     assert rows["total"][0].startswith("2/")
