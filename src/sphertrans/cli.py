@@ -223,7 +223,6 @@ def _cmd_verify(args) -> int:
             trials=args.trials if args.trials is not None else default_trials(name),
             seed=args.seed,
             tol=args.tol,
-            opt_tol=max(args.tol, 1e-6),
             dmax=args.dmax,
             nmax=args.nmax,
             workers=args.workers,
@@ -257,12 +256,12 @@ def _cmd_fuzz(args) -> int:
         ensemble=args.ensemble,
         workers=args.workers,
     )
-    suite, records, witness, fingerprint = fuzz_inequality(args.inequality_id, cfg)
+    report, records, witness, fingerprint = fuzz_inequality(args.inequality_id, cfg)
     slacks = np.array([r.slack for r in records])
     out = {
         "inequality_id": args.inequality_id,
-        "suite": suite,
-        "trials": args.trials,
+        "suite": report.suite,
+        "trials": report.trials,
         "seed": args.seed,
         "records": len(records),
         "min_slack": float(slacks.min()),

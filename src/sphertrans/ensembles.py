@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .norms import spherical_norm
 from .tuples import OperatorTuple
 
@@ -46,7 +47,7 @@ def random_tuple(d: int, n: int, seed, ensemble: str = "ginibre") -> OperatorTup
         mats = []
         for _ in range(d):
             g = np.triu(_complex_gaussian(rng, n, n), k=1)
-            mats.append(u @ g @ np.conj(u.T))
+            mats.append(u @ g @ linalg.adjoint(u))
     elif ensemble == "contraction":
         base = random_tuple(d, n, rng, "ginibre")
         norm = spherical_norm(base)
@@ -90,7 +91,7 @@ def random_normal_tuple(
         weights = np.sum(np.abs(diags) ** 2, axis=0)
         if min_defect <= 0.0 or np.min(weights) >= min_defect * np.max(weights):
             break
-    mats = [(u * diags[i]) @ np.conj(u.T) for i in range(d)]
+    mats = [(u * diags[i]) @ linalg.adjoint(u) for i in range(d)]
     return OperatorTuple(matrices=tuple(mats))
 
 
@@ -98,5 +99,4 @@ def random_psd(n: int, seed) -> np.ndarray:
     """A random PSD matrix G G* / n."""
     rng = _rng(seed)
     g = _complex_gaussian(rng, n, n)
-    s = g @ np.conj(g.T) / n
-    return (s + np.conj(s.T)) / 2.0
+    return linalg.hermitian_part(g @ linalg.adjoint(g) / n)

@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernel.
 
-Hermitian eigendecompositions, SVD-based norms, PSD fractional powers,
-and the singular values of a stack of matrices, in closed form for 2 x 2.
+Adjoints, Hermitian parts and eigendecompositions, Schatten norms of
+spectra, SVD-based norms, PSD fractional powers, and the singular values
+of a stack of matrices, in closed form for 2 x 2.
 Everything operates on plain complex128 ndarrays and is pure: no caller
 state is mutated, all outputs are fresh arrays.
 """
@@ -44,12 +45,17 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a square matrix or of each of a stack, unvalidated."""
+    return (a + adjoint(a)) / 2.0
+
+
 def real_part(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A*)/2; exactly Hermitian in floating point."""
+    """Hermitian part (A + A*)/2 of a validated square matrix."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"real_part needs a square matrix, got {a.shape}")
-    return (a + adjoint(a)) / 2.0
+    return hermitian_part(a)
 
 
 def trace(a: np.ndarray) -> complex:
@@ -89,7 +95,7 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
             if asym > HERM_RTOL * scale:
                 raise NonHermitianError(f"asymmetry {asym:.3e} exceeds {HERM_RTOL:.0e} * "
                                         f"||A|| = {HERM_RTOL * scale:.3e}")
-        vals, vecs = np.linalg.eigh((a + adjoint(a)) / 2.0)
+        vals, vecs = np.linalg.eigh(hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"factorization failed: {exc}") from exc
     return HermitianEig(values=vals, vectors=vecs)
@@ -195,17 +201,24 @@ def operator_norm(a: np.ndarray) -> float:
     return float(singular_values(a)[0])
 
 
-def schatten_from_singulars(s: np.ndarray, p: float) -> float:
-    """(sum s_j^p)^(1/p) of descending singular values s, scaled by the top
-    value for stability; p = inf gives the top value."""
-    if not p >= 1.0:
-        raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
-    top = float(s[0]) if len(s) else 0.0
-    if top <= 0.0:
-        return 0.0
+def schatten_of_spectra(mags: np.ndarray, p: float) -> np.ndarray:
+    """(sum s_j^p)^(1/p) of each row of nonnegative spectra, p in [1, inf],
+    unvalidated, scaled by the top value for stability; 0 for a zero or
+    empty row.  A stack's final power is numpy's vectorized one, which can
+    differ in the last bit from the scalar power of a one-row call."""
+    top = np.max(mags, axis=-1, initial=0.0)
     if p == np.inf:
         return top
-    return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+    safe = np.where(top > 0.0, top, 1.0)
+    vals = safe * np.sum((mags / safe[..., None]) ** p, axis=-1) ** (1.0 / p)
+    return np.where(top > 0.0, vals, 0.0)
+
+
+def schatten_from_singulars(s: np.ndarray, p: float) -> float:
+    """The Schatten p-norm of one spectrum, p >= 1: schatten_of_spectra of it."""
+    if not p >= 1.0:
+        raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
+    return float(schatten_of_spectra(s, p))
 
 
 def schatten_norm(a: np.ndarray, p: float) -> float:

@@ -103,16 +103,6 @@ def combination(t: OperatorTuple, lam: np.ndarray) -> np.ndarray:
 # Schatten hypo-p-norm: sup ||sum lam_k T_k||_p, p in [1, inf]
 # ---------------------------------------------------------------------------
 
-def _batch_schatten(mags: np.ndarray, p: float) -> np.ndarray:
-    """Schatten p-norms of rows of nonnegative spectra, scaled for stability."""
-    top = np.max(mags, axis=-1)
-    if p == np.inf:
-        return top
-    safe = np.where(top > 0.0, top, 1.0)
-    vals = safe * np.sum((mags / safe[..., None]) ** p, axis=-1) ** (1.0 / p)
-    return np.where(top > 0.0, vals, 0.0)
-
-
 def _dual_weights(mags: np.ndarray, vals: np.ndarray, p: float) -> np.ndarray:
     """Spectral weights of the dual element of the Schatten p-norm.
 
@@ -176,7 +166,7 @@ def _top_right_vectors(m: np.ndarray, v) -> np.ndarray:
     M*M v = 0, so M v = 0, keeps its v."""
     if v is None:
         return np.conj(np.linalg.svd(m)[2][:, 0, :])
-    mh = np.conj(np.swapaxes(m, 1, 2))
+    mh = linalg.adjoint(m)
     for _ in range(_POWER_STEPS):
         w = (mh @ (m @ v[:, :, None]))[:, :, 0]
         nw = np.linalg.norm(w, axis=1)
@@ -212,7 +202,7 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
 
     def objective(rows, blocks):
         m = _per_owner(_combine, stack, rows, blocks)
-        return _batch_schatten(linalg.stack_singular_values(m), p)
+        return linalg.schatten_of_spectra(linalg.stack_singular_values(m), p)
 
     def ascend(rows, blocks, v):
         m = _per_owner(_combine, stack, rows, blocks)
@@ -224,7 +214,7 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
             dual = np.conj(u)[:, :, None] * v[:, None, :]
         else:
             u, s, vh = np.linalg.svd(m)
-            vals = _batch_schatten(s, p)
+            vals = linalg.schatten_of_spectra(s, p)
             dual = np.conj((u * _dual_weights(s, vals, p)[:, None, :]) @ vh)
         return vals, power_step(rows, _per_owner(_contract, flats, dual, blocks)), v
 
@@ -292,7 +282,8 @@ def _hypo_2_norm(t: OperatorTuple) -> SupremumEstimate:
     E = (T, iT), valued by the ascent's objective."""
     mats = t.array
     lam = gauge_fix(_quadratic_argmax(np.concatenate([mats, 1j * mats])))
-    value = _batch_schatten(linalg.stack_singular_values(_combine(mats, lam[None, :])), 2.0)
+    m = _combine(mats, lam[None, :])
+    value = linalg.schatten_of_spectra(linalg.stack_singular_values(m), 2.0)
     return _exact_estimate(value[0], lam)
 
 
@@ -310,14 +301,10 @@ def schatten_hypo_norm_gram(t: OperatorTuple) -> float:
 # real-part supremum: sup_lam ||Re M(lam)||_p on the ungauged sphere
 # ---------------------------------------------------------------------------
 
-def _real_parts(m: np.ndarray) -> np.ndarray:
-    """Re M = (M + M*) / 2 for each matrix of a stack."""
-    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
-
-
 def _real_part_norms(mats: np.ndarray, lam_rows: np.ndarray, p: float) -> np.ndarray:
     """||Re M(lam)||_p for each row of coefficients."""
-    return _batch_schatten(np.abs(np.linalg.eigvalsh(_real_parts(_combine(mats, lam_rows)))), p)
+    h = linalg.hermitian_part(_combine(mats, lam_rows))
+    return linalg.schatten_of_spectra(np.abs(np.linalg.eigvalsh(h)), p)
 
 
 def _reported_at(est: SupremumEstimate, lam: np.ndarray, value: float) -> SupremumEstimate:
@@ -347,9 +334,9 @@ def _real_part_sup(
         return _real_part_norms(mats, rows, p)
 
     def ascend(rows):
-        h, q = np.linalg.eigh(_real_parts(_combine(mats, rows)))
+        h, q = np.linalg.eigh(linalg.hermitian_part(_combine(mats, rows)))
         mags = np.abs(h)
-        vals = _batch_schatten(mags, p)
+        vals = linalg.schatten_of_spectra(mags, p)
         # W = Q diag(sign(h) w) Q*
         wt = np.sign(h) * _dual_weights(mags, vals, p)
         dual = np.einsum("sij,sj,skj->sik", q, wt, np.conj(q))
@@ -365,7 +352,7 @@ def _real_part_2_sup(t: OperatorTuple) -> SupremumEstimate:
     """The exact sup over the unit sphere of ||Re M(lam)||_2: the argmax
     is _quadratic_argmax of E = Re(T, iT), reported by _reported_at."""
     mats = t.array
-    lam = _quadratic_argmax(_real_parts(np.concatenate([mats, 1j * mats])))
+    lam = _quadratic_argmax(linalg.hermitian_part(np.concatenate([mats, 1j * mats])))
     value = float(_real_part_norms(mats, lam[None, :], 2.0)[0])
     return _reported_at(_exact_estimate(value, lam), lam, value)
 
@@ -401,7 +388,7 @@ def _radius_vector_routes(ts, config: OptimizerConfig | None) -> list:
         vals = np.linalg.norm(c, axis=1)
         safe = np.where(vals > 0.0, vals, 1.0)
         lam = np.conj(c) / safe[:, None]
-        _, q = np.linalg.eigh(_real_parts(_per_owner(_combine, stack, lam, blocks)))
+        _, q = np.linalg.eigh(linalg.hermitian_part(_per_owner(_combine, stack, lam, blocks)))
         nxt = q[:, :, -1]
         nxt[vals <= 0.0] = xs[vals <= 0.0]
         return vals, nxt, None

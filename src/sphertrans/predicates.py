@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .norms import _real_parts, spherical_norm
+from .norms import spherical_norm
 from .tuples import OperatorTuple, tuple_from
 
 PREDICATE_RTOL = 1e-9
@@ -61,20 +61,20 @@ def _commutator_residual(t: OperatorTuple) -> float:
 
 def _normality_defects(a: np.ndarray) -> np.ndarray:
     """||A_k* A_k - A_k A_k*||_op for each matrix of a (k, n, n) stack."""
-    adj = np.conj(a.transpose(0, 2, 1))
+    adj = linalg.adjoint(a)
     return np.linalg.svd(adj @ a - a @ adj, compute_uv=False)[:, 0]
 
 
 def _quasinormality_defects(a: np.ndarray) -> np.ndarray:
     """||A_k (A_k* A_k) - (A_k* A_k) A_k||_op for each matrix of a stack."""
-    s = np.conj(a.transpose(0, 2, 1)) @ a
+    s = linalg.adjoint(a) @ a
     return np.linalg.svd(a @ s - s @ a, compute_uv=False)[:, 0]
 
 
 def _hyponormality_defects(a: np.ndarray) -> np.ndarray:
     """The most negative eigenvalue of A_k* A_k - A_k A_k*, clipped at 0."""
-    adj = np.conj(a.transpose(0, 2, 1))
-    low = np.linalg.eigvalsh(_real_parts(adj @ a - a @ adj))[:, 0]
+    adj = linalg.adjoint(a)
+    low = np.linalg.eigvalsh(linalg.hermitian_part(adj @ a - a @ adj))[:, 0]
     return np.where(low < 0.0, -low, 0.0)
 
 
@@ -118,9 +118,9 @@ def is_hyponormal_single(a, tol: float | None = None) -> PredicateResult:
 
 def commutator_block_matrix(t: OperatorTuple) -> np.ndarray:
     """The d x d block matrix with block (i, j) = [T_j*, T_i]."""
-    ti, tj_adj = t.array[:, None], np.conj(t.array.transpose(0, 2, 1))[None]
+    ti, tj_adj = t.array[:, None], linalg.adjoint(t.array)[None]
     out = (tj_adj @ ti - ti @ tj_adj).transpose(0, 2, 1, 3).reshape(t.d * t.n, -1)
-    return (out + linalg.adjoint(out)) / 2.0
+    return linalg.hermitian_part(out)
 
 
 def is_jointly_hyponormal(t: OperatorTuple, tol: float | None = None) -> PredicateResult:

@@ -113,12 +113,16 @@ class SuiteConfig:
     trials: int
     seed: int = 42
     tol: float = 1e-8          # slack scale for closed-form sides
-    opt_tol: float = 1e-6      # slack scale for optimized sides
     dmax: int = 4
     nmax: int = 6
     ensemble: str | None = None   # force one ensemble (used by fuzzing)
     workers: int | None = None
     opt: OptimizerConfig = field(default_factory=lambda: _SUITE_OPT)
+
+    @property
+    def opt_tol(self) -> float:
+        """The slack scale for optimized sides, never below 1e-6."""
+        return max(self.tol, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +203,7 @@ def _sample_equality(s, rng, base):
     u = np.linalg.qr(
         (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     )[0]
-    b = np.conj(u.T) @ a @ u
-    b = (b + linalg.adjoint(b)) / 2.0
+    b = linalg.hermitian_part(linalg.adjoint(u) @ a @ u)
     coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     c = sum(cf * np.linalg.matrix_power(a, k) for k, cf in enumerate(coeffs))
     s.triple = HeinzTriple(a, b, c @ u, nu, u)
@@ -815,10 +818,8 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
         raise InvalidParameterError(f"nmax={cfg.nmax} must be >= 2")
     if cfg.workers is not None and cfg.workers < 1:
         raise InvalidParameterError(f"workers={cfg.workers} must be >= 1")
-    for name in ("tol", "opt_tol"):
-        value = getattr(cfg, name)
-        if not 0.0 <= value < np.inf:
-            raise InvalidParameterError(f"{name}={value} must be finite and >= 0")
+    if not 0.0 <= cfg.tol < np.inf:
+        raise InvalidParameterError(f"tol={cfg.tol} must be finite and >= 0")
     if cfg.ensemble is not None and suite not in _ENSEMBLE_SUITES:
         raise InvalidParameterError(f"ensemble={cfg.ensemble!r} applies only to suites "
                                     f"{', '.join(_ENSEMBLE_SUITES)}, not {suite}")
@@ -865,8 +866,8 @@ def default_trials(suite: str) -> int:
 def fuzz_inequality(inequality_id: str, cfg: SuiteConfig):
     """Scan trials of the owning suite, keeping only one inequality's records.
 
-    Returns (suite, records, witness_tuple, witness_fingerprint) where the
-    witness is the row's sampled object in the minimum-slack trial.
+    Returns (report, records, witness_tuple, witness_fingerprint): the owning
+    suite's report and the row's sampled object in the minimum-slack trial.
     """
     row = next((r for r in TABLE if r.id == inequality_id), None)
     if row is None:
@@ -878,4 +879,4 @@ def fuzz_inequality(inequality_id: str, cfg: SuiteConfig):
             f"trials={report.trials} produced no record of {inequality_id!r}")
     worst = min(records, key=lambda r: r.slack)
     witness = _Store(row.suite, cfg, worst.fingerprint["trial"]).artifact(row.artifact)
-    return row.suite, records, witness, worst.fingerprint
+    return report, records, witness, worst.fingerprint

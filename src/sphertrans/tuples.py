@@ -105,7 +105,7 @@ def zero_tuple(d: int, n: int) -> OperatorTuple:
 
 
 def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple(matrices=np.conj(t.array.transpose(0, 2, 1)))
+    return OperatorTuple(matrices=linalg.adjoint(t.array))
 
 
 def tuple_product(t: OperatorTuple, s: OperatorTuple) -> OperatorTuple:
@@ -157,11 +157,11 @@ class SphericalPolar:
 
     @property
     def d(self) -> int:
-        return len(self.v)
+        return self.v.shape[-3]
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
     def __getitem__(self, i) -> SphericalPolar:
         return SphericalPolar(v=self.v[i], p=self.p[i], rank=int(self.rank[i]),
@@ -174,7 +174,8 @@ class SphericalPolar:
         return linalg.psd_power_from_eig(self.eigvals, self.eigvecs, t)
 
     def range_projection(self) -> np.ndarray:
-        """Spectral projection onto range(P) at the stored rank cut."""
+        """Spectral projection onto range(P) at the stored rank cut, for one
+        tuple's decomposition (a polar_stack one raises ValueError)."""
         keep = self.eigvals > self.rank_tol
         q = self.eigvecs[:, keep]
         return q @ linalg.adjoint(q)
@@ -200,8 +201,7 @@ def polar_stack(arrays: np.ndarray) -> SphericalPolar:
     tol = RANK_RTOL * np.where(top > 0, top, 0.0)
     keep = pvals > tol[:, None]
     pvals = np.where(keep, pvals, 0.0)
-    p = (q * pvals[:, None, :]) @ linalg.adjoint(q)
-    p = (p + linalg.adjoint(p)) / 2.0
+    p = linalg.hermitian_part((q * pvals[:, None, :]) @ linalg.adjoint(q))
     inv = np.zeros_like(pvals)
     inv[keep] = 1.0 / pvals[keep]
     pinv = (q * inv[:, None, :]) @ linalg.adjoint(q)

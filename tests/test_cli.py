@@ -194,6 +194,15 @@ class TestFuzz:
         doc = read_tuple(witness)
         assert doc.tuple.d == out["witness_fingerprint"]["d"]
 
+    def test_fuzz_prints_the_trials_that_ran(self, capsys):
+        # the sharpness suite runs once, whatever --trials asks for
+        code = main(["fuzz", "--inequality-id", "sharp.column_pair.hypo", "--trials", "50",
+                     "--workers", "1"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["suite"], out["trials"]) == ("sharpness", 1)
+        assert out["witness_fingerprint"]["trial"] == 0
+
     def test_fuzz_zero_trials_exits_3(self, capsys):
         code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "0",
                      "--workers", "1"])

@@ -216,6 +216,8 @@ class TestNorms:
         s = np.array([3.0, 2.0, 2.0, 0.0])
         assert linalg.schatten_from_singulars(s, np.inf) == 3.0
         assert linalg.schatten_from_singulars(np.zeros(3), np.inf) == 0.0
+        for p in (1.0, 3.0, np.inf):
+            assert linalg.schatten_from_singulars(np.zeros(0), p) == 0.0
 
     def test_operator_norm_is_top_singular_value(self):
         a = cmat([[0, 3], [0, 0]])
@@ -279,3 +281,50 @@ class TestStackSingularValues:
         m = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
         assert np.array_equal(linalg.stack_singular_values(m),
                               np.linalg.svd(m, compute_uv=False))
+
+
+def _spectra():
+    """300 descending spectra of length 5, then an all-zero one."""
+    rng = np.random.default_rng(23)
+    s = -np.sort(-np.abs(rng.standard_normal((300, 5))), axis=1)
+    return np.vstack([s, np.zeros(5)])
+
+
+class TestMergedKernels:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    def test_one_spectrum_is_the_stack_kernel(self, p):
+        spectra = _spectra()
+        rows = linalg.schatten_of_spectra(spectra, p)
+        one = np.array([linalg.schatten_from_singulars(s, p) for s in spectra])
+        assert np.array_equal(one, [float(linalg.schatten_of_spectra(s, p)) for s in spectra])
+        assert one[-1] == 0.0
+        if p in (1.0, np.inf):
+            assert np.array_equal(one, rows)
+        else:
+            # a stack takes its 1/p-th power by numpy's vectorized power, which
+            # can differ from the scalar power of one spectrum in the last bit;
+            # times the top value, that is at most 2 ulps of the norm
+            assert np.all(np.abs(one - rows) <= 2.0 * np.spacing(one))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    def test_one_spectrum_keeps_the_top_scaled_formula(self, p):
+        for s in _spectra()[:-1]:
+            top = float(s[0])
+            ref = top if p == np.inf else top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+            assert linalg.schatten_from_singulars(s, p) == ref
+
+    def test_hermitian_part_of_a_stack_is_exactly_hermitian(self):
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        h = linalg.hermitian_part(a)
+        assert h.shape == a.shape
+        assert np.array_equal(h, np.conj(np.swapaxes(h, 1, 2)))
+        for m, hm in zip(a, h):
+            assert np.array_equal(hm, linalg.real_part(m))
+
+    @pytest.mark.parametrize("bad, error", [(np.ones((2, 3)), NonSquareError),
+                                            (np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError),
+                                            (np.array([[np.inf, 0.0], [0.0, 1.0]]), ValueError)])
+    def test_real_part_still_validates(self, bad, error):
+        with pytest.raises(error):
+            linalg.real_part(bad)

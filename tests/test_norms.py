@@ -421,7 +421,7 @@ class TestExactP2:
         # the radius is valued at the ungauged argmax e^{i theta} argmax
         for t, hypo, _, radius, _ in p2_grid:
             m = norms._combine(t.array, hypo.argmax.coeffs[None, :])
-            assert hypo.value == norms._batch_schatten(
+            assert hypo.value == linalg.schatten_of_spectra(
                 linalg.stack_singular_values(m), 2.0)[0]
             lam = np.exp(1j * radius.theta) * radius.argmax.coeffs
             assert radius.value == pytest.approx(

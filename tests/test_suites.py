@@ -175,6 +175,18 @@ class TestSuiteRuns:
         with pytest.raises(ValueError):
             run_suite("s9", SuiteConfig(trials=1))
 
+    @pytest.mark.parametrize("tol, opt_tol", [(1e-8, 1e-6), (1e-6, 1e-6), (1e-5, 1e-5)])
+    def test_opt_tol_is_tol_floored_at_1e_6(self, tol, opt_tol):
+        assert SuiteConfig(trials=1, tol=tol).opt_tol == opt_tol
+
+    def test_opt_tol_is_not_settable(self):
+        with pytest.raises(TypeError):
+            SuiteConfig(trials=1, opt_tol=1e-3)
+
+    def test_report_carries_the_computed_opt_tol(self):
+        rep = run_suite("sharpness", SuiteConfig(trials=1, tol=1e-5, workers=1))
+        assert (rep.tol, rep.opt_tol) == (1e-5, 1e-5)
+
     def test_ensemble_override(self):
         rep = run_suite("s3", SuiteConfig(trials=6, workers=1, ensemble="ginibre"))
         for rec in rep.records:
@@ -473,10 +485,10 @@ class TestTightnessStats:
 
 class TestFuzz:
     def test_fuzz_returns_witness(self):
-        suite, records, witness, fingerprint = fuzz_inequality(
+        report, records, witness, fingerprint = fuzz_inequality(
             "sp.heinz_r0.mean", SuiteConfig(trials=8, workers=1)
         )
-        assert suite == "s3"
+        assert (report.suite, report.trials) == ("s3", 8)
         assert len(records) == 8
         assert witness is not None
         assert witness.d == fingerprint["d"]

@@ -12,6 +12,7 @@ from sphertrans.tuples import (
     adjoint_tuple,
     block_embedding,
     defect_operator,
+    polar_stack,
     spherical_polar,
     tuple_from,
     tuple_power,
@@ -67,6 +68,14 @@ class TestSphericalPolar:
             assert np.allclose(v, m, atol=1e-12)
         svv = sum(np.conj(v.T) @ v for v in polar.v)
         assert np.allclose(svv, np.eye(2), atol=1e-12)
+
+    def test_stack_reads_the_shape_of_one_tuple(self):
+        # four 3-tuples of 5 x 5 matrices
+        polar = polar_stack(np.stack([random_tuple(3, 5, seed).array for seed in range(4)]))
+        assert (polar.d, polar.n) == (3, 5)
+        assert (polar[2].d, polar[2].n) == (3, 5)
+        with pytest.raises(ValueError):
+            polar.range_projection()
 
     def test_zero_tuple(self):
         polar = spherical_polar(zero_tuple(2, 3))
