@@ -206,12 +206,12 @@ def schatten_of_spectra(mags: np.ndarray, p: float) -> np.ndarray:
     unvalidated, scaled by the top value for stability; 0 for a zero or
     empty row.  A stack's final power is numpy's vectorized one, which can
     differ in the last bit from the scalar power of a one-row call."""
-    top = np.max(mags, axis=-1, initial=0.0)
+    # ndarray methods and no np.where: the one-row case runs once per norm
+    top = mags.max(axis=-1, initial=0.0)
     if p == np.inf:
         return top
-    safe = np.where(top > 0.0, top, 1.0)
-    vals = safe * np.sum((mags / safe[..., None]) ** p, axis=-1) ** (1.0 / p)
-    return np.where(top > 0.0, vals, 0.0)
+    safe = top + (top == 0.0)      # a zero row is divided by 1 and stays 0
+    return safe * ((mags / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
 
 
 def schatten_from_singulars(s: np.ndarray, p: float) -> float:
