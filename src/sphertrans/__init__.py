@@ -11,11 +11,8 @@ from .ensembles import (
 from .linalg import (
     hermitian_eig,
     operator_norm,
-    psd_power,
     real_part,
     schatten_norm,
-    svd,
-    trace,
 )
 from .norms import (
     euclidean_norm,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InvalidParameterError,
     InvalidPError,
     NonHermitianError,
     NonSquareError,
@@ -56,13 +55,6 @@ def real_part(a: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"real_part needs a square matrix, got {a.shape}")
     return hermitian_part(a)
-
-
-def trace(a: np.ndarray) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
 
 
 @dataclass(frozen=True)
@@ -145,23 +137,6 @@ def psd_powers(p: np.ndarray):
         raise NotPSDError(f"eigenvalue {low:.3e} below -{clip:.3e}")
     vals = np.clip(vals, 0.0, None)
     return lambda r: psd_power_from_eig(vals, eig.vectors, r)
-
-
-def psd_power(p: np.ndarray, t: float) -> np.ndarray:
-    """P^t for PSD P and t in [0, 1], via eigendecomposition, clipped as
-    psd_powers documents."""
-    if not 0.0 <= t <= 1.0:
-        raise InvalidParameterError(f"power exponent t={t} outside [0, 1]")
-    return psd_powers(p)(t)
-
-
-def svd(a: np.ndarray):
-    """Full SVD (U, s, Vh) with singular values descending."""
-    a = as_matrix(a)
-    try:
-        return np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"svd failed: {exc}") from exc
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

@@ -4,32 +4,39 @@ Closed-form quantities (spherical, Euclidean and Schatten norms) come
 straight from explicit SVDs; P's spectrum is the singular values of the
 stacked column.  Supremum quantities (hypo-norms, joint radii) are
 estimated with sphere_optimize; each passes a bare minorize-maximize
-step derived from the dual element of the norm being maximized, costing
-one small batched factorization, and sphere_optimize accelerates it
-with SQUAREM.  The operator hypo-norm is the p = inf case of the
-Schatten hypo-p-norm, with the dual element taken on the top singular
-pair only.  Its step needs no SVD after an ascent's first call: each
-row carries its top right singular vector v from call to call, refines
-it by power steps and returns the minorant ||M(lam) v||, never lowered
-from one step to the next; sphere_optimize values each winner by the
-full singular values.  Those come from linalg.stack_singular_values, in
-closed form for 2 x 2 matrices, so a 2 x 2 tuple's escalation screen of
-100k points makes no LAPACK call; the ascent steps keep LAPACK's SVD,
-which also gives the singular vectors.  The hypo-p-norms and radius
-route (a) of several same-shape tuples are estimated by one batched
-ascent (_hypo_p_norms, _radius_vector_routes), each equal to the
-estimate of its tuple alone; the public estimators are their one-tuple
-case.  Every ascent runs on its tuple divided by a power of two near the
-largest entry, which is exact, so its estimate scales with the tuple
-(_binary_scaled).
+step, costing one small batched factorization, and sphere_optimize
+accelerates it with SQUAREM.  The step is the same for every Schatten
+supremum (_dual_element): factor the matrix X(lam) whose p-norm is
+maximized as X = L diag(s) R with L, R unitary and s >= 0; its dual
+element is W = L diag(w) R, w = (s / ||X||_p)^(p-1), and the step moves
+lam to conj(a)/|a| with a_k = tr(W* T_k).  The hypo-p-norm step at
+p < inf takes X = M(lam) = sum lam_k T_k from its SVD U S V*, the
+real-part step takes X = Re M(lam) from its eigendecomposition
+Q diag(h) Q*, as (Q sign(h), |h|, Q*).  The operator hypo-norm is the
+p = inf case of the Schatten hypo-p-norm, with the dual element taken on
+the top singular pair only, W = u v*.  Its step needs no SVD after an
+ascent's first call: each row carries its top right singular vector v
+from call to call, refines it by power steps and returns the minorant
+||M(lam) v||, never lowered from one step to the next; sphere_optimize
+values each winner by the full singular values.  Those come from
+linalg.stack_singular_values, in closed form for 2 x 2 matrices, so a
+2 x 2 tuple's escalation screen of 100k points makes no LAPACK call; the
+ascent steps keep LAPACK's SVD, which also gives the singular vectors.
+The hypo-p-norms and radius route (a) of several same-shape tuples are
+estimated by one batched ascent (_hypo_p_norms, _radius_vector_routes),
+each equal to the estimate of its tuple alone; the public estimators are
+their one-tuple case.  Every ascent runs on its tuple divided by a power
+of two near the largest entry, which is exact, so its estimate scales
+with the tuple (_binary_scaled).
 
 The radii sup_(lam, theta) ||Re(e^{i theta} M(lam))||_p, with
 M(lam) = sum lam_k T_k, need no theta sweep: the unit sphere is
 invariant under lam -> e^{i theta} lam, so they equal
-sup_lam ||Re M(lam)||_p over the ungauged sphere.  One dual-ascent step
-serves p in [1, inf].  The joint numerical radius is its p = inf case:
-joint_numerical_radius runs that ascent (route b) and one over unit
-vectors (route a), each a check on the other, and reports the larger.
+sup_lam ||Re M(lam)||_p over the ungauged sphere, ascended by the
+real-part dual-element step for every p in [1, inf].  The joint
+numerical radius is its p = inf case: joint_numerical_radius runs that
+ascent (route b) and one over unit vectors (route a), each a check on
+the other, and reports the larger.
 numerical_radius(A) is the d = 1 case.  Every radius is reported under
 one contract: argmax is gauge-fixed, theta is the phase the gauge
 removed, and value == ||Re(e^{i theta} M(argmax))||_p exactly.
@@ -103,14 +110,26 @@ def combination(t: OperatorTuple, lam: np.ndarray) -> np.ndarray:
 # Schatten hypo-p-norm: sup ||sum lam_k T_k||_p, p in [1, inf]
 # ---------------------------------------------------------------------------
 
-def _dual_weights(mags: np.ndarray, vals: np.ndarray, p: float) -> np.ndarray:
-    """Spectral weights of the dual element of the Schatten p-norm.
+def _dual_element(left: np.ndarray, mags: np.ndarray, right: np.ndarray, p: float) -> tuple:
+    """(||M||_p, conj(W)) for each M = left diag(mags) right of a stack,
+    with W = left diag(w) right the dual element of the Schatten p-norm
+    at M, p in [1, inf].  mags >= 0, and left and right are unitary, but a
+    column of left may be 0 where mags is 0 (eigh's Q sign(h)).
 
-    (mags / ||mags||_p)^(p-1), scaled for stability.  At p = inf only one
-    largest entry gets weight 1: all-ones weights on tied entries would
-    give the dual element norm above 1 and break the minorization.  Rows
-    of norm zero get zero weights.
+    w = (mags / ||M||_p)^(p-1), scaled for stability, so ||W||_q <= 1 for
+    1/p + 1/q = 1 and tr(W* M) = ||M||_p.  At p = inf only one largest
+    entry gets weight 1: all-ones weights on tied entries would give W
+    norm above 1 and break the minorization.  Rows of norm zero get zero
+    weights.
+
+    This is the minorize-maximize step of every Schatten ascent.  Let
+    M = X(lam) with X(lam) = sum lam_k T_k, or its Hermitian part for a
+    Hermitian W, so that Re tr(W* X(lam)) = Re sum lam_k a_k with
+    a_k = tr(W* T_k), which _contract computes from conj(W).  Then the
+    step lam' = conj(a)/|a| gives, by Hoelder,
+    ||X(lam')||_p >= Re tr(W* X(lam')) = |a| >= Re tr(W* X(lam)) = ||M||_p.
     """
+    vals = linalg.schatten_of_spectra(mags, p)
     if p == np.inf:
         w = np.zeros_like(mags)
         w[np.arange(len(mags)), np.argmax(mags, axis=1)] = 1.0
@@ -120,7 +139,7 @@ def _dual_weights(mags: np.ndarray, vals: np.ndarray, p: float) -> np.ndarray:
         vsafe = np.where(vals > 0.0, vals, 1.0)
         w = (mags / tsafe[:, None]) ** (p - 1.0) * ((tsafe / vsafe) ** (p - 1.0))[:, None]
     w[vals <= 0.0] = 0.0
-    return w
+    return vals, np.conj((left * w[:, None, :]) @ right)
 
 
 def _binary_scaled(mats: np.ndarray) -> tuple:
@@ -178,12 +197,10 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
     """sup over the coefficient sphere of ||M(lam)||_p, p in [1, inf], for
     each of the same-shape tuples ts, by one batched ascent.
 
-    Minorize-maximize on the dual element W = U diag(w) V* of M = U S V*:
-    with a_k = tr(W* T_k) the step lam' = conj(a)/|a| gives
-    ||M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||M(lam)||_p.
-    Each owner's rows are combined and contracted with its own tuple, one
-    gemm per owner; one SVD serves every row.  Each tuple is ascended at
-    unit scale (_binary_scaled).
+    At p < inf each step is _dual_element's on the SVD M = U S V*.  Each
+    owner's rows are combined and contracted with its own tuple, one gemm
+    per owner; one SVD serves every row.  Each tuple is ascended at unit
+    scale (_binary_scaled).
 
     At p = inf the dual element is W = u v* for a unit v and
     u = M v / ||M v||, so a_k = u* T_k v, and the step returns the
@@ -213,9 +230,7 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
             u = mv / np.where(vals > 0.0, vals, 1.0)[:, None]
             dual = np.conj(u)[:, :, None] * v[:, None, :]
         else:
-            u, s, vh = np.linalg.svd(m)
-            vals = linalg.schatten_of_spectra(s, p)
-            dual = np.conj((u * _dual_weights(s, vals, p)[:, None, :]) @ vh)
+            vals, dual = _dual_element(*np.linalg.svd(m), p)
         return vals, power_step(rows, _per_owner(_contract, flats, dual, blocks)), v
 
     ests = sphere_optimize_batch(objective, ts[0].d, len(ts), config, ascend=ascend,
@@ -320,28 +335,23 @@ def _real_part_sup(
 ) -> SupremumEstimate:
     """sup over the ungauged unit sphere of ||Re M(lam)||_p, p in [1, inf].
 
-    Each ascent step is minorize-maximize on the Hermitian dual element
-    W of H = Re M(lam): ||W||_q = 1 and tr(W H) = ||H||_p, so with
-    a_k = tr(W T_k) the step lam' = conj(a)/|a| gives
-    ||Re M(lam')||_p >= Re sum lam'_k a_k = |a| >= ||H||_p.
-    The objective changes under lam -> e^{i theta} lam, so rows are not
-    gauged while they ascend; the winner is reported by _reported_at.  The
-    ascent runs at unit scale (_binary_scaled).
+    Each step is _dual_element's on Re M(lam) = Q diag(h) Q*, factored
+    as (Q sign(h), |h|, Q*), so W is Hermitian.  The objective changes
+    under lam -> e^{i theta} lam, so rows are not gauged while they
+    ascend; the winner is reported by _reported_at.  The ascent runs at
+    unit scale (_binary_scaled).  It is a one-tuple sphere_optimize run,
+    not a batch: every caller asks for one supremum at a time.
     """
     mats, scale = _binary_scaled(t.array)
+    flat = mats.reshape(t.d, -1)
 
     def objective(rows):
         return _real_part_norms(mats, rows, p)
 
     def ascend(rows):
         h, q = np.linalg.eigh(linalg.hermitian_part(_combine(mats, rows)))
-        mags = np.abs(h)
-        vals = linalg.schatten_of_spectra(mags, p)
-        # W = Q diag(sign(h) w) Q*
-        wt = np.sign(h) * _dual_weights(mags, vals, p)
-        dual = np.einsum("sij,sj,skj->sik", q, wt, np.conj(q))
-        a = np.einsum("sij,kji->sk", dual, mats)
-        return vals, power_step(rows, a)
+        vals, dual = _dual_element(q * np.sign(h)[:, None, :], np.abs(h), linalg.adjoint(q), p)
+        return vals, power_step(rows, _contract(flat, dual))
 
     est = _rescaled(sphere_optimize(objective, t.d, config, ascend=ascend,
                                     phase_invariant=False, warm_starts=warm_starts), scale)

@@ -715,23 +715,65 @@ def _full_svd_hypo_norm(t, cfg) -> float:
     return sphere_optimize(objective, t.d, cfg, ascend=ascend).value * scale
 
 
-def _hypo_maps(monkeypatch, t, p=float("inf")):
-    """The (objective, ascend) pair that the hypo-p-norm ascent of t hands
-    sphere_optimize_batch; at p = inf, that of hypo_norm(t)."""
+def _captured_maps(monkeypatch, optimizer, run):
+    """The (objective, ascend) pair that run() hands norms.<optimizer>."""
     maps = {}
-    real = norms.sphere_optimize_batch
+    real = getattr(norms, optimizer)
 
     def capture(objective, *args, ascend=None, **kwargs):
         maps.update(objective=objective, ascend=ascend)
         return real(objective, *args, ascend=ascend, **kwargs)
 
-    monkeypatch.setattr(norms, "sphere_optimize_batch", capture)
-    norms._hypo_p_norms((t,), p, CFG)
+    monkeypatch.setattr(norms, optimizer, capture)
+    run()
     return maps["objective"], maps["ascend"]
+
+
+def _hypo_maps(monkeypatch, t, p=float("inf")):
+    """The (objective, ascend) pair that the hypo-p-norm ascent of t hands
+    sphere_optimize_batch; at p = inf, that of hypo_norm(t)."""
+    return _captured_maps(monkeypatch, "sphere_optimize_batch",
+                          lambda: norms._hypo_p_norms((t,), p, CFG))
+
+
+def _real_part_maps(monkeypatch, t, p):
+    """The (objective, ascend) pair that schatten_numerical_radius(t, p)
+    hands sphere_optimize, in _hypo_maps's batched form."""
+    objective, ascend = _captured_maps(monkeypatch, "sphere_optimize",
+                                       lambda: norms.schatten_numerical_radius(t, p, CFG))
+    return (lambda rows, blocks: objective(rows),
+            lambda rows, blocks, state: (*ascend(rows), None))
 
 
 # 40 fixed tuples over (d, n) in 2..4 x 2..6 and the three ensembles
 CARRIED_TUPLES = [(2 + k % 3, 2 + k % 5, k, BATCH_ENSEMBLES[k // 15]) for k in range(40)]
+
+
+def _check_bare_steps(objective, ascend, d, exact, rel=1e-15):
+    """40 bare steps from 16 random rows: each value is at least the value
+    one step before and at most the objective at its row, equal to it
+    when exact, all to a relative rel."""
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((16, d)) + 1j * rng.standard_normal((16, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    blocks = ((0, slice(None)),)
+    state, before = None, None
+    for _ in range(40):
+        vals, nxt, state = ascend(rows, blocks, state)
+        at_rows = objective(rows, blocks)
+        assert np.all(vals <= at_rows * (1.0 + rel))
+        if exact:
+            assert np.all(vals >= at_rows * (1.0 - rel))
+        if before is not None:
+            assert np.all(vals >= before * (1.0 - rel))
+        before, rows = vals, nxt
+
+
+# the dual-element steps value their rows by another factorization than
+# the objective (svd against closed-form 2 x 2 values, eigh against
+# eigvalsh) and sum the norm in another order; over TestDualElementStep's
+# tuples the gap and the falls stay under 7 eps
+_DUAL_STEP_REL = 1e-14
 
 
 class TestCarriedTopVector:
@@ -766,20 +808,47 @@ class TestCarriedTopVector:
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 5), (4, 6)])
     @pytest.mark.parametrize("ensemble", BATCH_ENSEMBLES)
     def test_minorant_never_falls(self, monkeypatch, d, n, ensemble):
-        # bare steps from 16 random rows: each value is at most the norm
-        # at its row and at least the value one step before, to rounding
         objective, ascend = _hypo_maps(monkeypatch, random_tuple(d, n, 7, ensemble))
-        rng = np.random.default_rng(0)
-        rows = rng.standard_normal((16, d)) + 1j * rng.standard_normal((16, d))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        blocks = ((0, slice(None)),)
-        state, before = None, None
-        for _ in range(40):
-            vals, nxt, state = ascend(rows, blocks, state)
-            assert np.all(vals <= objective(rows, blocks) * (1.0 + 1e-15))
-            if before is not None:
-                assert np.all(vals >= before * (1.0 - 1e-15))
-            before, rows = vals, nxt
+        _check_bare_steps(objective, ascend, d, exact=False)
+
+
+class TestDualElementStep:
+    """The hypo-p-norm step at p < inf and the real-part step at every p
+    move to lam' = conj(a)/|a| with a_k = tr(W* T_k), W from _dual_element:
+    each returns the norm at its rows and never lowers it."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, INF])
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["svd", "eigh"])
+    def test_dual_element_norms_the_matrix(self, hermitian, p):
+        # tr(W* M) = ||M||_p and ||W||_q = 1, 1/p + 1/q = 1
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4))
+        if hermitian:
+            m = linalg.hermitian_part(m)
+            h, q = np.linalg.eigh(m)
+            vals, dual = norms._dual_element(q * np.sign(h)[:, None, :], np.abs(h),
+                                             linalg.adjoint(q), p)
+        else:
+            vals, dual = norms._dual_element(*np.linalg.svd(m), p)
+        assert np.allclose(vals, [linalg.schatten_norm(x, p) for x in m], rtol=1e-14)
+        assert np.allclose(np.sum(dual * m, axis=(1, 2)), vals, rtol=1e-13, atol=0.0)
+        conjugate = INF if p == 1.0 else 1.0 if p == INF else p / (p - 1.0)
+        assert np.allclose([linalg.schatten_norm(np.conj(w), conjugate) for w in dual], 1.0,
+                           rtol=1e-13)
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 5), (4, 6)])
+    @pytest.mark.parametrize("ensemble", BATCH_ENSEMBLES)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_hypo_step_never_falls(self, monkeypatch, p, ensemble, d, n):
+        objective, ascend = _hypo_maps(monkeypatch, random_tuple(d, n, 7, ensemble), p)
+        _check_bare_steps(objective, ascend, d, exact=True, rel=_DUAL_STEP_REL)
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 5), (4, 6)])
+    @pytest.mark.parametrize("ensemble", BATCH_ENSEMBLES)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, INF])
+    def test_real_part_step_never_falls(self, monkeypatch, p, ensemble, d, n):
+        objective, ascend = _real_part_maps(monkeypatch, random_tuple(d, n, 7, ensemble), p)
+        _check_bare_steps(objective, ascend, d, exact=True, rel=_DUAL_STEP_REL)
 
 
 @pytest.fixture(scope="module")

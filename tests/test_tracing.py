@@ -7,6 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
+from sphertrans import norms
+from sphertrans.ensembles import random_tuple
+from sphertrans.optimize import OptimizerConfig
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # known stale target: the pattern polish was deleted, and the tracer still wraps it
@@ -33,3 +37,18 @@ def test_every_trace_target_exists_but_the_known_stale_one(capsys):
     missing = [line for line in capsys.readouterr().err.splitlines()
                if line.startswith("perfbench: trace target")]
     assert missing == KNOWN_MISSING
+
+
+def test_schatten_radius_runs_on_sphere_optimize():
+    # perfbench's tests pin norms.sphere_optimize and count its calls in
+    # s4; the tracer does not wrap sphere_optimize_batch, so a radius
+    # ascent moved there would read 0 calls without failing tier-1
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        norms.schatten_numerical_radius(random_tuple(2, 3, 1), 3.0,
+                                        OptimizerConfig(n_random_starts=2))
+    finally:
+        patches.undo()
+    assert tracer.calls["optimize.sphere_optimize"] == 1
