@@ -10,8 +10,6 @@ from .ensembles import (
 )
 from .linalg import (
     hermitian_eig,
-    operator_norm,
-    real_part,
     schatten_norm,
 )
 from .norms import (
@@ -35,7 +33,6 @@ from .optimize import (
 from .predicates import (
     Classification,
     classify,
-    is_commuting,
     is_hyponormal_single,
     is_jointly_hyponormal,
     is_normal_tuple,
@@ -66,14 +63,10 @@ from .tuples import (
     BlockEmbedding,
     OperatorTuple,
     SphericalPolar,
-    adjoint_tuple,
     block_embedding,
     defect_operator,
     spherical_polar,
     tuple_from,
-    tuple_power,
-    tuple_product,
-    zero_tuple,
 )
 
 __version__ = "0.1.0"

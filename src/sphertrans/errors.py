@@ -31,3 +31,7 @@ class InvalidParameterError(SphertransError):
 
 class DimensionMismatchError(SphertransError):
     """Operands act on different spaces."""
+
+
+class OutOfRangeError(SphertransError):
+    """A quantity the computation needs overflows float64."""

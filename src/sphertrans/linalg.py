@@ -49,14 +49,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + adjoint(a)) / 2.0
 
 
-def real_part(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A*)/2 of a validated square matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"real_part needs a square matrix, got {a.shape}")
-    return hermitian_part(a)
-
-
 @dataclass(frozen=True)
 class HermitianEig:
     """Eigendecomposition A = Q diag(values) Q* with values ascending."""
@@ -139,14 +131,6 @@ def psd_powers(p: np.ndarray):
     return lambda r: psd_power_from_eig(vals, eig.vectors, r)
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"svd failed: {exc}") from exc
-
-
 def stack_singular_values(m: np.ndarray) -> np.ndarray:
     """The descending singular values of each matrix of a (k, n, n) stack.
 
@@ -171,11 +155,6 @@ def stack_singular_values(m: np.ndarray) -> np.ndarray:
     return np.stack([s1, s2], axis=-1) * scale[..., None]
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(singular_values(a)[0])
-
-
 def schatten_of_spectra(mags: np.ndarray, p: float) -> np.ndarray:
     """(sum s_j^p)^(1/p) of each row of nonnegative spectra, p in [1, inf],
     unvalidated, scaled by the top value for stability; 0 for a zero or
@@ -197,5 +176,9 @@ def schatten_from_singulars(s: np.ndarray, p: float) -> float:
 
 
 def schatten_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm from an explicit SVD."""
-    return schatten_from_singulars(singular_values(a), p)
+    """Schatten p-norm of a validated matrix, from its singular values."""
+    try:
+        s = np.linalg.svd(as_matrix(a), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"svd failed: {exc}") from exc
+    return schatten_from_singulars(s, p)

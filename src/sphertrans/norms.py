@@ -101,11 +101,6 @@ def _combine(mats: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
     return (lam_rows @ mats.reshape(d, n * n)).reshape(-1, n, n)
 
 
-def combination(t: OperatorTuple, lam: np.ndarray) -> np.ndarray:
-    """sum_k lam_k T_k; rows of coefficients give a stack of matrices."""
-    return np.einsum("...k,kij->...ij", np.asarray(lam, dtype=np.complex128), t.array)
-
-
 # ---------------------------------------------------------------------------
 # Schatten hypo-p-norm: sup ||sum lam_k T_k||_p, p in [1, inf]
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each predicate returns its residual (an operator-norm or eigenvalue
 magnitude that vanishes exactly when the property holds) together with
 the thresholded flag.  The default tolerance scales with 1 + ||T||^2
-since the residuals are quadratic in the entries.  Every predicate is a
-stack expression with one batched factorization.  Normality,
+since the residuals are quadratic in the entries; the quasinormality ones
+are cubic, so it refuses a tuple with ||T|| > MAX_NORM.  Every predicate
+is a stack expression with one batched factorization.  Normality,
 quasinormality and hyponormality of a matrix have one (k, n, n) kernel
 each: classify applies it to the coordinates, the single-matrix
 predicate to the validated 1-tuple (A).  classify also reports the
@@ -18,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .errors import OutOfRangeError
 from .norms import spherical_norm
-from .tuples import OperatorTuple, tuple_from
+from .tuples import OperatorTuple, product_of, tuple_from
 
 PREDICATE_RTOL = 1e-9
+MAX_NORM = 1e100     # ||T||^3, the scale of the quasinormality residuals, stays finite
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,11 @@ class PredicateResult:
 def _default_tol(t: OperatorTuple, tol: float | None) -> float:
     if tol is not None:
         return tol
-    return PREDICATE_RTOL * (1.0 + spherical_norm(t) ** 2)
+    norm = spherical_norm(t)
+    if norm > MAX_NORM:
+        raise OutOfRangeError(f"||T|| = {norm:.3e} exceeds {MAX_NORM:.0e}: residuals cubic "
+                              "in the entries cannot be computed in float64")
+    return PREDICATE_RTOL * (1.0 + norm ** 2)
 
 
 def _result(residual: float, tol: float) -> PredicateResult:
@@ -81,18 +88,14 @@ def _hyponormality_defects(a: np.ndarray) -> np.ndarray:
 def _single(defects, a, tol: float | None) -> PredicateResult:
     """A stack kernel applied to the validated 1-tuple (A)."""
     t = tuple_from(a)
-    return _result(defects(t.array)[0], _default_tol(t, tol))
+    tol = _default_tol(t, tol)
+    return _result(defects(t.array)[0], tol)
 
 
 def _normal_result(commutator: float, defects: np.ndarray, tol: float) -> PredicateResult:
     """is_normal_tuple from the commutator residual and the coordinate
     normality defects."""
     return _result(max(commutator, float(defects.max())), tol)
-
-
-def is_commuting(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
-    """max_{i<j} ||T_i T_j - T_j T_i||_op against the tolerance."""
-    return _result(_commutator_residual(t), _default_tol(t, tol))
 
 
 def is_normal_single(a, tol: float | None = None) -> PredicateResult:
@@ -102,8 +105,8 @@ def is_normal_single(a, tol: float | None = None) -> PredicateResult:
 
 def is_normal_tuple(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
     """Commuting and each coordinate normal."""
-    return _normal_result(_commutator_residual(t), _normality_defects(t.array),
-                          _default_tol(t, tol))
+    tol = _default_tol(t, tol)
+    return _normal_result(_commutator_residual(t), _normality_defects(t.array), tol)
 
 
 def is_quasinormal_single(a, tol: float | None = None) -> PredicateResult:
@@ -151,7 +154,7 @@ def _block_residual(t: OperatorTuple) -> float:
 def is_square_zero(t: OperatorTuple, tol: float | None = None) -> PredicateResult:
     """All d^2 coordinates of T o T vanish."""
     tol = _default_tol(t, tol)
-    return _result(_max_operator_norm(t.array[:, None] @ t.array[None]), tol)
+    return _result(_max_operator_norm(product_of(t.array, t.array)), tol)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ shortest-roundtrip, so write-then-read reproduces entries bit-exactly.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +80,9 @@ def from_document_dict(doc: dict) -> TupleDocument:
                             for v in entry),
                     f"matrices[{gi}][{ri}][{ci}] must be a [re, im] pair",
                 )
+                # not math.isfinite: an int beyond float range overflows it
                 _require(
-                    all(math.isfinite(v) for v in entry),
+                    all(abs(v) <= sys.float_info.max for v in entry),
                     f"matrices[{gi}][{ri}][{ci}] must be finite",
                 )
                 m[ri, ci] = complex(entry[0], entry[1])

@@ -100,36 +100,13 @@ def tuple_from(*mats) -> OperatorTuple:
     return OperatorTuple(matrices=tuple(mats))
 
 
-def zero_tuple(d: int, n: int) -> OperatorTuple:
-    return OperatorTuple(matrices=np.zeros((d, n, n)))
-
-
-def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple(matrices=linalg.adjoint(t.array))
-
-
-def tuple_product(t: OperatorTuple, s: OperatorTuple) -> OperatorTuple:
-    """(T_1 S_1, ..., T_1 S_n, ..., T_m S_1, ..., T_m S_n), i outer, j inner."""
-    if t.n != s.n:
-        raise DimensionMismatchError(f"tuples act on different spaces: {t.n} vs {s.n}")
-    return OperatorTuple(matrices=product_of(t.array, s.array))
-
-
 def product_of(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The coordinates of the tuple product of two (d, n, n) coordinate
-    stacks, or of each pair of tuples in two (k, d, n, n) stacks."""
+    """The coordinates (T_1 S_1, ..., T_1 S_e, ..., T_d S_e), i outer, j
+    inner, of the tuple product of a (d, n, n) and an (e, n, n) coordinate
+    stack, or of each pair of tuples in two stacks of k tuples; the one
+    tuple-product kernel."""
     products = a[..., :, None, :, :] @ b[..., None, :, :, :]      # [i, j] = T_i S_j
     return products.reshape(*a.shape[:-3], -1, *a.shape[-2:])
-
-
-def tuple_power(t: OperatorTuple, k: int) -> OperatorTuple:
-    """T^1 = T, T^(k+1) = T o T^k; the result has d^k coordinates."""
-    if k < 1:
-        raise ValueError(f"tuple power needs k >= 1, got {k}")
-    out = t
-    for _ in range(k - 1):
-        out = tuple_product(t, out)
-    return out
 
 
 def defect_operator(t: OperatorTuple) -> np.ndarray:
@@ -172,13 +149,6 @@ class SphericalPolar:
         """P^t from the cached spectrum (P^0 = I convention); for a stack,
         t is one exponent per tuple."""
         return linalg.psd_power_from_eig(self.eigvals, self.eigvecs, t)
-
-    def range_projection(self) -> np.ndarray:
-        """Spectral projection onto range(P) at the stored rank cut, for one
-        tuple's decomposition (a polar_stack one raises ValueError)."""
-        keep = self.eigvals > self.rank_tol
-        q = self.eigvecs[:, keep]
-        return q @ linalg.adjoint(q)
 
 
 def polar_stack(arrays: np.ndarray) -> SphericalPolar:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sphertrans.ensembles import random_tuple
-from sphertrans.norms import combination
 from sphertrans.tuples import OperatorTuple
 
 GRID_ENSEMBLES = ("ginibre", "nilpotent", "contraction")
@@ -12,6 +11,12 @@ def grid_tuples() -> list:
     """180 tuples: d = 1..4, n = 2..6, three ensembles, three seeds each."""
     return [random_tuple(d, n, [d, n, k], ensemble) for ensemble in GRID_ENSEMBLES
             for d in range(1, 5) for n in range(2, 7) for k in range(3)]
+
+
+def combination(t, lam) -> np.ndarray:
+    """sum_k lam_k T_k by one einsum, apart from the estimators' gemm;
+    rows of coefficients give a stack of matrices."""
+    return np.einsum("...k,kij->...ij", np.asarray(lam, dtype=np.complex128), t.array)
 
 
 def hypo_oracle(t, p=np.inf):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sphertrans.cli import main
+from sphertrans.ensembles import random_tuple
 from sphertrans.suites import SUITE_NAMES, sharp_column_pair
-from sphertrans.tupledoc import read_tuple, write_tuple
+from sphertrans.tupledoc import read_tuple, to_document_dict, write_tuple
+from sphertrans.tuples import OperatorTuple
 
 
 @pytest.fixture
@@ -100,9 +102,8 @@ class TestNorms:
         assert lines[0] == "quantity,value"
 
     def test_zero_tuple_all_zero(self, tmp_path, capsys):
-        from sphertrans.tuples import zero_tuple
         path = tmp_path / "z.json"
-        write_tuple(path, zero_tuple(2, 2))
+        write_tuple(path, OperatorTuple(matrices=np.zeros((2, 2, 2))))
         assert main(["norms", "--input", str(path), "--format", "json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert all(abs(v) <= 1e-12 for v in out.values())
@@ -128,6 +129,35 @@ class TestClassify:
         assert "commuting" in text
         assert "necessary condition only" in text
         assert "coordinate 1" in text
+
+    def test_tuple_too_large_to_classify_exits_2(self, tmp_path, capsys):
+        # ||T||^2 overflows float64: norms still works, classify cannot
+        path = tmp_path / "huge.json"
+        write_tuple(path, OperatorTuple(matrices=1e160 * random_tuple(2, 3, 1).array))
+        assert main(["norms", "--input", str(path), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert main(["classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ||T|| = ")
+        assert "float64" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["norms"], ["classify"],
+                                     ["compute", "--transform", "duggal"]])
+def test_integer_entry_beyond_float_range_exits_2(command, tmp_path, capsys):
+    doc = to_document_dict(random_tuple(1, 2, 0))
+    doc["matrices"][0][1][0] = [10**400, 0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    output = ["--output", str(tmp_path / "x.json")] if command[0] == "compute" else []
+    assert main([*command, "--input", str(path), *output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read tuple from {path}: ")
+    assert "must be finite" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 class TestVerify:

@@ -3,8 +3,8 @@ import pytest
 
 from sphertrans import ensembles
 from sphertrans.norms import spherical_norm
-from sphertrans.predicates import is_commuting, is_normal_tuple
-from sphertrans.tuples import spherical_polar, tuple_power
+from sphertrans.predicates import classify, is_normal_tuple
+from sphertrans.tuples import OperatorTuple, product_of, spherical_polar
 
 
 class TestRandomTuple:
@@ -25,7 +25,8 @@ class TestRandomTuple:
     def test_nilpotent_two_by_two_square_zero(self):
         for seed in range(10):
             t = ensembles.random_tuple(3, 2, seed, "nilpotent")
-            assert spherical_norm(tuple_power(t, 2)) <= 1e-12
+            square = OperatorTuple(matrices=product_of(t.array, t.array))
+            assert spherical_norm(square) <= 1e-12
 
     def test_nilpotent_larger_n_has_singular_defect(self):
         t = ensembles.random_tuple(2, 5, 3, "nilpotent")
@@ -45,7 +46,7 @@ class TestCommutingTuple:
     def test_commutation_residual(self):
         for seed in range(8):
             t = ensembles.random_commuting_tuple(3, 5, seed)
-            assert is_commuting(t, tol=1e-10).residual <= 1e-10
+            assert classify(t, 1e-10).commuting.residual <= 1e-10
 
     def test_generically_not_normal(self):
         hits = sum(

@@ -1,8 +1,10 @@
 """The adjoint, the Hermitian part and the Schatten norm of a spectrum have
-one definition each, in linalg.py.  This test fails when another module
-of the package writes one of them out again: np.conj of a transpose, a
-(M + M*)/2 or a function named for a Hermitian part, or a
-(sum s^p)^(1/p) or a function named for a spectrum's Schatten norm."""
+one definition each, in linalg.py, and the tuple product has one, in
+tuples.py.  This test fails when another module of the package writes one
+of them out again: np.conj of a transpose, a (M + M*)/2 or a function
+named for a Hermitian part, a (sum s^p)^(1/p) or a function named for a
+spectrum's Schatten norm, or an outer matmul X[:, None] @ Y[None] of one
+stack against another."""
 
 import ast
 import re
@@ -59,6 +61,36 @@ def _is_spectrum_norm(node) -> bool:
                     for n in ast.walk(node.left)))
 
 
+def _stack_index(node) -> list:
+    """The index of a subscript without its leading ellipsis."""
+    if not isinstance(node, ast.Subscript):
+        return []
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    if index and isinstance(index[0], ast.Constant) and index[0].value is Ellipsis:
+        return index[1:]
+    return index
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _is_outer_matmul(node) -> bool:
+    """X[..., :, None] @ Y[..., None]: every matrix of one stack times
+    every matrix of another."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+        return False
+    left, right = _stack_index(node.left), _stack_index(node.right)
+    return (len(left) > 1 and isinstance(left[0], ast.Slice) and _is_none(left[1])
+            and len(right) > 0 and _is_none(right[0]))
+
+
+def tuple_products(source: str) -> list[str]:
+    """Each line of source that writes out the tuple product tuples owns."""
+    return [f"{node.lineno}: an outer matmul of two stacks"
+            for node in ast.walk(ast.parse(source)) if _is_outer_matmul(node)]
+
+
 def kernel_copies(source: str) -> list[str]:
     """Each line of source that writes out a kernel linalg owns."""
     found = []
@@ -78,6 +110,16 @@ def test_no_module_but_linalg_defines_the_kernels():
     copies = {path.name: kernel_copies(path.read_text())
               for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"}
     assert {name: lines for name, lines in copies.items() if lines} == {}
+
+
+def test_no_module_but_tuples_multiplies_tuples():
+    copies = {path.name: tuple_products(path.read_text())
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "tuples.py"}
+    assert {name: lines for name, lines in copies.items() if lines} == {}
+
+
+def test_tuples_holds_the_tuple_product():
+    assert len(tuple_products((PACKAGE / "tuples.py").read_text())) == 1
 
 
 @pytest.mark.parametrize("snippet", [
@@ -104,3 +146,25 @@ def test_the_guard_sees_each_copy(snippet):
 ])
 def test_the_guard_passes_kernel_calls(snippet):
     assert kernel_copies(snippet) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "sq = t.array[:, None] @ t.array[None]",
+    "p = a[..., :, None, :, :] @ b[..., None, :, :, :]",
+    "p = a[:, None, :, :] @ b[None, :, :, :]",
+    "r = _max_operator_norm(x[:, None] @ y[None])",
+])
+def test_the_guard_sees_each_tuple_product(snippet):
+    assert len(tuple_products(snippet)) == 1
+
+
+@pytest.mark.parametrize("snippet", [
+    "sq = product_of(t.array, t.array)",
+    "v = arrays @ pinv[:, None]",
+    "m = a[i] @ a[j] - a[j] @ a[i]",
+    "g = (q * vals[:, None, :]) @ adjoint(q)",
+    "o = x[:, None] * y[None]",
+    "c = x[None] @ y[:, None]",
+])
+def test_the_guard_passes_other_products(snippet):
+    assert tuple_products(snippet) == []

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from sphertrans import linalg, predicates
 from sphertrans.norms import euclidean_norm, spherical_norm
 from sphertrans.ensembles import random_commuting_tuple, random_normal_tuple, random_tuple
-from sphertrans.errors import DimensionMismatchError
-from sphertrans.tuples import block_embedding, tuple_from, tuple_power, zero_tuple
+from sphertrans.errors import DimensionMismatchError, OutOfRangeError
+from sphertrans.tuples import OperatorTuple, block_embedding, tuple_from
 
 from conftest import cmat, grid_tuples, random_matrix
 
@@ -74,11 +74,11 @@ class TestSingleOperatorPredicates:
 
 class TestTuplePredicates:
     def test_commuting_and_normal(self, diag_pair):
-        assert predicates.is_commuting(diag_pair).flag
+        assert predicates.classify(diag_pair).commuting.flag
         assert predicates.is_normal_tuple(diag_pair).flag
 
     def test_column_pair_not_commuting(self, sharp_column):
-        assert not predicates.is_commuting(sharp_column).flag
+        assert not predicates.classify(sharp_column).commuting.flag
 
     def test_jointly_hyponormal_block_matrix(self, sharp_column):
         # brute-force 4x4 eigenvalue oracle for the block commutator matrix
@@ -111,8 +111,27 @@ class TestTuplePredicates:
         t = random_normal_tuple(3, 4, 7)
         assert predicates.is_jointly_hyponormal(t).flag
 
+    def test_default_tolerance_refuses_a_tuple_it_cannot_cube(self):
+        # past ||T|| ~ 1.3e154 the default tolerance overflows, and past
+        # ~5.6e102 the cubic quasinormality residuals do
+        t = random_tuple(2, 3, 1)
+        for scale in (1e160, 1e120, 2.0 * predicates.MAX_NORM / spherical_norm(t)):
+            big = OperatorTuple(matrices=scale * t.array)
+            for check in (predicates.classify, predicates.is_normal_tuple,
+                          predicates.is_square_zero, predicates.is_jointly_hyponormal):
+                with pytest.raises(OutOfRangeError, match="float64"):
+                    check(big)
+        with pytest.raises(OutOfRangeError):
+            predicates.is_normal_single(1e160 * t[0])
+        # at the bound every residual is finite, without an overflow warning
+        large = OperatorTuple(matrices=predicates.MAX_NORM / spherical_norm(t) * t.array)
+        c = predicates.classify(large)
+        assert c.tol == predicates.PREDICATE_RTOL * (1.0 + spherical_norm(large) ** 2)
+        assert np.isfinite(c.spherically_quasinormal.residual)
+        assert all(np.isfinite(r.residual) for r in c.coordinate_quasinormal)
+
     def test_zero_tuple_everything(self):
-        z = zero_tuple(2, 2)
+        z = OperatorTuple(matrices=np.zeros((2, 2, 2)))
         assert predicates.is_jointly_hyponormal(z).flag
         assert predicates.is_spherically_quasinormal(z).flag
         assert predicates.is_square_zero(z).flag
@@ -137,7 +156,7 @@ class TestSphericalQuasinormality:
         # commuting but not spherically quasinormal
         base = cmat([[0, 1], [0, 0]])
         t = tuple_from(base, base @ base + 2 * base)
-        assert predicates.is_commuting(t).flag
+        assert predicates.classify(t).commuting.flag
         a = predicates.is_spherically_quasinormal(t)
         b = predicates.classify(t).spherically_quasinormal_block
         assert not a.flag and not b.flag
@@ -172,7 +191,8 @@ class TestSquareZeroAndProxy:
         assert not predicates.taylor_invertibility_proxy(sharp_column).flag
 
     def test_proxy_zero_tuple(self):
-        assert not predicates.taylor_invertibility_proxy(zero_tuple(2, 2)).flag
+        zero = OperatorTuple(matrices=np.zeros((2, 2, 2)))
+        assert not predicates.taylor_invertibility_proxy(zero).flag
 
 
 class TestClassification:
@@ -198,15 +218,15 @@ class TestClassification:
         """||P_block V_block - V_block P_block||_op on the dn x dn block
         matrices."""
         blocks = block_embedding(t)
-        return linalg.operator_norm(blocks.p_block @ blocks.v_block
-                                    - blocks.v_block @ blocks.p_block)
+        return np.linalg.norm(blocks.p_block @ blocks.v_block
+                              - blocks.v_block @ blocks.p_block, 2)
 
     @classmethod
     def classify_by_predicates(cls, t):
         """classify as separate predicate calls, each computing its own
         residuals, with the block residual from the block matrices."""
         tol = predicates._default_tol(t, None)
-        commuting = predicates.is_commuting(t, tol)
+        commuting = predicates._result(predicates._commutator_residual(t), tol)
         return predicates.Classification(
             tol=tol,
             commuting=commuting,
@@ -225,7 +245,7 @@ class TestClassification:
     def test_shared_residuals_equal_separate_predicates(self):
         tuples = grid_tuples() + [random_commuting_tuple(d, n, [d, n])
                                   for d in range(2, 5) for n in range(2, 7)]
-        assert sum(predicates.is_commuting(t).flag for t in tuples) >= 60
+        assert sum(predicates.classify(t).commuting.flag for t in tuples) >= 60
         for t in tuples:
             got, ref = predicates.classify(t), self.classify_by_predicates(t)
             block, ref_block = got.spherically_quasinormal_block, ref.spherically_quasinormal_block
@@ -256,26 +276,26 @@ class TestClassification:
 class TestStackFormsMatchCoordinateLoops:
     """The tuple predicates, the coordinate kernels and the Euclidean norm,
     written over the coordinate stack, equal per-coordinate loops of
-    checked single-matrix norms bit for bit."""
+    numpy's single-matrix operator norm bit for bit."""
 
     @staticmethod
     def commuting_loop(t):
         residual = 0.0
         for i in range(t.d):
             for j in range(i + 1, t.d):
-                residual = max(residual, linalg.operator_norm(t[i] @ t[j] - t[j] @ t[i]))
+                residual = max(residual, np.linalg.norm(t[i] @ t[j] - t[j] @ t[i], 2))
         return residual
 
     @staticmethod
     def coordinate_normal_loop(t):
-        return [linalg.operator_norm(linalg.adjoint(m) @ m - m @ linalg.adjoint(m)) for m in t]
+        return [np.linalg.norm(linalg.adjoint(m) @ m - m @ linalg.adjoint(m), 2) for m in t]
 
     @staticmethod
     def coordinate_quasinormal_loop(t):
         out = []
         for m in t:
             s = linalg.adjoint(m) @ m
-            out.append(linalg.operator_norm(m @ s - s @ m))
+            out.append(np.linalg.norm(m @ s - s @ m, 2))
         return out
 
     @staticmethod
@@ -293,11 +313,11 @@ class TestStackFormsMatchCoordinateLoops:
 
     @staticmethod
     def square_zero_loop(t):
-        return max(linalg.operator_norm(m) for m in tuple_power(t, 2))
+        return max(np.linalg.norm(x @ y, 2) for x in t for y in t)
 
     @staticmethod
     def euclidean_loop(t):
-        return math.hypot(*(linalg.operator_norm(m) for m in t))
+        return math.hypot(*(np.linalg.norm(m, 2) for m in t))
 
     @pytest.mark.parametrize("ensemble", ["ginibre", "nilpotent", "contraction"])
     def test_equal_to_loops(self, ensemble):
@@ -309,12 +329,12 @@ class TestStackFormsMatchCoordinateLoops:
                 for k in range(3):
                     t = random_tuple(d, n, [d, n, k], ensemble)
                     tol = 1e-9
-                    assert predicates.is_commuting(t, tol).residual == self.commuting_loop(t)
+                    c = predicates.classify(t, tol)
+                    assert c.commuting.residual == self.commuting_loop(t)
                     assert predicates.is_normal_tuple(t, tol).residual == self.normal_loop(t)
                     assert predicates.is_square_zero(t, tol).residual == \
                         self.square_zero_loop(t)
                     assert euclidean_norm(t) == self.euclidean_loop(t)
-                    c = predicates.classify(t, tol)
                     for name, single in singles.items():
                         ref = getattr(self, f"coordinate_{name}_loop")(t)
                         assert [r.residual for r in getattr(c, f"coordinate_{name}")] == ref

@@ -10,7 +10,7 @@ from sphertrans.ensembles import random_commuting_tuple, random_normal_tuple, ra
 from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import spherical_norm
 from sphertrans.predicates import is_spherically_quasinormal
-from sphertrans.tuples import tuple_from, tuple_power, zero_tuple
+from sphertrans.tuples import OperatorTuple, product_of, tuple_from
 
 from conftest import cmat
 
@@ -30,8 +30,8 @@ class TestDuggal:
         assert tuples_close(out, diag_pair, 1e-12)
 
     def test_zero(self):
-        out = transforms.duggal(zero_tuple(2, 2))
-        assert tuples_close(out, zero_tuple(2, 2))
+        zero = OperatorTuple(matrices=np.zeros((2, 2, 2)))
+        assert tuples_close(transforms.duggal(zero), zero)
 
 
 class TestGeneralizedAluthge:
@@ -142,7 +142,7 @@ class TestZeroEquivalence:
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 4))
     def test_square_zero_tuples_have_vanishing_transforms(self, seed, d):
         tup = random_tuple(d, 2, seed, "nilpotent")
-        assert spherical_norm(tuple_power(tup, 2)) <= 1e-12
+        assert spherical_norm(OperatorTuple(matrices=product_of(tup.array, tup.array))) <= 1e-12
         for t in (0.1, 0.5, 1.0):
             assert spherical_norm(transforms.generalized_aluthge(tup, t)) <= 1e-10
         for t in (0.1, 0.5, 0.9):
@@ -152,12 +152,12 @@ class TestZeroEquivalence:
     @given(seed=st.integers(0, 10**6))
     def test_generic_tuples_have_nonvanishing_transforms(self, seed):
         tup = random_tuple(2, 3, seed, "ginibre")
-        assert spherical_norm(tuple_power(tup, 2)) > 1e-10
+        assert spherical_norm(OperatorTuple(matrices=product_of(tup.array, tup.array))) > 1e-10
         assert spherical_norm(transforms.generalized_aluthge(tup, 0.4)) > 1e-10
         assert spherical_norm(transforms.heinz(tup, 0.4)) > 1e-10
 
     def test_mean_of_zero_is_zero(self):
-        z = zero_tuple(2, 3)
+        z = OperatorTuple(matrices=np.zeros((2, 3, 3)))
         assert tuples_close(transforms.mean_transform(z), z)
 
 
@@ -240,7 +240,7 @@ class TestStackKernels:
         # nilpotent tuples have a singular P, the zero tuple has P = 0
         ts = [random_tuple(d, n, rng, ens)
               for ens in ("ginibre", "nilpotent", "contraction", "nilpotent") * 3]
-        ts.append(zero_tuple(d, n))
+        ts.append(OperatorTuple(matrices=np.zeros((d, n, n))))
         # exponent-0 rows (P^0 = I) among t > 0 rows, 0.3 with 1 - (1 - t) != t,
         # 0.5 that numpy raises to by sqrt, and 1 with P^(1 - t) = I
         s = np.array([0.0, 0.5, 0.3, 1.0, 0.0, *rng.uniform(size=7), 0.0])

@@ -48,10 +48,16 @@ class TestValidation:
             from_document_dict(doc)
 
     def test_non_finite_entries(self):
+        # JSON integers beyond float range, such as 10**400, are not finite
+        # either; math.isfinite would raise OverflowError on them
         doc = to_document_dict(random_tuple(1, 1, 0))
-        doc["matrices"][0][0][0] = [float("inf"), 0.0]
-        with pytest.raises(TupleDocumentError, match="finite"):
-            from_document_dict(doc)
+        for entry in ([float("inf"), 0.0], [0.0, float("nan")], [10**400, 0],
+                      [0, -10**400]):
+            doc["matrices"][0][0][0] = entry
+            with pytest.raises(TupleDocumentError, match="finite"):
+                from_document_dict(doc)
+        doc["matrices"][0][0][0] = [10**300, -10**300]
+        assert from_document_dict(doc).tuple[0][0, 0] == complex(1e300, -1e300)
 
     def test_non_pair_entry(self):
         doc = to_document_dict(random_tuple(1, 1, 0))
