@@ -2,15 +2,16 @@
 """Print one sha256 per verification suite and seed of its report JSON.
 
 Usage:
-    python scripts/report_digest.py [--suite s3 --suite zero ...] --trials 300 \
+    python scripts/report_digest.py [--suite s3 --suite zero ...] [--trials 300] \
         [--seed 42 --seed 7 ...] [--workers N] [--save DIR] [--expect FILE]
 
 Each line reads `suite seed digest`.  The digest covers the report
 exactly as write_report stores it, with wall_time set to 0, so two
 checkouts that print the same digest for a (suite, trials, seed) produce
 byte-identical reports.  Without --suite every suite is digested
-(sharpness always runs one trial); without --seed the seed is 42.
---workers sets run_suite's worker count, which also sets where its
+(sharpness always runs one trial); without --trials each suite runs its
+default trial count (suites.default_trials); without --seed the seed is
+42.  --workers sets run_suite's worker count, which also sets where its
 blocks of trials begin and end; without it run_suite picks its own (see
 resolve_workers).  A report is the same at every worker count, so the
 digests are too.  The library is imported from the src/ directory next
@@ -32,7 +33,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sphertrans.reports import report_to_json, write_report  # noqa: E402
-from sphertrans.suites import SUITE_NAMES, SuiteConfig, run_suite  # noqa: E402
+from sphertrans.suites import SUITE_NAMES, SuiteConfig, default_trials, run_suite  # noqa: E402
 
 
 def report_digest(suite: str, trials: int, seed: int, save: Path | None = None,
@@ -48,7 +49,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", action="append", choices=SUITE_NAMES,
                         help="suite to digest; repeat for several (default: all)")
-    parser.add_argument("--trials", type=int, required=True)
+    parser.add_argument("--trials", type=int,
+                        help="trials per suite (default: each suite's default count)")
     parser.add_argument("--seed", type=int, action="append",
                         help="suite seed; repeat for several (default: 42)")
     parser.add_argument("--workers", type=int, metavar="N",
@@ -75,7 +77,8 @@ def main() -> int:
     mismatched = False
     for seed in args.seed or [42]:
         for suite in args.suite or SUITE_NAMES:
-            digest = report_digest(suite, args.trials, seed, args.save, args.workers)
+            trials = default_trials(suite) if args.trials is None else args.trials
+            digest = report_digest(suite, trials, seed, args.save, args.workers)
             print(f"{suite} {seed} {digest}", flush=True)
             if expected is not None and expected.get((suite, str(seed))) != digest:
                 print(f"MISMATCH {suite} {seed}", file=sys.stderr, flush=True)

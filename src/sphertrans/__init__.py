@@ -8,10 +8,6 @@ from .ensembles import (
     random_psd,
     random_tuple,
 )
-from .linalg import (
-    hermitian_eig,
-    schatten_norm,
-)
 from .norms import (
     euclidean_norm,
     hypo_norm,

@@ -5,20 +5,8 @@ class SphertransError(Exception):
     """Base class for all library errors."""
 
 
-class NonSquareError(SphertransError):
-    """Operation requires a square matrix."""
-
-
-class NonHermitianError(SphertransError):
-    """Matrix deviates from Hermitian beyond the allowed threshold."""
-
-
 class NotPSDError(SphertransError):
     """Matrix has an eigenvalue below the negativity clip threshold."""
-
-
-class NumericalFailureError(SphertransError):
-    """A LAPACK routine failed to converge."""
 
 
 class InvalidPError(SphertransError):

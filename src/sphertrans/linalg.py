@@ -1,42 +1,26 @@
-"""Dense complex linear-algebra kernel.
+"""Dense complex linear-algebra kernels.
 
-Adjoints, Hermitian parts and eigendecompositions, Schatten norms of
-spectra, SVD-based norms, PSD fractional powers, and the singular values
-of a stack of matrices, in closed form for 2 x 2.
-Everything operates on plain complex128 ndarrays and is pure: no caller
-state is mutated, all outputs are fresh arrays.
+Adjoints, Hermitian parts, PSD fractional powers, Schatten norms of
+spectra, and the singular values of a stack of matrices, in closed form
+for 2 x 2.  Everything operates on complex128 ndarrays and is pure: no
+caller state is mutated, all outputs are fresh arrays.
+
+These kernels validate nothing but the mathematics they need: psd_powers
+refuses an indefinite matrix, and schatten_from_singulars an exponent
+p < 1.  Data is checked where it enters the program: OperatorTuple (shape,
+finiteness), tupledoc (tuple files), the estimators' and the CLI's checks
+of p, and run_suite (suite configurations).  Every Hermitian matrix is
+factorized as np.linalg.eigh(hermitian_part(x)) or eigvalsh of it, or of a
+Gram matrix built in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    InvalidPError,
-    NonHermitianError,
-    NonSquareError,
-    NotPSDError,
-    NumericalFailureError,
-)
+from .errors import InvalidPError, NotPSDError
 
-HERM_RTOL = 1e-12        # allowed relative asymmetry in hermitian_eig
 PSD_CLIP_RTOL = 1e-12    # eigenvalues in [-clip, 0) are treated as roundoff
-
-
-def as_matrix(a, stack: bool = False) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, or with stack a 3-D stack of
-    matrices, and validate finiteness."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 + stack:
-        raise ValueError(f"expected a {'stack of' if stack else '2-D'} matrices, "
-                         f"got shape {m.shape}")
-    if min(m.shape[-2:]) < 1:
-        raise ValueError(f"matrix dimensions must be >= 1, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -49,42 +33,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + adjoint(a)) / 2.0
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition A = Q diag(values) Q* with values ascending."""
-
-    values: np.ndarray      # real, ascending
-    vectors: np.ndarray     # unitary, columns are eigenvectors
-
-
-def hermitian_eig(a: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
-    (k, n, n) stack (values (k, n), vectors (k, n, n)).
-
-    The input may carry roundoff-level asymmetry; it is symmetrized as
-    (A + A*)/2 before factorization.  Asymmetry beyond
-    HERM_RTOL * ||A||_op raises NonHermitianError.  An exactly Hermitian
-    input skips the two norms of that check, which it always passes.
-    """
-    a = as_matrix(a, stack=np.ndim(a) == 3)
-    if a.shape[-2] != a.shape[-1]:
-        raise NonSquareError(f"hermitian_eig needs a square matrix, got {a.shape}")
-    try:
-        skew = a - adjoint(a)
-        if skew.any():
-            scale = np.linalg.svd(a, compute_uv=False)[..., 0]
-            asym = np.linalg.svd(skew, compute_uv=False)[..., 0]
-            worst = np.argmax(asym - HERM_RTOL * scale)
-            asym, scale = asym.flat[worst], scale.flat[worst]
-            if asym > HERM_RTOL * scale:
-                raise NonHermitianError(f"asymmetry {asym:.3e} exceeds {HERM_RTOL:.0e} * "
-                                        f"||A|| = {HERM_RTOL * scale:.3e}")
-        vals, vecs = np.linalg.eigh(hermitian_part(a))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"factorization failed: {exc}") from exc
-    return HermitianEig(values=vals, vectors=vecs)
-
-
 def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray:
     """Fractional power from a precomputed PSD eigendecomposition, of one
     matrix (values (n,), vectors (n, n), t a float) or of each matrix of a
@@ -92,7 +40,8 @@ def psd_power_from_eig(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray
     matrix).
 
     Convention: P^0 = I exactly (not the range projection), and 0^t = 0
-    for t > 0.  Negative eigenvalues must already be clipped.  Each
+    for t > 0; a negative eigenvalue counts as 0, so roundoff-level
+    negativity needs no clipping before the call.  Each
     matrix's eigenvalues are raised to its exponent as one float, as for a
     single matrix: numpy evaluates x ** 0.5 as sqrt(x), which an array of
     exponents would not.
@@ -119,16 +68,14 @@ def psd_powers(p: np.ndarray):
     matrix, from one batched eigendecomposition.  Eigenvalues in [-clip, 0)
     with clip = PSD_CLIP_RTOL * ||P||_op are clipped to zero; anything more
     negative raises NotPSDError."""
-    eig = hermitian_eig(p)
-    vals = eig.values
+    vals, vecs = np.linalg.eigh(hermitian_part(p))
     top = vals[..., -1]
     clip = PSD_CLIP_RTOL * np.where(top > 0, top, 0.0)
     worst = np.argmax(-clip - vals[..., 0])
     low, clip = vals[..., 0].flat[worst], clip.flat[worst]
     if low < -clip - np.finfo(float).eps:
         raise NotPSDError(f"eigenvalue {low:.3e} below -{clip:.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return lambda r: psd_power_from_eig(vals, eig.vectors, r)
+    return lambda r: psd_power_from_eig(vals, vecs, r)
 
 
 def stack_singular_values(m: np.ndarray) -> np.ndarray:
@@ -173,12 +120,3 @@ def schatten_from_singulars(s: np.ndarray, p: float) -> float:
     if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     return float(schatten_of_spectra(s, p))
-
-
-def schatten_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm of a validated matrix, from its singular values."""
-    try:
-        s = np.linalg.svd(as_matrix(a), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"svd failed: {exc}") from exc
-    return schatten_from_singulars(s, p)

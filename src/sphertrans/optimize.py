@@ -69,10 +69,6 @@ class BallPoint:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def d(self) -> int:
-        return len(self.coeffs)
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:

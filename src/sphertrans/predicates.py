@@ -4,7 +4,8 @@ Each predicate returns its residual (an operator-norm or eigenvalue
 magnitude that vanishes exactly when the property holds) together with
 the thresholded flag.  The default tolerance scales with 1 + ||T||^2
 since the residuals are quadratic in the entries; the quasinormality ones
-are cubic, so it refuses a tuple with ||T|| > MAX_NORM.  Every predicate
+are cubic, so every predicate refuses a tuple with ||T|| > MAX_NORM,
+whatever its tolerance.  Every predicate
 is a stack expression with one batched factorization.  Normality,
 quasinormality and hyponormality of a matrix have one (k, n, n) kernel
 each: classify applies it to the coordinates, the single-matrix
@@ -38,13 +39,16 @@ class PredicateResult:
 
 
 def _default_tol(t: OperatorTuple, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    norm = spherical_norm(t)
+    """tol, or by default PREDICATE_RTOL (1 + ||T||^2).  At any tol, a
+    tuple with ||T|| > MAX_NORM is refused; given a tol, the exact norm
+    is computed only when the bound sqrt(d) n max|t_ij| >= ||T|| exceeds
+    MAX_NORM."""
+    bound_fits = np.abs(t.array).max() <= MAX_NORM / (np.sqrt(t.d) * t.n)
+    norm = 0.0 if tol is not None and bound_fits else spherical_norm(t)
     if norm > MAX_NORM:
         raise OutOfRangeError(f"||T|| = {norm:.3e} exceeds {MAX_NORM:.0e}: residuals cubic "
                               "in the entries cannot be computed in float64")
-    return PREDICATE_RTOL * (1.0 + norm ** 2)
+    return PREDICATE_RTOL * (1.0 + norm ** 2) if tol is None else tol
 
 
 def _result(residual: float, tol: float) -> PredicateResult:

@@ -464,11 +464,13 @@ def _refined(s, p):
 
 
 def _power_of_sum(s, r):
-    return linalg.schatten_norm(s.psd_powers[-1](r), s.p)
+    power = s.psd_powers[-1](r)
+    return linalg.schatten_from_singulars(np.linalg.svd(power, compute_uv=False), s.p)
 
 
 def _sum_of_powers(s, r):
-    return linalg.schatten_norm(sum(power(r) for power in s.psd_powers[:-1]), s.p)
+    total = sum(power(r) for power in s.psd_powers[:-1])
+    return linalg.schatten_from_singulars(np.linalg.svd(total, compute_uv=False), s.p)
 
 
 def _normal_note(s):

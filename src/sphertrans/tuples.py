@@ -132,14 +132,6 @@ class SphericalPolar:
     eigvals: np.ndarray = field(repr=False)   # of P, ascending, clipped >= 0
     eigvecs: np.ndarray = field(repr=False)
 
-    @property
-    def d(self) -> int:
-        return self.v.shape[-3]
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[-1]
-
     def __getitem__(self, i) -> SphericalPolar:
         return SphericalPolar(v=self.v[i], p=self.p[i], rank=int(self.rank[i]),
                               rank_tol=float(self.rank_tol[i]),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sphertrans import linalg
 from sphertrans.ensembles import random_tuple
 from sphertrans.tuples import OperatorTuple
 
@@ -27,6 +28,13 @@ def hypo_oracle(t, p=np.inf):
         return np.linalg.norm(np.linalg.svd(combination(t, lam), compute_uv=False),
                               ord=p, axis=-1)
     return objective
+
+
+def schatten_norm(a, p) -> float:
+    """The Schatten p-norm of one matrix: schatten_from_singulars of the
+    singular values of its complex128 copy."""
+    s = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
+    return linalg.schatten_from_singulars(s, p)
 
 
 def cmat(rows) -> np.ndarray:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from sphertrans import linalg, norms, transforms
+from sphertrans import norms, transforms
 from sphertrans.ensembles import random_tuple
 from sphertrans.optimize import OptimizerConfig, grid_supremum
 from sphertrans.suites import (
@@ -28,7 +28,7 @@ from sphertrans.suites import (
 )
 from sphertrans.tuples import block_embedding
 
-from conftest import hypo_oracle
+from conftest import hypo_oracle, schatten_norm
 
 P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 SEED = 42
@@ -250,16 +250,16 @@ class TestCriterion9StructuralIdentities:
             sp = norms.schatten_spherical_norm(tup, p)
             worst["p_transfer"] = max(
                 worst["p_transfer"],
-                abs(sp - linalg.schatten_norm(polar.p, p)),
-                abs(sp - linalg.schatten_norm(blocks.t_block, p)),
+                abs(sp - schatten_norm(polar.p, p)),
+                abs(sp - schatten_norm(blocks.t_block, p)),
             )
             # direct-sum p-norm over the tuple's coordinates
             block = np.zeros((d * n, d * n), dtype=complex)
             for i, m in enumerate(tup):
                 block[i * n:(i + 1) * n, i * n:(i + 1) * n] = m
-            direct = sum(linalg.schatten_norm(m, p) ** p for m in tup) ** (1.0 / p)
+            direct = sum(schatten_norm(m, p) ** p for m in tup) ** (1.0 / p)
             worst["direct_sum"] = max(
-                worst["direct_sum"], abs(linalg.schatten_norm(block, p) - direct)
+                worst["direct_sum"], abs(schatten_norm(block, p) - direct)
             )
             # polar invariants
             recon = max(

@@ -4,7 +4,13 @@ a definition in src/sphertrans (apart from __init__.py and dunders) is
 referenced nowhere in src/, scripts/ or perfbench/ outside its own body;
 the tests and the __init__ exports do not count as callers.  A reference
 is a Name, an Attribute, an import alias, or a string constant naming it
-(the benchmark tracer wraps library functions by name)."""
+(the benchmark tracer wraps library functions by name).
+
+A reference is a bare name, so `.d` on any object counts for every
+member named d.  A method or property that shares its name with another
+definition in the package, another class's member, an annotated class
+field or a module function, could lose its last caller unseen; such a
+name fails the test unless ALLOWED_SHARED gives the reason it stays."""
 
 import ast
 import re
@@ -22,6 +28,15 @@ ALLOWED = {
     "predicates.is_hyponormal_single": "single-matrix hyponormality, documented in README",
     "norms.numerical_radius": "the paper's numerical radius omega(A) of one matrix",
     "optimize.grid_supremum": "the tests' grid oracle, until an enclosure replaces it",
+}
+
+ALLOWED_SHARED = {
+    "suites.SuiteConfig.opt_tol": "a suite's optimizer tolerance, which each report "
+                                  "records as its SuiteReport.opt_tol field",
+    "suites._Store.artifact": "the sampled object that a row's Row.artifact field names, "
+                              "as a tuple",
+    "suites._Store.psd_powers": "the trial's linalg.psd_powers of the PSD family and of "
+                                "its sum, cached",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
@@ -79,9 +94,41 @@ def orphans(modules: dict, callers: list, allowed=()) -> list[str]:
         dead = found
 
 
+def _named(module: str, tree):
+    """(module.qualified name, name, whether it is a method or property) of
+    the top-level functions of a module and of its classes' members and
+    annotated fields, without dunders."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name, False
+        for item in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(item, ast.FunctionDef):
+                name, member = item.name, True
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name, member = item.target.id, False
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{module}.{node.name}.{name}", name, member
+
+
+def shared_names(modules: dict, allowed=()) -> list[str]:
+    """The qualified names of the methods and properties in modules (name
+    -> source) that share their name with another definition in them."""
+    named = {qualified: (name, member) for module, source in modules.items()
+             for qualified, name, member in _named(module, ast.parse(source))}
+    count = Counter(name for name, _ in named.values())
+    return [qualified for qualified, (name, member) in named.items()
+            if member and count[name] > 1 and qualified not in allowed]
+
+
+def _package_modules() -> dict:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
 def test_every_definition_has_a_caller():
-    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
-               if path.name != "__init__.py"}
+    modules = _package_modules()
     callers = [path.read_text() for folder in ("scripts", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
     found = orphans(modules, callers, ALLOWED)
@@ -128,3 +175,48 @@ def test_a_docstring_is_not_a_reference():
     callers = ["used()", '"""unused is not called here."""\n']
     assert orphans({"m": _SNIPPET}, callers) == ["m.helper", "m.unused", "m.Box",
                                                  "m.Box.size"]
+
+
+def test_every_shared_member_name_has_a_reason():
+    found = shared_names(_package_modules(), ALLOWED_SHARED)
+    assert not found, f"shares its name with another definition: {', '.join(found)}"
+    assert not set(ALLOWED_SHARED) - set(shared_names(_package_modules())), \
+        "an ALLOWED_SHARED entry no longer shares its name"
+
+
+_SHARED = """
+from dataclasses import dataclass
+
+def size():
+    return 0
+
+@dataclass
+class Point:
+    dim: int
+
+class Box:
+    @property
+    def size(self):
+        return 0
+
+    def dim(self):
+        return 1
+
+    def area(self):
+        return 2
+
+class Sheet:
+    def area(self):
+        return 3
+
+    def __len__(self):
+        return 0
+"""
+
+
+def test_the_guard_sees_each_shared_name():
+    # a module function, a dataclass field and another class's member
+    assert shared_names({"m": _SHARED}) == ["m.Box.size", "m.Box.dim", "m.Box.area",
+                                            "m.Sheet.area"]
+    assert shared_names({"m": _SHARED}, {"m.Box.dim", "m.Box.area"}) == ["m.Box.size",
+                                                                         "m.Sheet.area"]

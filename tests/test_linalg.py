@@ -6,78 +6,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphertrans import linalg
-from sphertrans.errors import (
-    InvalidPError,
-    NonHermitianError,
-    NonSquareError,
-    NotPSDError,
-)
+from sphertrans.errors import InvalidPError, NotPSDError
 
-from conftest import cmat, random_matrix, random_psd_matrix
+from conftest import random_matrix, random_psd_matrix, schatten_norm
 
 
 class TestHermitianEig:
+    """psd_powers factorizes its input as eigh(hermitian_part(P)) and reads
+    the clip and the negativity check off the ascending spectrum."""
+
     def test_identity(self):
-        eig = linalg.hermitian_eig(np.eye(2))
-        assert np.allclose(eig.values, [1.0, 1.0])
-        assert np.allclose(eig.vectors @ np.conj(eig.vectors.T), np.eye(2))
+        powers = linalg.psd_powers(np.eye(2))
+        for r in (0.5, 1.0, 2.0):
+            assert np.allclose(powers(r), np.eye(2), atol=1e-15)
 
     def test_diagonal_sorted_ascending(self):
-        eig = linalg.hermitian_eig(np.diag([2.0, 0.0]))
-        assert np.allclose(eig.values, [0.0, 2.0])
+        # in either diagonal order, the lowest eigenvalue is the one checked
+        # against the clip and the highest sets it
+        for order in (1, -1):
+            out = linalg.psd_powers(np.diag([2.0, -1e-13][::order]))(0.5)
+            assert np.allclose(out, np.diag([np.sqrt(2.0), 0.0][::order]), atol=1e-12)
+            with pytest.raises(NotPSDError):
+                linalg.psd_powers(np.diag([2.0, -0.5][::order]))
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(5)
-        a = random_matrix(rng, 5)
-        a = (a + np.conj(a.T)) / 2
-        eig = linalg.hermitian_eig(a)
-        recon = (eig.vectors * eig.values) @ np.conj(eig.vectors.T)
-        assert np.linalg.norm(recon - a, 2) <= 1e-10 * np.linalg.norm(a, 2)
-        assert np.linalg.norm(
-            np.conj(eig.vectors.T) @ eig.vectors - np.eye(5), 2) <= 1e-10
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NonSquareError):
-            linalg.hermitian_eig(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
-            linalg.hermitian_eig(cmat([[0, 1], [0, 0]]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            linalg.hermitian_eig(np.array([[np.nan, 0], [0, 1.0]]))
-
-    @pytest.mark.parametrize("ratio,raises", [(1.01, True), (0.99, False)])
-    def test_asymmetry_threshold(self, ratio, raises):
-        # A = [[1, delta], [0, 1]] has ||A - A*|| = delta and ||A|| = 1 + delta/2
-        # up to O(delta^2), so delta = ratio * HERM_RTOL sits just either side
-        a = np.eye(2) + ratio * linalg.HERM_RTOL * cmat([[0, 1], [0, 0]])
-        if raises:
-            with pytest.raises(NonHermitianError):
-                linalg.hermitian_eig(a)
-        else:
-            assert np.allclose(linalg.hermitian_eig(a).values, [1.0, 1.0])
-
-    def test_exactly_hermitian_input_makes_no_svd_call(self, monkeypatch):
-        calls = []
-        real = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        a = random_matrix(np.random.default_rng(5), 4)
-        linalg.hermitian_eig(a + np.conj(a.T))
-        assert calls == []
-        linalg.hermitian_eig(a + np.conj(a.T) + 1e-15 * cmat(np.triu(np.ones((4, 4)), 1)))
-        assert len(calls) == 2
+        p = random_psd_matrix(rng, 5)
+        recon = linalg.psd_powers(p)(1.0)
+        assert np.linalg.norm(recon - p, 2) <= 1e-10 * np.linalg.norm(p, 2)
 
 
 class TestStacks:
-    """hermitian_eig and psd_powers of a (k, n, n) stack give each matrix
-    bit for bit what it gets alone, and reject a stack with one bad matrix."""
+    """psd_powers of a (k, n, n) stack gives each matrix bit for bit what it
+    gets alone, and rejects a stack with one indefinite matrix."""
 
     def test_stacked_powers_equal_each_matrix_alone(self):
         rng = np.random.default_rng(9)
@@ -94,8 +55,6 @@ class TestStacks:
 
     def test_stack_with_one_bad_matrix_raises(self):
         good = np.eye(2)
-        with pytest.raises(NonHermitianError):
-            linalg.hermitian_eig(np.stack([good, cmat([[0, 1], [0, 0]])]))
         with pytest.raises(NotPSDError):
             linalg.psd_powers(np.stack([good, np.diag([1.0, -0.5])]))
 
@@ -158,27 +117,31 @@ class TestPsdPower:
         total = (total + np.conj(total.T)) / 2
         r_concave = float(rng.uniform(0.05, 0.95))
         r_convex = float(rng.uniform(1.0, 3.0))
-        lhs = linalg.schatten_norm(linalg.psd_powers(total)(r_concave), p)
-        rhs = linalg.schatten_norm(
+        lhs = schatten_norm(linalg.psd_powers(total)(r_concave), p)
+        rhs = schatten_norm(
             sum(linalg.psd_powers(m)(r_concave) for m in family), p
         )
         assert lhs <= rhs + 1e-9
-        lhs = linalg.schatten_norm(linalg.psd_powers(total)(r_convex), p)
-        rhs = linalg.schatten_norm(
+        lhs = schatten_norm(linalg.psd_powers(total)(r_convex), p)
+        rhs = schatten_norm(
             sum(linalg.psd_powers(m)(r_convex) for m in family), p
         )
         assert lhs <= d ** (r_convex - 1.0) * rhs + 1e-9
 
 
 class TestNorms:
+    """schatten_from_singulars of a matrix's singular values, the one
+    Schatten norm of a matrix in the package."""
+
     def test_schatten_rank_one_diagonal_all_p(self):
-        a = np.diag([np.sqrt(2.0), 0.0])
+        s = np.array([np.sqrt(2.0), 0.0])
         for p in (1.0, 1.5, 2.0, 3.0, 5.0, 10.0):
-            assert linalg.schatten_norm(a, p) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+            assert linalg.schatten_from_singulars(s, p) == pytest.approx(np.sqrt(2.0),
+                                                                         abs=1e-14)
 
     def test_schatten_identity(self):
         for n, p in ((2, 1.0), (3, 2.0), (4, 3.0)):
-            assert linalg.schatten_norm(np.eye(n), p) == pytest.approx(
+            assert linalg.schatten_from_singulars(np.ones(n), p) == pytest.approx(
                 n ** (1.0 / p), rel=1e-14
             )
 
@@ -188,7 +151,7 @@ class TestNorms:
         s = np.linalg.svd(a, compute_uv=False)
         ps = (1.0, 1.5, 2.0, 3.0, 5.0)
         direct = [float(np.sum(s**p)) ** (1.0 / p) for p in ps]
-        computed = [linalg.schatten_norm(a, p) for p in ps]
+        computed = [linalg.schatten_from_singulars(s, p) for p in ps]
         assert np.allclose(direct, computed, rtol=1e-12)
         for small, large in zip(computed[1:], computed[:-1]):
             assert np.linalg.norm(a, 2) <= small + 1e-12
@@ -197,15 +160,16 @@ class TestNorms:
     def test_adjoint_symmetry(self):
         rng = np.random.default_rng(9)
         a = random_matrix(rng, 5)
+        s, s_adj = (np.linalg.svd(m, compute_uv=False) for m in (a, linalg.adjoint(a)))
         for p in (1.0, 2.0, 3.5):
-            assert linalg.schatten_norm(a, p) == pytest.approx(
-                linalg.schatten_norm(np.conj(a.T), p), rel=1e-12
+            assert linalg.schatten_from_singulars(s, p) == pytest.approx(
+                linalg.schatten_from_singulars(s_adj, p), rel=1e-12
             )
 
     def test_rejects_p_below_one(self):
         for p in (0.5, np.nan):
             with pytest.raises(InvalidPError):
-                linalg.schatten_norm(np.eye(2), p)
+                linalg.schatten_from_singulars(np.ones(2), p)
 
     def test_p_inf_is_the_top_singular_value(self):
         s = np.array([3.0, 2.0, 2.0, 0.0])
@@ -215,8 +179,8 @@ class TestNorms:
             assert linalg.schatten_from_singulars(np.zeros(0), p) == 0.0
 
     def test_zero_matrix(self):
-        z = np.zeros((3, 3))
-        assert linalg.schatten_norm(z, 2.0) == 0.0
+        s = np.linalg.svd(np.zeros((3, 3), dtype=np.complex128), compute_uv=False)
+        assert linalg.schatten_from_singulars(s, 2.0) == 0.0
 
 
 class TestSvdAndParts:

@@ -25,7 +25,7 @@ class TestBallPoint:
 
     def test_accepts_boundary(self):
         bp = BallPoint(np.array([1.0, 0.0]))
-        assert bp.d == 2
+        assert np.array_equal(bp.coeffs, [1.0, 0.0])
 
 
 class TestGauge:

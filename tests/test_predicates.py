@@ -119,10 +119,14 @@ class TestTuplePredicates:
             big = OperatorTuple(matrices=scale * t.array)
             for check in (predicates.classify, predicates.is_normal_tuple,
                           predicates.is_square_zero, predicates.is_jointly_hyponormal):
-                with pytest.raises(OutOfRangeError, match="float64"):
-                    check(big)
-        with pytest.raises(OutOfRangeError):
-            predicates.is_normal_single(1e160 * t[0])
+                for tol in (None, 1e-3):       # an explicit tolerance is no way round
+                    with pytest.raises(OutOfRangeError, match="float64"):
+                        check(big, tol)
+        for single in (predicates.is_normal_single, predicates.is_quasinormal_single):
+            for scale in (1e160, 1e150):
+                for tol in (None, 1e-3):
+                    with pytest.raises(OutOfRangeError):
+                        single(scale * t[0], tol)
         # at the bound every residual is finite, without an overflow warning
         large = OperatorTuple(matrices=predicates.MAX_NORM / spherical_norm(t) * t.array)
         c = predicates.classify(large)
@@ -212,6 +216,23 @@ class TestClassification:
         c = predicates.classify(sharp_column)
         assert not c.commuting.flag
         assert c.spherically_quasinormal_block is None
+
+    def test_an_explicit_tolerance_computes_the_norm_only_past_the_entry_bound(
+            self, monkeypatch):
+        # the bound sqrt(d) n max|t_ij| >= ||T||
+        t = random_tuple(2, 3, 1)
+        norms = []
+        monkeypatch.setattr(predicates, "spherical_norm",
+                            lambda x: norms.append(1) or spherical_norm(x))
+        assert predicates.is_square_zero(t, tol=1e-12).tol == 1e-12
+        assert norms == []
+        below = OperatorTuple(matrices=0.5 * predicates.MAX_NORM / spherical_norm(t) * t.array)
+        assert np.sqrt(2) * 3 * np.abs(below.array).max() > predicates.MAX_NORM
+        c = predicates.classify(below, 1e-3)
+        assert c.tol == 1e-3 and np.isfinite(c.spherically_quasinormal.residual)
+        assert norms
+        with pytest.raises(OutOfRangeError, match="float64"):
+            predicates.classify(OperatorTuple(matrices=1e150 * t.array), 1e-3)
 
     @staticmethod
     def block_matrix_residual(t):

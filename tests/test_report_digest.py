@@ -34,6 +34,20 @@ def test_digest_smoke_every_suite():
         assert digests[("s3", seed)] == expected
 
 
+def test_digest_without_trials_runs_each_suite_at_its_default_count():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--suite", "zero", "--suite", "sharpness"],
+        capture_output=True, text=True, timeout=600, check=True,
+    ).stdout
+    digests = [line.split() for line in out.splitlines()]
+    expected = []
+    for suite, trials in (("zero", 100), ("sharpness", 1)):
+        report = run_suite(suite, SuiteConfig(trials=trials, seed=42, workers=1))
+        report.wall_time = 0.0
+        expected.append([suite, "42", hashlib.sha256(report_to_json(report).encode()).hexdigest()])
+    assert digests == expected
+
+
 def test_digest_is_the_same_at_one_and_two_workers():
     """The workers set the block boundaries; a 40-trial equality run holds
     several trials of one shape in a block at either count."""

@@ -17,7 +17,7 @@ from sphertrans.tuples import (
     tuple_from,
 )
 
-from conftest import cmat
+from conftest import cmat, schatten_norm
 
 
 class TestOperatorTuple:
@@ -70,8 +70,8 @@ class TestSphericalPolar:
     def test_stack_reads_the_shape_of_one_tuple(self):
         # four 3-tuples of 5 x 5 matrices
         polar = polar_stack(np.stack([random_tuple(3, 5, seed).array for seed in range(4)]))
-        assert (polar.d, polar.n) == (3, 5)
-        assert (polar[2].d, polar[2].n) == (3, 5)
+        assert (polar.v.shape, polar.p.shape) == ((4, 3, 5, 5), (4, 5, 5))
+        assert (polar[2].v.shape, polar[2].p.shape) == ((3, 5, 5), (5, 5))
 
     def test_zero_tuple(self):
         polar = spherical_polar(OperatorTuple(matrices=np.zeros((2, 3, 3))))
@@ -120,7 +120,7 @@ class TestBlockEmbedding:
     def test_column_pair_norms_match_for_all_p(self, sharp_column):
         blocks = block_embedding(sharp_column)
         for p in (1.0, 1.5, 2.0, 3.0, 5.0):
-            assert linalg.schatten_norm(blocks.t_block, p) == pytest.approx(
+            assert schatten_norm(blocks.t_block, p) == pytest.approx(
                 np.sqrt(2.0), abs=1e-10
             )
 
@@ -145,8 +145,8 @@ class TestBlockEmbedding:
         ) <= 1e-10
         for p in (1.0, 2.0, 3.0):
             assert abs(
-                linalg.schatten_norm(blocks.t_block, p)
-                - linalg.schatten_norm(spherical_polar(t).p, p)
+                schatten_norm(blocks.t_block, p)
+                - schatten_norm(spherical_polar(t).p, p)
             ) <= 1e-10
 
 
