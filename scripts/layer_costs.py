@@ -8,19 +8,22 @@ Each row is one layer: spherical_polar, the transforms, the closed-form
 Schatten norm and every supremum estimator, called on --tuples ginibre
 tuples random_tuple(3, 5, k) with the suites' optimizer config (8 random
 starts).  The time is the median over the tuples of the best of
---repeats calls, in ms.  The transforms row makes the Duggal, Aluthge,
-Heinz (t = 0.3) and mean transforms of a tuple whose decomposition is
-already computed.  The two "s3 trial" rows make the numerics of one s3
-trial whose T is the tuple: its decomposition, the four transforms, the
+--repeats calls, in ms, and "IQR ms" is the interquartile range of those
+per-tuple times, the spread to read a difference between two runs'
+medians against.  The transforms row makes the Duggal, Aluthge, Heinz
+(t = 0.3) and mean transforms of a tuple whose decomposition is already
+computed.  The two "s3 trial" rows make the numerics of one s3 trial
+whose T is the tuple: its decomposition, the four transforms, the
 lambda grid and the spectra its rows read.  "alone" does one trial at a
 time; "in a block" does all --tuples trials at once, as run_suite's
-blocks do, and divides the best time by their number.  iterations and
-evaluations are the means per call of the counts each SupremumEstimate
-carries, so they include the batched ascents that a tracer wrapping the
-single-tuple entry points misses; "-" marks a layer that makes no
-estimate.  The numerical_radius row is the ascent numerical_radius runs
-(the d = 1 real-part supremum, default config) on the tuple's first
-matrix, called directly so that its estimate can be read.
+blocks do, and divides the best time by their number, one time and so
+no IQR.  iterations and evaluations are the means per call of the
+counts each SupremumEstimate carries, so they include the batched
+ascents that a tracer wrapping the single-tuple entry points misses;
+"-" marks a layer that makes no estimate.  The numerical_radius row is
+the ascent numerical_radius runs (the d = 1 real-part supremum, default
+config) on the tuple's first matrix, called directly so that its
+estimate can be read.
 """
 
 import argparse
@@ -102,8 +105,8 @@ def main() -> int:
     ts = [random_tuple(D, N, k, "ginibre") for k in range(args.tuples)]
     print(f"d={D}, n={N}: median over {args.tuples} ginibre tuples of the best of "
           f"{args.repeats} calls, {CFG.n_random_starts} random starts")
-    print("| layer | ms per call | iterations | evaluations |")
-    print("|-------|-------------|------------|-------------|")
+    print("| layer | ms per call | IQR ms | iterations | evaluations |")
+    print("|-------|-------------|--------|------------|-------------|")
     rows = [(label, [_best_ms(fn, t, args.repeats) for t in ts]) for label, fn in CLOSED_FORM]
     trials = _s3_trials(ts)
     rows.append(("s3 trial numerics, alone",
@@ -112,14 +115,16 @@ def main() -> int:
     rows.append((f"s3 trial numerics, in a block of {len(ts)}", [(block_ms / len(ts), None)]))
     rows += [(label, [_best_ms(fn, t, args.repeats) for t in ts]) for label, fn in ESTIMATORS]
     for label, runs in rows:
-        ms = statistics.median(run[0] for run in runs)
+        times = [run[0] for run in runs]
+        ms = statistics.median(times)
+        iqr = f"{np.subtract(*np.percentile(times, [75, 25])):.2f}" if len(times) > 1 else "-"
         ests = [run[1] for run in runs]
         if isinstance(ests[0], SupremumEstimate):
             counts = [f"{statistics.fmean(getattr(e, name) for e in ests):.1f}"
                       for name in ("iterations", "evaluations")]
         else:
             counts = ["-", "-"]
-        print(f"| {label} | {ms:.2f} | {counts[0]} | {counts[1]} |")
+        print(f"| {label} | {ms:.2f} | {iqr} | {counts[0]} | {counts[1]} |")
     return 0
 
 

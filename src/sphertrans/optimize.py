@@ -85,7 +85,9 @@ class OptimizerConfig:
                 raise InvalidParameterError(f"{name}={getattr(self, name)} must be >= 0")
 
     def escalated(self) -> "OptimizerConfig":
-        """Heavier rerun used before declaring an inequality violation."""
+        """Heavier rerun of an estimate whose larger value could make a
+        failing check hold; a check that a larger value cannot rescue
+        fails without it."""
         return replace(
             self,
             n_random_starts=max(8 * self.n_random_starts, 256),

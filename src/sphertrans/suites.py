@@ -26,13 +26,17 @@ independent of the block size and worker scheduling.
 Optimized suprema are lower bounds.  Checks whose optimized side could
 fall short use the relaxed slack opt_tol; the s2r.chain rows run only at
 p = 2, where both Schatten suprema are exact, and use tol.  One rule
-escalates: a failing check escalates each optimized quantity its
-optimized side read (the rhs of "le", the measured lhs of "eq"), at
-most once per trial.  A hypo-norm or Schatten estimate reruns with
-max(8 * n_random_starts, 256) starts plus a 100k-point screen,
-warm-started at its argmax; the joint radius reruns with both routes.
-The store keeps the larger estimate, the check is judged again, and
-every later read sees the escalated value.
+escalates: a failing check escalates, at most once per trial, each
+optimized quantity whose larger estimate could make it hold, that is,
+those the rhs of "le" read and those the lhs of "eq" read while it is
+below its target.  A larger estimate only raises the lhs of "gt", or of
+an "eq" above its target, so those fail without a rerun, and the fail is
+proved: each measured supremum is a lower bound of the true one.  A
+hypo-norm or Schatten estimate reruns with max(8 * n_random_starts, 256)
+starts plus a 100k-point screen, warm-started at its argmax; the joint
+radius reruns with both routes.  The store keeps the larger estimate,
+the check is judged again, and every later read sees the escalated
+value.
 """
 
 from __future__ import annotations
@@ -358,13 +362,16 @@ class _Store:
         return bool(fresh)
 
     def _sides(self, row, i):
-        """Both sides of row at index value i, and the optimized keys read
-        by its optimized side: the rhs of "le", the lhs otherwise."""
+        """Both sides of row at index value i, and the optimized keys whose
+        larger estimate could make the row hold: those the rhs of "le"
+        read, or the lhs of "eq" while lhs < rhs."""
         reads = self.reads = []
         lhs = float(row.lhs(self, i))
         mark = len(reads)
         rhs = float(row.rhs(self, i))
-        return lhs, rhs, reads[mark:] if row.check == "le" else reads[:mark]
+        if row.check == "le":
+            return lhs, rhs, reads[mark:]
+        return lhs, rhs, reads[:mark] if row.check == "eq" and lhs < rhs else []
 
     def _holds(self, row, lhs: float, rhs: float) -> bool:
         if row.check == "gt":
@@ -378,7 +385,12 @@ class _Store:
 
     def record(self, row, i=None, fp=None) -> InequalityRecord:
         """Judge row at index value i with fingerprint fp (default: the
-        row's own); a failing row escalates, then is judged again."""
+        row's own).  A failing row escalates the estimates whose larger
+        value could make it hold (_sides) and is judged again.  A row with
+        none, such as "gt" or an "eq" above its target, fails as it stands,
+        and that fail is proved: each estimate is an exact value at its
+        argmax, a lower bound of its supremum, so a larger one would only
+        move the sides further apart."""
         if fp is None:
             fp = self.fp[row.fp]
         lhs, rhs, keys = self._sides(row, i)

@@ -49,7 +49,7 @@ def test_layer_costs_prints_every_layer():
     run = _run_script("layer_costs.py", "--tuples", "2", "--repeats", "1")
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[1] == "| layer | ms per call | iterations | evaluations |"
+    assert lines[1] == "| layer | ms per call | IQR ms | iterations | evaluations |"
     rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[3:]]
     assert [row[0] for row in rows] == [
         "`spherical_polar`", "transforms (Duggal, Aluthge, Heinz, mean)",
@@ -60,9 +60,12 @@ def test_layer_costs_prints_every_layer():
         "`joint_numerical_radius` (both routes)", "`schatten_numerical_radius` (p=3)",
         "`numerical_radius`, n=5"]
     assert all(float(row[1]) > 0.0 for row in rows)
+    # each row over the tuples has a spread; the block row is one time
+    assert all(float(row[2]) >= 0.0 for i, row in enumerate(rows) if i != 4)
+    assert rows[4][2] == "-"
     # the closed-form layers make no estimate
-    assert all(row[2:] == ["-", "-"] for row in rows[:5])
+    assert all(row[3:] == ["-", "-"] for row in rows[:5])
     # the exact p = 2 hypo-norm is one evaluation; every ascent iterates
-    assert rows[7][2:] == ["0.0", "1.0"]
-    assert all(float(row[2]) >= 1.0 for i, row in enumerate(rows[5:], 5) if i != 7)
+    assert rows[7][3:] == ["0.0", "1.0"]
+    assert all(float(row[3]) >= 1.0 for i, row in enumerate(rows[5:], 5) if i != 7)
     assert _run_script("layer_costs.py", "--tuples", "0").returncode == 2

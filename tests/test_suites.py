@@ -400,6 +400,29 @@ class TestCheckHelpers:
                 _judge("eq", lambda s: 0.9, lambda s: 1.0, 1e-8)]
         assert [r.status for r in recs] == ["refined-pass", "fail"]
 
+    def test_eq_above_its_target_fails_without_a_rerun(self, monkeypatch):
+        # the diag pair's hypo-1-norm is sqrt(2): its measured lower bound
+        # already proves the violation, so no rerun can change the verdict
+        escalated = _shorten_first_estimates(monkeypatch, "schatten_hypo_norm", 1.0)
+        rec = _judge("eq", lambda s: s.hypo("diag", 1.0), lambda s: 1.0, 1e-8)
+        assert rec.status == "fail"
+        assert rec.lhs > rec.rhs + 1e-8
+        assert escalated == {}
+
+    def test_eq_below_its_target_escalates_once(self, monkeypatch):
+        escalated = _shorten_first_estimates(monkeypatch, "schatten_hypo_norm", 1.0)
+        rec = _judge("eq", lambda s: s.hypo("diag", 1.0), lambda s: 2.0, 1e-8)
+        assert rec.status == "fail"
+        assert escalated == {sharp_diag_pair().array.tobytes(): 1}
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5])
+    def test_gt_reading_an_optimized_lhs_never_escalates(self, monkeypatch, factor):
+        # a larger lhs only moves "rhs > lhs" further from holding
+        escalated = _shorten_first_estimates(monkeypatch, "schatten_hypo_norm", factor)
+        rec = _judge("gt", lambda s: s.hypo("column", 2.0), lambda s: 0.25, "tol")
+        assert rec.status == "fail"
+        assert escalated == {}
+
     def test_underconverged_hypo_norm_fixed_by_escalation(self):
         # escalation never loses value and reaches the reference optimum
         # even from a minimal-start configuration
@@ -446,6 +469,64 @@ class TestEscalation:
         else:
             assert statuses.count("refined-pass") == 1
             assert "fail" not in statuses
+
+    def test_a_larger_estimate_never_lowers_an_eq_or_gt_lhs(self, monkeypatch):
+        # escalation skips an "eq" above its target and every "gt" because a
+        # larger estimate can only raise their lhs: each optimized read of
+        # such a row is served at v, then alone at 2v, and the lhs must not
+        # fall; the rhs, which never escalates, must read no optimized value
+        v, served = 0.75, {}
+
+        def serve(store, key):
+            store.reads.append(key)
+            return served.get(key, v)
+
+        monkeypatch.setattr(_Store, "_sup", serve)
+        cfg = SuiteConfig(trials=1, seed=42)
+        stores = {}
+        reading = set()
+        for row in TABLE:
+            if row.check == "le":
+                continue
+            if row.suite not in stores:
+                stores[row.suite] = s = _Store(row.suite, cfg, 0)
+                blocks.fill_spectra([s], suites._SPECTRA[row.suite])
+            s = stores[row.suite]
+            for value, _ in suites._index(s, row.index):
+                served.clear()
+                s.reads = []
+                lhs = float(row.lhs(s, value))
+                keys, s.reads = s.reads, []
+                row.rhs(s, value)
+                assert s.reads == [], (row.id, value)
+                for key in dict.fromkeys(keys):
+                    reading.add(row.id)
+                    served.clear()
+                    served[key] = 2 * v
+                    assert float(row.lhs(s, value)) >= lhs, (row.id, value, key)
+        assert reading >= {"sharp.column_pair.hypo", "sharp.diag_pair.hypo"}
+
+    @pytest.mark.parametrize("seed", [42, 6, 4242])
+    def test_a_sharpness_run_reruns_nothing(self, monkeypatch, seed):
+        # the red diag-pair records fail on their lower bound, and every
+        # other record holds, so no estimate runs with a screening grid
+        configs = []
+        for name in ("hypo_norm", "schatten_hypo_norm", "joint_numerical_radius",
+                     "schatten_numerical_radius"):
+            real = getattr(suites, name)
+
+            def spy(*args, real=real, **kwargs):
+                configs.extend(a for a in (*args, *kwargs.values()) if hasattr(a, "grid_points"))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(suites, name, spy)
+        cfg = SuiteConfig(trials=1, workers=1, opt=replace(suites._SUITE_OPT, seed=seed))
+        rep = run_suite("sharpness", cfg)
+        assert configs and all(c.grid_points == 0 for c in configs)
+        fails = [r for r in rep.records if r.status == "fail"]
+        assert [(r.inequality_id, r.fingerprint["p"]) for r in fails] == \
+            [("sharp.diag_pair.hypo", 1.0), ("sharp.diag_pair.hypo", 1.5)]
+        assert all(r.lhs > r.rhs + 1e-8 for r in fails)
 
     def test_pool_failure_warns_and_runs_serially(self, monkeypatch):
         def no_pool(*args, **kwargs):
