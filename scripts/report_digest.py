@@ -72,6 +72,10 @@ def main() -> int:
         expected = {(suite, seed): digest for suite, seed, digest in rows}
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be at least 1")
+    if args.trials is not None and args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if any(seed < 0 for seed in args.seed or ()):
+        parser.error("--seed must be at least 0")
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
     mismatched = False

@@ -27,13 +27,19 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=None,
                         help="override the per-suite default trial counts")
     args = parser.parse_args()
+    if args.trials is not None and args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be at least 1")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for suite in SUITE_NAMES:
         cfg = SuiteConfig(
-            trials=args.trials or default_trials(suite),
+            trials=default_trials(suite) if args.trials is None else args.trials,
             seed=args.seed,
             workers=args.workers,
         )

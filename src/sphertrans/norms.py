@@ -42,7 +42,7 @@ one contract: argmax is gauge-fixed, theta is the phase the gauge
 removed, and value == ||Re(e^{i theta} M(argmax))||_p exactly.
 
 At p = 2 the Schatten hypo-norm and the Schatten radius are exact and
-ignore the optimizer config and warm starts.  ||M(lam)||_2^2 and
+ignore the optimizer config.  ||M(lam)||_2^2 and
 ||Re M(lam)||_2^2 are quadratic forms in the real and imaginary parts
 of the coefficients, so for both the argmax is a top eigenvector of one
 2d x 2d real matrix (_quadratic_argmax).  The value is still the
@@ -188,7 +188,7 @@ def _top_right_vectors(m: np.ndarray, v) -> np.ndarray:
     return v
 
 
-def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None) -> list:
+def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None) -> list:
     """sup over the coefficient sphere of ||M(lam)||_p, p in [1, inf], for
     each of the same-shape tuples ts, by one batched ascent.
 
@@ -228,36 +228,28 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None, warm_starts=None
             vals, dual = _dual_element(*np.linalg.svd(m), p)
         return vals, power_step(rows, _per_owner(_contract, flats, dual, blocks)), v
 
-    ests = sphere_optimize_batch(objective, ts[0].d, len(ts), config, ascend=ascend,
-                                 warm_starts=warm_starts)
+    ests = sphere_optimize_batch(objective, ts[0].d, len(ts), config, ascend=ascend)
     return [_rescaled(est, scale) for est, (_, scale) in zip(ests, scaled)]
 
 
-def hypo_norm(
-    t: OperatorTuple,
-    config: OptimizerConfig | None = None,
-    warm_starts=(),
-) -> SupremumEstimate:
+def hypo_norm(t: OperatorTuple, config: OptimizerConfig | None = None) -> SupremumEstimate:
     """sup over the coefficient ball of the operator norm of sum lam_k T_k."""
-    return _hypo_p_norms((t,), np.inf, config, (warm_starts,))[0]
+    return _hypo_p_norms((t,), np.inf, config)[0]
 
 
 def schatten_hypo_norm(
-    t: OperatorTuple,
-    p: float,
-    config: OptimizerConfig | None = None,
-    warm_starts=(),
+    t: OperatorTuple, p: float, config: OptimizerConfig | None = None
 ) -> SupremumEstimate:
     """sup over the coefficient ball of the Schatten p-norm of sum lam_k T_k.
 
     At p = 2 the supremum is exact: the argmax is a top eigenvector of
-    a 2d x 2d real matrix, and config and warm_starts are not used.
+    a 2d x 2d real matrix, and config is not used.
     """
     if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     if p == 2.0:
         return _hypo_2_norm(t)
-    return _hypo_p_norms((t,), p, config, (warm_starts,))[0]
+    return _hypo_p_norms((t,), p, config)[0]
 
 
 def _scaled_gram(rows: np.ndarray) -> tuple:
@@ -325,9 +317,7 @@ def _reported_at(est: SupremumEstimate, lam: np.ndarray, value: float) -> Suprem
     return replace(est, value=value, argmax=BallPoint(gauged), theta=theta)
 
 
-def _real_part_sup(
-    t: OperatorTuple, p: float, config: OptimizerConfig | None, warm_starts=()
-) -> SupremumEstimate:
+def _real_part_sup(t: OperatorTuple, p: float, config: OptimizerConfig | None) -> SupremumEstimate:
     """sup over the ungauged unit sphere of ||Re M(lam)||_p, p in [1, inf].
 
     Each step is _dual_element's on Re M(lam) = Q diag(h) Q*, factored
@@ -349,7 +339,7 @@ def _real_part_sup(
         return vals, power_step(rows, _contract(flat, dual))
 
     est = _rescaled(sphere_optimize(objective, t.d, config, ascend=ascend,
-                                    phase_invariant=False, warm_starts=warm_starts), scale)
+                                    phase_invariant=False), scale)
     return _reported_at(est, est.argmax.coeffs, est.value)
 
 
@@ -454,10 +444,7 @@ def joint_numerical_radius(
 # ---------------------------------------------------------------------------
 
 def schatten_numerical_radius(
-    t: OperatorTuple,
-    p: float,
-    config: OptimizerConfig | None = None,
-    warm_starts=(),
+    t: OperatorTuple, p: float, config: OptimizerConfig | None = None
 ) -> SupremumEstimate:
     """omega_{s,p}(T) = sup_(lam, theta) ||Re(e^{i theta} sum lam_k T_k)||_p.
 
@@ -466,10 +453,10 @@ def schatten_numerical_radius(
     and theta is the phase the gauge removed from the winner, so value
     is the exact evaluation ||Re(e^{i theta} M(argmax))||_p.  At p = 2
     the supremum is exact: the argmax is a top eigenvector of a 2d x 2d
-    real matrix, and config and warm_starts are not used.
+    real matrix, and config is not used.
     """
     if not p >= 1.0:
         raise InvalidPError(f"Schatten exponent p={p} must be >= 1")
     if p == 2.0:
         return _real_part_2_sup(t)
-    return _real_part_sup(t, p, config, warm_starts)
+    return _real_part_sup(t, p, config)

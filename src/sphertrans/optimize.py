@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import InvalidParameterError
 
 _ZERO_TOL = 1e-14
 
@@ -87,7 +87,8 @@ class OptimizerConfig:
     def escalated(self) -> "OptimizerConfig":
         """Heavier rerun of an estimate whose larger value could make a
         failing check hold; a check that a larger value cannot rescue
-        fails without it."""
+        fails without it.  The rerun is cold: it starts from this config's
+        own draws, not from the first estimate's argmax."""
         return replace(
             self,
             n_random_starts=max(8 * self.n_random_starts, 256),
@@ -102,7 +103,7 @@ class SupremumEstimate:
     value is the objective evaluated exactly at argmax; spread is the
     max-min range over final values of converged starts (a multimodality
     diagnostic, not an error bar).  The p = 2 Schatten hypo-norm and
-    Schatten radius are closed forms that use no config or warm starts:
+    Schatten radius are closed forms that use no config:
     they report starts=0, converged=True, spread=0.0, iterations=0 and
     evaluations=1.
     """
@@ -170,7 +171,6 @@ def sphere_optimize(
     *,
     ascend=None,
     phase_invariant=True,
-    warm_starts=(),
 ) -> SupremumEstimate:
     """Estimate sup over the unit sphere of C^d of an objective.
 
@@ -200,8 +200,7 @@ def sphere_optimize(
     return sphere_optimize_batch(
         lambda rows, blocks: objective(rows), d, 1, config,
         ascend=None if ascend is None else lambda rows, blocks, state: (*ascend(rows), None),
-        phase_invariant=phase_invariant, warm_starts=(warm_starts,),
-    )[0]
+        phase_invariant=phase_invariant)[0]
 
 
 def sphere_optimize_batch(
@@ -212,7 +211,6 @@ def sphere_optimize_batch(
     *,
     ascend=None,
     phase_invariant=True,
-    warm_starts=None,
 ) -> list:
     """sphere_optimize for count objectives on C^d at once: one
     SupremumEstimate per owner b = 0..count-1, each equal to a
@@ -227,13 +225,12 @@ def sphere_optimize_batch(
     carries nothing).  values may be a lower bound of the objective at
     rows that the step does not lower; the rows are ranked by it, but
     each winner is valued by objective.  Every owner starts from the
-    same random points, drawn once from config.seed, plus its own
-    warm_starts[b]; its screens and its rows' ascent, retirement and
-    value are as in a run of its own, so one call of the maps (one
-    batched factorization) serves every active row of every owner.
+    same random points, drawn once from config.seed; its screens and its
+    rows' ascent, retirement and value are as in a run of its own, so one
+    call of the maps (one batched factorization) serves every active row
+    of every owner.
     """
     cfg = config or OptimizerConfig()
-    warm_starts = warm_starts or ((),) * count
     if d == 1 and phase_invariant:
         lam = np.ones((count, 1), dtype=np.complex128)
         vals = objective(lam, _blocks(np.arange(count), count))
@@ -244,9 +241,8 @@ def sphere_optimize_batch(
         raise ValueError("sphere_optimize needs an ascent map for d > 1")
 
     draws = _random_draws(d, cfg, phase_invariant)
-    starts = [_starts(lambda rows, b=b: objective(rows, ((b, slice(None)),)), d, cfg,
-                      phase_invariant, warm, draws)
-              for b, warm in enumerate(warm_starts)]
+    starts = [_starts(lambda rows, b=b: objective(rows, ((b, slice(None)),)), d, phase_invariant,
+                      draws) for b in range(count)]
     sizes = [len(rows) for rows, _ in starts]
     best_vals, best_pts, converged, life = _run_ascent(
         ascend, np.vstack([rows for rows, _ in starts]), np.repeat(np.arange(count), sizes),
@@ -285,23 +281,14 @@ def _random_draws(d: int, cfg: OptimizerConfig, phase_invariant: bool) -> tuple:
                  for count in (cfg.n_random_starts, cfg.grid_points, d))
 
 
-def _starts(objective, d: int, cfg: OptimizerConfig, phase_invariant: bool, warm_starts,
-            draws: tuple):
+def _starts(objective, d: int, phase_invariant: bool, draws: tuple):
     """One owner's start rows and the number of points screened for them:
-    the axes, the warm starts, the random starts, the top 16 of the
-    screen by this owner's objective and the d last random points (all
-    from draws), each moved to its best phase when the objective is not
-    phase-invariant."""
+    the axes, the random starts, the top 16 of the screen by this owner's
+    objective and the d last random points (all from draws), each moved
+    to its best phase when the objective is not phase-invariant."""
     random, grid, last = draws
     parts = [_axis_starts(d)]
     screened = 0
-    if warm_starts:
-        warm = [np.asarray(w, dtype=np.complex128).reshape(1, -1) for w in warm_starts]
-        bad = [w.shape[1] for w in warm if w.shape[1] != d]
-        if bad:
-            raise DimensionMismatchError(f"a warm start has {bad[0]} coefficients, expected d={d}")
-        warm = np.vstack(warm)
-        parts.append(gauge_fix(_normalize_rows(warm)))
     if random is not None:
         parts.append(random)
     if grid is not None:

@@ -32,8 +32,8 @@ those the rhs of "le" read and those the lhs of "eq" read while it is
 below its target.  A larger estimate only raises the lhs of "gt", or of
 an "eq" above its target, so those fail without a rerun, and the fail is
 proved: each measured supremum is a lower bound of the true one.  A
-hypo-norm or Schatten estimate reruns with max(8 * n_random_starts, 256)
-starts plus a 100k-point screen, warm-started at its argmax; the joint
+hypo-norm or Schatten estimate reruns from scratch with
+max(8 * n_random_starts, 256) starts plus a 100k-point screen; the joint
 radius reruns with both routes.  The store keeps the larger estimate,
 the check is judged again, and every later read sees the escalated
 value.
@@ -339,16 +339,16 @@ class _Store:
         self.reads.append(key)
         return self._memo(key, lambda: self._estimate(key, self.cfg.opt)).value
 
-    def _estimate(self, key, opt: OptimizerConfig, warm=()):
+    def _estimate(self, key, opt: OptimizerConfig):
         kind, name, p = key
         t = self.tup(name)
         if kind == "hypo":
             if p is None:
-                return hypo_norm(t, opt, warm_starts=warm)
-            return schatten_hypo_norm(t, p, opt, warm_starts=warm)
+                return hypo_norm(t, opt)
+            return schatten_hypo_norm(t, p, opt)
         if p is None:
             return joint_numerical_radius(t, opt)
-        return schatten_numerical_radius(t, p, opt, warm_starts=warm)
+        return schatten_numerical_radius(t, p, opt)
 
     def escalate(self, keys) -> bool:
         """Rerun each optimized quantity in keys that has not escalated in
@@ -356,9 +356,8 @@ class _Store:
         fresh = [k for k in dict.fromkeys(keys) if k not in self.escalated]
         for key in fresh:
             self.escalated.add(key)
-            est = self.memo[key]
-            better = self._estimate(key, self.cfg.opt.escalated(), [est.argmax.coeffs])
-            self.memo[key] = max(est, better, key=lambda e: e.value)
+            rerun = self._estimate(key, self.cfg.opt.escalated())
+            self.memo[key] = max(self.memo[key], rerun, key=lambda e: e.value)
         return bool(fresh)
 
     def _sides(self, row, i):

@@ -10,7 +10,10 @@ A reference is a bare name, so `.d` on any object counts for every
 member named d.  A method or property that shares its name with another
 definition in the package, another class's member, an annotated class
 field or a module function, could lose its last caller unseen; such a
-name fails the test unless ALLOWED_SHARED gives the reason it stays."""
+name fails the test unless ALLOWED_SHARED gives the reason it stays.
+
+No module of src/sphertrans (apart from the __init__.py re-exports),
+scripts/ or tests/ imports a name that it never reads as a Name."""
 
 import ast
 import re
@@ -220,3 +223,47 @@ def test_the_guard_sees_each_shared_name():
                                             "m.Sheet.area"]
     assert shared_names({"m": _SHARED}, {"m.Box.dim", "m.Box.area"}) == ["m.Box.size",
                                                                          "m.Sheet.area"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module's imports bind, anywhere in it, that no Name
+    node of the module reads, in source order."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for _, name in sorted(bound) if name not in read]
+
+
+def test_every_import_is_used():
+    paths = [*(path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"),
+             *sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    found = [f"{path.relative_to(ROOT)}: {name}" for path in paths
+             for name in unused_imports(path.read_text())]
+    assert not found, f"imported and never used: {', '.join(found)}"
+
+
+_IMPORTS = """
+from __future__ import annotations
+
+import os.path
+import numpy as np
+import json as js
+from pathlib import Path, PurePath as Pure
+from .errors import *
+
+
+def f(root: Path) -> float:
+    import re
+    return np.pi + len(os.sep)
+"""
+
+
+def test_the_guard_sees_each_unused_import():
+    # a dotted import binds its first name, an alias its own, a star and
+    # __future__ bind nothing a module reads; annotations are reads
+    assert unused_imports(_IMPORTS) == ["js", "Pure", "re"]

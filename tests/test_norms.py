@@ -449,8 +449,7 @@ class TestExactP2:
             est = estimator(t, 2.0, CFG)
             assert (est.starts, est.converged, est.spread, est.iterations,
                     est.evaluations) == (0, True, 0.0, 0, 1)
-            for other in (estimator(t, 2.0, crippled), estimator(t, 2.0, CFG.escalated()),
-                          estimator(t, 2.0, CFG, warm_starts=[np.ones(t.d)])):
+            for other in (estimator(t, 2.0, crippled), estimator(t, 2.0, CFG.escalated())):
                 assert _same_estimate(other, est)
 
     @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160])
@@ -692,12 +691,11 @@ class TestBatchedAscent:
         for t, est in zip(ts, norms._radius_vector_routes(ts, CFG)):
             assert _same_estimate(est, norms._radius_vector_route(t, CFG))
 
-    def test_screens_and_warm_starts_stay_per_tuple(self):
+    def test_screens_stay_per_tuple(self):
         ts = _batch(3, 4)
         cfg = OptimizerConfig(n_random_starts=2, grid_points=500)
-        warm = ([norms.hypo_norm(ts[0], CFG).argmax.coeffs], (), [np.ones(3)])
-        for t, w, est in zip(ts, warm, norms._hypo_p_norms(ts, 1.5, cfg, warm)):
-            assert _same_estimate(est, norms.schatten_hypo_norm(t, 1.5, cfg, warm_starts=w))
+        for t, est in zip(ts, norms._hypo_p_norms(ts, 1.5, cfg)):
+            assert _same_estimate(est, norms.schatten_hypo_norm(t, 1.5, cfg))
 
     def test_iteration_and_evaluation_counts(self):
         # d = 1 collapses to one evaluation; otherwise every start takes at

@@ -3,7 +3,7 @@ import pytest
 
 from sphertrans import norms, optimize
 from sphertrans.ensembles import random_tuple
-from sphertrans.errors import DimensionMismatchError, InvalidParameterError
+from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import hypo_norm
 from sphertrans.optimize import (
     BallPoint,
@@ -13,7 +13,6 @@ from sphertrans.optimize import (
     power_step,
     sphere_optimize,
 )
-from sphertrans.suites import sharp_diag_pair
 
 from conftest import combination, hypo_oracle
 
@@ -123,16 +122,6 @@ class TestSphereOptimize:
         with pytest.raises(ValueError):
             sphere_optimize(obj, 2, OptimizerConfig(), phase_invariant=False)
 
-    def test_warm_start_is_used(self):
-        t = random_tuple(2, 4, 8)
-        full = hypo_norm(t)
-        warm = hypo_norm(
-            t,
-            OptimizerConfig(n_random_starts=0),
-            warm_starts=[full.argmax.coeffs],
-        )
-        assert warm.value >= full.value - 1e-10
-
 
 class TestGridOracle:
     def test_matches_optimizer_on_small_tuples(self):
@@ -176,10 +165,6 @@ class TestConfigValidation:
     def test_zero_fields_are_valid(self):
         cfg = OptimizerConfig(n_random_starts=0, grid_points=0, max_iters=0, seed=0)
         assert cfg.escalated().n_random_starts == 256
-
-    def test_warm_start_of_wrong_length_raises(self):
-        with pytest.raises(DimensionMismatchError, match="d=2"):
-            hypo_norm(sharp_diag_pair(), None, warm_starts=[np.ones(3)])
 
 
 class TestEscalation:
@@ -259,7 +244,6 @@ class TestBatchDraws:
             return per_block
 
         cfg = OptimizerConfig(n_random_starts=4, grid_points=300, seed=5)
-        warm = ([np.array([1.0, 1.0j, 0.0])], (), [np.array([0.0, 1.0, 1.0])])
         draws = []
         real_rng = np.random.default_rng
 
@@ -270,11 +254,11 @@ class TestBatchDraws:
         monkeypatch.setattr(np.random, "default_rng", counted)
         ests = optimize.sphere_optimize_batch(batched(objective), 3, len(cs), cfg,
                                               ascend=batched(ascend),
-                                              phase_invariant=phase_invariant, warm_starts=warm)
+                                              phase_invariant=phase_invariant)
         assert draws == [(cfg.seed,)]
-        for c, w, est in zip(cs, warm, ests):
+        for c, est in zip(cs, ests):
             alone = sphere_optimize(objective(c), 3, cfg, ascend=ascend(c),
-                                    phase_invariant=phase_invariant, warm_starts=w)
+                                    phase_invariant=phase_invariant)
             assert est.argmax.coeffs.tobytes() == alone.argmax.coeffs.tobytes()
             assert (est.value, est.starts, est.converged, est.spread, est.iterations,
                     est.evaluations) == (alone.value, alone.starts, alone.converged,

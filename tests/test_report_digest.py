@@ -63,6 +63,18 @@ def test_digest_is_the_same_at_one_and_two_workers():
     assert bad.returncode == 2 and "--workers must be at least 1" in bad.stderr
 
 
+@pytest.mark.parametrize("args,message", [
+    (("--trials", "0"), "--trials must be at least 1"),
+    (("--seed", "42", "--seed", "-3"), "--seed must be at least 0"),
+])
+def test_digest_rejects_a_bad_trial_count_or_seed_before_any_suite_runs(args, message):
+    """A usage error exits 2, apart from the 1 of a digest MISMATCH."""
+    bad = subprocess.run([sys.executable, str(SCRIPT), "--suite", "zero", *args],
+                         capture_output=True, text=True, timeout=60)
+    assert (bad.returncode, bad.stdout) == (2, "") and message in bad.stderr
+    assert "Traceback" not in bad.stderr
+
+
 def _sharpness_digests(*extra):
     return subprocess.run([sys.executable, str(SCRIPT), "--suite", "sharpness", "--trials", "1",
                            *extra], capture_output=True, text=True, timeout=600)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sphertrans.suites import SUITE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +45,19 @@ def test_run_verification_writes_every_report(tmp_path):
                              for ext in (".json", ".tightness.json"))
     for suite in SUITE_NAMES:
         assert json.loads((tmp_path / f"{suite}.json").read_text())["suite"] == suite
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--trials", "0"), "--trials must be at least 1"),
+    (("--seed", "-3"), "--seed must be at least 0"),
+    (("--workers", "0"), "--workers must be at least 1"),
+])
+def test_run_verification_rejects_a_bad_count_or_seed_before_any_suite_runs(tmp_path, args,
+                                                                             message):
+    out = tmp_path / "out"
+    run = _run_script("run_verification.py", "--out", str(out), *args)
+    assert (run.returncode, run.stdout) == (2, "") and message in run.stderr
+    assert not out.exists()
 
 
 def test_layer_costs_prints_every_layer():

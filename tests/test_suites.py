@@ -36,13 +36,17 @@ def _strip_wall_time(text: str) -> str:
     return re.sub(r'"wall_time": [^,}\n]+', '"wall_time": 0', text)
 
 
+# the batched entry point a block uses for the first estimates of each
+# estimator that has one
+_FIRST_BATCH = {"hypo_norm": "_hypo_p_norms", "joint_numerical_radius": "_radius_vector_routes"}
+
+
 def _shorten_first_estimates(monkeypatch, name, factor, only=None, always=False):
-    """Patch the suites' estimator `name`, and the batched entry point the
-    block uses for first operator hypo-norms when name is hypo_norm, so
-    that unescalated estimates (every estimate if always) of the tuples
-    whose arrays are in only, or of every tuple, return factor times the
-    value; returns a Counter of escalated calls per tuple array."""
-    real = getattr(suites, name)
+    """Patch the suites' estimator `name`, and its _FIRST_BATCH entry
+    point if it has one, so that unescalated estimates (every estimate if
+    always) of the tuples whose arrays are in only, or of every tuple,
+    return factor times the value; returns a Counter of escalated calls
+    per tuple array."""
     escalated = collections.Counter()
 
     def shorten(t, config, est):
@@ -55,19 +59,18 @@ def _shorten_first_estimates(monkeypatch, name, factor, only=None, always=False)
             return replace(est, value=factor * est.value)
         return est
 
-    def short(t, *args, **kwargs):
-        config = [a for a in args if hasattr(a, "grid_points")][0]
-        return shorten(t, config, real(t, *args, **kwargs))
+    def config_of(args):
+        return [a for a in args if hasattr(a, "grid_points")][0]
 
-    monkeypatch.setattr(suites, name, short)
-    if name == "hypo_norm":
-        real_batch = suites._hypo_p_norms
+    real = getattr(suites, name)
+    monkeypatch.setattr(suites, name, lambda t, *args: shorten(t, config_of(args), real(t, *args)))
+    if name in _FIRST_BATCH:
+        real_batch = getattr(suites, _FIRST_BATCH[name])
 
-        def short_batch(ts, p, config, *args, **kwargs):
-            return [shorten(t, config, est)
-                    for t, est in zip(ts, real_batch(ts, p, config, *args, **kwargs))]
+        def short_batch(ts, *args):
+            return [shorten(t, config_of(args), est) for t, est in zip(ts, real_batch(ts, *args))]
 
-        monkeypatch.setattr(suites, "_hypo_p_norms", short_batch)
+        monkeypatch.setattr(suites, _FIRST_BATCH[name], short_batch)
     return escalated
 
 
@@ -450,6 +453,37 @@ class TestEscalation:
         assert recs["spr.hypo_le_norm"].lhs == escalated
         assert recs["s2r.chain.a"].rhs == escalated / np.sqrt(2.0)
         assert recs["s2r.chain.d"].lhs == escalated
+
+    def test_a_short_schatten_radius_escalates_once_per_trial(self, monkeypatch):
+        # s4 trials 0-2 at seed 42 draw p = 2, 1.5 and 5; each first
+        # Schatten p-radius reads 0.4x, so half the hypo-norm exceeds it
+        # until the rerun, which is a fresh run at the escalated config
+        cfg = SuiteConfig(trials=3, seed=42)
+        stores = [_Store("s4", cfg, k) for k in range(3)]
+        reruns = [suites.schatten_numerical_radius(s.T, s.p, cfg.opt.escalated()).value
+                  for s in stores]
+        escalated = _shorten_first_estimates(monkeypatch, "schatten_numerical_radius", 0.4)
+        recs = [r for r in _block_records("s4", cfg, range(3))
+                if r.inequality_id == "spr.half_hypo_le_radius"]
+        assert [s.p for s in stores] == [2.0, 1.5, 5.0]
+        assert [r.status for r in recs] == ["refined-pass"] * 3
+        assert [r.rhs for r in recs] == reruns
+        assert escalated == {s.T.array.tobytes(): 1 for s in stores}
+
+    def test_a_short_joint_radius_escalates_through_both_routes(self, monkeypatch):
+        # only T.hz's first radius (route a, from the block's batch) reads
+        # 0.4x: the aluthge row escalates it once, through
+        # joint_numerical_radius, and the mean row reads the escalated value
+        cfg = SuiteConfig(trials=1, seed=42)
+        hz = _bare_tup(_Store("s2", cfg, 0), "T.hz")
+        rerun = suites.joint_numerical_radius(hz, cfg.opt.escalated()).value
+        escalated = _shorten_first_estimates(monkeypatch, "joint_numerical_radius", 0.4,
+                                             only={hz.array.tobytes()})
+        recs = {r.inequality_id: r for r in _block_records("s2", cfg, [0])}
+        aluthge, mean = recs["radius.monotone.aluthge"], recs["radius.monotone.mean"]
+        assert escalated == {hz.array.tobytes(): 1}
+        assert (aluthge.status, aluthge.rhs) == ("refined-pass", rerun)
+        assert (mean.status, mean.lhs) == ("pass", rerun)
 
     @pytest.mark.parametrize("always", [False, True])
     def test_a_quantity_escalates_once_per_trial(self, monkeypatch, always):
