@@ -30,14 +30,17 @@ import argparse
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from sphertrans import blocks, norms, suites, transforms
-from sphertrans.ensembles import random_tuple
-from sphertrans.optimize import SupremumEstimate
-from sphertrans.suites import SuiteConfig
-from sphertrans.tuples import spherical_polar, tuple_from
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sphertrans import blocks, norms, suites, transforms  # noqa: E402
+from sphertrans.ensembles import random_tuple  # noqa: E402
+from sphertrans.optimize import SupremumEstimate  # noqa: E402
+from sphertrans.suites import SuiteConfig  # noqa: E402
+from sphertrans.tuples import spherical_polar, tuple_from  # noqa: E402
 
 D, N = 3, 5
 CFG = SuiteConfig(trials=1).opt

@@ -9,10 +9,15 @@ p-norm 2^(-1/p) tr-root equal to 1 for every p, while its hypo-p-norm is
 coefficient point and equals 2^(1/p - 1/2).
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from sphertrans.norms import schatten_hypo_norm, schatten_spherical_norm
-from sphertrans.suites import sharp_column_pair, sharp_diag_pair
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sphertrans.norms import schatten_hypo_norm, schatten_spherical_norm  # noqa: E402
+from sphertrans.suites import sharp_column_pair, sharp_diag_pair  # noqa: E402
 
 
 def main() -> None:

@@ -37,7 +37,7 @@ from .predicates import (
     is_square_zero,
     taylor_invertibility_proxy,
 )
-from .reports import InequalityRecord, SuiteReport, tightness_stats, write_report
+from .reports import InequalityRecord, SuiteReport, write_report
 from .suites import (
     INEQUALITIES,
     SuiteConfig,

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: compute, norms, classify, verify, fuzz.  Exit codes:
-0 success / all checks pass, 1 verification failures, 2 I/O or parse
-errors, 3 invalid parameters.
+Subcommands: compute, norms, classify, verify, fuzz.  verify is the one
+way to run the verification suites, and --workers the one way to set
+their worker count (default: the CPU count).  verify and fuzz check
+their parameters and create the directory of their output path before
+any trial runs.  Exit codes: 0 success / all checks pass, 1 verification
+failures, 2 I/O or parse errors, 3 invalid parameters.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .suites import (
     SUITE_NAMES,
     INEQUALITIES,
     SuiteConfig,
+    check_config,
     default_trials,
     fuzz_inequality,
     run_suite,
@@ -114,6 +119,14 @@ def _load_tuple(path):
         return read_tuple(path)
     except (OSError, TupleDocumentError) as exc:
         print(f"error: cannot read tuple from {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+
+
+def _make_parent(path) -> None:
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create the directory of {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
 
 
@@ -217,7 +230,7 @@ def _print_suite_summary(report) -> None:
 
 def _cmd_verify(args) -> int:
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    all_ok = True
+    runs = []
     for name in suites:
         cfg = SuiteConfig(
             trials=args.trials if args.trials is not None else default_trials(name),
@@ -227,12 +240,18 @@ def _cmd_verify(args) -> int:
             nmax=args.nmax,
             workers=args.workers,
         )
+        check_config(name, cfg)
+        path = args.report
+        if path and len(suites) > 1:
+            path = f"{args.report.removesuffix('.json')}.{name}.json"
+        runs.append((name, cfg, path))
+    if args.report:
+        _make_parent(runs[0][2])    # every suite's report is in one directory
+    all_ok = True
+    for name, cfg, path in runs:
         report = run_suite(name, cfg)
         _print_suite_summary(report)
-        if args.report:
-            path = args.report
-            if len(suites) > 1:
-                path = f"{args.report.removesuffix('.json')}.{name}.json"
+        if path:
             try:
                 write_report(report, path)
             except OSError as exc:
@@ -256,6 +275,9 @@ def _cmd_fuzz(args) -> int:
         ensemble=args.ensemble,
         workers=args.workers,
     )
+    if args.witness:
+        check_config(INEQUALITIES[args.inequality_id]["suite"], cfg)
+        _make_parent(args.witness)
     report, records, witness, fingerprint = fuzz_inequality(args.inequality_id, cfg)
     slacks = np.array([r.slack for r in records])
     out = {

@@ -88,24 +88,6 @@ def slack_histogram(slacks, bins: int = 20) -> dict:
     return {"bin_edges": [float(e) for e in edges], "bin_counts": [int(c) for c in counts]}
 
 
-def tightness_stats(report: SuiteReport, bins: int = 20) -> dict:
-    """Histogram of slack per inequality id, as plain data."""
-    grouped: dict = {}
-    for rec in report.records:
-        grouped.setdefault(rec.inequality_id, []).append(rec.slack)
-    out = {}
-    for rid, slacks in sorted(grouped.items()):
-        arr = np.asarray(slacks, dtype=float)
-        out[rid] = {
-            "count": int(arr.size),
-            "min": float(arr.min()),
-            "max": float(arr.max()),
-            "mean": float(arr.mean()),
-            **slack_histogram(arr, bins),
-        }
-    return out
-
-
 def _shallow_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 

@@ -75,8 +75,6 @@ from .predicates import is_normal_tuple, is_square_zero
 from .reports import FAIL, PASS, REFINED, InequalityRecord, SuiteReport, summarize
 from .tuples import OperatorTuple
 
-WORKERS_ENV = "SPHERTRANS_WORKERS"
-
 SUITE_NAMES = ("s2", "s3", "s4", "equality", "sharpness", "zero")
 
 _P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
@@ -783,21 +781,8 @@ _DEFAULT_TRIALS = {"s2": 500, "s3": 500, "s4": 300, "equality": 100, "zero": 100
 
 
 def resolve_workers(workers: int | None) -> int:
-    """workers if given, else SPHERTRANS_WORKERS if it is an integer of at
-    least 1 (else it warns), else the CPU count."""
-    if workers is not None:
-        return workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count >= 1:
-            return count
-        warnings.warn(f"{WORKERS_ENV}={env!r} is not an integer of at least 1; "
-                      "using the CPU count", RuntimeWarning, stacklevel=2)
-    return os.cpu_count() or 1
+    """workers if given, else the CPU count."""
+    return workers if workers is not None else os.cpu_count() or 1
 
 
 _BLOCK_TRIALS = 100     # at most, so that a block's live stores stay small
@@ -816,9 +801,8 @@ def _trial_worker(args):
     return _block_records(*args)
 
 
-def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
-    """Run one suite in blocks of trials; records are merged in
-    trial-index order."""
+def check_config(suite: str, cfg: SuiteConfig) -> None:
+    """Raise, as run_suite does first, unless cfg is a valid config for suite."""
     if suite not in _ROW_RUNS:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITE_NAMES}")
     if cfg.trials < 1:
@@ -839,6 +823,12 @@ def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
     if cfg.ensemble not in (None, *ENSEMBLES):
         raise InvalidParameterError(f"ensemble={cfg.ensemble!r} must be one of "
                                     f"{', '.join(ENSEMBLES)}")
+
+
+def run_suite(suite: str, cfg: SuiteConfig) -> SuiteReport:
+    """Run one suite in blocks of trials; records are merged in
+    trial-index order."""
+    check_config(suite, cfg)
     if suite == "sharpness":
         cfg = replace(cfg, trials=1)
     started = time.perf_counter()

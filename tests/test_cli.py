@@ -196,14 +196,44 @@ class TestVerify:
         assert captured.err.startswith(f"error: {name}=")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--seed", "-3"),
+                                               ("--workers", "0")])
+    def test_all_suites_refuse_a_bad_parameter_before_any_suite_runs(self, option, value,
+                                                                     tmp_path, capsys):
+        code = main(["verify", "--suite", "all", "--report", str(tmp_path / "new" / "r.json"),
+                     option, value])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option[2:]}=")
+        assert not (tmp_path / "new").exists()
+
     def test_all_suites_report_suffix_replaces_only_the_last_json(self, tmp_path, capsys):
-        reports = tmp_path / "out.json.d"
-        reports.mkdir()
-        code = main(["verify", "--suite", "all", "--trials", "1", "--workers", "1",
+        reports = tmp_path / "new" / "out.json.d"       # made by verify
+        code = main(["verify", "--suite", "all", "--trials", "2", "--workers", "1",
                      "--report", str(reports / "r.json")])
         assert code == 1        # the sharpness suite fails by design
         written = sorted(path.name for path in reports.iterdir())
         assert written == sorted(f"r.{name}.json" for name in SUITE_NAMES)
+        for name in SUITE_NAMES:
+            doc = json.loads((reports / f"r.{name}.json").read_text())
+            assert doc["suite"] == name
+            assert all(entry["ok"] for entry in doc["summary"].values()) == \
+                (name != "sharpness")
+
+    @pytest.mark.parametrize("suite", ["s3", "all"])
+    def test_a_report_directory_that_cannot_be_made_exits_2_before_any_trial(
+            self, suite, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        report = blocker / "sub" / "r.json"
+        code = main(["verify", "--suite", suite, "--trials", "2", "--workers", "1",
+                     "--report", str(report)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot create the directory of ")
+        assert captured.err.count("\n") == 1
 
     def test_zero_suite_exit_0(self, capsys):
         code = main(["verify", "--suite", "zero", "--trials", "10",
@@ -213,7 +243,7 @@ class TestVerify:
 
 class TestFuzz:
     def test_fuzz_writes_witness_and_histogram(self, tmp_path, capsys):
-        witness = tmp_path / "w.json"
+        witness = tmp_path / "new" / "w.json"          # its directory is made by fuzz
         code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "5",
                      "--seed", "3", "--workers", "1", "--witness", str(witness)])
         assert code == 0
@@ -241,13 +271,27 @@ class TestFuzz:
     @pytest.mark.parametrize("option, value",
                              [("--dmax", "0"), ("--nmax", "1"), ("--seed", "-1"),
                               ("--workers", "0"), ("--workers", "-4")])
-    def test_fuzz_out_of_range_dims_exit_3(self, option, value, capsys):
+    def test_fuzz_out_of_range_dims_exit_3(self, option, value, tmp_path, capsys):
         code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
-                     "--workers", "1", option, value])
+                     "--workers", "1", "--witness", str(tmp_path / "new" / "w.json"),
+                     option, value])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {option[2:]}=")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_fuzz_witness_directory_that_cannot_be_made_exits_2_before_any_trial(
+            self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
+                     "--workers", "1", "--witness", str(blocker / "sub" / "w.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot create the directory of ")
         assert captured.err.count("\n") == 1
 
     def test_fuzz_unreached_row_exits_3(self, capsys):

@@ -11,7 +11,7 @@ import pytest
 from sphertrans import blocks, suites
 from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import schatten_spherical_norm
-from sphertrans.reports import report_to_json, tightness_stats
+from sphertrans.reports import report_to_json
 from sphertrans.suites import (
     INEQUALITIES,
     SUITE_NAMES,
@@ -574,28 +574,9 @@ class TestEscalation:
         assert _strip_wall_time(report_to_json(pooled)) == \
             _strip_wall_time(report_to_json(serial))
 
-    def test_malformed_worker_count_warns(self, monkeypatch):
-        monkeypatch.setenv(suites.WORKERS_ENV, "two")
-        with pytest.warns(RuntimeWarning, match="SPHERTRANS_WORKERS='two'"):
-            assert resolve_workers(None) == (os.cpu_count() or 1)
-        for below in ("0", "-4"):
-            monkeypatch.setenv(suites.WORKERS_ENV, below)
-            with pytest.warns(RuntimeWarning, match=f"SPHERTRANS_WORKERS='{below}'"):
-                assert resolve_workers(None) == (os.cpu_count() or 1)
-        monkeypatch.setenv(suites.WORKERS_ENV, "3")
-        assert resolve_workers(None) == 3
-
-
-class TestTightnessStats:
-    def test_histogram_shape(self):
-        rep = run_suite("s3", SuiteConfig(trials=10, workers=1))
-        stats = tightness_stats(rep, bins=10)
-        assert set(stats) == {r.inequality_id for r in rep.records}
-        for entry in stats.values():
-            assert len(entry["bin_counts"]) == 10
-            assert len(entry["bin_edges"]) == 11
-            assert sum(entry["bin_counts"]) == entry["count"]
-            assert entry["min"] <= entry["mean"] <= entry["max"]
+    def test_the_worker_count_is_the_option_else_the_cpu_count(self):
+        assert resolve_workers(3) == 3
+        assert resolve_workers(None) == (os.cpu_count() or 1)
 
 
 class TestFuzz:
