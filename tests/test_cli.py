@@ -209,10 +209,22 @@ class TestVerify:
         assert not (tmp_path / "new").exists()
 
     def test_all_suites_report_suffix_replaces_only_the_last_json(self, tmp_path, capsys):
-        reports = tmp_path / "new" / "out.json.d"       # made by verify
+        reports = tmp_path / "out.json.d"
+        reports.mkdir()
+        code = main(["verify", "--suite", "all", "--trials", "1", "--workers", "1",
+                     "--report", str(reports / "r.json")])
+        assert code == 1        # the sharpness suite fails by design
+        written = sorted(path.name for path in reports.iterdir())
+        assert written == sorted(f"r.{name}.json" for name in SUITE_NAMES)
+
+    def test_all_suites_write_every_report_and_exit_1(self, tmp_path, capsys):
+        reports = tmp_path / "new"       # made by verify
         code = main(["verify", "--suite", "all", "--trials", "2", "--workers", "1",
                      "--report", str(reports / "r.json")])
         assert code == 1        # the sharpness suite fails by design
+        headers = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("suite ")]
+        assert headers == [f"suite {name}" for name in SUITE_NAMES]
         written = sorted(path.name for path in reports.iterdir())
         assert written == sorted(f"r.{name}.json" for name in SUITE_NAMES)
         for name in SUITE_NAMES:
