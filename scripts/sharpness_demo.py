@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the two bundled sharpness fixtures across a grid of p values.
+"""Print the two bundled sharpness fixtures across the p values that the
+sharpness suite checks (suites._SHARP_P_GRID).
 
 The column pair ([[1,0],[0,0]], [[0,0],[1,0]]) has tuple p-norm sqrt(2)
 and hypo-p-norm 1 for every p, so the sqrt(d) gap between the two norms
@@ -17,17 +18,20 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sphertrans.norms import schatten_hypo_norm, schatten_spherical_norm  # noqa: E402
-from sphertrans.suites import sharp_column_pair, sharp_diag_pair  # noqa: E402
+from sphertrans.suites import (  # noqa: E402
+    _SHARP_P_GRID,
+    sharp_column_pair,
+    sharp_diag_pair,
+)
 
 
 def main() -> None:
-    grid = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
     for label, tup in (("column pair", sharp_column_pair()),
                        ("diagonal pair", sharp_diag_pair())):
         print(f"{label}: d={tup.d}, n={tup.n}")
         print(f"  {'p':>5}  {'tuple p-norm':>14}  {'hypo-p-norm':>13}  "
               f"{'2^(1/p-1/2)':>12}")
-        for p in grid:
+        for p in _SHARP_P_GRID:
             snorm = schatten_spherical_norm(tup, p)
             hypo = schatten_hypo_norm(tup, p).value
             print(f"  {p:>5g}  {snorm:>14.10f}  {hypo:>13.10f}  "

@@ -3,7 +3,7 @@
 Subcommands: compute, norms, classify, verify, fuzz.  verify is the one
 way to run the verification suites, and --workers the one way to set
 their worker count (default: the CPU count).  verify and fuzz check
-their parameters and create the directory of their output path before
+their parameters, and that their output paths can be written, before
 any trial runs.  Exit codes: 0 success / all checks pass, 1 verification
 failures, 2 I/O or parse errors, 3 invalid parameters.
 """
@@ -122,11 +122,23 @@ def _load_tuple(path):
         raise SystemExit(EXIT_IO)
 
 
-def _make_parent(path) -> None:
+def _check_output(path, what: str) -> None:
+    """Exit 2 unless path can be written: its directory is made, and the
+    file is opened for appending, which truncates nothing, and removed
+    again if the check made it."""
+    path = Path(path)
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create the directory of {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+    existed = path.exists()
+    try:
+        open(path, "a").close()
+        if not existed:
+            path.unlink()
+    except OSError as exc:
+        print(f"error: cannot write {what} {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
 
 
@@ -245,8 +257,9 @@ def _cmd_verify(args) -> int:
         if path and len(suites) > 1:
             path = f"{args.report.removesuffix('.json')}.{name}.json"
         runs.append((name, cfg, path))
-    if args.report:
-        _make_parent(runs[0][2])    # every suite's report is in one directory
+    for _, _, path in runs:
+        if path:
+            _check_output(path, "report")
     all_ok = True
     for name, cfg, path in runs:
         report = run_suite(name, cfg)
@@ -277,7 +290,7 @@ def _cmd_fuzz(args) -> int:
     )
     if args.witness:
         check_config(INEQUALITIES[args.inequality_id]["suite"], cfg)
-        _make_parent(args.witness)
+        _check_output(args.witness, "witness")
     report, records, witness, fingerprint = fuzz_inequality(args.inequality_id, cfg)
     slacks = np.array([r.slack for r in records])
     out = {

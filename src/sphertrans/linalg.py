@@ -1,8 +1,7 @@
 """Dense complex linear-algebra kernels.
 
-Adjoints, Hermitian parts, PSD fractional powers, Schatten norms of
-spectra, and the singular values of a stack of matrices, in closed form
-for 2 x 2.  Everything operates on complex128 ndarrays and is pure: no
+Adjoints, Hermitian parts, PSD fractional powers and Schatten norms of
+spectra.  Everything operates on complex128 ndarrays and is pure: no
 caller state is mutated, all outputs are fresh arrays.
 
 These kernels validate nothing but the mathematics they need: psd_powers
@@ -76,30 +75,6 @@ def psd_powers(p: np.ndarray):
     if low < -clip - np.finfo(float).eps:
         raise NotPSDError(f"eigenvalue {low:.3e} below -{clip:.3e}")
     return lambda r: psd_power_from_eig(vals, vecs, r)
-
-
-def stack_singular_values(m: np.ndarray) -> np.ndarray:
-    """The descending singular values of each matrix of a (k, n, n) stack.
-
-    For n = 2 they come in closed form, about ten times faster than
-    LAPACK's batched SVD on 8,192 matrices on one core: with p and r the squared column norms of M and
-    q their inner product, s1 = sqrt((p + r)/2 + hypot((p - r)/2, |q|))
-    and s2 = |det M| / s1, within a few eps * s1 of LAPACK.  Each matrix
-    is first divided by a power of two near its largest entry, which is
-    exact, so the squares neither underflow nor overflow, and its values
-    are multiplied back.  Any other n is np.linalg.svd(m, compute_uv=False).
-    """
-    if m.shape[-2:] != (2, 2):
-        return np.linalg.svd(m, compute_uv=False)
-    scale = np.ldexp(0.5, np.frexp(np.max(np.abs(m), axis=(-2, -1)))[1])
-    m = m / scale[..., None, None]
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    sq = m.real ** 2 + m.imag ** 2
-    p, r = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
-    q = np.abs(np.conj(a) * b + np.conj(c) * d)
-    s1 = np.sqrt((p + r) / 2.0 + np.hypot((p - r) / 2.0, q))
-    s2 = np.minimum(np.abs(a * d - b * c) / np.where(s1 > 0.0, s1, 1.0), s1)
-    return np.stack([s1, s2], axis=-1) * scale[..., None]
 
 
 def schatten_of_spectra(mags: np.ndarray, p: float) -> np.ndarray:

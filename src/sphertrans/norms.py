@@ -18,10 +18,8 @@ the top singular pair only, W = u v*.  Its step needs no SVD after an
 ascent's first call: each row carries its top right singular vector v
 from call to call, refines it by power steps and returns the minorant
 ||M(lam) v||, never lowered from one step to the next; sphere_optimize
-values each winner by the full singular values.  Those come from
-linalg.stack_singular_values, in closed form for 2 x 2 matrices, so a
-2 x 2 tuple's escalation screen of 100k points makes no LAPACK call; the
-ascent steps keep LAPACK's SVD, which also gives the singular vectors.
+values each winner by the full singular values, which come from
+LAPACK's SVD, as every singular value in the package does.
 The hypo-p-norms and radius route (a) of several same-shape tuples are
 estimated by one batched ascent (_hypo_p_norms, _radius_vector_routes),
 each equal to the estimate of its tuple alone; the public estimators are
@@ -205,8 +203,7 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None) -> list:
     _top_right_vectors refines it, and SQUAREM extrapolates it with the
     row.  Only an ascent's first step runs a full SVD.  The optimizer
     values each winner by the objective, so every estimate is still the
-    exact norm at its argmax.  The objective, which screens and values,
-    takes its singular values from linalg.stack_singular_values.
+    exact norm at its argmax.
     """
     scaled = [_binary_scaled(t.array) for t in ts]
     stack = np.stack([mats for mats, _ in scaled])
@@ -214,7 +211,7 @@ def _hypo_p_norms(ts, p: float, config: OptimizerConfig | None) -> list:
 
     def objective(rows, blocks):
         m = _per_owner(_combine, stack, rows, blocks)
-        return linalg.schatten_of_spectra(linalg.stack_singular_values(m), p)
+        return linalg.schatten_of_spectra(np.linalg.svd(m, compute_uv=False), p)
 
     def ascend(rows, blocks, v):
         m = _per_owner(_combine, stack, rows, blocks)
@@ -285,7 +282,7 @@ def _hypo_2_norm(t: OperatorTuple) -> SupremumEstimate:
     mats = t.array
     lam = gauge_fix(_quadratic_argmax(np.concatenate([mats, 1j * mats])))
     m = _combine(mats, lam[None, :])
-    value = linalg.schatten_of_spectra(linalg.stack_singular_values(m), 2.0)
+    value = linalg.schatten_of_spectra(np.linalg.svd(m, compute_uv=False), 2.0)
     return _exact_estimate(value[0], lam)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sphertrans import cli
 from sphertrans.cli import main
 from sphertrans.ensembles import random_tuple
 from sphertrans.suites import SUITE_NAMES, sharp_column_pair
@@ -236,16 +237,30 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["s3", "all"])
     def test_a_report_directory_that_cannot_be_made_exits_2_before_any_trial(
             self, suite, tmp_path, capsys):
+        # a report below a file, then a report that is an existing directory:
+        # for --suite all the last suite's, while the first is an old report
+        # that the refusal must leave as it was
+        def listing():
+            return {p.name: p.is_dir() or p.read_text() for p in tmp_path.iterdir()}
+
         blocker = tmp_path / "file"
         blocker.write_text("")
-        report = blocker / "sub" / "r.json"
-        code = main(["verify", "--suite", suite, "--trials", "2", "--workers", "1",
-                     "--report", str(report)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot create the directory of ")
-        assert captured.err.count("\n") == 1
+        if suite == "all":
+            (tmp_path / f"r.{SUITE_NAMES[-1]}.json").mkdir()
+            (tmp_path / f"r.{SUITE_NAMES[0]}.json").write_text("old\n")
+        else:
+            (tmp_path / "r.json").mkdir()
+        before = listing()
+        for report, error in ((blocker / "sub" / "r.json", "cannot create the directory of"),
+                              (tmp_path / "r.json", "cannot write report")):
+            code = main(["verify", "--suite", suite, "--trials", "2", "--workers", "1",
+                         "--report", str(report)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {error} ")
+            assert captured.err.count("\n") == 1
+        assert listing() == before
 
     def test_zero_suite_exit_0(self, capsys):
         code = main(["verify", "--suite", "zero", "--trials", "10",
@@ -295,16 +310,25 @@ class TestFuzz:
         assert not (tmp_path / "new").exists()
 
     def test_fuzz_witness_directory_that_cannot_be_made_exits_2_before_any_trial(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, monkeypatch):
+        # a witness below a file, then a witness that is an existing directory;
+        # fuzz prints nothing before it writes, so a trial run is caught here
+        def no_trial(*args):
+            raise AssertionError("fuzz ran its trials")
+
+        monkeypatch.setattr(cli, "fuzz_inequality", no_trial)
         blocker = tmp_path / "file"
         blocker.write_text("")
-        code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
-                     "--workers", "1", "--witness", str(blocker / "sub" / "w.json")])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot create the directory of ")
-        assert captured.err.count("\n") == 1
+        (tmp_path / "w.json").mkdir()
+        for witness, error in ((blocker / "sub" / "w.json", "cannot create the directory of"),
+                               (tmp_path / "w.json", "cannot write witness")):
+            code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
+                         "--workers", "1", "--witness", str(witness)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {error} ")
+            assert captured.err.count("\n") == 1
 
     def test_fuzz_unreached_row_exits_3(self, capsys):
         # trial 0 at seed 42 draws p = 2, so the p < 2 row never runs

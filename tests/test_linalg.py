@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,42 +188,6 @@ class TestSvdAndParts:
         h = linalg.hermitian_part(a)
         assert np.array_equal(h, np.conj(h.T))
         assert np.allclose(h, (a + np.conj(a.T)) / 2)
-
-
-def _two_by_two_stacks():
-    """Ginibre, rank-one, unitary times a phase (s1 = s2) and zero stacks."""
-    rng = np.random.default_rng(17)
-
-    def ginibre(k):
-        return rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
-
-    x, y = ginibre(1000)[..., 0], ginibre(1000)[..., 0]
-    unitary = np.linalg.qr(ginibre(1000))[0]
-    phase = np.exp(2j * np.pi * rng.random(1000))[:, None, None]
-    return {"ginibre": ginibre(4000), "rank_one": x[:, :, None] * np.conj(y)[:, None, :],
-            "unitary_phase": 3.0 * phase * unitary,
-            "zero": np.zeros((10, 2, 2), dtype=np.complex128)}
-
-
-class TestStackSingularValues:
-    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160])
-    @pytest.mark.parametrize("kind", ["ginibre", "rank_one", "unitary_phase", "zero"])
-    def test_2x2_agrees_with_lapack(self, kind, scale):
-        m = scale * _two_by_two_stacks()[kind]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = linalg.stack_singular_values(m)
-        ref = np.linalg.svd(m, compute_uv=False)
-        assert s.shape == ref.shape
-        assert np.all(s[:, 0] >= s[:, 1])
-        assert np.all(np.abs(s - ref) <= 4.0 * np.finfo(float).eps * ref[:, :1])
-
-    @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_other_sizes_are_lapack_bit_for_bit(self, n):
-        rng = np.random.default_rng(n)
-        m = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
-        assert np.array_equal(linalg.stack_singular_values(m),
-                              np.linalg.svd(m, compute_uv=False))
 
 
 def _spectra():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphertrans import linalg, norms, optimize
+from sphertrans import linalg, norms
 from sphertrans.ensembles import random_tuple
 from sphertrans.errors import InvalidPError, SphertransError
 from sphertrans.optimize import OptimizerConfig, grid_supremum, power_step, sphere_optimize
@@ -434,7 +434,7 @@ class TestExactP2:
         for t, hypo, _, radius, _ in p2_grid:
             m = norms._combine(t.array, hypo.argmax.coeffs[None, :])
             assert hypo.value == linalg.schatten_of_spectra(
-                linalg.stack_singular_values(m), 2.0)[0]
+                np.linalg.svd(m, compute_uv=False), 2.0)[0]
             lam = np.exp(1j * radius.theta) * radius.argmax.coeffs
             assert radius.value == pytest.approx(
                 norms._real_part_norms(t.array, lam[None, :], 2.0)[0], rel=1e-15)
@@ -567,6 +567,8 @@ class TestRadiusAscent:
         for run in (
             lambda cfg: norms.schatten_numerical_radius(t, 3.0, cfg),
             lambda cfg: norms._radius_coeff_route(t, cfg),
+            # n = 2: the 100k-point screen makes 100k LAPACK SVDs
+            lambda cfg: norms.schatten_hypo_norm(sharp_diag_pair(), 1.0, cfg),
         ):
             base = run(CFG).value
             start = time.perf_counter()
@@ -859,49 +861,3 @@ class TestDualElementStep:
     def test_real_part_step_never_falls(self, monkeypatch, p, ensemble, d, n):
         objective, ascend = _real_part_maps(monkeypatch, random_tuple(d, n, 7, ensemble), p)
         _check_bare_steps(objective, ascend, d, exact=True, rel=_DUAL_STEP_REL)
-
-
-@pytest.fixture(scope="module")
-def escalated_grid():
-    """The 100k-point screen an escalated suite estimate draws at d = 2."""
-    return optimize._random_draws(2, CFG.escalated(), True)[1]
-
-
-class TestClosedForm2x2Objective:
-    """The hypo-p-norm objective takes 2 x 2 singular values in closed
-    form (linalg.stack_singular_values), not from LAPACK."""
-
-    # the column pair is left out: its objective is 1 at every point, so
-    # every point of the screen ties and no ranking is defined
-    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.0, 10.0])
-    @pytest.mark.parametrize("t", [sharp_diag_pair(), random_tuple(2, 2, 31)],
-                             ids=["diag_pair", "ginibre"])
-    def test_screen_ranks_as_lapack(self, monkeypatch, escalated_grid, t, p):
-        objective, _ = _hypo_maps(monkeypatch, t, p)
-        blocks = ((0, slice(None)),)
-
-        def top(vals):
-            return np.argsort(vals)[::-1][:16]
-
-        closed = top(optimize._evaluate_chunked(lambda r: objective(r, blocks), escalated_grid))
-        monkeypatch.setattr(linalg, "stack_singular_values",
-                            lambda m: np.linalg.svd(m, compute_uv=False))
-        lapack = top(optimize._evaluate_chunked(lambda r: objective(r, blocks), escalated_grid))
-        assert np.array_equal(closed, lapack)
-
-    def test_escalation_passes_few_matrices_through_lapack(self, monkeypatch):
-        # the 100k-point screen passes no matrix through LAPACK; the ascent
-        # steps do: 276 starts, each in two SQUAREM iterations of three
-        # steps, 1,656 matrices
-        matrices = []
-        real = np.linalg.svd
-
-        def counted(a, *args, **kwargs):
-            matrices.append(int(np.prod(np.shape(a)[:-2])))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        est = norms.schatten_hypo_norm(sharp_diag_pair(), 1.0,
-                                       OptimizerConfig(n_random_starts=8).escalated())
-        assert max(matrices) <= est.starts
-        assert sum(matrices) < 2000

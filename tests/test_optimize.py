@@ -4,7 +4,7 @@ import pytest
 from sphertrans import norms, optimize
 from sphertrans.ensembles import random_tuple
 from sphertrans.errors import InvalidParameterError
-from sphertrans.norms import hypo_norm
+from sphertrans.norms import hypo_norm, schatten_hypo_norm
 from sphertrans.optimize import (
     BallPoint,
     OptimizerConfig,
@@ -14,7 +14,7 @@ from sphertrans.optimize import (
     sphere_optimize,
 )
 
-from conftest import combination, hypo_oracle
+from conftest import combination, hypo_oracle, schatten_norm
 
 
 class TestBallPoint:
@@ -96,10 +96,12 @@ class TestSphereOptimize:
         assert est.converged
         assert est.value == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
-    def test_value_is_objective_at_argmax(self):
-        t = random_tuple(3, 4, 21)
-        est = hypo_norm(t)
-        direct = np.linalg.norm(combination(t, est.argmax.coeffs), 2)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    @pytest.mark.parametrize("t", [random_tuple(2, 2, 31), random_tuple(3, 4, 21)],
+                             ids=["d2n2", "d3n4"])
+    def test_value_is_objective_at_argmax(self, t, p):
+        est = schatten_hypo_norm(t, p)
+        direct = schatten_norm(combination(t, est.argmax.coeffs), p)
         assert abs(est.value - direct) <= 1e-12
 
     def test_deterministic_given_seed(self):

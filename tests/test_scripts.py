@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from sphertrans.suites import _SHARP_P_GRID
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -23,8 +25,8 @@ def test_sharpness_demo_prints_both_fixture_tables():
     for label in ("column pair: d=2, n=2", "diagonal pair: d=2, n=2"):
         start = lines.index(label)
         assert lines[start + 1].split() == ["p", "tuple", "p-norm", "hypo-p-norm", "2^(1/p-1/2)"]
-        rows = [line.split() for line in lines[start + 2:start + 8]]
-        assert [row[0] for row in rows] == ["1", "1.5", "2", "3", "5", "10"]
+        rows = [line.split() for line in lines[start + 2:start + 2 + len(_SHARP_P_GRID)]]
+        assert [row[0] for row in rows] == [f"{p:g}" for p in _SHARP_P_GRID]
         assert all(len(row) == 4 for row in rows)
     assert lines[-1].startswith("reference values: sqrt(2) =")
 
