@@ -4,8 +4,9 @@ Every check is one row of TABLE: its id, suite and description, its check
 kind ("le": lhs <= rhs, "eq": lhs = rhs, "gt": rhs > lhs), its two sides
 as expressions over a per-trial store, its tolerance, its index (once,
 the lambda grid, the operator/Schatten norm kind or the sharpness p
-grid), an optional condition, the artifact a fuzz witness returns and the
-required pass rate.  INEQUALITIES and REQUIRED_RATES are views of TABLE.
+grid), an optional condition (when, the only gate), the artifact a fuzz
+witness returns and the required pass rate.  INEQUALITIES and
+REQUIRED_RATES are views of TABLE.
 
 Trial k of a run with master seed s draws its inputs from
 default_rng([s, k]) when its store is built.  run_suite evaluates
@@ -71,7 +72,7 @@ from .norms import (
     schatten_numerical_radius,
 )
 from .optimize import OptimizerConfig
-from .predicates import is_normal_tuple, is_square_zero
+from .predicates import is_square_zero
 from .reports import FAIL, PASS, REFINED, InequalityRecord, SuiteReport, summarize
 from .tuples import OperatorTuple
 
@@ -391,10 +392,7 @@ class _Store:
         if fp is None:
             fp = self.fp[row.fp]
         lhs, rhs, keys = self._sides(row, i)
-        note = row.skip(self) if row.skip is not None else None
-        if note:
-            lhs, status, fp = 0.0, PASS, {**fp, "note": note}
-        elif self._holds(row, lhs, rhs):
+        if self._holds(row, lhs, rhs):
             status = PASS
         elif keys and self.escalate(keys):
             lhs, rhs, _ = self._sides(row, i)
@@ -430,10 +428,10 @@ class Row:
     tol names a SuiteConfig slack ("tol", "opt_tol"), scaled by 1 + |rhs|,
     or is an absolute bound: a number or a function of the store.  index
     is None (once), "lambda" (the lambda grid), "norm" (operator norm,
-    then Schatten p) or "p" (the sharpness p grid).  when(store) gates the
-    row; skip(store) returns a note when the sample is outside the claim,
-    and the row then records a pass with lhs 0.  fp names the store's
-    fingerprint and artifact the sampled object a fuzz witness returns.
+    then Schatten p) or "p" (the sharpness p grid).  when(store) is the
+    only gate: a trial where it is false records nothing for the row.  fp
+    names the store's fingerprint and artifact the sampled object a fuzz
+    witness returns.
     """
 
     id: str
@@ -445,7 +443,6 @@ class Row:
     tol: object = "tol"
     index: str | None = None
     when: Callable | None = None
-    skip: Callable | None = None
     fp: str = ""
     artifact: str = "T"
     required_rate: float = 1.0
@@ -480,10 +477,6 @@ def _power_of_sum(s, r):
 def _sum_of_powers(s, r):
     total = sum(power(r) for power in s.psd_powers[:-1])
     return linalg.schatten_from_singulars(np.linalg.svd(total, compute_uv=False), s.p)
-
-
-def _normal_note(s):
-    return "sample was normal, skipped" if is_normal_tuple(s.comm) else None
 
 
 def _scale_tol(s):
@@ -668,7 +661,7 @@ TABLE = (
     Row("eq.heinz_mean.nonnormal_gap", "equality", "gt",
         lambda s, i: 1e-6, lambda s, i: s.norm("comm.mean", s.p) - s.norm("comm.hz", s.p),
         "non-normal commuting tuples: strict gap between interpolated and mean p-norms "
-        "(statistical)", skip=_normal_note, artifact="comm", required_rate=0.95),
+        "(statistical)", artifact="comm", required_rate=0.95),
     Row("eq.scalar_heinz.intertwined.sum", "equality", "eq",
         lambda s, i: s.norm("triple.two_sided", s.p), lambda s, i: s.norm("triple.outer", s.p),
         "AX = XB forces equality of the two-sided interpolated product p-norm with ||AX + XB||_p",

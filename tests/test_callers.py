@@ -29,6 +29,8 @@ ALLOWED = {
     "predicates.is_normal_single": "single-matrix normality, documented in README",
     "predicates.is_quasinormal_single": "single-matrix quasinormality, documented in README",
     "predicates.is_hyponormal_single": "single-matrix hyponormality, documented in README",
+    "predicates.is_normal_tuple": "tuple normality, public API and the reference that "
+                                  "test_predicates checks classify(t).normal against",
     "norms.numerical_radius": "the paper's numerical radius omega(A) of one matrix",
     "optimize.grid_supremum": "the tests' grid oracle, until an enclosure replaces it",
 }

@@ -6,7 +6,7 @@ import pytest
 from sphertrans import cli
 from sphertrans.cli import main
 from sphertrans.ensembles import random_tuple
-from sphertrans.suites import SUITE_NAMES, sharp_column_pair
+from sphertrans.suites import SUITE_NAMES, sharp_column_pair, sharp_diag_pair
 from sphertrans.tupledoc import read_tuple, to_document_dict, write_tuple
 from sphertrans.tuples import OperatorTuple
 
@@ -130,6 +130,15 @@ class TestClassify:
         assert "commuting" in text
         assert "necessary condition only" in text
         assert "coordinate 1" in text
+        assert "block-matrix" not in text       # the column pair does not commute
+
+    def test_commuting_tuple_prints_the_block_route(self, tmp_path, capsys):
+        path = tmp_path / "diag.json"
+        write_tuple(path, sharp_diag_pair(), name="diag")
+        assert main(["classify", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in lines if "(block-matrix route)" in line] \
+            == [["(block-matrix", "route)", "True"]]
 
     def test_tuple_too_large_to_classify_exits_2(self, tmp_path, capsys):
         # ||T||^2 overflows float64: norms still works, classify cannot

@@ -187,12 +187,13 @@ class TestSquareZeroAndProxy:
 
     def test_proxy_invertible_defect(self, diag_pair):
         proxy = predicates.taylor_invertibility_proxy(diag_pair)
-        assert proxy.flag
+        assert proxy.flag and bool(proxy)
         assert proxy.min_defect_eigenvalue == pytest.approx(1.0)
         assert proxy.note == "necessary condition only"
 
     def test_proxy_singular_defect(self, sharp_column):
-        assert not predicates.taylor_invertibility_proxy(sharp_column).flag
+        proxy = predicates.taylor_invertibility_proxy(sharp_column)
+        assert not proxy.flag and not bool(proxy)
 
     def test_proxy_zero_tuple(self):
         zero = OperatorTuple(matrices=np.zeros((2, 2, 2)))

@@ -346,8 +346,7 @@ class TestOneSpectrumPerTuple:
         SVD, each stacked column whose spectrum a row reads has one SVD,
         though s2, s3 and equality read most norms both at p and at the
         operator norm or p = 2.  Each sampled tuple that is transformed has
-        one more, with vectors, for its polar decomposition.  In equality,
-        is_normal_tuple's default tolerance also reads the norm of comm."""
+        one more, with vectors, for its polar decomposition."""
         cfg = SuiteConfig(trials=4, seed=42)
         trials = range(cfg.trials)
         stores = [_Store(suite, cfg, k) for k in trials]
@@ -372,8 +371,6 @@ class TestOneSpectrumPerTuple:
         _block_records(suite, cfg, trials)
         expected = {((k, name), False): 1 for k in trials for name in names}
         expected.update({((k, base), True): 1 for k in trials for base in bases})
-        if suite == "equality":
-            expected.update({((k, "comm"), False): 1 for k in trials})
         assert calls == expected
 
 
