@@ -3,8 +3,8 @@
 A block holds the stores of contiguous trials of one suite (suites._Store),
 each of which names its tuples as name_parts reads them.  For a list of
 stores, stacks builds the named tuples of every store at once: per
-sampled object and shape, one polar_stack and one stack expression per
-kind, with each store's own exponent (its t and t_aluthge).  fill_spectra
+sampled tuple and shape, one polar_stack and one stack expression per
+kind, with each store's own exponent (its t, t_aluthge and nu).  fill_spectra
 factorizes each group's stacked columns by one batched SVD per column
 shape, into each store's memo.  Every value is bit for bit the one a
 store computes alone, which is the same code on a list of one store.
@@ -20,30 +20,15 @@ from . import linalg
 from .transforms import aluthge_of, duggal_of, heinz_of, lambda_mean_of
 from .tuples import OperatorTuple, polar_stack, product_of
 
-
-class HeinzTriple:
-    """A PSD pair (A, B) around X, an exponent nu and r0 = min(nu, 1 - nu).
-    With u, B = U* A U and B's powers are U* A^r U.  A store reads the
-    norms of its products (heinz_products) from one spectrum each, under
-    names such as "triple.half" and "generic.outer"."""
-
-    def __init__(self, a, b, x, nu, u=None):
-        self.a, self.b, self.x, self.nu, self.u = a, b, x, nu, u
-        self.r0 = min(nu, 1.0 - nu)
+HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")
 
 
-def heinz_products(hs) -> dict:
-    """{product: the (k, n, n) products of each of the k same-size Heinz
-    triples hs}, which all have u or all lack it; the A and B powers of
-    every triple come from one batched eigendecomposition each."""
-    a, b, x = (np.stack([getattr(h, m) for h in hs]) for m in "abx")
-    nu = np.array([h.nu for h in hs])
-    apow = linalg.psd_powers(a)
-    if hs[0].u is None:
-        bpow = linalg.psd_powers(b)
-    else:
-        u = np.stack([h.u for h in hs])
-        bpow = lambda r: linalg.adjoint(u) @ apow(r) @ u      # noqa: E731
+def heinz_products(coords: np.ndarray, nu: np.ndarray) -> dict:
+    """{product: the (k, n, n) products of each of the k Heinz triples
+    (A, B, X) of the (k, 3, n, n) stack coords, at its exponent nu}; the
+    A and B powers come from one batched eigendecomposition each."""
+    a, b, x = coords.swapaxes(0, 1)
+    apow, bpow = linalg.psd_powers(a), linalg.psd_powers(b)
     one_sided = apow(nu) @ x @ bpow(1.0 - nu)
     ax, xb = a @ x, x @ b
     return {
@@ -57,11 +42,11 @@ def heinz_products(hs) -> dict:
 
 
 def name_parts(name) -> tuple:
-    """(sampled object, kind) of a tuple name.  A name is a sampled tuple
+    """(sampled tuple, kind) of a tuple name.  A name is a sampled tuple
     ("T", "normal", ...; kind ""), "<sampled>.<kind>" with kind alu, hz,
-    mean, dug or sq (a transform or the square), "<heinz>.<product>" (a
-    heinz_products product, as a 1-tuple) or a float lam (the lambda mean
-    of T, kind lam)."""
+    mean, dug or sq (a transform or the square) or one of HEINZ_PRODUCTS
+    (a heinz_products product of a sampled (A, B, X), as a 1-tuple), or a
+    float lam (the lambda mean of T, kind lam)."""
     if isinstance(name, str):
         base, _, kind = name.partition(".")
         return base, kind
@@ -69,13 +54,13 @@ def name_parts(name) -> tuple:
 
 
 def stacks(stores, names):
-    """Per sampled object and shape, yield (the indices of its stores,
+    """Per sampled tuple and shape, yield (the indices of its stores,
     {name: the (k, d', n, n) coordinates of the named tuple in each}).
 
     The transforms of a tuple stack come from one polar_stack of it and
     one stack expression per kind, with each store's own exponent, and
     the lambda means from one expression over the lambda grid.  A Heinz
-    product is a 1-tuple, from heinz_products of the stack of triples.
+    product is a 1-tuple, from heinz_products of the stack of (A, B, X).
     """
     kinds = defaultdict(list)
     for name in names:
@@ -84,17 +69,11 @@ def stacks(stores, names):
     for base, wanted in kinds.items():
         groups = defaultdict(list)
         for i, s in enumerate(stores):
-            obj = getattr(s, base)
-            groups[(obj.a.shape, obj.u is None) if isinstance(obj, HeinzTriple)
-                   else obj.array.shape].append(i)
+            groups[getattr(s, base).array.shape].append(i)
         for idx in groups.values():
-            objs = [getattr(stores[i], base) for i in idx]
-            if isinstance(objs[0], HeinzTriple):
-                built = {kind: m[:, None] for kind, m in heinz_products(objs).items()}
-            else:
-                built = _transform_stacks([stores[i] for i in idx],
-                                          np.stack([t.array for t in objs]),
-                                          [kind for _, kind in wanted])
+            built = _transform_stacks([stores[i] for i in idx],
+                                      np.stack([getattr(stores[i], base).array for i in idx]),
+                                      [kind for _, kind in wanted])
             yield idx, {name: built[kind] for name, kind in wanted}
 
 
@@ -115,6 +94,9 @@ def _transform_stacks(group, coords: np.ndarray, kinds) -> dict:
         out["mean"] = lambda_mean_of(coords, out["dug"], 0.5)
     if "sq" in kinds:
         out["sq"] = product_of(coords, coords)
+    if set(HEINZ_PRODUCTS) & set(kinds):
+        products = heinz_products(coords, np.array([s.nu for s in group]))
+        out.update((kind, m[:, None]) for kind, m in products.items())
     if lams:
         grid = lambda_mean_of(coords[:, None], out["dug"][:, None], np.array(lams))
         out.update(zip(lams, grid.swapaxes(0, 1)))

@@ -4,9 +4,9 @@ Every check is one row of TABLE: its id, suite and description, its check
 kind ("le": lhs <= rhs, "eq": lhs = rhs, "gt": rhs > lhs), its two sides
 as expressions over a per-trial store, its tolerance, its index (once,
 the lambda grid, the operator/Schatten norm kind or the sharpness p
-grid), an optional condition (when, the only gate), the artifact a fuzz
-witness returns and the required pass rate.  INEQUALITIES and
-REQUIRED_RATES are views of TABLE.
+grid), an optional condition (when, the only gate), the sampled tuple a
+fuzz witness returns (artifact) and the required pass rate.
+INEQUALITIES and REQUIRED_RATES are views of TABLE.
 
 Trial k of a run with master seed s draws its inputs from
 default_rng([s, k]) when its store is built.  run_suite evaluates
@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .blocks import HeinzTriple, fill_spectra, name_parts
+from .blocks import HEINZ_PRODUCTS, fill_spectra, name_parts
 from .ensembles import (
     ENSEMBLES,
     random_commuting_tuple,
@@ -92,9 +92,8 @@ _BATCHES = {
 }
 # per suite, the tuples whose spectra every trial's rows read; a block
 # computes them for all its trials at once
-_HEINZ_PRODUCTS = ("half", "one_sided", "two_sided", "ax", "xb", "outer")  # of heinz_products
 _SPECTRA = {
-    "s2": (*_T_FAMILY, *(f"triple.{kind}" for kind in _HEINZ_PRODUCTS)),
+    "s2": (*_T_FAMILY, *(f"triple.{kind}" for kind in HEINZ_PRODUCTS)),
     "s3": _T_FAMILY,
     "s4": ("T",),
     "equality": ("normal.hz", "normal.mean", "inv.alu", "inv.hz", "comm.mean", "comm.hz",
@@ -151,11 +150,11 @@ def _sample_tuple(s, rng) -> dict:
     return {"d": s.d, "n": s.n, "ensemble": ens}
 
 
-def _sample_heinz_triple(rng, n):
+def _sample_heinz_triple(rng, n) -> OperatorTuple:
     a = random_psd(n, rng)
     b = random_psd(n, rng)
     x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
-    return a, b, x
+    return OperatorTuple(matrices=(a, b, x))
 
 
 def _sample_s2(s, rng, base):
@@ -164,7 +163,7 @@ def _sample_s2(s, rng, base):
     s.r0 = min(s.t, 1.0 - s.t)
     s.nu = float(rng.uniform(0.0, 1.0))
     s.p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
-    s.triple = HeinzTriple(*_sample_heinz_triple(rng, s.n), s.nu)
+    s.triple = _sample_heinz_triple(rng, s.n)
     s.fp = {"": base, "t": {**base, "t": s.t}, "nu": {**base, "nu": s.nu}}
 
 
@@ -180,7 +179,7 @@ def _sample_s4(s, rng, base):
     base = {**base, **_sample_tuple(s, rng)}
     s.p = float(_P_GRID[int(rng.integers(len(_P_GRID)))])
     dp = int(rng.integers(1, s.cfg.dmax + 1))
-    s.family = [random_psd(s.n, rng) for _ in range(dp)]
+    s.family = OperatorTuple(matrices=tuple(random_psd(s.n, rng) for _ in range(dp)))
     s.r_concave = float(rng.uniform(0.05, 0.95))
     s.r_convex = float(rng.uniform(1.0, 3.0))
     fp = {**base, "p": s.p}
@@ -198,9 +197,9 @@ def _sample_equality(s, rng, base):
     s.normal = random_normal_tuple(d, n, rng)
     s.inv = random_normal_tuple(d, n, rng, min_defect=0.05)
     s.comm = random_commuting_tuple(d, n, rng)
-    nu = float(rng.uniform(0.1, 0.9))
-    if abs(nu - 0.5) < 0.1:
-        nu = 0.25
+    s.nu = float(rng.uniform(0.1, 0.9))
+    if abs(s.nu - 0.5) < 0.1:
+        s.nu = 0.25
     # an intertwined triple: B = U* A U and X = c(A) U give AX = XB
     a = random_psd(n, rng)
     u = np.linalg.qr(
@@ -209,10 +208,10 @@ def _sample_equality(s, rng, base):
     b = linalg.hermitian_part(linalg.adjoint(u) @ a @ u)
     coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     c = sum(cf * np.linalg.matrix_power(a, k) for k, cf in enumerate(coeffs))
-    s.triple = HeinzTriple(a, b, c @ u, nu, u)
-    s.generic = HeinzTriple(*_sample_heinz_triple(rng, n), nu)
+    s.triple = OperatorTuple(matrices=(a, b, c @ u))
+    s.generic = _sample_heinz_triple(rng, n)
     base = {**base, "d": d, "n": n, "p": s.p, "t": s.t}
-    s.fp = {"": base, "nu": {**base, "nu": nu}}
+    s.fp = {"": base, "nu": {**base, "nu": s.nu}}
 
 
 def _sample_zero(s, rng, base):
@@ -284,12 +283,6 @@ class _Store:
         self.reads: list = []        # optimized keys read by the current side
         self.escalated: set = set()
         _SAMPLERS[suite](self, _trial_rng(cfg, trial), {"seed": cfg.seed, "trial": trial})
-
-    def artifact(self, name: str) -> OperatorTuple:
-        obj = getattr(self, name)
-        if isinstance(obj, HeinzTriple):
-            obj = (obj.a, obj.b, obj.x)
-        return obj if isinstance(obj, OperatorTuple) else OperatorTuple(matrices=tuple(obj))
 
     @cached_property
     def droot(self) -> float:
@@ -430,8 +423,8 @@ class Row:
     is None (once), "lambda" (the lambda grid), "norm" (operator norm,
     then Schatten p) or "p" (the sharpness p grid).  when(store) is the
     only gate: a trial where it is false records nothing for the row.  fp
-    names the store's fingerprint and artifact the sampled object a fuzz
-    witness returns.
+    names the store's fingerprint and artifact the sampled tuple, a store
+    attribute, that a fuzz witness returns.
     """
 
     id: str
@@ -465,7 +458,7 @@ def _root(lam):
 
 
 def _refined(s, p):
-    r0 = s.triple.r0
+    r0 = min(s.nu, 1.0 - s.nu)
     return 4.0 * r0 * s.norm("triple.half", p) + (1.0 - 2.0 * r0) * s.norm("triple.outer", p)
 
 
@@ -646,7 +639,7 @@ TABLE = (
         fp="concave", artifact="family"),
     Row("psd.power_sum.convex", "s4", "le",
         lambda s, i: _power_of_sum(s, s.r_convex),
-        lambda s, i: len(s.family) ** (s.r_convex - 1.0) * _sum_of_powers(s, s.r_convex),
+        lambda s, i: s.family.d ** (s.r_convex - 1.0) * _sum_of_powers(s, s.r_convex),
         "p-norm of (sum A_k)^r below d^(r-1) times p-norm of sum A_k^r for r >= 1",
         fp="convex", artifact="family"),
     # equality cases
@@ -863,7 +856,7 @@ def fuzz_inequality(inequality_id: str, cfg: SuiteConfig):
     """Scan trials of the owning suite, keeping only one inequality's records.
 
     Returns (report, records, witness_tuple, witness_fingerprint): the owning
-    suite's report and the row's sampled object in the minimum-slack trial.
+    suite's report and the row's sampled tuple in the minimum-slack trial.
     """
     row = next((r for r in TABLE if r.id == inequality_id), None)
     if row is None:
@@ -874,5 +867,5 @@ def fuzz_inequality(inequality_id: str, cfg: SuiteConfig):
         raise InvalidParameterError(
             f"trials={report.trials} produced no record of {inequality_id!r}")
     worst = min(records, key=lambda r: r.slack)
-    witness = _Store(row.suite, cfg, worst.fingerprint["trial"]).artifact(row.artifact)
+    witness = getattr(_Store(row.suite, cfg, worst.fingerprint["trial"]), row.artifact)
     return report, records, witness, worst.fingerprint

@@ -38,8 +38,6 @@ ALLOWED = {
 ALLOWED_SHARED = {
     "suites.SuiteConfig.opt_tol": "a suite's optimizer tolerance, which each report "
                                   "records as its SuiteReport.opt_tol field",
-    "suites._Store.artifact": "the sampled object that a row's Row.artifact field names, "
-                              "as a tuple",
     "suites._Store.psd_powers": "the trial's linalg.psd_powers of the PSD family and of "
                                 "its sum, cached",
 }

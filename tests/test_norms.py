@@ -782,7 +782,7 @@ def _check_bare_steps(objective, ascend, d, exact, rel=1e-15):
 
 
 # the dual-element steps value their rows by another factorization than
-# the objective (svd against closed-form 2 x 2 values, eigh against
+# the objective (svd with vectors against svd without, eigh against
 # eigvalsh) and sum the norm in another order; over TestDualElementStep's
 # tuples the gap and the falls stay under 7 eps
 _DUAL_STEP_REL = 1e-14

@@ -1,5 +1,6 @@
 """The commands that README shows match the tree: its Scripts block names
-exactly the files of scripts/, and each of its sphertrans commands parses."""
+exactly the files of scripts/, its Layout block exactly the modules of
+src/sphertrans, and each of its sphertrans commands parses."""
 
 import re
 import shlex
@@ -24,6 +25,13 @@ def test_the_scripts_block_names_every_script():
     named = {name for line in _code_block("Scripts")
              for name in re.findall(r"scripts/(\S+)", line)}
     assert named == {path.name for path in (ROOT / "scripts").iterdir() if path.is_file()}
+
+
+def test_the_layout_block_names_every_module():
+    named = {name for line in _code_block("Layout")
+             for name in re.findall(r"^\s+(\w+\.py)\s", line)}
+    modules = {path.name for path in (ROOT / "src" / "sphertrans").glob("*.py")}
+    assert named == modules - {"__init__.py"}
 
 
 @pytest.mark.parametrize("heading", ["CLI", "Scripts"])

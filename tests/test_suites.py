@@ -125,6 +125,18 @@ class TestSuiteRuns:
         failing = {rid: e for rid, e in rep.summary.items() if not e["ok"]}
         assert rep.ok(), failing
 
+    @pytest.mark.parametrize("seed", [42, 4242])
+    def test_intertwined_rows_hold_far_inside_their_tolerance(self, seed):
+        # A and B are factorized apart, so AX = XB holds only to rounding;
+        # over 2,000 trials at each seed |lhs - rhs| stays below 1e-12,
+        # against a tolerance of at least 1e-9
+        rep = run_suite("equality", SuiteConfig(trials=300, seed=seed, workers=1))
+        recs = [r for r in rep.records
+                if r.inequality_id.startswith("eq.scalar_heinz.intertwined.")]
+        assert len(recs) == 600
+        assert {r.status for r in recs} == {"pass"}
+        assert max(abs(r.lhs - r.rhs) for r in recs) <= 1e-11
+
     def test_summary_counts_are_consistent(self):
         rep = run_suite("s3", SuiteConfig(trials=10, workers=1))
         for entry in rep.summary.values():
@@ -602,14 +614,21 @@ class TestFuzz:
             "heinz_scalar.lower", SuiteConfig(trials=3, workers=1)
         )
         assert witness is not None
-        assert witness.d == 3  # (A, B, X) packed as a 3-tuple document
+        assert witness.d == 3  # the sampled 3-tuple (A, B, X)
 
     @pytest.mark.parametrize("rid", ["zero.generic.nonvanishing", "zero.mean.nonzero",
-                                     "sharp.diag_pair.scaled_snorm", "sharp.diag_pair.hypo"])
+                                     "sharp.diag_pair.scaled_snorm", "sharp.diag_pair.hypo",
+                                     "psd.power_sum.concave", "eq.scalar_heinz.intertwined.sum"])
     def test_fuzz_witness_is_the_rows_object(self, rid):
         _, _, witness, fingerprint = fuzz_inequality(rid, SuiteConfig(trials=6, workers=1))
         if rid.startswith("sharp."):
             assert np.array_equal(witness.array, sharp_diag_pair().array)
+        elif rid.startswith("psd."):
+            assert (witness.d, witness.n) == (fingerprint["d_family"], fingerprint["n"])
+        elif rid.startswith("eq."):
+            assert (witness.d, witness.n) == (3, fingerprint["n"])
+            a, b, x = witness
+            assert np.linalg.norm(a @ x - x @ b) <= 1e-12 * np.linalg.norm(a @ x)
         else:
             assert (witness.d, witness.n) == (fingerprint["d"], fingerprint["n"])
 
