@@ -4,8 +4,9 @@ Subcommands: compute, norms, classify, verify, fuzz.  verify is the one
 way to run the verification suites, and --workers the one way to set
 their worker count (default: the CPU count).  verify and fuzz check
 their parameters, and that their output paths can be written, before
-any trial runs.  Exit codes: 0 success / all checks pass, 1 verification
-failures, 2 I/O or parse errors, 3 invalid parameters.
+any trial runs.  Handlers raise; main alone prints the error and maps
+it to its exit code: 0 success / all checks pass, 1 verification
+failures, 2 I/O, parse and library errors, 3 invalid parameters.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import transforms
 from .ensembles import ENSEMBLES
-from .errors import InvalidParameterError, InvalidPError, SphertransError
+from .errors import InvalidParameterError, SphertransError
 from .norms import (
     euclidean_norm,
     hypo_norm,
@@ -69,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="apply a spherical transform")
+    p_compute.set_defaults(run=_cmd_compute)
     p_compute.add_argument("--input", required=True)
     p_compute.add_argument("--output", required=True)
     p_compute.add_argument("--transform", required=True, choices=tuple(TRANSFORMS))
@@ -78,68 +80,72 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="weight for lambda-mean")
 
     p_norms = sub.add_parser("norms", help="report all norms and radii")
+    p_norms.set_defaults(run=_cmd_norms)
     p_norms.add_argument("--input", required=True)
     p_norms.add_argument("--p", action="append", type=float, default=None,
                          help="Schatten exponent, repeatable (default: 2)")
-    p_norms.add_argument("--format", choices=("json", "csv", "table"),
-                         default="table")
+    p_norms.add_argument("--format", choices=("json", "csv", "table"), default="table")
 
     p_classify = sub.add_parser("classify", help="structural classification")
+    p_classify.set_defaults(run=_cmd_classify)
     p_classify.add_argument("--input", required=True)
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite", default="all",
-                          choices=SUITE_NAMES + ("all",))
+    suite_options = argparse.ArgumentParser(add_help=False)
+    suite_options.add_argument("--seed", type=int, default=42)
+    suite_options.add_argument("--dmax", type=int, default=4)
+    suite_options.add_argument("--nmax", type=int, default=6)
+    suite_options.add_argument("--workers", type=int, default=None)
+
+    p_verify = sub.add_parser("verify", help="run verification suites",
+                              parents=[suite_options])
+    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--dmax", type=int, default=4)
-    p_verify.add_argument("--nmax", type=int, default=6)
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--report", default=None,
                           help="write JSON report(s); for --suite all a "
                                "suffix per suite is appended")
-    p_verify.add_argument("--workers", type=int, default=None)
 
-    p_fuzz = sub.add_parser("fuzz", help="minimum-slack search for one inequality")
+    p_fuzz = sub.add_parser("fuzz", help="minimum-slack search for one inequality",
+                            parents=[suite_options])
+    p_fuzz.set_defaults(run=_cmd_fuzz)
     p_fuzz.add_argument("--inequality-id", required=True)
     p_fuzz.add_argument("--trials", type=int, default=200)
-    p_fuzz.add_argument("--seed", type=int, default=42)
     p_fuzz.add_argument("--ensemble", default=None, choices=ENSEMBLES,
                         help="force the tuple ensemble of an s2, s3 or s4 row")
-    p_fuzz.add_argument("--dmax", type=int, default=4)
-    p_fuzz.add_argument("--nmax", type=int, default=6)
     p_fuzz.add_argument("--witness", default=None,
                         help="path for the minimum-slack witness tuple")
-    p_fuzz.add_argument("--workers", type=int, default=None)
     return parser
+
+
+def _suite_config(args, **fields) -> SuiteConfig:
+    return SuiteConfig(seed=args.seed, dmax=args.dmax, nmax=args.nmax,
+                       workers=args.workers, **fields)
 
 
 def _load_tuple(path):
     try:
         return read_tuple(path)
     except (OSError, TupleDocumentError) as exc:
-        print(f"error: cannot read tuple from {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise SphertransError(f"cannot read tuple from {path}: {exc}") from exc
 
 
 def _check_output(path, what: str) -> None:
-    """Exit 2 unless path can be written: its directory is made, and the
-    file is opened for appending, which truncates nothing, and removed
-    again if the check made it."""
+    """Raise SphertransError unless path can be written: its directory is
+    made, and the file is opened for appending, which truncates nothing,
+    and removed again if the check made it."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create the directory of {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise SphertransError(f"cannot create the directory of {path}: {exc}") from exc
     existed = path.exists()
     try:
         open(path, "a").close()
         if not existed:
             path.unlink()
     except OSError as exc:
-        print(f"error: cannot write {what} {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise SphertransError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def _cmd_compute(args) -> int:
@@ -148,14 +154,9 @@ def _cmd_compute(args) -> int:
     fn, option = TRANSFORMS[name]
     params = () if option is None else (getattr(args, option),)
     if None in params:
-        print(f"error: --{option} is required for {name}", file=sys.stderr)
-        return EXIT_PARAMS
+        raise InvalidParameterError(f"--{option} is required for {name}")
     out = fn(doc.tuple, *params)
-    try:
-        write_tuple(args.output, out, name=f"{doc.name}.{name}")
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_tuple(args.output, out, name=f"{doc.name}.{name}")
     return EXIT_OK
 
 
@@ -179,8 +180,7 @@ def _cmd_norms(args) -> int:
     p_list = args.p if args.p else [2.0]
     for p in p_list:
         if not p >= 1.0:
-            print(f"error: --p {p} must be >= 1", file=sys.stderr)
-            return EXIT_PARAMS
+            raise InvalidParameterError(f"--p {p} must be >= 1")
     rows = _norm_rows(doc.tuple, p_list)
     if args.format == "json":
         print(json.dumps({k: v for k, v in rows}, indent=1, sort_keys=True))
@@ -244,14 +244,8 @@ def _cmd_verify(args) -> int:
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     runs = []
     for name in suites:
-        cfg = SuiteConfig(
-            trials=args.trials if args.trials is not None else default_trials(name),
-            seed=args.seed,
-            tol=args.tol,
-            dmax=args.dmax,
-            nmax=args.nmax,
-            workers=args.workers,
-        )
+        trials = args.trials if args.trials is not None else default_trials(name)
+        cfg = _suite_config(args, trials=trials, tol=args.tol)
         check_config(name, cfg)
         path = args.report
         if path and len(suites) > 1:
@@ -265,11 +259,7 @@ def _cmd_verify(args) -> int:
         report = run_suite(name, cfg)
         _print_suite_summary(report)
         if path:
-            try:
-                write_report(report, path)
-            except OSError as exc:
-                print(f"error: cannot write report {path}: {exc}", file=sys.stderr)
-                return EXIT_IO
+            write_report(report, path)
         all_ok = all_ok and report.ok()
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
@@ -277,17 +267,9 @@ def _cmd_verify(args) -> int:
 def _cmd_fuzz(args) -> int:
     if args.inequality_id not in INEQUALITIES:
         known = ", ".join(sorted(INEQUALITIES))
-        print(f"error: unknown inequality id {args.inequality_id!r}; known ids: {known}",
-              file=sys.stderr)
-        return EXIT_PARAMS
-    cfg = SuiteConfig(
-        trials=args.trials,
-        seed=args.seed,
-        dmax=args.dmax,
-        nmax=args.nmax,
-        ensemble=args.ensemble,
-        workers=args.workers,
-    )
+        raise InvalidParameterError(
+            f"unknown inequality id {args.inequality_id!r}; known ids: {known}")
+    cfg = _suite_config(args, trials=args.trials, ensemble=args.ensemble)
     if args.witness:
         check_config(INEQUALITIES[args.inequality_id]["suite"], cfg)
         _check_output(args.witness, "witness")
@@ -305,11 +287,7 @@ def _cmd_fuzz(args) -> int:
         "witness_fingerprint": fingerprint,
     }
     if args.witness:
-        try:
-            write_tuple(args.witness, witness, name=f"witness.{args.inequality_id}")
-        except OSError as exc:
-            print(f"error: cannot write witness {args.witness}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        write_tuple(args.witness, witness, name=f"witness.{args.inequality_id}")
         out["witness_path"] = args.witness
     print(json.dumps(out, indent=1))
     return EXIT_OK
@@ -318,25 +296,13 @@ def _cmd_fuzz(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "compute":
-            code = _cmd_compute(args)
-        elif args.command == "norms":
-            code = _cmd_norms(args)
-        elif args.command == "classify":
-            code = _cmd_classify(args)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        else:
-            code = _cmd_fuzz(args)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_IO
-    except (InvalidParameterError, InvalidPError) as exc:
+        return args.run(args)
+    except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_PARAMS
-    except SphertransError as exc:
+        return EXIT_PARAMS
+    except (OSError, SphertransError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_IO
-    return code
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .errors import InvalidParameterError
 from .norms import spherical_norm
 from .tuples import OperatorTuple
 
@@ -80,9 +81,10 @@ def random_normal_tuple(
 ) -> OperatorTuple:
     """T_i = U D_i U* with one random unitary and random complex diagonals.
 
-    With min_defect > 0, diagonals are redrawn until the defect operator's
-    smallest eigenvalue is at least min_defect times its largest, so the
-    tuple is kept away from singular P.
+    With min_defect > 0, diagonals are redrawn until the smallest
+    eigenvalue of P^2 = sum T_i* T_i is at least min_defect times its
+    largest, so the tuple is kept away from singular P.  Raises
+    InvalidParameterError when 64 draws all miss that bound.
     """
     rng = _rng(seed)
     u = _haar_unitary(rng, n)
@@ -91,6 +93,9 @@ def random_normal_tuple(
         weights = np.sum(np.abs(diags) ** 2, axis=0)
         if min_defect <= 0.0 or np.min(weights) >= min_defect * np.max(weights):
             break
+    else:
+        raise InvalidParameterError(
+            f"min_defect={min_defect} was missed by 64 draws of {d} diagonals of size {n}")
     mats = [(u * diags[i]) @ linalg.adjoint(u) for i in range(d)]
     return OperatorTuple(matrices=tuple(mats))
 

@@ -9,12 +9,12 @@ class NotPSDError(SphertransError):
     """Matrix has an eigenvalue below the negativity clip threshold."""
 
 
-class InvalidPError(SphertransError):
-    """Schatten exponent must satisfy p >= 1."""
-
-
 class InvalidParameterError(SphertransError):
-    """Interpolation parameter outside its admissible interval."""
+    """A parameter outside its admissible range."""
+
+
+class InvalidPError(InvalidParameterError):
+    """Schatten exponent must satisfy p >= 1."""
 
 
 class DimensionMismatchError(SphertransError):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -16,6 +18,16 @@ def sharp_file(tmp_path):
     path = tmp_path / "sharp.json"
     write_tuple(path, sharp_column_pair(), name="sharp")
     return path
+
+
+def _assert_one_error_line(err, *words):
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert all(word in err for word in words)
+
+
+def _raise_os_error(*args, **kwargs):
+    raise OSError("No space left on device")
 
 
 class TestCompute:
@@ -77,6 +89,12 @@ class TestCompute:
         code = main(["compute", "--input", str(tmp_path / "none.json"),
                      "--transform", "duggal", "--output", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_output_that_is_a_directory_exits_2(self, sharp_file, tmp_path, capsys):
+        code = main(["compute", "--input", str(sharp_file), "--transform", "duggal",
+                     "--output", str(tmp_path)])
+        assert code == 2
+        _assert_one_error_line(capsys.readouterr().err, str(tmp_path))
 
 
 class TestNorms:
@@ -271,6 +289,16 @@ class TestVerify:
             assert captured.err.count("\n") == 1
         assert listing() == before
 
+    def test_a_report_write_that_fails_after_the_trials_exits_2(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setattr(cli, "write_report", _raise_os_error)
+        code = main(["verify", "--suite", "zero", "--trials", "2", "--workers", "1",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("suite zero: trials=2 ")
+        _assert_one_error_line(captured.err, "No space left on device")
+
     def test_zero_suite_exit_0(self, capsys):
         code = main(["verify", "--suite", "zero", "--trials", "10",
                      "--workers", "1"])
@@ -339,6 +367,16 @@ class TestFuzz:
             assert captured.err.startswith(f"error: {error} ")
             assert captured.err.count("\n") == 1
 
+    def test_a_witness_write_that_fails_after_the_trials_exits_2(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(cli, "write_tuple", _raise_os_error)
+        code = main(["fuzz", "--inequality-id", "sp.chain.middle", "--trials", "2",
+                     "--workers", "1", "--witness", str(tmp_path / "w.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_error_line(captured.err, "No space left on device")
+
     def test_fuzz_unreached_row_exits_3(self, capsys):
         # trial 0 at seed 42 draws p = 2, so the p < 2 row never runs
         code = main(["fuzz", "--inequality-id", "spr.hypo_lower.p_small", "--trials", "1",
@@ -362,3 +400,27 @@ class TestFuzz:
     def test_fuzz_unknown_id_exits_3(self, capsys):
         code = main(["fuzz", "--inequality-id", "bogus", "--trials", "2"])
         assert code == 3
+
+
+def test_main_alone_maps_an_error_to_its_exit_code():
+    """Outside main, no code of the command line prints to stderr, raises
+    SystemExit or reads the exit codes of an error: handlers raise, and
+    main prints the one error line and returns its code."""
+    tree = ast.parse(inspect.getsource(cli))
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    inside_main = set(ast.walk(main_def))
+    sites = []
+    for node in ast.walk(tree):
+        if node in inside_main:
+            continue
+        if isinstance(node, ast.keyword) and node.arg == "file" \
+                and ast.unparse(node.value) == "sys.stderr":
+            sites.append(f"line {node.value.lineno}: file=sys.stderr")
+        elif isinstance(node, ast.Raise) and node.exc is not None \
+                and "SystemExit" in ast.unparse(node.exc):
+            sites.append(f"line {node.lineno}: raise SystemExit")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id in ("EXIT_IO", "EXIT_PARAMS"):
+            sites.append(f"line {node.lineno}: {node.id}")
+    assert sites == []

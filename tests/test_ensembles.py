@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sphertrans import ensembles
+from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import spherical_norm
 from sphertrans.predicates import classify, is_normal_tuple
 from sphertrans.suites import SuiteConfig, _Store
@@ -80,6 +81,18 @@ class TestNormalTuple:
             t = ensembles.random_normal_tuple(2, 5, seed, min_defect=0.05)
             polar = spherical_polar(t)
             assert polar.eigvals[0] >= 0.05 * polar.eigvals[-1] * 0.999
+
+    def test_min_defect_bounds_the_eigenvalue_ratio_of_p_squared(self):
+        # the bound is on P^2 = sum T_i* T_i; P's own ratio is the square root of P^2's
+        for seed in range(8):
+            t = ensembles.random_normal_tuple(3, 4, seed, min_defect=0.5)
+            vals = spherical_polar(t).eigvals
+            assert vals[0] ** 2 >= 0.5 * vals[-1] ** 2 * (1 - 1e-12)
+
+    def test_min_defect_that_no_draw_meets_raises(self):
+        # at seed 0 the best P^2 ratio over 64 draws of two diagonals of size 6 is 0.53
+        with pytest.raises(InvalidParameterError, match="min_defect=0.999"):
+            ensembles.random_normal_tuple(2, 6, 0, min_defect=0.999)
 
 
 class TestRandomPsd:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sphertrans import linalg, norms
 from sphertrans.ensembles import random_tuple
-from sphertrans.errors import InvalidPError, SphertransError
+from sphertrans.errors import InvalidParameterError, InvalidPError, SphertransError
 from sphertrans.optimize import OptimizerConfig, grid_supremum, power_step, sphere_optimize
 from sphertrans.suites import sharp_diag_pair
 from sphertrans.tuples import (
@@ -313,6 +313,11 @@ class TestSchattenSphericalNorm:
             for p in (0.9, np.nan):
                 with pytest.raises(InvalidPError):
                     quantity(diag_pair, p)
+
+    def test_a_p_error_is_a_parameter_error(self, diag_pair):
+        # the command line maps every InvalidParameterError to exit 3
+        with pytest.raises(InvalidParameterError):
+            norms.schatten_spherical_norm(diag_pair, 0.5)
 
 
 class TestSchattenHypoNorm:
