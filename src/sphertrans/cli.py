@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -84,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norms.add_argument("--input", required=True)
     p_norms.add_argument("--p", action="append", type=float, default=None,
                          help="Schatten exponent, repeatable (default: 2)")
-    p_norms.add_argument("--format", choices=("json", "csv", "table"), default="table")
+    p_norms.add_argument("--format", choices=("json", "csv", "table"),
+                         default="table")
 
     p_classify = sub.add_parser("classify", help="structural classification")
     p_classify.set_defaults(run=_cmd_classify)
@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites",
                               parents=[suite_options])
     p_verify.set_defaults(run=_cmd_verify)
-    p_verify.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
+    p_verify.add_argument("--suite", default="all",
+                          choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--report", default=None,
@@ -185,11 +186,9 @@ def _cmd_norms(args) -> int:
     if args.format == "json":
         print(json.dumps({k: v for k, v in rows}, indent=1, sort_keys=True))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["quantity", "value"])
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
     else:
         width = max(len(k) for k, _ in rows)
         print(f"tuple: {doc.name} (d={doc.tuple.d}, n={doc.tuple.n})")

@@ -205,6 +205,16 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_equality_at_a_large_nmax_completes(self, capsys):
+        # trial 61 at seed 42 draws one diagonal of size 28, where no 64 draws
+        # of the invertible normal tuple meet its min_defect
+        code = main(["verify", "--suite", "equality", "--nmax", "30", "--trials", "62",
+                     "--workers", "1"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("suite equality: trials=62 ")
+        assert captured.err == ""
+
     def test_zero_trials_exits_3(self, capsys):
         code = main(["verify", "--suite", "s3", "--trials", "0", "--workers", "1"])
         assert code == 3

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sphertrans import ensembles
-from sphertrans.errors import InvalidParameterError
 from sphertrans.norms import spherical_norm
 from sphertrans.predicates import classify, is_normal_tuple
 from sphertrans.suites import SuiteConfig, _Store
@@ -89,10 +88,14 @@ class TestNormalTuple:
             vals = spherical_polar(t).eigvals
             assert vals[0] ** 2 >= 0.5 * vals[-1] ** 2 * (1 - 1e-12)
 
-    def test_min_defect_that_no_draw_meets_raises(self):
+    def test_min_defect_that_no_draw_meets_returns_the_last_draw(self):
         # at seed 0 the best P^2 ratio over 64 draws of two diagonals of size 6 is 0.53
-        with pytest.raises(InvalidParameterError, match="min_defect=0.999"):
-            ensembles.random_normal_tuple(2, 6, 0, min_defect=0.999)
+        t = ensembles.random_normal_tuple(2, 6, 0, min_defect=0.999)
+        rng = np.random.default_rng(0)
+        u = ensembles._haar_unitary(rng, 6)
+        diags = [ensembles._complex_gaussian(rng, 2, 6) for _ in range(64)][-1]
+        for mat, diag in zip(t, diags):
+            assert np.allclose(mat, (u * diag) @ u.conj().T, rtol=0, atol=1e-14)
 
 
 class TestRandomPsd:
