@@ -79,7 +79,7 @@ def main() -> int:
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
     mismatched = False
-    for seed in args.seed or [42]:
+    for seed in args.seed or [SuiteConfig.seed]:
         for suite in args.suite or SUITE_NAMES:
             trials = default_trials(suite) if args.trials is None else args.trials
             digest = report_digest(suite, trials, seed, args.save, args.workers)

@@ -35,12 +35,12 @@ from .predicates import classify
 from .reports import slack_histogram, write_report
 from .suites import (
     SUITE_NAMES,
-    INEQUALITIES,
     SuiteConfig,
     check_config,
     default_trials,
     fuzz_inequality,
     run_suite,
+    table_row,
 )
 from .tupledoc import TupleDocumentError, read_tuple, write_tuple
 
@@ -91,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--input", required=True)
 
     suite_options = argparse.ArgumentParser(add_help=False)
-    suite_options.add_argument("--seed", type=int, default=42)
-    suite_options.add_argument("--dmax", type=int, default=4)
-    suite_options.add_argument("--nmax", type=int, default=6)
+    suite_options.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    suite_options.add_argument("--dmax", type=int, default=SuiteConfig.dmax)
+    suite_options.add_argument("--nmax", type=int, default=SuiteConfig.nmax)
     suite_options.add_argument("--workers", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="run verification suites",
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--tol", type=float, default=SuiteConfig.tol)
     p_verify.add_argument("--report", default=None,
                           help="write JSON report(s); for --suite all a "
                                "suffix per suite is appended")
@@ -264,13 +264,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.inequality_id not in INEQUALITIES:
-        known = ", ".join(sorted(INEQUALITIES))
-        raise InvalidParameterError(
-            f"unknown inequality id {args.inequality_id!r}; known ids: {known}")
+    row = table_row(args.inequality_id)
     cfg = _suite_config(args, trials=args.trials, ensemble=args.ensemble)
     if args.witness:
-        check_config(INEQUALITIES[args.inequality_id]["suite"], cfg)
+        check_config(row.suite, cfg)
         _check_output(args.witness, "witness")
     report, records, witness, fingerprint = fuzz_inequality(args.inequality_id, cfg)
     slacks = np.array([r.slack for r in records])

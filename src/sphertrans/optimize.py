@@ -11,8 +11,7 @@ Callers pass a batched objective, mapping an (S, d) batch of unit rows
 to (S,) values, and a bare minorize-maximize step (a batched map that
 does not lower the objective, e.g. the power-type step derived from a
 norm's dual element).  The driver accelerates the step with SQUAREM and
-iterates to a step tolerance; there is no derivative-free search and no
-polish.
+iterates to a step tolerance.
 
 Inside the optimizer every step has one protocol:
 ascend(rows, blocks, state) -> (values, next rows, state).  state is

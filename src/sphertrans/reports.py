@@ -45,46 +45,30 @@ class SuiteReport:
 
 
 def summarize(records, required_rates: dict) -> dict:
-    """Per-inequality aggregation: counts, pass rate, minimum slack.
-
-    An inequality is ok when its pass rate (refined passes count) reaches
-    its required rate (1.0 unless the claim is statistical).
+    """Per-inequality aggregation, one group of records per id: counts,
+    pass rate, and the slack and fingerprint of the group's first record
+    of minimum slack.  An inequality is ok when its pass rate (refined
+    passes count) reaches its required rate (1.0 unless statistical).
     """
-    out: dict = {}
+    groups: dict = {}
     for rec in records:
-        entry = out.setdefault(
-            rec.inequality_id,
-            {
-                "trials": 0,
-                "passes": 0,
-                "refined": 0,
-                "fails": 0,
-                "min_slack": None,
-                "min_slack_fingerprint": None,
-            },
-        )
-        entry["trials"] += 1
-        if rec.status == FAIL:
-            entry["fails"] += 1
-        else:
-            entry["passes"] += 1
-            if rec.status == REFINED:
-                entry["refined"] += 1
-        if entry["min_slack"] is None or rec.slack < entry["min_slack"]:
-            entry["min_slack"] = rec.slack
-            entry["min_slack_fingerprint"] = rec.fingerprint
-    for rid, entry in out.items():
+        groups.setdefault(rec.inequality_id, []).append(rec)
+    out = {}
+    for rid, group in sorted(groups.items()):
+        fails = sum(rec.status == FAIL for rec in group)
+        worst = min(group, key=lambda rec: rec.slack)
+        rate = (len(group) - fails) / len(group)
         required = required_rates.get(rid, 1.0)
-        rate = entry["passes"] / entry["trials"] if entry["trials"] else 0.0
-        entry["pass_rate"] = rate
-        entry["required_pass_rate"] = required
-        entry["ok"] = rate >= required
-    return dict(sorted(out.items()))
+        out[rid] = {"trials": len(group), "passes": len(group) - fails,
+                    "refined": sum(rec.status == REFINED for rec in group), "fails": fails,
+                    "min_slack": worst.slack, "min_slack_fingerprint": worst.fingerprint,
+                    "pass_rate": rate, "required_pass_rate": required, "ok": rate >= required}
+    return out
 
 
-def slack_histogram(slacks, bins: int = 20) -> dict:
-    """np.histogram of slacks as plain data: bin_edges and bin_counts."""
-    counts, edges = np.histogram(slacks, bins=bins)
+def slack_histogram(slacks) -> dict:
+    """np.histogram of slacks in 20 bins as plain data: bin_edges and bin_counts."""
+    counts, edges = np.histogram(slacks, bins=20)
     return {"bin_edges": [float(e) for e in edges], "bin_counts": [int(c) for c in counts]}
 
 

@@ -374,16 +374,13 @@ class _Store:
             return lhs <= rhs + tol * (1.0 + abs(rhs))
         return abs(lhs - rhs) <= tol
 
-    def record(self, row, i=None, fp=None) -> InequalityRecord:
-        """Judge row at index value i with fingerprint fp (default: the
-        row's own).  A failing row escalates the estimates whose larger
-        value could make it hold (_sides) and is judged again.  A row with
-        none, such as "gt" or an "eq" above its target, fails as it stands,
-        and that fail is proved: each estimate is an exact value at its
-        argmax, a lower bound of its supremum, so a larger one would only
-        move the sides further apart."""
-        if fp is None:
-            fp = self.fp[row.fp]
+    def record(self, row, i, fp) -> InequalityRecord:
+        """Judge row at index value i with fingerprint fp.  A failing row
+        escalates the estimates whose larger value could make it hold
+        (_sides) and is judged again.  A row with none, such as "gt" or an
+        "eq" above its target, fails as it stands, and that fail is proved:
+        each estimate is an exact value at its argmax, a lower bound of its
+        supremum, so a larger one would only move the sides further apart."""
         lhs, rhs, keys = self._sides(row, i)
         if self._holds(row, lhs, rhs):
             status = PASS
@@ -852,20 +849,27 @@ def default_trials(suite: str) -> int:
 # fuzzing: minimum-slack search for one inequality
 # ---------------------------------------------------------------------------
 
+def table_row(inequality_id: str) -> Row:
+    """The TABLE row of inequality_id, else InvalidParameterError naming the known ids."""
+    for row in TABLE:
+        if row.id == inequality_id:
+            return row
+    raise InvalidParameterError(f"unknown inequality id {inequality_id!r}; "
+                                f"known ids: {', '.join(sorted(INEQUALITIES))}")
+
+
 def fuzz_inequality(inequality_id: str, cfg: SuiteConfig):
     """Scan trials of the owning suite, keeping only one inequality's records.
 
     Returns (report, records, witness_tuple, witness_fingerprint): the owning
-    suite's report and the row's sampled tuple in the minimum-slack trial.
+    suite's report and the row's sampled tuple in the summary's minimum-slack trial.
     """
-    row = next((r for r in TABLE if r.id == inequality_id), None)
-    if row is None:
-        raise KeyError(f"unknown inequality id {inequality_id!r}")
+    row = table_row(inequality_id)
     report = run_suite(row.suite, cfg)
-    records = [r for r in report.records if r.inequality_id == inequality_id]
-    if not records:
+    if inequality_id not in report.summary:
         raise InvalidParameterError(
             f"trials={report.trials} produced no record of {inequality_id!r}")
-    worst = min(records, key=lambda r: r.slack)
-    witness = getattr(_Store(row.suite, cfg, worst.fingerprint["trial"]), row.artifact)
-    return report, records, witness, worst.fingerprint
+    records = [r for r in report.records if r.inequality_id == inequality_id]
+    fingerprint = report.summary[inequality_id]["min_slack_fingerprint"]
+    witness = getattr(_Store(row.suite, cfg, fingerprint["trial"]), row.artifact)
+    return report, records, witness, fingerprint

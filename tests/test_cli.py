@@ -411,6 +411,16 @@ class TestFuzz:
         code = main(["fuzz", "--inequality-id", "bogus", "--trials", "2"])
         assert code == 3
 
+    def test_fuzz_unknown_id_with_a_witness_exits_3_before_its_directory(self, tmp_path,
+                                                                          capsys):
+        witness = tmp_path / "new" / "w.json"
+        code = main(["fuzz", "--inequality-id", "bogus", "--witness", str(witness)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_error_line(captured.err, "unknown inequality id 'bogus'", "known ids: ")
+        assert not witness.parent.exists()
+
 
 def test_main_alone_maps_an_error_to_its_exit_code():
     """Outside main, no code of the command line prints to stderr, raises

@@ -32,3 +32,18 @@ class TestSummarize:
         assert list(summary) == ["a", "b"]
         assert summary["b"]["required_pass_rate"] == 1.0
         assert not summary["b"]["ok"]
+
+    def test_the_first_record_of_minimum_slack_gives_the_fingerprint(self):
+        # fuzz --witness replays the trial of this fingerprint
+        slacks = [0.5, -1.0, 2.0, -1.0, -1.0]
+        records = [InequalityRecord("a", 0.0, s, s, PASS, {"trial": k})
+                   for k, s in enumerate(slacks)]
+        entry = summarize(records, {})["a"]
+        assert entry["min_slack"] == -1.0
+        assert entry["min_slack_fingerprint"] == {"trial": 1}
+
+    def test_an_id_of_refined_passes_only(self):
+        entry = summarize(_records("a", [REFINED] * 3), {})["a"]
+        assert (entry["trials"], entry["passes"], entry["refined"], entry["fails"]) == (3, 3, 3, 0)
+        assert entry["pass_rate"] == 1.0
+        assert entry["ok"] is True

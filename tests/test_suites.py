@@ -84,7 +84,8 @@ def _bare_tup(store, name) -> OperatorTuple:
 def _judge(check, lhs, rhs, tol):
     row = Row("x", "sharpness", check, lambda s, i: lhs(s), lambda s, i: rhs(s),
               "test row", tol=tol)
-    return _Store("sharpness", SuiteConfig(trials=1), 0).record(row)
+    store = _Store("sharpness", SuiteConfig(trials=1), 0)
+    return store.record(row, None, store.fp[row.fp])
 
 
 class TestRegistry:
@@ -633,5 +634,5 @@ class TestFuzz:
             assert (witness.d, witness.n) == (fingerprint["d"], fingerprint["n"])
 
     def test_fuzz_unknown_id(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidParameterError, match="known ids: .*sp.chain.middle"):
             fuzz_inequality("nope.x", SuiteConfig(trials=1))
